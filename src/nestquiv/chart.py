@@ -15,6 +15,11 @@ representation whose pencil is regular at nu:
 The direction of the b2 product matters: C_nu A_nu is the one that
 transforms by conjugation under gauge, with e transforming as e g^{-1}.
 
+The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
+for (a, b) in the frozen monomial order, each one factor beyond an
+earlier row.  The covector closure (`closure_scan`) and the whole ideal
+dictionary in `ideals` read their rows from it.
+
 Rational charts need one normalization the unit-circle parametrization
 hides: the sigma matrix carries a factor (nu1^2 + nu2^2)^{-(n-1)}, which is
 exactly what makes extract(embed(a, nu), nu) = a an identity (binomial
@@ -121,6 +126,11 @@ class NestedAdhmData:
     qb2: RationalMatrix
 
 
+def pencil(a1: RationalMatrix, a2: RationalMatrix, nu: NuPoint) -> RationalMatrix:
+    """The pencil combination A_nu = nu2 A1 + nu1 A2."""
+    return a1.scale(nu.nu2) + a2.scale(nu.nu1)
+
+
 def pencil_combos(x: HirzRep, nu: NuPoint):
     """The four nu-combinations (A_nu, D_nu, C_nu, I_nu).
 
@@ -130,7 +140,7 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
     (zero column for n = 1).
     """
     n1, n2, n = nu.nu1, nu.nu2, x.n
-    a_nu = x.A1.scale(n2) + x.A2.scale(n1)
+    a_nu = pencil(x.A1, x.A2, nu)
     d_nu = x.A1.scale(n1) - x.A2.scale(n2)
     if n == 1:
         c_nu = x.C[0]
@@ -161,8 +171,7 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
         raise ShapeMismatch("pencil needs two square matrices of equal size")
     c = a1.rows
     for nu in regular_sample(c):
-        comb_m = a1.scale(nu.nu2) + a2.scale(nu.nu1)
-        if rank(comb_m) == c:
+        if rank(pencil(a1, a2, nu)) == c:
             return nu
     raise IrregularPencil(f"all {c + 1} sampled charts are singular")
 
@@ -247,45 +256,55 @@ def transform_chart(a: AdhmData, from_nu: NuPoint, to_nu: NuPoint, n: int) -> Ad
     return chart_extract(chart_embed(a, from_nu, n), to_nu)
 
 
+def monomial_rows(
+    b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix, d: int
+) -> RationalMatrix:
+    """The rows e . b1^a b2^b for (a, b) in monomials_upto(d), in that order.
+
+    Each row extends an earlier one by one factor: (a, b) is (a - 1, b)
+    times b1, and (0, b) is (0, b - 1) times b2.  For a commuting pair the
+    row of m is e . m(b1, b2), so a polynomial f with coefficient vector v
+    evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
+    """
+    cols1, cols2 = b1.transpose().data, b2.transpose().data
+    rows: dict = {}
+    for m in monomials_upto(d):
+        a, b = m
+        if m == (0, 0):
+            rows[m] = e.data[0]
+            continue
+        prev, cols = (rows[(a - 1, b)], cols1) if a else (rows[(0, b - 1)], cols2)
+        rows[m] = [sum(p * q for p, q in zip(prev, col) if p) for col in cols]
+    return RationalMatrix.from_rows(list(rows.values()), cols=e.cols)
+
+
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
     """Greedy scan of the covector closure.
 
-    Walks e . b1^a b2^b over monomials (a, b) in the frozen degree-lex
-    order, keeping the rows that grow the span.  Returns (monomials kept,
-    kept rows as a matrix, echelon form of the span).  The closure of a
-    costable datum of size c is complete within total degree c - 1.
+    Walks the rows of monomial_rows up to total degree c - 1, keeping the
+    rows that grow the span.  Returns (monomials kept, kept rows as a
+    matrix, echelon form of the span).  The closure of a costable datum of
+    size c is complete within total degree c - 1.
     """
     c = b1.rows
-    vectors = {(0, 0): [x for x in e.data[0]]} if c else {}
+    d = max(c - 1, 0)
     kept: list[tuple[int, int]] = []
-    kept_rows: list[list[Fraction]] = []
+    kept_rows: list = []
     echelon: list[list[Fraction]] = []
-    for m in monomials_upto(max(c - 1, 0)):
-        if c == 0:
-            break
-        a, b = m
-        if m not in vectors:
-            if a > 0:
-                prev = vectors[(a - 1, b)]
-            else:
-                prev = vectors[(a, b - 1)]
-            step = b1 if a > 0 else b2
-            vectors[m] = [
-                sum(p * step.data[i][j] for i, p in enumerate(prev)) for j in range(c)
-            ]
+    for m, row in zip(monomials_upto(d), monomial_rows(b1, b2, e, d).data):
         if len(kept) == c:
-            continue
-        red = row_span_reduce(RationalMatrix.from_rows(echelon, cols=c), vectors[m])
+            break
+        red = row_span_reduce(RationalMatrix.from_rows(echelon, cols=c), row)
         if any(x != 0 for x in red):
             p = next(j for j, x in enumerate(red) if x != 0)
             norm = [x / red[p] for x in red]
-            for row in echelon:
-                if row[p] != 0:
-                    f = row[p]
-                    row[:] = [u - f * v for u, v in zip(row, norm)]
+            for prow in echelon:
+                if prow[p] != 0:
+                    f = prow[p]
+                    prow[:] = [u - f * v for u, v in zip(prow, norm)]
             echelon.append(norm)
             kept.append(m)
-            kept_rows.append(vectors[m])
+            kept_rows.append(row)
     return kept, RationalMatrix.from_rows(kept_rows, cols=c), RationalMatrix.from_rows(
         echelon, cols=c
     )

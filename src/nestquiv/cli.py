@@ -4,11 +4,8 @@ Subcommands: check, convert, roundtrip, count-fixed, monad-check.  All
 reports are JSON with sorted keys, so a fixed --seed reproduces identical
 bytes.  Exit codes: 0 success, 1 verification failure, 2 unreadable or
 malformed input, 3 precondition violation (bad parameter, singular chart,
-unsupported colength).
-
-The NESTED_QUIVER_THREADS environment variable is accepted for
-compatibility with batch harnesses; the arithmetic is exact and cheap
-enough that everything runs on one thread regardless.
+unsupported colength).  Every package error carries its code as
+`exit_code`, so no error reaches the user as a traceback.
 """
 
 from __future__ import annotations
@@ -29,52 +26,20 @@ from .corpus import (
     random_nested_pair,
 )
 from .correspondence import nested_to_rep, rep_to_nested, same_orbit
-from .errors import (
-    BadPair,
-    ChartUnavailable,
-    ConeViolation,
-    DomainError,
-    IrregularPencil,
-    NestquivError,
-    NotAnIdeal,
-    NotCostable,
-    NotStable,
-    NotWellDefined,
-    RelationsViolated,
-    ShapeMismatch,
-    Singular,
-    SingularAnu,
-)
+from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
 from .monad import build_monad, check_complex, fiber_ranks
 from .quiver import EnhRep, HirzRep, act, enh_residuals, hirz_residuals
 from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
 
-_PRECONDITION = (ConeViolation, DomainError, SingularAnu, IrregularPencil, ChartUnavailable)
-_VERIFICATION = (
-    NotStable,
-    BadPair,
-    NotCostable,
-    RelationsViolated,
-    NotWellDefined,
-    NotAnIdeal,
-    Singular,
-)
+_EXIT_LABELS = {1: "verification failed", 2: "malformed input", 3: "precondition violated"}
 
 
 class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("NESTED_QUIVER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str):
@@ -102,7 +67,7 @@ def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
         raise _CliFailure(2, f"{what} needs {count} comma-separated rationals, got {text!r}")
     try:
         return [rat(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise _CliFailure(2, f"bad rational in {what}: {e}") from None
 
 
@@ -309,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nestquiv",
         description="Exact tools for framed surface-quiver representations and nested 0-cycles.",
-        epilog="NESTED_QUIVER_THREADS is accepted; execution is sequential and deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -354,21 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _read_threads()
     try:
         return args.func(args)
     except _CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except _PRECONDITION as e:
-        print(f"precondition violated: {e}", file=sys.stderr)
-        return 3
-    except _VERIFICATION as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
-    except ShapeMismatch as e:
-        print(f"malformed input: {e}", file=sys.stderr)
-        return 2
+    except NestquivError as e:
+        print(f"{_EXIT_LABELS[e.exit_code]}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, build_nested_adhm, chart_embed, chart_extract
+from .chart import AdhmData, NuPoint, build_nested_adhm, chart_embed, chart_extract, pencil
 from .errors import BadPair, ChartUnavailable, DomainError, NotStable, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, contains, ideal_from_adhm, inclusion_matrix
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix, rank
 from .stability import EnhThetaParam, is_theta_stable, kernel_subrep
-
-
-def _pencil_at(x: HirzRep, nu: NuPoint) -> RationalMatrix:
-    return x.A2.scale(nu.nu1) + x.A1.scale(nu.nu2)
 
 
 def _candidate_charts(count: int) -> list[NuPoint]:
@@ -62,7 +58,7 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
         return _pair_at(x, kern, nu)
     c = x.left.c1
     for cand in _candidate_charts(c):
-        if rank(_pencil_at(x.left, cand)) == c and rank(_pencil_at(kern, cand)) == kern.c1:
+        if all(rank(pencil(r.A1, r.A2, cand)) == r.c1 for r in (x.left, kern)):
             return _pair_at(x, kern, cand)
     raise ChartUnavailable("no regular chart among the candidate sample")
 
@@ -123,9 +119,7 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     kx, ky = kernel_subrep(x), kernel_subrep(y)
     c = x.left.c1
     for cand in _candidate_charts(2 * c + 1):
-        if all(
-            rank(_pencil_at(r, cand)) == r.c1 for r in (x.left, y.left, kx, ky)
-        ):
+        if all(rank(pencil(r.A1, r.A2, cand)) == r.c1 for r in (x.left, y.left, kx, ky)):
             px = _pair_at(x, kx, cand)
             py = _pair_at(y, ky, cand)
             return px.big == py.big and px.small == py.small

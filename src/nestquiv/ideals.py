@@ -13,7 +13,12 @@ Conventions frozen here:
     form the divisor-closed staircase of standard monomials;
   * multiplication matrices act on the standard-monomial basis in ascending
     order, and the ADHM matrices are their transposes, which lands exactly
-    in the gauge `canonical_form` produces.
+    in the gauge `canonical_form` produces;
+  * every passage between an ideal and a datum goes through
+    `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order:
+    `ideal_from_adhm` takes its left kernel, and `contains` and
+    `inclusion_matrix` evaluate on it.  In the canonical gauge its row m
+    is the normal form of the monomial m in the standard basis.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, closure_rank
+from .chart import AdhmData, NuPoint, monomial_rows
 from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
 from .ratmat import RationalMatrix, kernel_basis, rat, rat_str
@@ -265,66 +270,39 @@ def colength(i: ZeroCycleIdeal) -> int:
     return count_upto(i.d) - i.basis.rows
 
 
-def _extend_rows(i: ZeroCycleIdeal, d: int) -> list[list[Fraction]]:
-    """Rows spanning the degree-d truncation of the ideal, valid when the
-    ideal is generated within its stored bound (true for d >= colength)."""
-    mons_small = monomials_upto(i.d)
-    index = {m: j for j, m in enumerate(monomials_upto(d))}
-    out: list[list[Fraction]] = []
-    for row in i.basis.data:
-        deg = max((a + b for (a, b), v in zip(mons_small, row) if v != 0), default=-1)
-        if deg < 0:
-            continue
-        for da, db in [(a, b) for a in range(d - deg + 1) for b in range(d - deg + 1 - a)]:
-            shifted = [Fraction(0)] * len(index)
-            for (a, b), v in zip(mons_small, row):
-                if v != 0:
-                    shifted[index[(a + da, b + db)]] = v
-            out.append(shifted)
-    return out
+def _evaluation(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> RationalMatrix:
+    """monomial_rows of j's canonical datum over monomials_upto(i.d): row m
+    is the normal form of m modulo j in j's standard basis."""
+    a = adhm_from_ideal(j)
+    return monomial_rows(a.b1, a.b2, a.e, i.d)
 
 
 def contains(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> bool:
-    """Whether i is contained in j (every element of i reduces to zero
-    modulo j), compared at the common degree bound max(i.d, j.d).
+    """Whether i is contained in j.
 
-    Sound when each ideal is generated within its own stored bound, which
-    holds for d >= colength.  Note the argument order: contains(big, small)
-    is the nesting of a pair of cycles Z' subset Z.
+    j is the annihilator of the cyclic covector of its datum (b1, b2, e),
+    so f lies in j exactly when e . f(b1, b2) = 0.  Applied to the basis
+    of i, that is the single product i.basis @ EV, with EV the evaluation
+    rows of adhm_from_ideal(j) over i's monomials; i is contained in j
+    when it vanishes.  Raises NotAnIdeal when j's degree bound is too
+    small to read its multiplication.  Note the argument order:
+    contains(big, small) is the nesting of a pair of cycles Z' subset Z.
     """
-    d = max(i.d, j.d)
-    rows_j = _desc_rref(_extend_rows(j, d), count_upto(d))
-    for row in _extend_rows(i, d):
-        if any(x != 0 for x in _desc_reduce(rows_j, row)):
-            return False
-    return True
+    return (i.basis @ _evaluation(i, j)).is_zero()
 
 
 def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     """Ideal of the cycle encoded by a costable datum.
 
-    The kernel of f |-> e f(b1, b2) on polynomials of degree <= c is exactly
-    the truncated ideal; costability makes the evaluation matrix full rank.
+    The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
+    left kernel of monomial_rows) is exactly the truncated ideal; the
+    datum is costable exactly when that evaluation matrix has rank c.
     """
     c = a.c
-    if closure_rank(a.b1, a.b2, a.e) != c:
-        raise NotCostable("datum is not costable")
-    mons = monomials_upto(c)
-    vectors: dict = {}
-    rows = []
-    for m in mons:
-        if m == (0, 0):
-            vectors[m] = list(a.e.data[0]) if c else []
-        else:
-            aa, bb = m
-            prev = vectors[(aa - 1, bb)] if aa > 0 else vectors[(aa, bb - 1)]
-            step = a.b1 if aa > 0 else a.b2
-            vectors[m] = [
-                sum(p * step.data[i][j] for i, p in enumerate(prev)) for j in range(c)
-            ]
-        rows.append(vectors[m])
-    ev = RationalMatrix.from_rows(rows, cols=c)
+    ev = monomial_rows(a.b1, a.b2, a.e, c)
     ker = kernel_basis(ev.transpose()).transpose()
+    if ker.rows != count_upto(c) - c:
+        raise NotCostable("datum is not costable")
     return ZeroCycleIdeal.from_rows(list(ker.data), c=c, d=c, check=False)
 
 
@@ -364,33 +342,21 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
 
 
 def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatrix:
-    """Dual of the quotient reduction for a nested pair big <= small.
+    """Inclusion of the small-cycle datum into the big-cycle datum, in the
+    canonical gauges of adhm_from_ideal, for a nested pair big <= small.
 
-    Column t of the reduction pi expresses big's standard monomials modulo
-    the small ideal in small's standard basis; the returned matrix is pi
-    transposed, which is the inclusion of the small-cycle datum into the
-    big-cycle datum in the canonical gauges of adhm_from_ideal.
+    Row m of the evaluation matrix EV of small (see contains) is the
+    normal form of the monomial m in small's standard basis; the returned
+    matrix is the selection of those rows at big's standard monomials.
+    Raises BadPair when big.basis @ EV is nonzero, i.e. the ideals are
+    not nested.
     """
-    if not contains(big, small):
+    ev = _evaluation(big, small)
+    if not (big.basis @ ev).is_zero():
         raise BadPair("ideals are not nested")
-    big_std = big.standard_monomials()
-    small_std = small.standard_monomials()
-    d = max(big.d, small.d)
-    mons = monomials_upto(d)
-    index = {m: j for j, m in enumerate(mons)}
-    pos = {m: t for t, m in enumerate(small_std)}
-    small_rows = _desc_rref(_extend_rows(small, d), count_upto(d))
-    rows = []
-    for m in big_std:
-        vec = [Fraction(0)] * len(mons)
-        vec[index[m]] = Fraction(1)
-        red = _desc_reduce(small_rows, vec)
-        row = [Fraction(0)] * len(small_std)
-        for j, v in enumerate(red):
-            if v != 0:
-                row[pos[mons[j]]] = v
-        rows.append(row)
-    return RationalMatrix.from_rows(rows, cols=len(small_std))
+    index = {m: r for r, m in enumerate(monomials_upto(big.d))}
+    rows = [ev.data[index[m]] for m in big.standard_monomials()]
+    return RationalMatrix.from_rows(rows, cols=small.c)
 
 
 def partitions(k: int, max_part: int | None = None) -> list[tuple[int, ...]]:

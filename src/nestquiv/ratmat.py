@@ -20,11 +20,15 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction; a string
+    that is not a rational, zero denominator included, raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")

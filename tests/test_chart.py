@@ -24,7 +24,9 @@ from nestquiv import (
     transform_chart,
 )
 from nestquiv.corpus import ideal_of_points, random_gauge, random_points
+from nestquiv.chart import monomial_rows
 from nestquiv.ideals import adhm_from_ideal, ideal_from_adhm, monomial_ideal
+from nestquiv.monomials import monomials_upto
 
 from conftest import M, nu
 
@@ -107,6 +109,21 @@ def test_closure_rank():
     # e a joint eigenvector: closure stops at rank 1
     b1 = M([[1, 1], [0, 2]])
     assert closure_rank(b1, b1 @ b1, M([[0, 1]])) == 1
+
+
+def test_monomial_rows_are_covector_evaluations():
+    a = adhm_from_ideal(ideal_of_points(random_points(random.Random(8), 4)))
+    g = random_gauge(random.Random(7), 4)
+    b1, b2, e = g.g1 @ a.b1 @ g.inv1, g.g1 @ a.b2 @ g.inv1, a.e @ g.inv1
+    rows = monomial_rows(b1, b2, e, 4)
+    assert rows.rows == len(monomials_upto(4)) and rows.cols == 4
+    for k, (i, j) in enumerate(monomials_upto(4)):
+        expected = e
+        for _ in range(i):
+            expected = expected @ b1
+        for _ in range(j):
+            expected = expected @ b2
+        assert rows.data[k] == expected.data[0]
 
 
 def test_canonical_form_matches_ideal_gauge():

@@ -4,7 +4,32 @@ from fractions import Fraction
 
 import pytest
 
-from nestquiv import NestedIdealPair, monomial_ideal, nested_to_rep
+from nestquiv import (
+    BadPair,
+    ChartUnavailable,
+    ConeViolation,
+    DomainError,
+    ExcludedLocus,
+    IllConditioned,
+    IrregularPencil,
+    NestedIdealPair,
+    NestquivError,
+    NotAnIdeal,
+    NotCommuting,
+    NotCostable,
+    NotFixedForm,
+    NotInjective,
+    NotIntertwining,
+    NotStable,
+    NotWellDefined,
+    RelationsViolated,
+    ShapeMismatch,
+    Singular,
+    SingularAnu,
+    monomial_ideal,
+    nested_to_rep,
+)
+from nestquiv import cli
 from nestquiv.cli import main
 from nestquiv.corpus import CHART_SECOND, random_nested_pair
 
@@ -139,3 +164,84 @@ def test_monad_check_detects_broken_relations(hand_files, tmp_path, capsys):
     assert main(["monad-check", str(p)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["complex_zero"] is False
+
+
+# The documented exit code of every package error: 1 a verification failed,
+# 2 malformed input, 3 a precondition violation.
+DOCUMENTED_EXIT = {
+    BadPair: 1,
+    NotAnIdeal: 1,
+    NotCommuting: 1,
+    NotCostable: 1,
+    NotInjective: 1,
+    NotIntertwining: 1,
+    NotStable: 1,
+    NotWellDefined: 1,
+    RelationsViolated: 1,
+    Singular: 1,
+    ShapeMismatch: 2,
+    ChartUnavailable: 3,
+    ConeViolation: 3,
+    DomainError: 3,
+    ExcludedLocus: 3,
+    IllConditioned: 3,
+    IrregularPencil: 3,
+    NotFixedForm: 3,
+    SingularAnu: 3,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    sorted(NestquivError.__subclasses__(), key=lambda cls: cls.__name__),
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_maps_to_its_exit_code(error, monkeypatch, capsys):
+    def failing(args):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_count_fixed", failing)
+    assert main(["count-fixed", "--cp", "0", "--c", "1"]) == DOCUMENTED_EXIT[error]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "injected failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _zero_denominator_files(tmp_path):
+    pair = NestedIdealPair(nu=nu(1, 0), big=monomial_ideal((2,)), small=monomial_ideal((1,)))
+    good = nested_to_rep(pair, 1).to_json()
+    rep = json.loads(json.dumps(good))
+    rep["A1"]["entries"][0] = "1/0"
+    pair_entry = pair.to_json()
+    pair_entry["big"]["basis"]["entries"][0] = "1/0"
+    pair_nu = pair.to_json()
+    pair_nu["nu"] = ["1/0", "1"]
+    paths = {}
+    for name, obj in (
+        ("good", good),
+        ("rep", rep),
+        ("pair_entry", pair_entry),
+        ("pair_nu", pair_nu),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(obj))
+        paths[name] = str(p)
+    return paths
+
+
+def test_zero_denominator_is_malformed_input(tmp_path, capsys):
+    paths = _zero_denominator_files(tmp_path)
+    for argv in (
+        ["check", paths["rep"]],
+        ["monad-check", paths["rep"]],
+        ["convert", "rep-to-cycle", paths["rep"]],
+        ["convert", "cycle-to-rep", paths["pair_entry"]],
+        ["convert", "cycle-to-rep", paths["pair_nu"]],
+        ["check", paths["good"], "--theta", "1/0,1,1,1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err

@@ -22,6 +22,7 @@ from nestquiv import (
     support_approx,
 )
 from nestquiv.corpus import ideal_of_points, random_points
+from nestquiv.ratmat import rank
 
 from conftest import M, nu
 
@@ -120,6 +121,63 @@ def test_inclusion_matrix_reduction():
     small = ideal_of_points([(Fraction(1), Fraction(0))])
     assert contains(big, small)
     assert inclusion_matrix(big, small) == M([[1], [1]])
+
+
+def _point_pool(seed: int, size: int):
+    return random_points(random.Random(seed), size)
+
+
+def test_contains_matches_point_inclusion():
+    # I(P) <= I(Q) exactly when Q is a subset of P, for reduced point sets
+    pool = _point_pool(21, 8)
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(60):
+        p = rng.sample(pool, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            q = rng.sample(p, rng.randint(1, len(p)))
+        else:
+            q = rng.sample(pool, rng.randint(1, 6))
+        expected = set(q) <= set(p)
+        seen.add(expected)
+        assert contains(ideal_of_points(p), ideal_of_points(q)) == expected
+    assert seen == {True, False}
+
+
+def _monomial_at(m, pt) -> Fraction:
+    return pt[0] ** m[0] * pt[1] ** m[1]
+
+
+def test_inclusion_matrix_vandermonde():
+    # m(q) = sum_t incl[m, t] s_t(q) for each big standard monomial m and
+    # q in Q; the small standard monomials separate the points of Q, so this
+    # pins every entry of the inclusion matrix
+    pool = _point_pool(23, 7)
+    rng = random.Random(24)
+    for _ in range(25):
+        p = rng.sample(pool, rng.randint(2, 6))
+        q = rng.sample(p, rng.randint(1, len(p) - 1))
+        big, small = ideal_of_points(p), ideal_of_points(q)
+        incl = inclusion_matrix(big, small)
+        big_std, small_std = big.standard_monomials(), small.standard_monomials()
+        assert (incl.rows, incl.cols) == (len(big_std), len(small_std))
+        vander = M([[_monomial_at(s, pt) for s in small_std] for pt in q])
+        assert rank(vander) == len(q)
+        for k, m in enumerate(big_std):
+            for pt in q:
+                assert _monomial_at(m, pt) == sum(
+                    incl[k, t] * _monomial_at(s, pt) for t, s in enumerate(small_std)
+                )
+
+
+def test_contains_needs_readable_multiplication():
+    # (y) stored with c = 2, d = 1: the standard monomial x sits at the
+    # degree bound, so multiplication by x cannot be read off
+    short = ZeroCycleIdeal.from_rows([[0, 0, 1]], c=2, d=1)
+    with pytest.raises(NotAnIdeal):
+        contains(monomial_ideal((2,)), short)
+    with pytest.raises(NotAnIdeal):
+        inclusion_matrix(monomial_ideal((3,)), short)
 
 
 def test_partitions_frozen():

@@ -17,6 +17,9 @@ def test_rat_parsing():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(-2)) == "-2"
     assert rat_str(Fraction(0)) == "0"
+    for bad in ("1/0", "0/0", "x"):
+        with pytest.raises(ValueError):
+            rat(bad)
 
 
 def test_constructors_and_indexing():
