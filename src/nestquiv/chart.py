@@ -46,7 +46,7 @@ from .errors import (
 )
 from .monomials import monomials_upto
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, invert, kernel_basis, rank, rat, rat_str, row_span_reduce
+from .ratmat import RationalMatrix, invert, kernel_basis, rank, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class NuPoint:
 
     @staticmethod
     def from_json(obj) -> "NuPoint":
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise ShapeMismatch(f"nu must be a list of two rationals, got {obj!r}")
         return NuPoint(rat(str(obj[0])), rat(str(obj[1])))
 
 
@@ -281,37 +283,24 @@ def monomial_rows(
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
     """Greedy scan of the covector closure.
 
-    Walks the rows of monomial_rows up to total degree c - 1, keeping the
-    rows that grow the span.  Returns (monomials kept, kept rows as a
-    matrix, echelon form of the span).  The closure of a costable datum of
-    size c is complete within total degree c - 1.
+    Keeps the rows of monomial_rows up to total degree c - 1 that grow the
+    span of the rows before them: the pivot columns of its transpose's
+    reduced echelon form.  Returns (monomials kept, kept rows as a
+    matrix).  The closure of a costable datum of size c is complete within
+    total degree c - 1.
     """
     c = b1.rows
     d = max(c - 1, 0)
-    kept: list[tuple[int, int]] = []
-    kept_rows: list = []
-    echelon: list[list[Fraction]] = []
-    for m, row in zip(monomials_upto(d), monomial_rows(b1, b2, e, d).data):
-        if len(kept) == c:
-            break
-        red = row_span_reduce(RationalMatrix.from_rows(echelon, cols=c), row)
-        if any(x != 0 for x in red):
-            p = next(j for j, x in enumerate(red) if x != 0)
-            norm = [x / red[p] for x in red]
-            for prow in echelon:
-                if prow[p] != 0:
-                    f = prow[p]
-                    prow[:] = [u - f * v for u, v in zip(prow, norm)]
-            echelon.append(norm)
-            kept.append(m)
-            kept_rows.append(row)
-    return kept, RationalMatrix.from_rows(kept_rows, cols=c), RationalMatrix.from_rows(
-        echelon, cols=c
+    mons = monomials_upto(d)
+    ev = monomial_rows(b1, b2, e, d)
+    _, pivots = rref(ev.transpose())
+    return [mons[p] for p in pivots], RationalMatrix.from_rows(
+        [ev.data[p] for p in pivots], cols=c
     )
 
 
 def closure_rank(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> int:
-    kept, _, _ = closure_scan(b1, b2, e)
+    kept, _ = closure_scan(b1, b2, e)
     return len(kept)
 
 
@@ -323,7 +312,7 @@ def canonical_form(a: AdhmData) -> AdhmData:
     triple (the selected monomial set is gauge-invariant), with e becoming
     the first standard covector.
     """
-    kept, t, _ = closure_scan(a.b1, a.b2, a.e)
+    kept, t = closure_scan(a.b1, a.b2, a.e)
     if len(kept) < a.c:
         raise NotCostable(f"closure rank {len(kept)} < {a.c}")
     t_inv = invert(t)

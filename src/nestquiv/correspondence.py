@@ -17,9 +17,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, build_nested_adhm, chart_embed, chart_extract, pencil
+from .chart import (
+    AdhmData,
+    NuPoint,
+    build_nested_adhm,
+    chart_embed,
+    chart_extract,
+    monomial_rows,
+    pencil,
+)
 from .errors import BadPair, ChartUnavailable, DomainError, NotStable, ShapeMismatch
-from .ideals import NestedIdealPair, adhm_from_ideal, contains, ideal_from_adhm, inclusion_matrix
+from .ideals import NestedIdealPair, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix, rank
 from .stability import EnhThetaParam, is_theta_stable, kernel_subrep
@@ -33,8 +41,10 @@ def _candidate_charts(count: int) -> list[NuPoint]:
 
 def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint) -> NestedIdealPair:
     big = ideal_from_adhm(chart_extract(x.left, nu))
-    small = ideal_from_adhm(chart_extract(kern, nu))
-    if not contains(big, small):
+    a = chart_extract(kern, nu)
+    small = ideal_from_adhm(a)
+    # nested exactly when big vanishes on the small cycle, in any gauge of a
+    if not (big.basis @ monomial_rows(a.b1, a.b2, a.e, big.d)).is_zero():
         raise BadPair("extracted cycles are not nested")
     return NestedIdealPair(nu=nu, big=big, small=small)
 
@@ -80,7 +90,7 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
         raise DomainError("conversion needs 0 < c' < c")
     big = adhm_from_ideal(pair.big)
     small = adhm_from_ideal(pair.small)
-    incl = inclusion_matrix(pair.big, pair.small)
+    incl = _inclusion(pair.big, small)
     nested = build_nested_adhm(small, big, incl)
     left = chart_embed(big, pair.nu, n)
     zero_e = RationalMatrix.zeros(1, c - cp)

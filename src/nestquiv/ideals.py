@@ -10,11 +10,17 @@ Conventions frozen here:
   * monomials are ordered by the key (a + b, b) (degree, then y-exponent);
   * echelon bases are reduced against the DESCENDING monomial order, so the
     pivot of each row is its largest monomial and the non-pivot monomials
-    form the divisor-closed staircase of standard monomials;
+    form the divisor-closed staircase of standard monomials.
+    `ZeroCycleIdeal.from_rows` computes that basis as `ratmat.rref` of the
+    rows with their columns reversed; `ideal_from_adhm` takes it straight
+    from `kernel_basis`, which is already reduced that way;
+  * `ZeroCycleIdeal.normal_forms` reads the normal form of every monomial
+    off the reduced basis, with no elimination.  `adhm_from_ideal`,
+    `validate`, `reduce` and `member` are row selections or products of it;
   * multiplication matrices act on the standard-monomial basis in ascending
     order, and the ADHM matrices are their transposes, which lands exactly
     in the gauge `canonical_form` produces;
-  * every passage between an ideal and a datum goes through
+  * every passage from a datum to its ideal goes through
     `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order:
     `ideal_from_adhm` takes its left kernel, and `contains` and
     `inclusion_matrix` evaluate on it.  In the canonical gauge its row m
@@ -29,7 +35,7 @@ from fractions import Fraction
 from .chart import AdhmData, NuPoint, monomial_rows
 from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, kernel_basis, rat, rat_str
+from .ratmat import RationalMatrix, kernel_basis, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,6 @@ class Poly2:
             raise ShapeMismatch("zero polynomial has no leading monomial")
         return self.coeffs[-1][0]
 
-    def shift(self, da: int, db: int) -> "Poly2":
-        return Poly2(tuple(((a + da, b + db), v) for (a, b), v in self.coeffs))
-
     def __add__(self, other: "Poly2") -> "Poly2":
         d = dict(self.coeffs)
         for m, v in other.coeffs:
@@ -118,52 +121,15 @@ class Poly2:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _desc_rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Reduced echelon against descending columns; zero rows dropped,
-    rows ordered by descending pivot."""
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    out: list[list[Fraction]] = []
-    r = 0
-    nrows = len(a)
-    for c in range(ncols - 1, -1, -1):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r]
-
-
-def _desc_pivots(rows) -> list[int]:
-    """Pivot (largest-monomial) column of each row of a desc-echelon basis."""
-    out = []
-    for row in rows:
+def _pivot_rows(basis: RationalMatrix) -> dict:
+    """The rows of a desc-echelon basis, keyed by their pivot
+    (largest-monomial) column."""
+    out = {}
+    for row in basis.data:
         p = next((j for j in range(len(row) - 1, -1, -1) if row[j] != 0), None)
         if p is not None:
-            out.append(p)
+            out[p] = row
     return out
-
-
-def _desc_reduce(rows, v: list[Fraction]) -> list[Fraction]:
-    """Reduce v modulo a desc-echelon basis (normal form on standard
-    monomials)."""
-    v = list(v)
-    for row in rows:
-        p = next((j for j in range(len(row) - 1, -1, -1) if row[j] != 0), None)
-        if p is not None and v[p] != 0:
-            f = v[p] / row[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
 
 
 @dataclass(frozen=True)
@@ -188,42 +154,69 @@ class ZeroCycleIdeal:
     @staticmethod
     def from_rows(rows, c: int, d: int, check: bool = True) -> "ZeroCycleIdeal":
         """Canonicalize spanning rows; verifies colength and (optionally)
-        closure under multiplication within the degree bound."""
+        closure under multiplication within the degree bound.
+
+        The descending echelon basis is the reduced echelon form of the
+        rows with their columns reversed, reversed back."""
         nmon = count_upto(d)
-        red = _desc_rref([[rat(x) for x in r] for r in rows], nmon)
-        ideal = ZeroCycleIdeal(c=c, d=d, basis=RationalMatrix.from_rows(red, cols=nmon))
+        m = RationalMatrix.from_rows(rows, cols=nmon)
+        if m.cols != nmon:
+            raise ShapeMismatch("basis width must match the monomial count")
+        desc = range(nmon - 1, -1, -1)
+        red, pivots = rref(m.submatrix(range(m.rows), desc))
+        basis = red.submatrix(range(len(pivots)), desc)
+        ideal = ZeroCycleIdeal(c=c, d=d, basis=basis)
         if check:
             ideal.validate()
         return ideal
 
     def validate(self) -> None:
         """Closure of the truncation under multiplication, where checkable:
-        x*f and y*f must reduce to zero whenever they stay within degree d."""
+        x*f and y*f must have zero normal form whenever they stay within
+        degree d."""
         mons = monomials_upto(self.d)
         index = {m: i for i, m in enumerate(mons)}
-        rows = [list(r) for r in self.basis.data]
-        for row in rows:
+        shifted = []
+        for row in self.basis.data:
             deg = max((a + b for (a, b), v in zip(mons, row) if v != 0), default=-1)
             if deg < 0 or deg >= self.d:
                 continue
             for da, db in ((1, 0), (0, 1)):
-                shifted = [Fraction(0)] * len(mons)
+                out = [Fraction(0)] * len(mons)
                 for (a, b), v in zip(mons, row):
                     if v != 0:
-                        shifted[index[(a + da, b + db)]] = v
-                if any(x != 0 for x in _desc_reduce(rows, shifted)):
-                    raise NotAnIdeal("truncation is not closed under multiplication")
+                        out[index[(a + da, b + db)]] = v
+                shifted.append(out)
+        if shifted and not (RationalMatrix(shifted) @ self.normal_forms()).is_zero():
+            raise NotAnIdeal("truncation is not closed under multiplication")
 
     def standard_monomials(self) -> list[tuple[int, int]]:
         """Divisor-closed staircase spanning the quotient, ascending order."""
-        mons = monomials_upto(self.d)
-        piv = set(_desc_pivots(self.basis.data))
-        return [m for j, m in enumerate(mons) if j not in piv]
+        piv = _pivot_rows(self.basis)
+        return [m for j, m in enumerate(monomials_upto(self.d)) if j not in piv]
+
+    def normal_forms(self) -> RationalMatrix:
+        """Normal form of each monomial of degree <= d in the standard basis.
+
+        One row per monomial of monomials_upto(d), one column per standard
+        monomial, read off the reduced basis: a standard monomial's row is
+        its unit vector, and a pivot monomial's row is minus its basis row
+        at the standard columns.  A coefficient vector v reduces to v @ NF.
+        """
+        piv = _pivot_rows(self.basis)
+        std = [j for j in range(self.basis.cols) if j not in piv]
+        rows = [
+            [-piv[j][s] for s in std]
+            if j in piv
+            else [Fraction(1) if s == j else Fraction(0) for s in std]
+            for j in range(self.basis.cols)
+        ]
+        return RationalMatrix.from_rows(rows, cols=len(std))
 
     def reduce(self, p: Poly2) -> Poly2:
         """Normal form of p modulo the ideal (p must fit the degree bound)."""
-        v = _desc_reduce(list(self.basis.data), p.to_coeffs(self.d))
-        return Poly2.from_coeffs(v, self.d)
+        nf = RationalMatrix.row(p.to_coeffs(self.d)) @ self.normal_forms()
+        return Poly2.from_dict(dict(zip(self.standard_monomials(), nf.data[0])))
 
     def member(self, p: Poly2) -> bool:
         return self.reduce(p).is_zero()
@@ -270,25 +263,19 @@ def colength(i: ZeroCycleIdeal) -> int:
     return count_upto(i.d) - i.basis.rows
 
 
-def _evaluation(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> RationalMatrix:
-    """monomial_rows of j's canonical datum over monomials_upto(i.d): row m
-    is the normal form of m modulo j in j's standard basis."""
-    a = adhm_from_ideal(j)
-    return monomial_rows(a.b1, a.b2, a.e, i.d)
-
-
 def contains(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> bool:
     """Whether i is contained in j.
 
     j is the annihilator of the cyclic covector of its datum (b1, b2, e),
     so f lies in j exactly when e . f(b1, b2) = 0.  Applied to the basis
-    of i, that is the single product i.basis @ EV, with EV the evaluation
-    rows of adhm_from_ideal(j) over i's monomials; i is contained in j
-    when it vanishes.  Raises NotAnIdeal when j's degree bound is too
+    of i, that is the single product i.basis @ EV, with EV the
+    monomial_rows of adhm_from_ideal(j) over i's monomials; i is contained
+    in j when it vanishes.  Raises NotAnIdeal when j's degree bound is too
     small to read its multiplication.  Note the argument order:
     contains(big, small) is the nesting of a pair of cycles Z' subset Z.
     """
-    return (i.basis @ _evaluation(i, j)).is_zero()
+    a = adhm_from_ideal(j)
+    return (i.basis @ monomial_rows(a.b1, a.b2, a.e, i.d)).is_zero()
 
 
 def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
@@ -297,20 +284,27 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
     left kernel of monomial_rows) is exactly the truncated ideal; the
     datum is costable exactly when that evaluation matrix has rank c.
+    kernel_basis gives one row per non-pivot monomial f of the evaluation
+    matrix's transpose: 1 at f, otherwise supported on pivot monomials
+    below f.  That basis is already reduced against the descending order,
+    and reversed it lists the pivots in descending order.
     """
     c = a.c
     ev = monomial_rows(a.b1, a.b2, a.e, c)
     ker = kernel_basis(ev.transpose()).transpose()
     if ker.rows != count_upto(c) - c:
         raise NotCostable("datum is not costable")
-    return ZeroCycleIdeal.from_rows(list(ker.data), c=c, d=c, check=False)
+    basis = RationalMatrix.from_rows(ker.data[::-1], cols=ker.cols)
+    return ZeroCycleIdeal(c=c, d=c, basis=basis)
 
 
 def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     """Multiplication action on the standard-monomial basis, transposed.
 
-    Returns the datum in the canonical gauge: composing with ideal_from_adhm
-    is the identity, and adhm_from_ideal(ideal_from_adhm(a)) equals
+    Row k of b1 (of b2) is the normal form of x (of y) times the k-th
+    standard monomial: two row selections of i.normal_forms().  Returns
+    the datum in the canonical gauge: composing with ideal_from_adhm is
+    the identity, and adhm_from_ideal(ideal_from_adhm(a)) equals
     canonical_form(a).
     """
     std = i.standard_monomials()
@@ -319,26 +313,12 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
         raise NotAnIdeal(f"staircase size {c} != recorded colength {i.c}")
     if any(a + b >= i.d for a, b in std) and c > 0:
         raise NotAnIdeal("degree bound too small to read off multiplication")
-    mons = monomials_upto(i.d)
-    index = {m: j for j, m in enumerate(mons)}
-    pos = {m: k for k, m in enumerate(std)}
-    rows_basis = list(i.basis.data)
-    mats = []
-    for da, db in ((1, 0), (0, 1)):
-        cols = []
-        for a, b in std:
-            vec = [Fraction(0)] * len(mons)
-            vec[index[(a + da, b + db)]] = Fraction(1)
-            red = _desc_reduce(rows_basis, vec)
-            col = [Fraction(0)] * c
-            for j, v in enumerate(red):
-                if v != 0:
-                    col[pos[mons[j]]] = v
-            cols.append(col)
-        # cols[k] holds the coordinates of x*std[k]; transpose twice cancels
-        mats.append(RationalMatrix.from_rows(cols, cols=c))
+    index = {m: j for j, m in enumerate(monomials_upto(i.d))}
+    nf = i.normal_forms()
+    b1 = nf.submatrix([index[(a + 1, b)] for a, b in std], range(c))
+    b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
     e = [[Fraction(1) if m == (0, 0) else Fraction(0) for m in std]]
-    return AdhmData(c=c, b1=mats[0], b2=mats[1], e=RationalMatrix.from_rows(e, cols=c))
+    return AdhmData(c=c, b1=b1, b2=b2, e=RationalMatrix.from_rows(e, cols=c))
 
 
 def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatrix:
@@ -351,7 +331,12 @@ def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatr
     Raises BadPair when big.basis @ EV is nonzero, i.e. the ideals are
     not nested.
     """
-    ev = _evaluation(big, small)
+    return _inclusion(big, adhm_from_ideal(small))
+
+
+def _inclusion(big: ZeroCycleIdeal, small: AdhmData) -> RationalMatrix:
+    """inclusion_matrix, given the small cycle's datum adhm_from_ideal(small)."""
+    ev = monomial_rows(small.b1, small.b2, small.e, big.d)
     if not (big.basis @ ev).is_zero():
         raise BadPair("ideals are not nested")
     index = {m: r for r, m in enumerate(monomials_upto(big.d))}

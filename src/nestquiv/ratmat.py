@@ -4,8 +4,11 @@ Scalars are `fractions.Fraction` (re-exported as `Rational`): the stdlib type
 already keeps lowest terms and a positive denominator, which is exactly the
 normalization we need, so we do not reimplement it.  Matrices are immutable
 tuples of tuples.  Rank uses fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy; kernels, inverses and solves use reduced
-row echelon form over Fraction so that the results are canonical.
+denominator-cleared integer copy.  `_rref` is the package's one elimination
+over Fraction: kernels, inverses and solves read their canonical results
+off it, `chart.closure_scan` keeps its pivot columns, and
+`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
+ideal by running `rref` on the column-reversed rows.
 """
 
 from __future__ import annotations
@@ -327,14 +330,3 @@ def solve_right(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     # free columns stay zero: this is the canonical minimal-support solution;
     # callers that need uniqueness check full column rank themselves
     return RationalMatrix.from_rows(x, cols=b.cols)
-
-
-def row_span_reduce(basis: RationalMatrix, v: Sequence[Fraction]) -> list[Fraction]:
-    """Reduce row vector v modulo the row span of an RREF basis."""
-    v = [rat(x) for x in v]
-    for row in basis.data:
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is not None and v[p] != 0:
-            f = v[p] / row[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v

@@ -24,9 +24,10 @@ from nestquiv import (
     transform_chart,
 )
 from nestquiv.corpus import ideal_of_points, random_gauge, random_points
-from nestquiv.chart import monomial_rows
+from nestquiv.chart import closure_scan, monomial_rows
 from nestquiv.ideals import adhm_from_ideal, ideal_from_adhm, monomial_ideal
 from nestquiv.monomials import monomials_upto
+from nestquiv.ratmat import rank
 
 from conftest import M, nu
 
@@ -109,6 +110,25 @@ def test_closure_rank():
     # e a joint eigenvector: closure stops at rank 1
     b1 = M([[1, 1], [0, 2]])
     assert closure_rank(b1, b1 @ b1, M([[0, 1]])) == 1
+
+
+def test_closure_scan_keeps_rank_growth():
+    # the kept monomials are exactly the rows at which the rank of the rows
+    # so far grows, on gauge-scrambled data of generic and special cycles
+    rng = random.Random(12)
+    ideals = [ideal_of_points(random_points(rng, c)) for c in (1, 3, 5)]
+    ideals += [monomial_ideal((3, 1)), monomial_ideal((2, 2, 1))]
+    for ideal in ideals:
+        a = adhm_from_ideal(ideal)
+        g = random_gauge(rng, a.c)
+        b1, b2, e = g.g1 @ a.b1 @ g.inv1, g.g1 @ a.b2 @ g.inv1, a.e @ g.inv1
+        d = a.c - 1
+        rows = monomial_rows(b1, b2, e, d)
+        prefix_ranks = [rank(rows.submatrix(range(k), range(a.c))) for k in range(rows.rows + 1)]
+        grows = [m for k, m in enumerate(monomials_upto(d)) if prefix_ranks[k + 1] > prefix_ranks[k]]
+        kept, kept_rows = closure_scan(b1, b2, e)
+        assert kept == grows == ideal.standard_monomials()
+        assert kept_rows == rows.submatrix([monomials_upto(d).index(m) for m in kept], range(a.c))
 
 
 def test_monomial_rows_are_covector_evaluations():

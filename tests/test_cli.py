@@ -208,7 +208,7 @@ def test_every_error_maps_to_its_exit_code(error, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def _zero_denominator_files(tmp_path):
+def _malformed_files(tmp_path):
     pair = NestedIdealPair(nu=nu(1, 0), big=monomial_ideal((2,)), small=monomial_ideal((1,)))
     good = nested_to_rep(pair, 1).to_json()
     rep = json.loads(json.dumps(good))
@@ -217,12 +217,21 @@ def _zero_denominator_files(tmp_path):
     pair_entry["big"]["basis"]["entries"][0] = "1/0"
     pair_nu = pair.to_json()
     pair_nu["nu"] = ["1/0", "1"]
+    pair_nu_str = pair.to_json()
+    pair_nu_str["nu"] = "1"
+    pair_nu_short = pair.to_json()
+    pair_nu_short["nu"] = [1]
+    pair_width = pair.to_json()
+    pair_width["small"]["d"] = 7
     paths = {}
     for name, obj in (
         ("good", good),
         ("rep", rep),
         ("pair_entry", pair_entry),
         ("pair_nu", pair_nu),
+        ("pair_nu_str", pair_nu_str),
+        ("pair_nu_short", pair_nu_short),
+        ("pair_width", pair_width),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
@@ -231,13 +240,16 @@ def _zero_denominator_files(tmp_path):
 
 
 def test_zero_denominator_is_malformed_input(tmp_path, capsys):
-    paths = _zero_denominator_files(tmp_path)
+    paths = _malformed_files(tmp_path)
     for argv in (
         ["check", paths["rep"]],
         ["monad-check", paths["rep"]],
         ["convert", "rep-to-cycle", paths["rep"]],
         ["convert", "cycle-to-rep", paths["pair_entry"]],
         ["convert", "cycle-to-rep", paths["pair_nu"]],
+        ["convert", "cycle-to-rep", paths["pair_nu_str"]],
+        ["convert", "cycle-to-rep", paths["pair_nu_short"]],
+        ["convert", "cycle-to-rep", paths["pair_width"]],
         ["check", paths["good"], "--theta", "1/0,1,1,1"],
     ):
         assert main(argv) == 2, argv

@@ -21,7 +21,8 @@ from nestquiv import (
     partitions,
     support_approx,
 )
-from nestquiv.corpus import ideal_of_points, random_points
+from nestquiv.corpus import ideal_of_points, random_invertible, random_points
+from nestquiv.monomials import monomials_upto
 from nestquiv.ratmat import rank
 
 from conftest import M, nu
@@ -178,6 +179,51 @@ def test_contains_needs_readable_multiplication():
         contains(monomial_ideal((2,)), short)
     with pytest.raises(NotAnIdeal):
         inclusion_matrix(monomial_ideal((3,)), short)
+
+
+def test_from_rows_ignores_recombination():
+    # the canonical basis depends only on the row span
+    rng = random.Random(25)
+    for c in (1, 2, 4, 6):
+        i = ideal_of_points(random_points(rng, c))
+        g = random_invertible(rng, i.basis.rows)
+        assert ZeroCycleIdeal.from_rows((g @ i.basis).data, c=i.c, d=i.d) == i
+
+
+def _value_at(p: Poly2, pt) -> Fraction:
+    return sum(v * _monomial_at(m, pt) for m, v in p.coeffs)
+
+
+def _vertical_lines(points) -> Poly2:
+    """Product of x - a over the points (a, b): vanishes on all of them."""
+    out = Poly2.from_dict({(0, 0): 1})
+    for a, _ in points:
+        out = out * Poly2.from_dict({(1, 0): 1, (0, 0): -a})
+    return out
+
+
+def test_reduce_and_member_match_point_evaluation():
+    # on a reduced cycle, reduce(p) is supported on standard monomials and
+    # takes p's value at every point; p is a member exactly when it
+    # vanishes at every point
+    rng = random.Random(26)
+    pool = _point_pool(27, 7)
+    seen = set()
+    for _ in range(30):
+        pts = rng.sample(pool, rng.randint(1, 5))
+        i = ideal_of_points(pts)
+        std = set(i.standard_monomials())
+        p = Poly2.from_dict(
+            {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in monomials_upto(i.d)}
+        )
+        for q in (p, p - i.reduce(p), _vertical_lines(pts), _vertical_lines(pts[1:])):
+            r = i.reduce(q)
+            assert all(m in std for m, _ in r.coeffs)
+            assert all(_value_at(r, pt) == _value_at(q, pt) for pt in pts)
+            vanishes = all(_value_at(q, pt) == 0 for pt in pts)
+            seen.add(vanishes)
+            assert i.member(q) == vanishes
+    assert seen == {True, False}
 
 
 def test_partitions_frozen():

@@ -124,3 +124,29 @@ def test_rref_idempotent(rows):
     r1, p1 = rref(m)
     r2, p2 = rref(r1)
     assert r1 == r2 and p1 == p2
+
+
+_rational = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.lists(
+            st.lists(_rational, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    )
+)
+def test_rref_matches_sympy(rows):
+    # sympy is an independent oracle here, never a runtime dependency
+    sympy = pytest.importorskip("sympy")
+    r, pivots = rref(M(rows))
+    expected, expected_pivots = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).rref()
+    assert pivots == list(expected_pivots)
+    assert [list(row) for row in r.data] == [
+        [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(expected.rows)
+    ]
