@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import (
     IrregularPencil,
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .monomials import monomials_upto
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, invert, kernel_basis, rank, rat, rat_str, rref
+from .ratmat import RationalMatrix, _cleared, _over, invert, kernel_basis, rank, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -242,11 +243,10 @@ def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
         a_inv = invert(a_nu)
     except Singular:
         raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
-    b1 = a_inv @ d_nu
-    b2 = c_nu @ a_nu
-    if not (b1 @ b2 - b2 @ b1).is_zero():
-        raise RelationsViolated("extracted pair does not commute")
-    return AdhmData(c=x.c0, b1=b1, b2=b2, e=x.J)
+    try:
+        return AdhmData(c=x.c0, b1=a_inv @ d_nu, b2=c_nu @ a_nu, e=x.J)
+    except NotCommuting:
+        raise RelationsViolated("extracted pair does not commute") from None
 
 
 def transform_chart(a: AdhmData, from_nu: NuPoint, to_nu: NuPoint, n: int) -> AdhmData:
@@ -267,17 +267,28 @@ def monomial_rows(
     times b1, and (0, b) is (0, b - 1) times b2.  For a commuting pair the
     row of m is e . m(b1, b2), so a polynomial f with coefficient vector v
     evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
+
+    The walk runs on integers: b1 and b2 are each cleared to one common
+    denominator, and every row carries its integer numerators with its
+    own denominator until the Fraction rows are built at the end.
     """
-    cols1, cols2 = b1.transpose().data, b2.transpose().data
+    c = e.cols
+    steps = []  # (integer columns, denominator) of b1 and of b2
+    for mat in (b1, b2):
+        nums, den = _cleared(x for row in mat.data for x in row)
+        steps.append(([nums[j::c] for j in range(c)], den))
     rows: dict = {}
     for m in monomials_upto(d):
         a, b = m
         if m == (0, 0):
-            rows[m] = e.data[0]
+            rows[m] = _cleared(e.data[0])
             continue
-        prev, cols = (rows[(a - 1, b)], cols1) if a else (rows[(0, b - 1)], cols2)
-        rows[m] = [sum(p * q for p, q in zip(prev, col) if p) for col in cols]
-    return RationalMatrix.from_rows(list(rows.values()), cols=e.cols)
+        prev, den = rows[(a - 1, b)] if a else rows[(0, b - 1)]
+        cols, step = steps[0] if a else steps[1]
+        rows[m] = [sum(map(mul, prev, col)) for col in cols], den * step
+    return RationalMatrix.from_rows(
+        [[_over(x, den) for x in row] for row, den in rows.values()], cols=c
+    )
 
 
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):

@@ -48,7 +48,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise _CliFailure(2, f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise _CliFailure(2, f"{path} is not valid JSON: {e}") from None
 
 
@@ -76,6 +76,11 @@ def _parse_nu(text: str) -> NuPoint:
     if v[0] == 0 and v[1] == 0:
         raise _CliFailure(2, "--nu must be a nonzero direction")
     return NuPoint(v[0], v[1])
+
+
+def _check_surface_index(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"the surface index --n must be a positive integer, got {n}")
 
 
 def _parse_theta(text: str) -> EnhThetaParam:
@@ -120,6 +125,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.direction == "cycle-to-rep":
+        _check_surface_index(args.n)
     obj = _load_json(args.input)
     if args.direction == "rep-to-cycle":
         x = _load_rep(obj)
@@ -162,6 +169,7 @@ def _monomial_pairs(cmax: int):
 
 
 def cmd_roundtrip(args) -> int:
+    _check_surface_index(args.n)
     cases: list[tuple[str, NestedIdealPair]] = []
     if args.corpus:
         try:
@@ -212,6 +220,7 @@ def _verify_enumerated(pair: NestedIdealPair, n: int):
 def cmd_count_fixed(args) -> int:
     if args.cp < 0 or args.cp >= args.c:
         raise DomainError("need 0 <= cp < c")
+    _check_surface_index(args.n)
     pairs = enumerate_nested_monomial(args.cp, args.c, charts=args.charts, n=args.n)
     failures = []
     for i, pair in enumerate(pairs):

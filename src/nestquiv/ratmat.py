@@ -3,31 +3,42 @@
 Scalars are `fractions.Fraction` (re-exported as `Rational`): the stdlib type
 already keeps lowest terms and a positive denominator, which is exactly the
 normalization we need, so we do not reimplement it.  Matrices are immutable
-tuples of tuples.  Rank uses fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy.  `_rref` is the package's one elimination
-over Fraction: kernels, inverses and solves read their canonical results
-off it, `chart.closure_scan` keeps its pivot columns, and
-`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
-ideal by running `rref` on the column-reversed rows.
+tuples of tuples of Fraction.
+
+The kernels run on Python integers and build one Fraction per output
+entry: `_cleared` writes a row as integer numerators over the lcm of its
+denominators, products take integer dot products of cleared rows and
+columns, and `rank` and `_rref` eliminate fraction-free (Bareiss) on
+cleared rows.  `_rref` is the package's one elimination: kernels, inverses
+and solves read their canonical results off it, `chart.closure_scan` keeps
+its pivot columns, and `ideals.ZeroCycleIdeal.from_rows` gets the
+descending echelon basis of an ideal by running `rref` on the
+column-reversed rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, Singular
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction; a string
-    that is not a rational, zero denominator included, raises ValueError."""
+    """Coerce ints, strings like '3/4' or '0.25', and Fractions to Fraction;
+    a string that is not a rational, zero denominator included, raises
+    ValueError.  So does exponent notation: '1e999999' is nine characters
+    for an integer of a million digits."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"exponent notation is not accepted: {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -35,6 +46,18 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of xs over the lcm d of their denominators, and d."""
+    xs = list(xs)
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _over(n: int, d: int) -> Fraction:
+    """n / d, sharing one Fraction for the zeros that fill sparse results."""
+    return Fraction(n, d) if n else _ZERO
 
 
 def rat_str(x: Fraction) -> str:
@@ -59,11 +82,15 @@ class RationalMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
+    def _trusted(data: tuple[tuple[Fraction, ...], ...], cols: int) -> "RationalMatrix":
+        """Wrap rows that are already tuples of Fraction of width cols."""
         m = RationalMatrix.__new__(RationalMatrix)
-        m.data = tuple((Fraction(0),) * cols for _ in range(rows))
-        m.rows, m.cols = rows, cols
+        m.data, m.rows, m.cols = data, len(data), cols
         return m
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "RationalMatrix":
+        return RationalMatrix._trusted(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -123,21 +150,17 @@ class RationalMatrix:
         )
 
     def transpose(self) -> "RationalMatrix":
-        m = RationalMatrix.__new__(RationalMatrix)
-        m.rows, m.cols = self.cols, self.rows
         if self.rows == 0:
             # transpose of 0xN is Nx0: N empty rows
-            m.data = tuple(() for _ in range(self.cols))
-        else:
-            m.data = tuple(zip(*self.data))
-        return m
+            return RationalMatrix._trusted(tuple(() for _ in range(self.cols)), 0)
+        return RationalMatrix._trusted(tuple(zip(*self.data)), self.rows)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
         if self.rows == 0 or self.cols == 0:
             return self
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        return RationalMatrix._trusted(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)), self.cols
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -147,7 +170,9 @@ class RationalMatrix:
         a = rat(a)
         if self.rows == 0 or self.cols == 0:
             return self
-        return RationalMatrix([[a * x for x in row] for row in self.data])
+        return RationalMatrix._trusted(
+            tuple(tuple(a * x for x in row) for row in self.data), self.cols
+        )
 
     def __neg__(self) -> "RationalMatrix":
         return self.scale(Fraction(-1))
@@ -157,11 +182,15 @@ class RationalMatrix:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.rows == 0 or other.cols == 0:
             return RationalMatrix.zeros(self.rows, other.cols)
-        ot = other.transpose().data if other.cols else ()
-        out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-        return RationalMatrix(out)
+        left = [_cleared(row) for row in self.data]
+        right = [_cleared(col) for col in other.transpose().data]
+        return RationalMatrix._trusted(
+            tuple(
+                tuple(_over(sum(map(mul, a, b)), da * db) for b, db in right)
+                for a, da in left
+            ),
+            other.cols,
+        )
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
@@ -222,42 +251,50 @@ def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
 
 
 def _rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan on the rows cleared to integers: each pivot
+    replaces every other row by (piv * row - f * pivot_row) // prev, rows
+    above the pivot and rows with f = 0 included, so every pivot entry
+    ends equal to the last pivot d and every division is exact (Bareiss).
+    Dividing by d once at the end gives the reduced form.
+    """
+    a = [_cleared(row)[0] for row in m.data]
+    nrows = m.rows
     pivots: list[int] = []
+    prev = 1
     r = 0
-    for c in range(ncols):
+    for c in range(m.cols):
         if r == nrows:
             break
         p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        piv = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = piv
         pivots.append(c)
         r += 1
-    return a, pivots
+    if prev < 0:
+        prev, a = -prev, [[-x for x in row] for row in a]
+    return [[_over(x, prev) for x in row] for row in a], pivots
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
     a, pivots = _rref(m)
-    return RationalMatrix.from_rows(a, cols=m.cols), pivots
+    return RationalMatrix._trusted(tuple(map(tuple, a)), m.cols), pivots
 
 
 def rank(m: RationalMatrix) -> int:
     """Rank via Bareiss fraction-free elimination on an integer-cleared copy."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = []
-    for row in m.data:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * d) for x in row])
+    a = [_cleared(row)[0] for row in m.data]
     nrows, ncols = m.rows, m.cols
     prev = 1
     r = 0

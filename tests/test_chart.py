@@ -5,12 +5,14 @@ import pytest
 
 from nestquiv import (
     AdhmData,
+    HirzRep,
     IrregularPencil,
     NotCommuting,
     NotInjective,
     NotIntertwining,
     NuPoint,
     RationalMatrix,
+    RelationsViolated,
     SingularAnu,
     act,
     build_nested_adhm,
@@ -93,6 +95,22 @@ def test_extract_requires_regular_pencil():
     x = chart_embed(e2_datum(), nu(0, 1), 1)
     # embedded at [0,1], the [1,0] pencil is -b1, which is nilpotent
     with pytest.raises(SingularAnu):
+        chart_extract(x, nu(1, 0))
+
+
+def test_extract_reports_a_noncommuting_pair_as_broken_relations():
+    # at [1,0] the extracted pair is (A1, C1), chosen here not to commute
+    x = HirzRep(
+        n=1,
+        c0=2,
+        c1=2,
+        A1=M([[0, 1], [0, 0]]),
+        A2=RationalMatrix.identity(2),
+        C=(M([[0, 0], [1, 0]]),),
+        I=(),
+        J=M([[1, 0]]),
+    )
+    with pytest.raises(RelationsViolated, match="extracted pair does not commute"):
         chart_extract(x, nu(1, 0))
 
 

@@ -223,6 +223,8 @@ def _malformed_files(tmp_path):
     pair_nu_short["nu"] = [1]
     pair_width = pair.to_json()
     pair_width["small"]["d"] = 7
+    rep_exponent = json.loads(json.dumps(good))
+    rep_exponent["A1"]["entries"][0] = "1e999999"
     paths = {}
     for name, obj in (
         ("good", good),
@@ -232,10 +234,15 @@ def _malformed_files(tmp_path):
         ("pair_nu_str", pair_nu_str),
         ("pair_nu_short", pair_nu_short),
         ("pair_width", pair_width),
+        ("rep_exponent", rep_exponent),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
+    # json refuses to parse an integer of more than 4300 digits
+    p = tmp_path / "huge_int.json"
+    p.write_text(json.dumps(good).replace('"n": 1', '"n": 1' + "0" * 5000, 1))
+    paths["huge_int"] = str(p)
     return paths
 
 
@@ -251,9 +258,31 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         ["convert", "cycle-to-rep", paths["pair_nu_short"]],
         ["convert", "cycle-to-rep", paths["pair_width"]],
         ["check", paths["good"], "--theta", "1/0,1,1,1"],
+        ["check", paths["rep_exponent"]],
+        ["monad-check", paths["rep_exponent"]],
+        ["check", paths["huge_int"]],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "cycle-to-rep", "PAIR", "--n", "0"],
+        ["count-fixed", "--cp", "1", "--c", "3", "--charts", "2", "--n", "0"],
+        ["roundtrip", "--cmax", "2", "--n", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_surface_index_zero_is_a_precondition(argv, tmp_path, capsys):
+    pair = NestedIdealPair(nu=nu(1, 0), big=monomial_ideal((2,)), small=monomial_ideal((1,)))
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(pair.to_json()))
+    assert main([str(p) if a == "PAIR" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "surface index" in captured.err

@@ -17,7 +17,8 @@ def test_rat_parsing():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(-2)) == "-2"
     assert rat_str(Fraction(0)) == "0"
-    for bad in ("1/0", "0/0", "x"):
+    assert rat("0.25") == Fraction(1, 4)
+    for bad in ("1/0", "0/0", "x", "1e999999", "1E5"):
         with pytest.raises(ValueError):
             rat(bad)
 
@@ -150,3 +151,110 @@ def test_rref_matches_sympy(rows):
     assert [list(row) for row in r.data] == [
         [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(expected.rows)
     ]
+
+
+# Oracle checks of the integer kernels against sympy (tests only): shapes
+# up to 6x8, empty shapes included, denominators up to 2**40, and rows past
+# a drawn cut replaced by combinations of the rows before it, so that rank
+# deficiency is common.
+_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=1, max_value=2**40),
+    ),
+)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(min_value=0, max_value=6)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=8)) if cols is None else cols
+    data = [[draw(_entry) for _ in range(c)] for _ in range(r)]
+    cut = draw(st.integers(min_value=0, max_value=r))
+    for i in range(cut, r):
+        coeffs = [draw(_rational) for _ in range(cut)]
+        data[i] = [
+            sum((f * data[k][j] for k, f in enumerate(coeffs)), Fraction(0)) for j in range(c)
+        ]
+    return M(data, cols=c)
+
+
+def _sym(m):
+    sympy = pytest.importorskip("sympy")
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    return sympy.Matrix(m.rows, m.cols, entries)
+
+
+def _from_sym(s):
+    return RationalMatrix.from_rows(
+        [[Fraction(int(s[i, j].p), int(s[i, j].q)) for j in range(s.cols)] for i in range(s.rows)],
+        cols=s.cols,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda k: st.tuples(_matrices(cols=k), _matrices(rows=k))
+    )
+)
+def test_matmul_matches_sympy(ab):
+    a, b = ab
+    assert a @ b == _from_sym(_sym(a) * _sym(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_rank_rref_and_kernel_match_sympy(m):
+    s = _sym(m)
+    assert rank(m) == s.rank()
+    r, pivots = rref(m)
+    expected, expected_pivots = s.rref()
+    assert pivots == list(expected_pivots)
+    assert r == _from_sym(expected)
+    k = kernel_basis(m)
+    assert k.rows == m.cols
+    assert [list(col) for col in k.transpose().data] == [
+        list(_from_sym(v).transpose().data[0]) for v in s.nullspace()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: _matrices(rows=n, cols=n)))
+def test_invert_matches_sympy(m):
+    s = _sym(m)
+    if s.det() == 0:
+        with pytest.raises(Singular):
+            invert(m)
+    else:
+        assert invert(m) == _from_sym(s.inv())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=3),
+    ).flatmap(
+        lambda rck: st.tuples(
+            _matrices(rows=rck[0], cols=rck[1]), _matrices(rows=rck[0], cols=rck[2])
+        )
+    )
+)
+def test_solve_right_matches_sympy(ab):
+    # a solution supported on the pivot columns of a is unique, so sympy's
+    # ranks, pivots and product pin solve_right's answer
+    a, b = ab
+    sa = _sym(a)
+    if sa.rank() != sa.row_join(_sym(b)).rank():
+        with pytest.raises(Singular):
+            solve_right(a, b)
+        return
+    x = solve_right(a, b)
+    _, pivots = sa.rref()
+    assert all(x.data[i] == (Fraction(0),) * b.cols for i in range(a.cols) if i not in pivots)
+    assert sa * _sym(x) == _sym(b)
