@@ -47,7 +47,9 @@ from .errors import (
 )
 from .monomials import monomials_upto
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, _cleared, _over, invert, kernel_basis, rank, rat, rat_str, rref
+from .ratmat import (
+    RationalMatrix, _cleared, _over, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class NuPoint:
     def from_json(obj) -> "NuPoint":
         if not isinstance(obj, list) or len(obj) != 2:
             raise ShapeMismatch(f"nu must be a list of two rationals, got {obj!r}")
-        return NuPoint(rat(str(obj[0])), rat(str(obj[1])))
+        return NuPoint(json_rat(obj[0]), json_rat(obj[1]))
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class AdhmData:
     @staticmethod
     def from_json(obj) -> "AdhmData":
         return AdhmData(
-            c=int(obj["c"]),
+            c=json_count(obj["c"]),
             b1=RationalMatrix.from_json(obj["b1"]),
             b2=RationalMatrix.from_json(obj["b2"]),
             e=RationalMatrix.from_json(obj["e"]),

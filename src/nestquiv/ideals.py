@@ -35,7 +35,7 @@ from fractions import Fraction
 from .chart import AdhmData, NuPoint, monomial_rows
 from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, kernel_basis, rat, rat_str, rref
+from .ratmat import RationalMatrix, json_count, kernel_basis, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class ZeroCycleIdeal:
     @staticmethod
     def from_json(obj) -> "ZeroCycleIdeal":
         return ZeroCycleIdeal.from_rows(
-            RationalMatrix.from_json(obj["basis"]).data, c=int(obj["c"]), d=int(obj["d"])
+            RationalMatrix.from_json(obj["basis"]).data, c=json_count(obj["c"]), d=json_count(obj["d"])
         )
 
 

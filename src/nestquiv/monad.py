@@ -12,28 +12,30 @@ the complex is
 
     alpha = [P; Q; R],        beta = [Q | -P | J^T s_inf],
 
-    P = y2_nu^n s_e Id + (C_nu A_nu)^T s_inf,
-    Q = y1_nu Id + (A_nu^{-1} D_nu)^T y2_nu,
-    R = -I_nu^T y2_nu.
+    P = y2_nu^n s_e Id + b2^T s_inf,   Q = y1_nu Id + b1^T y2_nu,   R = -I_nu^T y2_nu,
 
-beta . alpha collapses to s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu
-- I_nu J)^T.  The quiver relations force this to vanish; the exact vanishing
-condition across all charts is the smaller list of combinations returned by
-`complex_residuals` (the relations imply it, not conversely).  Building the
-monad needs no relations, only A_nu invertible, which is what makes it
-usable as a detector for broken data.
+with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
+`MonadComplex` holds the blocks and the four forms y1_nu, y2_nu,
+y2_nu^n s_e, s_inf.  For any data beta . alpha collapses to
+s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T = s_inf y2_nu (C_nu D_nu
+- A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The quiver relations force this to
+vanish; the exact vanishing condition across all charts is the smaller
+list of combinations returned by `complex_residuals` (the relations imply
+it, not conversely).  Building the monad needs no relations, only A_nu
+invertible, which is what makes it usable as a detector for broken data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
 from .chart import NuPoint, pencil_combos
 from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch, Singular, SingularAnu
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, invert, rank, rat, rat_str
+from .ratmat import RationalMatrix, invert, json_rat, rank, rat, rat_str
 
 _VAR_NAMES = ("y1", "y2", "se", "sinf")
 
@@ -88,8 +90,11 @@ class CoxPoly:
             return CoxPoly.zero()
         return CoxPoly(terms=tuple((m, c * v) for m, c in self.terms))
 
+    __rmul__ = scale  # v * p for a rational v
+
     def __mul__(self, other: "CoxPoly") -> "CoxPoly":
         return cox_mul(self, other)
+
 
     def pow(self, k: int) -> "CoxPoly":
         out = CoxPoly.constant(1)
@@ -136,7 +141,7 @@ class CoxPoly:
 
     @staticmethod
     def from_json(obj) -> "CoxPoly":
-        return CoxPoly.from_dict({tuple(t["exponents"]): rat(t["coeff"]) for t in obj})
+        return CoxPoly.from_dict({tuple(t["exponents"]): json_rat(t["coeff"]) for t in obj})
 
 
 def cox_mul(f: CoxPoly, g: CoxPoly) -> CoxPoly:
@@ -153,20 +158,29 @@ Y2 = CoxPoly.variable(1)
 SE = CoxPoly.variable(2)
 SINF = CoxPoly.variable(3)
 
-SOURCE_TWIST = (0, -1)
-MIDDLE_TWISTS = ((1, -1), (0, 0), (0, 0))
-TARGET_TWIST = (1, 0)
-
 
 @dataclass(frozen=True)
 class MonadComplex:
-    """alpha and beta as CoxPoly matrices, (2c+1) x c and c x (2c+1)."""
+    """The monad in the chart nu as its blocks b1, b2, I_nu (c x 1), J (1 x c)
+    and its forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) as CoxPoly; alpha and
+    beta as CoxPoly matrices, (2c+1) x c and c x (2c+1), are the derived
+    `Amat` and `Bmat`."""
 
     n: int
     c: int
     nu: NuPoint
-    Amat: tuple
-    Bmat: tuple
+    b1: RationalMatrix
+    b2: RationalMatrix
+    i_nu: RationalMatrix
+    J: RationalMatrix
+    forms: tuple
+
+    @cached_property
+    def _alpha_beta(self) -> tuple:
+        return tuple(tuple(map(tuple, rows)) for rows in _assemble(self, self.forms))
+
+    Amat = property(lambda self: self._alpha_beta[0])
+    Bmat = property(lambda self: self._alpha_beta[1])
 
     def to_json(self) -> dict:
         return {
@@ -178,9 +192,19 @@ class MonadComplex:
         }
 
 
-def _scalar_matrix_polys(m: RationalMatrix, poly: CoxPoly):
-    """m[i][j] * poly as a dense CoxPoly row-list."""
-    return [[poly.scale(m[i, j]) if m[i, j] != 0 else CoxPoly.zero() for j in range(m.cols)] for i in range(m.rows)]
+def _assemble(m: MonadComplex, forms):
+    """alpha = [P; Q; R] and beta = [Q | -P | J^T s_inf] as row lists, from
+    the values of the four forms: CoxPoly or rationals at one point."""
+    y1n, y2n, lead, sinf = forms
+    b1, b2, c = m.b1.data, m.b2.data, m.c
+    p = [[b2[j][i] * sinf for j in range(c)] for i in range(c)]
+    q = [[b1[j][i] * y2n for j in range(c)] for i in range(c)]
+    for i in range(c):
+        p[i][i] = p[i][i] + lead
+        q[i][i] = q[i][i] + y1n
+    r = [-m.i_nu[j, 0] * y2n for j in range(c)]
+    beta = [q[i] + [-v for v in p[i]] + [m.J[0, i] * sinf] for i in range(c)]
+    return p + q + [r], beta
 
 
 def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
@@ -188,55 +212,30 @@ def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
     the relations are NOT assumed (check_complex is the relation test)."""
     if x.c0 != x.c1:
         raise ShapeMismatch("monad construction needs c0 = c1")
-    c, n = x.c0, x.n
     a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
     try:
         a_inv = invert(a_nu)
     except Singular:
         raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
-    b1t = (a_inv @ d_nu).transpose()
-    b2t = (c_nu @ a_nu).transpose()
-
-    y1n = Y1.scale(nu.nu1) + Y2.scale(nu.nu2)
     y2n = Y1.scale(-nu.nu2) + Y2.scale(nu.nu1)
-    lead = cox_mul(y2n.pow(n), SE)
-
-    p_block = _scalar_matrix_polys(b2t, SINF)
-    q_block = _scalar_matrix_polys(b1t, y2n)
-    for i in range(c):
-        p_block[i][i] = p_block[i][i] + lead
-        q_block[i][i] = q_block[i][i] + y1n
-    r_row = [cox_mul(CoxPoly.constant(-i_nu[j, 0]), y2n) if i_nu[j, 0] != 0 else CoxPoly.zero() for j in range(c)]
-
-    amat = tuple(tuple(row) for row in p_block + q_block + [r_row])
-    bmat = tuple(
-        tuple(q_block[i]) + tuple(-p for p in p_block[i]) + (SINF.scale(x.J[0, i]),)
-        for i in range(c)
+    forms = (Y1.scale(nu.nu1) + Y2.scale(nu.nu2), y2n, cox_mul(y2n.pow(x.n), SE), SINF)
+    # every entry of a block has the bidegree of the forms in it
+    for f, expected in zip(forms, ((0, 1), (0, 1), (1, 0), (1, 0))):
+        deg = f.bidegree(x.n)
+        if deg is not None and deg != expected:
+            raise NotWellDefined(f"entry bidegree {deg}, expected {expected}")
+    return MonadComplex(
+        n=x.n, c=x.c0, nu=nu, b1=a_inv @ d_nu, b2=c_nu @ a_nu, i_nu=i_nu, J=x.J, forms=forms
     )
-
-    for rows, expected in ((p_block, (1, 0)), (q_block, (0, 1)), ([r_row], (0, 1))):
-        for row in rows:
-            for p in row:
-                deg = p.bidegree(n)
-                if deg is not None and deg != expected:
-                    raise NotWellDefined(f"entry bidegree {deg}, expected {expected}")
-    return MonadComplex(n=n, c=c, nu=nu, Amat=amat, Bmat=bmat)
 
 
 def check_complex(m: MonadComplex):
-    """beta . alpha as a c x c CoxPoly matrix; all-zero iff the chart's
+    """beta . alpha as a c x c CoxPoly matrix, s_inf y2_nu times the
+    transpose of b2 b1 - b1 b2 - I_nu J; all-zero iff the chart's
     combination C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J vanishes."""
-    c, width = m.c, 2 * m.c + 1
-    out = []
-    for i in range(c):
-        row = []
-        for j in range(c):
-            acc = CoxPoly.zero()
-            for k in range(width):
-                acc = acc + cox_mul(m.Bmat[i][k], m.Amat[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
+    k = m.b2 @ m.b1 - m.b1 @ m.b2 - m.i_nu @ m.J
+    form = cox_mul(m.forms[3], m.forms[1])
+    return [[form.scale(k[j, i]) for j in range(m.c)] for i in range(m.c)]
 
 
 def complex_residuals(x: HirzRep) -> list[RationalMatrix]:
@@ -280,10 +279,8 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
         raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
     if vals[2] == 0 and vals[3] == 0:
         raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
-    alpha = RationalMatrix.from_rows(
-        [[p.evaluate(vals) for p in row] for row in m.Amat], cols=m.c
+    alpha, beta = _assemble(m, tuple(f.evaluate(vals) for f in m.forms))
+    return (
+        rank(RationalMatrix.from_rows(alpha, cols=m.c)),
+        rank(RationalMatrix.from_rows(beta, cols=2 * m.c + 1)),
     )
-    beta = RationalMatrix.from_rows(
-        [[p.evaluate(vals) for p in row] for row in m.Bmat], cols=2 * m.c + 1
-    )
-    return rank(alpha), rank(beta)

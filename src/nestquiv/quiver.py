@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ShapeMismatch, Singular
-from .ratmat import RationalMatrix, invert
+from .ratmat import RationalMatrix, invert, json_count
 
 
 def _expect_shape(m: RationalMatrix, rows: int, cols: int, name: str):
@@ -76,11 +76,11 @@ class HirzRep:
 
     @staticmethod
     def from_json(obj: dict) -> "HirzRep":
-        n = int(obj["n"])
+        n = json_count(obj["n"])
         return HirzRep(
             n=n,
-            c0=int(obj["c0"]),
-            c1=int(obj["c1"]),
+            c0=json_count(obj["c0"]),
+            c1=json_count(obj["c1"]),
             A1=RationalMatrix.from_json(obj["A1"]),
             A2=RationalMatrix.from_json(obj["A2"]),
             C=tuple(RationalMatrix.from_json(obj[f"C{t}"]) for t in range(1, n + 1)),
@@ -128,41 +128,25 @@ class EnhRep:
         return self.left.c0
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "c": self.c, "cp": self.cp}
-        out["A1"] = self.left.A1.to_json()
-        out["A2"] = self.left.A2.to_json()
-        for t, Ct in enumerate(self.left.C, start=1):
-            out[f"C{t}"] = Ct.to_json()
-        for q, Iq in enumerate(self.left.I, start=1):
-            out[f"I{q}"] = Iq.to_json()
-        out["J"] = self.left.J.to_json()
-        out["Ap1"] = self.Ap1.to_json()
-        out["Ap2"] = self.Ap2.to_json()
+        """The left part's JSON with "c" for "c0"/"c1", then the right part."""
+        out = self.left.to_json()
+        del out["c0"], out["c1"]
+        out.update(c=self.c, cp=self.cp, Ap1=self.Ap1.to_json(), Ap2=self.Ap2.to_json())
         for t, Ct in enumerate(self.Cp, start=1):
             out[f"Cp{t}"] = Ct.to_json()
-        out["F1"] = self.F1.to_json()
-        out["F2"] = self.F2.to_json()
+        out.update(F1=self.F1.to_json(), F2=self.F2.to_json())
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "EnhRep":
-        n, c = int(obj["n"]), int(obj["c"])
-        left = HirzRep(
-            n=n,
-            c0=c,
-            c1=c,
-            A1=RationalMatrix.from_json(obj["A1"]),
-            A2=RationalMatrix.from_json(obj["A2"]),
-            C=tuple(RationalMatrix.from_json(obj[f"C{t}"]) for t in range(1, n + 1)),
-            I=tuple(RationalMatrix.from_json(obj[f"I{q}"]) for q in range(1, n)),
-            J=RationalMatrix.from_json(obj["J"]),
-        )
+        c = json_count(obj["c"])
+        left = HirzRep.from_json({**obj, "c0": c, "c1": c})
         return EnhRep(
             left=left,
-            cp=int(obj["cp"]),
+            cp=json_count(obj["cp"]),
             Ap1=RationalMatrix.from_json(obj["Ap1"]),
             Ap2=RationalMatrix.from_json(obj["Ap2"]),
-            Cp=tuple(RationalMatrix.from_json(obj[f"Cp{t}"]) for t in range(1, n + 1)),
+            Cp=tuple(RationalMatrix.from_json(obj[f"Cp{t}"]) for t in range(1, left.n + 1)),
             F1=RationalMatrix.from_json(obj["F1"]),
             F2=RationalMatrix.from_json(obj["F2"]),
         )

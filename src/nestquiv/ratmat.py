@@ -48,6 +48,19 @@ def rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def json_count(v) -> int:
+    """A count read from JSON: an integer that is not a boolean.  Floats,
+    booleans, null and strings raise ValueError."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"not a JSON integer: {v!r}")
+
+
+def json_rat(v) -> Fraction:
+    """A rational read from JSON: a string `rat` reads, or a `json_count`."""
+    return rat(v) if isinstance(v, str) else Fraction(json_count(v))
+
+
 def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of xs over the lcm d of their denominators, and d."""
     xs = list(xs)
@@ -227,8 +240,8 @@ class RationalMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "RationalMatrix":
-        r, c = int(obj["rows"]), int(obj["cols"])
-        entries = [rat(str(e)) if not isinstance(e, int) else Fraction(e) for e in obj["entries"]]
+        r, c = json_count(obj["rows"]), json_count(obj["cols"])
+        entries = [json_rat(e) for e in obj["entries"]]
         if len(entries) != r * c:
             raise ShapeMismatch("entry count does not match rows*cols")
         if r == 0 or c == 0:

@@ -29,7 +29,7 @@ from .errors import (
     Singular,
 )
 from .quiver import EnhRep, HirzRep
-from .ratmat import RationalMatrix, kernel_basis, rank, rat, rat_str, solve_right
+from .ratmat import RationalMatrix, json_rat, kernel_basis, rank, rat, rat_str, solve_right
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class EnhThetaParam:
 
     @staticmethod
     def from_json(obj) -> "EnhThetaParam":
-        return EnhThetaParam(*(rat(str(t)) for t in obj))
+        return EnhThetaParam(*(json_rat(t) for t in obj))
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,26 @@ def default_theta(c: int, cp: int) -> EnhThetaParam:
     return p
 
 
+def _closure_witness(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> str | None:
+    """The witness that span{e b1^a b2^b} is not full, None when it is."""
+    r = closure_rank(b1, b2, e)
+    return None if r == b1.rows else f"costability closure rank {r} < {b1.rows}"
+
+
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
     """Costability: the covector closure span{e b1^a b2^b} has full rank."""
     if not (b1 @ b2 - b2 @ b1).is_zero():
         raise NotCommuting("[b1, b2] != 0")
-    c = b1.rows
-    r = closure_rank(b1, b2, e)
-    if r == c:
-        return StabilityVerdict(stable=True)
-    return StabilityVerdict(stable=False, witness=f"costability closure rank {r} < {c}")
+    witness = _closure_witness(b1, b2, e)
+    return StabilityVerdict(stable=witness is None, witness=witness)
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1.
 
     Verdict order: nonzero I (n >= 2), then pencil regularity, then
-    costability of the chart extraction; the verdict carries the chart used.
+    costability of the chart extraction (which `AdhmData` has checked to
+    commute); the verdict carries the chart used.
     """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
@@ -142,10 +146,8 @@ def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     except IrregularPencil:
         return StabilityVerdict(stable=False, witness="irregular pencil")
     a = chart_extract(x, nu)
-    inner = is_costable(a.b1, a.b2, a.e)
-    if inner.stable:
-        return StabilityVerdict(stable=True, nu=nu)
-    return StabilityVerdict(stable=False, witness=inner.witness, nu=nu)
+    witness = _closure_witness(a.b1, a.b2, a.e)
+    return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:

@@ -225,6 +225,21 @@ def _malformed_files(tmp_path):
     pair_width["small"]["d"] = 7
     rep_exponent = json.loads(json.dumps(good))
     rep_exponent["A1"]["entries"][0] = "1e999999"
+    # JSON scalars that are not integers or strings, where a rational or a
+    # count is read; the rows and n values would otherwise truncate to fit
+    scalars = {}
+    for name, value in (("true", True), ("float", 0.1), ("float_exp", 1e-05), ("null", None)):
+        scalars[f"rep_entry_{name}"] = json.loads(json.dumps(good))
+        scalars[f"rep_entry_{name}"]["A1"]["entries"][0] = value
+    for name, value in (("float", 1.9), ("true", True)):
+        scalars[f"rep_rows_{name}"] = json.loads(json.dumps(good))
+        scalars[f"rep_rows_{name}"]["J"]["rows"] = value
+    scalars["rep_n_true"] = json.loads(json.dumps(good))
+    scalars["rep_n_true"]["n"] = True
+    scalars["pair_nu_float"] = pair.to_json()
+    scalars["pair_nu_float"]["nu"] = [1, 0.0]
+    scalars["pair_c_true"] = pair.to_json()
+    scalars["pair_c_true"]["small"]["c"] = True
     paths = {}
     for name, obj in (
         ("good", good),
@@ -235,6 +250,7 @@ def _malformed_files(tmp_path):
         ("pair_nu_short", pair_nu_short),
         ("pair_width", pair_width),
         ("rep_exponent", rep_exponent),
+        *scalars.items(),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(obj))
@@ -261,6 +277,11 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         ["check", paths["rep_exponent"]],
         ["monad-check", paths["rep_exponent"]],
         ["check", paths["huge_int"]],
+        *(["check", paths[k]] for k in paths if k.startswith("rep_entry_") or k.startswith("rep_rows_")),
+        ["monad-check", paths["rep_entry_float"]],
+        ["check", paths["rep_n_true"]],
+        ["convert", "cycle-to-rep", paths["pair_nu_float"]],
+        ["convert", "cycle-to-rep", paths["pair_c_true"]],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,11 +18,13 @@ from nestquiv import (
     cox_mul,
     fiber_ranks,
     hirz_residuals,
+    rank,
 )
 from nestquiv.corpus import ideal_of_points, random_points
 from nestquiv.ideals import adhm_from_ideal
 from nestquiv.monad import SE, SINF, Y1, Y2
 from nestquiv.quiver import HirzRep
+from nestquiv.ratmat import RationalMatrix
 
 from conftest import M, nu, point_rep
 
@@ -156,3 +160,71 @@ def test_excluded_locus():
         fiber_ranks(m, (0, 0, 1, 1))
     with pytest.raises(ExcludedLocus):
         fiber_ranks(m, (1, 1, 0, 0))
+
+
+def _random_rep(rng, c, n):
+    """A representation with random entries: its relations almost surely fail."""
+
+    def mat(rows, cols):
+        return M([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                  for _ in range(rows)])
+
+    return HirzRep(
+        n=n, c0=c, c1=c, A1=mat(c, c), A2=mat(c, c), C=tuple(mat(c, c) for _ in range(n)),
+        I=tuple(mat(c, 1) for _ in range(n - 1)), J=mat(1, c),
+    )
+
+
+def test_closed_forms_match_entrywise_product():
+    # the composite against beta . alpha multiplied out entry by entry, and
+    # the fiber ranks against alpha and beta evaluated entry by entry, on
+    # data that breaks the relations
+    rng = random.Random(41)
+    points = []
+    while len(points) < 20:
+        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4))
+        if (pt[0] or pt[1]) and (pt[2] or pt[3]):
+            points.append(pt)
+    built = nonzero = 0
+    for k in range(12):
+        x = _random_rep(rng, 1 + k % 5, 1 + k % 3)
+        for point in (nu(1, 0), nu(1, 1), nu(2, -3)):
+            try:
+                m = build_monad(x, point)
+            except SingularAnu:
+                continue
+            built += 1
+            width = 2 * m.c + 1
+            want = []
+            for i in range(m.c):
+                row = []
+                for j in range(m.c):
+                    acc = CoxPoly.zero()
+                    for t in range(width):
+                        acc = acc + cox_mul(m.Bmat[i][t], m.Amat[t][j])
+                    row.append(acc)
+                want.append(row)
+            comp = check_complex(m)
+            assert comp == want
+            nonzero += any(not p.is_zero() for row in comp for p in row)
+            for pt in points:
+                alpha = [[p.evaluate(pt) for p in row] for row in m.Amat]
+                beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
+                assert fiber_ranks(m, pt) == (
+                    rank(RationalMatrix.from_rows(alpha, cols=m.c)),
+                    rank(RationalMatrix.from_rows(beta, cols=width)),
+                )
+    assert built >= 30 and nonzero >= 25
+
+
+def test_monad_json_is_frozen():
+    # sha256 of the sorted-key JSON of alpha and beta, recorded when they
+    # were still built entry by entry
+    point = "f6614c42ad583151b81151c7c2f794d510b60a31b7a9bcbda093ddb6dd2ce318"
+    seeded = "9b311e01b0205ec1239351319492a37e57ead0204d5770e3d4c7ab1772cc48c1"
+
+    def digest(m):
+        return hashlib.sha256(json.dumps(m.to_json(), sort_keys=True).encode()).hexdigest()
+
+    assert digest(build_monad(point_rep(), nu(1, 0))) == point
+    assert digest(build_monad(_random_rep(random.Random(3), 3, 3), nu(1, 1))) == seeded

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestquiv import RationalMatrix, Singular, rat, rat_str
-from nestquiv.ratmat import block_diag, invert, kernel_basis, rank, rref, solve_right
+from nestquiv.ratmat import (
+    block_diag, invert, json_count, json_rat, kernel_basis, rank, rref, solve_right,
+)
 
 from conftest import M
 
@@ -21,6 +23,20 @@ def test_rat_parsing():
     for bad in ("1/0", "0/0", "x", "1e999999", "1E5"):
         with pytest.raises(ValueError):
             rat(bad)
+    # JSON values: a rational is an integer or a string, a count an integer
+    assert json_rat(3) == 3 and json_rat("-1/2") == Fraction(-1, 2)
+    assert json_count(4) == 4
+    for bad in (True, False, 0.1, 1e-05, 1.0, None, [1]):
+        with pytest.raises(ValueError, match="not a JSON integer"):
+            json_rat(bad)
+    for bad in (True, 1.9, 2.0, "3", None):
+        with pytest.raises(ValueError, match="not a JSON integer"):
+            json_count(bad)
+    for key, value in (("entries", [True]), ("entries", [0.1]), ("entries", [1e-05]),
+                       ("entries", [None]), ("rows", 1.9), ("rows", True)):
+        obj = {"rows": 1, "cols": 1, "entries": ["1"], key: value}
+        with pytest.raises(ValueError, match=repr(value[0] if key == "entries" else value)):
+            RationalMatrix.from_json(obj)
 
 
 def test_constructors_and_indexing():
