@@ -17,8 +17,10 @@ transforms by conjugation under gauge, with e transforming as e g^{-1}.
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
-earlier row.  The covector closure (`closure_scan`) and the whole ideal
-dictionary in `ideals` read their rows from it.
+earlier row.  The covector closure and the whole ideal dictionary in
+`ideals` read their rows from it: `closure_scan` eliminates it once and
+returns the kept (standard) monomials and every monomial's normal form,
+and `closure_rank` only counts, with the forward-only `rank`.
 
 Rational charts need one normalization the unit-circle parametrization
 hides: the sigma matrix carries a factor (nu1^2 + nu2^2)^{-(n-1)}, which is
@@ -37,7 +39,6 @@ from operator import mul
 from .errors import (
     IrregularPencil,
     NotCommuting,
-    NotCostable,
     NotIntertwining,
     NotInjective,
     RelationsViolated,
@@ -294,42 +295,24 @@ def monomial_rows(
 
 
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
-    """Greedy scan of the covector closure.
+    """Greedy scan of the covector closure: (monomials kept, normal forms).
 
-    Keeps the rows of monomial_rows up to total degree c - 1 that grow the
-    span of the rows before them: the pivot columns of its transpose's
-    reduced echelon form.  Returns (monomials kept, kept rows as a
-    matrix).  The closure of a costable datum of size c is complete within
-    total degree c - 1.
+    The kept monomials, whose rows of monomial_rows up to total degree c
+    grow the span of the rows before them, are the pivots of the reduced
+    echelon form of its transpose.  Its nonzero rows, transposed, hold in
+    row m the coordinates of row m of the walk in the kept rows: in the
+    canonical gauge, the normal form of m.
     """
     c = b1.rows
-    d = max(c - 1, 0)
-    mons = monomials_upto(d)
-    ev = monomial_rows(b1, b2, e, d)
-    _, pivots = rref(ev.transpose())
-    return [mons[p] for p in pivots], RationalMatrix.from_rows(
-        [ev.data[p] for p in pivots], cols=c
-    )
+    red, pivots = rref(monomial_rows(b1, b2, e, c).transpose())
+    mons = monomials_upto(c)
+    nf = RationalMatrix.from_rows(red.data[: len(pivots)], cols=red.cols).transpose()
+    return [mons[p] for p in pivots], nf
 
 
 def closure_rank(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> int:
-    kept, _ = closure_scan(b1, b2, e)
-    return len(kept)
-
-
-def canonical_form(a: AdhmData) -> AdhmData:
-    """Gauge-canonical representative of a costable datum.
-
-    The rows e . b1^alpha b2^beta picked greedily in monomial order form a
-    basis; rewriting in that basis sends gauge-equivalent data to the same
-    triple (the selected monomial set is gauge-invariant), with e becoming
-    the first standard covector.
-    """
-    kept, t = closure_scan(a.b1, a.b2, a.e)
-    if len(kept) < a.c:
-        raise NotCostable(f"closure rank {len(kept)} < {a.c}")
-    t_inv = invert(t)
-    return AdhmData(c=a.c, b1=t @ a.b1 @ t_inv, b2=t @ a.b2 @ t_inv, e=a.e @ t_inv)
+    """Rank of span{e b1^a b2^b}, complete within total degree c - 1."""
+    return rank(monomial_rows(b1, b2, e, max(b1.rows - 1, 0)))
 
 
 def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:
@@ -354,15 +337,12 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
     s = big.c - small.c
     if quot.rows != s:
         raise NotInjective("cokernel has wrong dimension")
-    # quot restricted to the free columns is the identity; use them as a section
-    free = []
-    for i in range(quot.rows):
-        for j in range(quot.cols):
-            if quot[i, j] == 1 and all(quot[k, j] == (1 if k == i else 0) for k in range(s)):
-                free.append(j)
-                break
-    section = RationalMatrix.zeros(big.c, s) if s == 0 else RationalMatrix(
-        [[Fraction(1) if j < len(free) and free[j] == i else Fraction(0) for j in range(s)] for i in range(big.c)]
+    # each row of quot is 1 at its free column, its last nonzero entry;
+    # those columns of the identity are a section of quot
+    free = [max(j for j, x in enumerate(row) if x) for row in quot.data]
+    section = RationalMatrix.from_rows(
+        [[Fraction(1) if free[j] == i else Fraction(0) for j in range(s)] for i in range(big.c)],
+        cols=s,
     )
     qb = []
     for b in (big.b1, big.b2):

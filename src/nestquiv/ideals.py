@@ -12,19 +12,20 @@ Conventions frozen here:
     pivot of each row is its largest monomial and the non-pivot monomials
     form the divisor-closed staircase of standard monomials.
     `ZeroCycleIdeal.from_rows` computes that basis as `ratmat.rref` of the
-    rows with their columns reversed; `ideal_from_adhm` takes it straight
-    from `kernel_basis`, which is already reduced that way;
+    rows with their columns reversed; only `ZeroCycleIdeal` reads that layout;
   * `ZeroCycleIdeal.normal_forms` reads the normal form of every monomial
-    off the reduced basis, with no elimination.  `adhm_from_ideal`,
-    `validate`, `reduce` and `member` are row selections or products of it;
+    off the reduced basis, with no elimination, and `from_normal_forms`
+    is its inverse.  `adhm_from_ideal`, `validate`, `reduce` and `member`
+    are row selections or products of the normal forms;
   * multiplication matrices act on the standard-monomial basis in ascending
-    order, and the ADHM matrices are their transposes, which lands exactly
-    in the gauge `canonical_form` produces;
+    order, and the ADHM matrices are their transposes: the canonical gauge;
   * every passage from a datum to its ideal goes through
-    `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order:
-    `ideal_from_adhm` takes its left kernel, and `contains` and
-    `inclusion_matrix` evaluate on it.  In the canonical gauge its row m
-    is the normal form of the monomial m in the standard basis.
+    `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order.
+    In the canonical gauge its row m is the normal form of m, so the
+    dictionary is `chart.closure_scan` (normal forms read off one
+    elimination of the walk), then `from_normal_forms`, and
+    `canonical_form` is the round trip through the ideal.  `contains` and
+    `inclusion_matrix` evaluate on the walk.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, monomial_rows
+from .chart import AdhmData, NuPoint, closure_scan, monomial_rows
 from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, json_count, kernel_basis, rat, rat_str, rref
+from .ratmat import RationalMatrix, json_count, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,25 @@ class ZeroCycleIdeal:
         ]
         return RationalMatrix.from_rows(rows, cols=len(std))
 
+    @staticmethod
+    def from_normal_forms(std, nf: RationalMatrix, d: int) -> "ZeroCycleIdeal":
+        """The inverse of normal_forms(), given the staircase std: the basis
+        row of each monomial f outside std is f minus its normal form, the
+        rows listed by f descending."""
+        mons = monomials_upto(d)
+        if nf.rows != len(mons) or nf.cols != len(std):
+            raise ShapeMismatch("normal forms need one row per monomial, one column per standard one")
+        cols = [mons.index(m) for m in std]
+        rows = []
+        for f in reversed(range(len(mons))):
+            if f not in cols:
+                row = [Fraction(0)] * len(mons)
+                row[f] = Fraction(1)
+                for k, x in zip(cols, nf.data[f]):
+                    row[k] = -x
+                rows.append(row)
+        return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix.from_rows(rows, cols=len(mons)))
+
     def reduce(self, p: Poly2) -> Poly2:
         """Normal form of p modulo the ideal (p must fit the degree bound)."""
         nf = RationalMatrix.row(p.to_coeffs(self.d)) @ self.normal_forms()
@@ -282,20 +302,14 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     """Ideal of the cycle encoded by a costable datum.
 
     The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
-    left kernel of monomial_rows) is exactly the truncated ideal; the
-    datum is costable exactly when that evaluation matrix has rank c.
-    kernel_basis gives one row per non-pivot monomial f of the evaluation
-    matrix's transpose: 1 at f, otherwise supported on pivot monomials
-    below f.  That basis is already reduced against the descending order,
-    and reversed it lists the pivots in descending order.
+    left kernel of monomial_rows) is exactly the truncated ideal, written
+    out by from_normal_forms from closure_scan's normal forms; the datum
+    is costable exactly when the walk has rank c.
     """
-    c = a.c
-    ev = monomial_rows(a.b1, a.b2, a.e, c)
-    ker = kernel_basis(ev.transpose()).transpose()
-    if ker.rows != count_upto(c) - c:
+    std, nf = closure_scan(a.b1, a.b2, a.e)
+    if len(std) != a.c:
         raise NotCostable("datum is not costable")
-    basis = RationalMatrix.from_rows(ker.data[::-1], cols=ker.cols)
-    return ZeroCycleIdeal(c=c, d=c, basis=basis)
+    return ZeroCycleIdeal.from_normal_forms(std, nf, a.c)
 
 
 def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
@@ -304,8 +318,7 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     Row k of b1 (of b2) is the normal form of x (of y) times the k-th
     standard monomial: two row selections of i.normal_forms().  Returns
     the datum in the canonical gauge: composing with ideal_from_adhm is
-    the identity, and adhm_from_ideal(ideal_from_adhm(a)) equals
-    canonical_form(a).
+    the identity, and the other composite is canonical_form.
     """
     std = i.standard_monomials()
     c = len(std)
@@ -319,6 +332,13 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
     e = [[Fraction(1) if m == (0, 0) else Fraction(0) for m in std]]
     return AdhmData(c=c, b1=b1, b2=b2, e=RationalMatrix.from_rows(e, cols=c))
+
+
+def canonical_form(a: AdhmData) -> AdhmData:
+    """Gauge-canonical representative of a costable datum: gauge-equivalent
+    data have one ideal, so the round trip through it sends them to one
+    datum, with e the covector of the standard monomial 1."""
+    return adhm_from_ideal(ideal_from_adhm(a))
 
 
 def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatrix:

@@ -219,11 +219,6 @@ def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
         raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
     y2n = Y1.scale(-nu.nu2) + Y2.scale(nu.nu1)
     forms = (Y1.scale(nu.nu1) + Y2.scale(nu.nu2), y2n, cox_mul(y2n.pow(x.n), SE), SINF)
-    # every entry of a block has the bidegree of the forms in it
-    for f, expected in zip(forms, ((0, 1), (0, 1), (1, 0), (1, 0))):
-        deg = f.bidegree(x.n)
-        if deg is not None and deg != expected:
-            raise NotWellDefined(f"entry bidegree {deg}, expected {expected}")
     return MonadComplex(
         n=x.n, c=x.c0, nu=nu, b1=a_inv @ d_nu, b2=c_nu @ a_nu, i_nu=i_nu, J=x.J, forms=forms
     )

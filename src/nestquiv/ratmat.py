@@ -10,10 +10,10 @@ entry: `_cleared` writes a row as integer numerators over the lcm of its
 denominators, products take integer dot products of cleared rows and
 columns, and `rank` and `_rref` eliminate fraction-free (Bareiss) on
 cleared rows.  `_rref` is the package's one elimination: kernels, inverses
-and solves read their canonical results off it, `chart.closure_scan` keeps
-its pivot columns, and `ideals.ZeroCycleIdeal.from_rows` gets the
-descending echelon basis of an ideal by running `rref` on the
-column-reversed rows.
+and solves read their canonical results off it, `chart.closure_scan`
+reads its kept monomials and normal forms off it, and
+`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
+ideal by running `rref` on the column-reversed rows.
 """
 
 from __future__ import annotations
@@ -241,6 +241,8 @@ class RationalMatrix:
     @staticmethod
     def from_json(obj: dict) -> "RationalMatrix":
         r, c = json_count(obj["rows"]), json_count(obj["cols"])
+        if r < 0 or c < 0:
+            raise ValueError(f"matrix counts must be non-negative, got rows {r}, cols {c}")
         entries = [json_rat(e) for e in obj["entries"]]
         if len(entries) != r * c:
             raise ShapeMismatch("entry count does not match rows*cols")

@@ -132,7 +132,8 @@ def test_closure_rank():
 
 def test_closure_scan_keeps_rank_growth():
     # the kept monomials are exactly the rows at which the rank of the rows
-    # so far grows, on gauge-scrambled data of generic and special cycles
+    # so far grows, and the normal forms write every row of the walk in the
+    # kept rows, on gauge-scrambled data of generic and special cycles
     rng = random.Random(12)
     ideals = [ideal_of_points(random_points(rng, c)) for c in (1, 3, 5)]
     ideals += [monomial_ideal((3, 1)), monomial_ideal((2, 2, 1))]
@@ -144,9 +145,12 @@ def test_closure_scan_keeps_rank_growth():
         rows = monomial_rows(b1, b2, e, d)
         prefix_ranks = [rank(rows.submatrix(range(k), range(a.c))) for k in range(rows.rows + 1)]
         grows = [m for k, m in enumerate(monomials_upto(d)) if prefix_ranks[k + 1] > prefix_ranks[k]]
-        kept, kept_rows = closure_scan(b1, b2, e)
+        kept, nf = closure_scan(b1, b2, e)
         assert kept == grows == ideal.standard_monomials()
-        assert kept_rows == rows.submatrix([monomials_upto(d).index(m) for m in kept], range(a.c))
+        walk = monomial_rows(b1, b2, e, a.c)
+        at_kept = [monomials_upto(a.c).index(m) for m in kept]
+        assert nf.submatrix(at_kept, range(a.c)) == RationalMatrix.identity(a.c)
+        assert nf @ walk.submatrix(at_kept, range(a.c)) == walk
 
 
 def test_monomial_rows_are_covector_evaluations():
@@ -165,14 +169,15 @@ def test_monomial_rows_are_covector_evaluations():
 
 
 def test_canonical_form_matches_ideal_gauge():
-    pts = random_points(random.Random(9), 3)
-    ideal = ideal_of_points(pts)
-    a = adhm_from_ideal(ideal)
-    g = random_gauge(random.Random(10), 3)
-    scrambled = AdhmData(
-        c=3, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1
-    )
-    assert canonical_form(scrambled) == a
+    rng = random.Random(9)
+    for c in range(1, 7):
+        a = adhm_from_ideal(ideal_of_points(random_points(rng, c)))
+        for _ in range(3):
+            g = random_gauge(rng, c)
+            scrambled = AdhmData(
+                c=c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1
+            )
+            assert canonical_form(scrambled) == a
 
 
 def test_find_regular_nu():

@@ -240,6 +240,10 @@ def _malformed_files(tmp_path):
     scalars["pair_nu_float"]["nu"] = [1, 0.0]
     scalars["pair_c_true"] = pair.to_json()
     scalars["pair_c_true"]["small"]["c"] = True
+    # negative counts whose product matches the entry count
+    for name, (rows, cols, entries) in (("negative", (-1, -1, ["1"])), ("negative_empty", (-2, 0, []))):
+        scalars[f"rep_rows_{name}"] = json.loads(json.dumps(good))
+        scalars[f"rep_rows_{name}"]["J"] = {"rows": rows, "cols": cols, "entries": entries}
     paths = {}
     for name, obj in (
         ("good", good),

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,21 +11,26 @@ from nestquiv import (
     NotAnIdeal,
     NotCostable,
     Poly2,
+    RationalMatrix,
     ShapeMismatch,
     ZeroCycleIdeal,
     adhm_from_ideal,
+    canonical_form,
+    closure_rank,
     colength,
     contains,
     enumerate_nested_monomial,
     ideal_from_adhm,
     inclusion_matrix,
     monomial_ideal,
+    nested_to_rep,
     partitions,
     support_approx,
 )
-from nestquiv.corpus import ideal_of_points, random_invertible, random_points
-from nestquiv.monomials import monomials_upto
-from nestquiv.ratmat import rank
+from nestquiv.chart import closure_scan, monomial_rows
+from nestquiv.corpus import ideal_of_points, random_gauge, random_invertible, random_points
+from nestquiv.monomials import count_upto, monomials_upto
+from nestquiv.ratmat import block_diag, kernel_basis, rank
 
 from conftest import M, nu
 
@@ -93,6 +100,72 @@ def test_ideal_from_adhm_needs_costable():
     b1 = M([[1, 1], [0, 2]])
     with pytest.raises(NotCostable):
         ideal_from_adhm(AdhmData(c=2, b1=b1, b2=b1 @ b1, e=M([[0, 1]])))
+
+
+def _scrambled(rng: random.Random, a: AdhmData) -> AdhmData:
+    g = random_gauge(rng, a.c)
+    return AdhmData(c=a.c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1)
+
+
+def _kernel_ideal(a: AdhmData) -> ZeroCycleIdeal:
+    """The ideal as the left kernel of the walk up to degree c: one
+    kernel_basis row per non-pivot monomial, reversed so the rows list
+    their pivots descending."""
+    ev = monomial_rows(a.b1, a.b2, a.e, a.c)
+    ker = kernel_basis(ev.transpose()).transpose()
+    if ker.rows != count_upto(a.c) - a.c:
+        raise NotCostable("datum is not costable")
+    return ZeroCycleIdeal(c=a.c, d=a.c, basis=RationalMatrix.from_rows(ker.data[::-1], cols=ker.cols))
+
+
+def test_ideal_from_adhm_matches_kernel_construction():
+    # the normal forms of the closure scan give the same basis as the left
+    # kernel of the walk, on scrambled point ideals, monomial ideals and the
+    # two-chart big ideals; non-costable data have their closure rank
+    # counted alike by closure_rank and closure_scan
+    rng = random.Random(31)
+    ideals = [ideal_of_points(random_points(rng, c)) for c in range(1, 9)]
+    ideals += [monomial_ideal(lam) for lam in partitions(4) + partitions(5)]
+    ideals += [pair.big for pair in enumerate_nested_monomial(1, 4, charts=2, n=2)]
+    one = RationalMatrix([[1]])
+    for ideal in ideals:
+        std, nf = ideal.standard_monomials(), ideal.normal_forms()
+        assert ZeroCycleIdeal.from_normal_forms(std, nf, ideal.d) == ideal
+        a = _scrambled(rng, adhm_from_ideal(ideal))
+        assert ideal_from_adhm(a) == _kernel_ideal(a) == ideal
+        unreachable = AdhmData(
+            c=a.c + 1,
+            b1=block_diag([a.b1, one]),
+            b2=block_diag([a.b2, one.scale(2)]),
+            e=a.e.hstack(RationalMatrix([[0]])),
+        )
+        e_zero = AdhmData(c=a.c, b1=a.b1, b2=a.b2, e=RationalMatrix.zeros(1, a.c))
+        for bad, r in ((unreachable, a.c), (e_zero, 0), (_scrambled(rng, unreachable), a.c)):
+            assert closure_rank(bad.b1, bad.b2, bad.e) == len(closure_scan(bad.b1, bad.b2, bad.e)[0]) == r
+            for build in (ideal_from_adhm, _kernel_ideal):
+                with pytest.raises(NotCostable, match="datum is not costable"):
+                    build(bad)
+
+
+def test_dictionary_json_is_frozen():
+    # sha256 of the sorted-key JSON of nested_to_rep and of ideal_from_adhm
+    # and canonical_form of scrambled data, over the two-chart torus-fixed
+    # pairs with c <= 4 at n = 2; recorded when ideal_from_adhm took the
+    # kernel of the walk and canonical_form conjugated by the kept rows
+    frozen = "3de3840aeafb4d1930efd7869ca7ebb59ae716d79b69a902b62910c46947112c"
+    rng = random.Random(6)
+    records = []
+    for c in range(2, 5):
+        for cp in range(1, c):
+            for pair in enumerate_nested_monomial(cp, c, charts=2, n=2):
+                s = _scrambled(rng, adhm_from_ideal(pair.big))
+                records.append([
+                    pair.to_json(),
+                    nested_to_rep(pair, 2).to_json(),
+                    ideal_from_adhm(s).to_json(),
+                    canonical_form(s).to_json(),
+                ])
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == frozen
 
 
 def test_contains_direction():

@@ -37,6 +37,10 @@ def test_rat_parsing():
         obj = {"rows": 1, "cols": 1, "entries": ["1"], key: value}
         with pytest.raises(ValueError, match=repr(value[0] if key == "entries" else value)):
             RationalMatrix.from_json(obj)
+    # negative counts whose product matches the entry count
+    for rows, cols, entries in ((-1, -1, ["1"]), (-2, 0, [])):
+        with pytest.raises(ValueError, match="non-negative"):
+            RationalMatrix.from_json({"rows": rows, "cols": cols, "entries": entries})
 
 
 def test_constructors_and_indexing():

@@ -142,6 +142,22 @@ def test_kernel_subrep_not_well_defined():
         kernel_subrep(broken)
 
 
+def test_kernel_subrep_framing_outside_kernel():
+    # every arrow preserves ker F1 = ker F2 = span(e1), but I1 = e2 does
+    # not land in it
+    zero = M([[0, 0], [0, 0]])
+    left = HirzRep(
+        n=2, c0=2, c1=2, A1=zero, A2=M([[1, 0], [0, 1]]), C=(zero, zero), I=(M([[0], [1]]),),
+        J=M([[1, 0]]),
+    )
+    x = EnhRep(
+        left=left, cp=1, Ap1=M([[0]]), Ap2=M([[1]]), Cp=(M([[0]]), M([[0]])),
+        F1=M([[0, 1]]), F2=M([[0, 1]]),
+    )
+    with pytest.raises(NotWellDefined, match="I1 does not land in ker F1"):
+        kernel_subrep(x)
+
+
 def test_oracle_plain():
     assert oracle_semistable_fixed(point_rep())
     zero = HirzRep(
