@@ -17,10 +17,13 @@ transforms by conjugation under gauge, with e transforming as e g^{-1}.
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
-earlier row.  The covector closure and the whole ideal dictionary in
-`ideals` read their rows from it: `closure_scan` eliminates it once and
-returns the kept (standard) monomials and every monomial's normal form,
-and `closure_rank` only counts, with the forward-only `rank`.
+earlier row.  It multiplies the integer numerators that
+`RationalMatrix` stores (integer rows over one denominator, in lowest
+terms), so no `Fraction` is built along the walk.  The covector closure
+and the whole ideal dictionary in `ideals` read their rows from it:
+`closure_scan` eliminates it once and returns the kept (standard)
+monomials and every monomial's normal form, and `closure_rank` only
+counts, with the forward-only `rank`.
 
 Rational charts need one normalization the unit-circle parametrization
 hides: the sigma matrix carries a factor (nu1^2 + nu2^2)^{-(n-1)}, which is
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .errors import (
@@ -49,7 +52,7 @@ from .errors import (
 from .monomials import monomials_upto
 from .quiver import HirzRep
 from .ratmat import (
-    RationalMatrix, _cleared, _over, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
+    RationalMatrix, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
 )
 
 
@@ -191,20 +194,22 @@ def sigma_matrix(nu: NuPoint, n: int) -> RationalMatrix:
     """
     if n < 1:
         raise ShapeMismatch("n must be >= 1")
-    n1, n2 = nu.nu1, nu.nu2
-    scale = Fraction(1) / nu.rho ** (n - 1)
+    # the rows are homogeneous of degree -(n-1) in nu, so they are those of
+    # the integer point [n1 : n2] = den nu, times den^(n-1)
+    den = lcm(nu.nu1.denominator, nu.nu2.denominator)
+    n1, n2 = int(nu.nu1 * den), int(nu.nu2 * den)
     rows = []
     for p in range(n):
         # convolve the two binomial expansions; index = power of z2
         first = [comb(p, i) * n2 ** (p - i) * n1**i for i in range(p + 1)]
         m = n - 1 - p
         second = [comb(m, j) * n1 ** (m - j) * (-n2) ** j for j in range(m + 1)]
-        coeffs = [Fraction(0)] * n
+        coeffs = [0] * n
         for i, fi in enumerate(first):
             for j, sj in enumerate(second):
                 coeffs[i + j] += fi * sj
-        rows.append([x * scale for x in coeffs])
-    return RationalMatrix(rows)
+        rows.append([x * den ** (n - 1) for x in coeffs])
+    return RationalMatrix._wrap(rows, (n1 * n1 + n2 * n2) ** (n - 1), n)
 
 
 def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
@@ -271,26 +276,24 @@ def monomial_rows(
     row of m is e . m(b1, b2), so a polynomial f with coefficient vector v
     evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
 
-    The walk runs on integers: b1 and b2 are each cleared to one common
-    denominator, and every row carries its integer numerators with its
-    own denominator until the Fraction rows are built at the end.
+    The walk runs on the integer numerators of b1, b2 and e: every row
+    carries its numerators over its own denominator, and the rows are
+    brought to their common denominator at the end.
     """
     c = e.cols
-    steps = []  # (integer columns, denominator) of b1 and of b2
-    for mat in (b1, b2):
-        nums, den = _cleared(x for row in mat.data for x in row)
-        steps.append(([nums[j::c] for j in range(c)], den))
+    steps = [(list(zip(*mat.num)), mat.den) for mat in (b1, b2)]  # columns, denominator
     rows: dict = {}
     for m in monomials_upto(d):
         a, b = m
         if m == (0, 0):
-            rows[m] = _cleared(e.data[0])
+            rows[m] = e.num[0], e.den
             continue
         prev, den = rows[(a - 1, b)] if a else rows[(0, b - 1)]
         cols, step = steps[0] if a else steps[1]
         rows[m] = [sum(map(mul, prev, col)) for col in cols], den * step
-    return RationalMatrix.from_rows(
-        [[_over(x, den) for x in row] for row, den in rows.values()], cols=c
+    common = lcm(*(den for _, den in rows.values()))
+    return RationalMatrix._wrap(
+        [[x * (common // den) for x in row] for row, den in rows.values()], common, c
     )
 
 
@@ -306,7 +309,7 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
     c = b1.rows
     red, pivots = rref(monomial_rows(b1, b2, e, c).transpose())
     mons = monomials_upto(c)
-    nf = RationalMatrix.from_rows(red.data[: len(pivots)], cols=red.cols).transpose()
+    nf = red.submatrix(range(len(pivots)), range(red.cols)).transpose()
     return [mons[p] for p in pivots], nf
 
 
@@ -339,11 +342,8 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
         raise NotInjective("cokernel has wrong dimension")
     # each row of quot is 1 at its free column, its last nonzero entry;
     # those columns of the identity are a section of quot
-    free = [max(j for j, x in enumerate(row) if x) for row in quot.data]
-    section = RationalMatrix.from_rows(
-        [[Fraction(1) if free[j] == i else Fraction(0) for j in range(s)] for i in range(big.c)],
-        cols=s,
-    )
+    free = [max(j for j, x in enumerate(row) if x) for row in quot.num]
+    section = RationalMatrix._wrap([[int(free[j] == i) for j in range(s)] for i in range(big.c)], 1, s)
     qb = []
     for b in (big.b1, big.b2):
         q = quot @ b @ section

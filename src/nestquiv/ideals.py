@@ -123,10 +123,10 @@ class Poly2:
 
 
 def _pivot_rows(basis: RationalMatrix) -> dict:
-    """The rows of a desc-echelon basis, keyed by their pivot
-    (largest-monomial) column."""
+    """The integer numerator rows of a desc-echelon basis, keyed by their
+    pivot (largest-monomial) column."""
     out = {}
-    for row in basis.data:
+    for row in basis.num:
         p = next((j for j in range(len(row) - 1, -1, -1) if row[j] != 0), None)
         if p is not None:
             out[p] = row
@@ -154,13 +154,14 @@ class ZeroCycleIdeal:
 
     @staticmethod
     def from_rows(rows, c: int, d: int, check: bool = True) -> "ZeroCycleIdeal":
-        """Canonicalize spanning rows; verifies colength and (optionally)
-        closure under multiplication within the degree bound.
+        """Canonicalize spanning rows, a row list or a RationalMatrix whose
+        width must be the monomial count; verifies colength and
+        (optionally) closure under multiplication within the degree bound.
 
         The descending echelon basis is the reduced echelon form of the
         rows with their columns reversed, reversed back."""
         nmon = count_upto(d)
-        m = RationalMatrix.from_rows(rows, cols=nmon)
+        m = rows if isinstance(rows, RationalMatrix) else RationalMatrix.from_rows(rows, cols=nmon)
         if m.cols != nmon:
             raise ShapeMismatch("basis width must match the monomial count")
         desc = range(nmon - 1, -1, -1)
@@ -178,17 +179,19 @@ class ZeroCycleIdeal:
         mons = monomials_upto(self.d)
         index = {m: i for i, m in enumerate(mons)}
         shifted = []
-        for row in self.basis.data:
+        for row in self.basis.num:
             deg = max((a + b for (a, b), v in zip(mons, row) if v != 0), default=-1)
             if deg < 0 or deg >= self.d:
                 continue
             for da, db in ((1, 0), (0, 1)):
-                out = [Fraction(0)] * len(mons)
+                out = [0] * len(mons)
                 for (a, b), v in zip(mons, row):
                     if v != 0:
                         out[index[(a + da, b + db)]] = v
                 shifted.append(out)
-        if shifted and not (RationalMatrix(shifted) @ self.normal_forms()).is_zero():
+        if shifted and not (
+            RationalMatrix._wrap(shifted, self.basis.den, len(mons)) @ self.normal_forms()
+        ).is_zero():
             raise NotAnIdeal("truncation is not closed under multiplication")
 
     def standard_monomials(self) -> list[tuple[int, int]]:
@@ -205,14 +208,13 @@ class ZeroCycleIdeal:
         at the standard columns.  A coefficient vector v reduces to v @ NF.
         """
         piv = _pivot_rows(self.basis)
+        den = self.basis.den
         std = [j for j in range(self.basis.cols) if j not in piv]
         rows = [
-            [-piv[j][s] for s in std]
-            if j in piv
-            else [Fraction(1) if s == j else Fraction(0) for s in std]
+            [-piv[j][s] for s in std] if j in piv else [den if s == j else 0 for s in std]
             for j in range(self.basis.cols)
         ]
-        return RationalMatrix.from_rows(rows, cols=len(std))
+        return RationalMatrix._wrap(rows, den, len(std))
 
     @staticmethod
     def from_normal_forms(std, nf: RationalMatrix, d: int) -> "ZeroCycleIdeal":
@@ -226,12 +228,12 @@ class ZeroCycleIdeal:
         rows = []
         for f in reversed(range(len(mons))):
             if f not in cols:
-                row = [Fraction(0)] * len(mons)
-                row[f] = Fraction(1)
-                for k, x in zip(cols, nf.data[f]):
+                row = [0] * len(mons)
+                row[f] = nf.den
+                for k, x in zip(cols, nf.num[f]):
                     row[k] = -x
                 rows.append(row)
-        return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix.from_rows(rows, cols=len(mons)))
+        return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix._wrap(rows, nf.den, len(mons)))
 
     def reduce(self, p: Poly2) -> Poly2:
         """Normal form of p modulo the ideal (p must fit the degree bound)."""
@@ -247,7 +249,7 @@ class ZeroCycleIdeal:
     @staticmethod
     def from_json(obj) -> "ZeroCycleIdeal":
         return ZeroCycleIdeal.from_rows(
-            RationalMatrix.from_json(obj["basis"]).data, c=json_count(obj["c"]), d=json_count(obj["d"])
+            RationalMatrix.from_json(obj["basis"]), c=json_count(obj["c"]), d=json_count(obj["d"])
         )
 
 
@@ -360,8 +362,7 @@ def _inclusion(big: ZeroCycleIdeal, small: AdhmData) -> RationalMatrix:
     if not (big.basis @ ev).is_zero():
         raise BadPair("ideals are not nested")
     index = {m: r for r, m in enumerate(monomials_upto(big.d))}
-    rows = [ev.data[index[m]] for m in big.standard_monomials()]
-    return RationalMatrix.from_rows(rows, cols=small.c)
+    return ev.submatrix([index[m] for m in big.standard_monomials()], range(small.c))
 
 
 def partitions(k: int, max_part: int | None = None) -> list[tuple[int, ...]]:

@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .chart import NuPoint, pencil_combos
 from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch, Singular, SingularAnu
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, invert, json_rat, rank, rat, rat_str
+from .ratmat import RationalMatrix, _common, invert, json_rat, rank, rat, rat_str
 
 _VAR_NAMES = ("y1", "y2", "se", "sinf")
 
@@ -108,7 +108,8 @@ class CoxPoly:
         for m, c in self.terms:
             prod = c
             for e, v in zip(m, vals):
-                prod *= v**e
+                if e:
+                    prod *= v**e
             total += prod
         return total
 
@@ -177,7 +178,14 @@ class MonadComplex:
 
     @cached_property
     def _alpha_beta(self) -> tuple:
-        return tuple(tuple(map(tuple, rows)) for rows in _assemble(self, self.forms))
+        blocks = (self.b1.data, self.b2.data, self.i_nu.data, self.J.data)
+        return tuple(tuple(map(tuple, rows)) for rows in _assemble(blocks, self.forms))
+
+    @cached_property
+    def _integer_blocks(self) -> tuple:
+        """b1, b2, I_nu and J as integer rows over their common denominator,
+        and that denominator: read once for all fibers."""
+        return _common((self.b1, self.b2, self.i_nu, self.J))
 
     Amat = property(lambda self: self._alpha_beta[0])
     Bmat = property(lambda self: self._alpha_beta[1])
@@ -192,18 +200,20 @@ class MonadComplex:
         }
 
 
-def _assemble(m: MonadComplex, forms):
+def _assemble(blocks, forms):
     """alpha = [P; Q; R] and beta = [Q | -P | J^T s_inf] as row lists, from
-    the values of the four forms: CoxPoly or rationals at one point."""
+    the blocks (b1, b2, I_nu, J) as row lists and the values of the four
+    forms: CoxPoly or scalars at one point."""
     y1n, y2n, lead, sinf = forms
-    b1, b2, c = m.b1.data, m.b2.data, m.c
+    b1, b2, i_nu, j_row = blocks
+    c = len(b1)
     p = [[b2[j][i] * sinf for j in range(c)] for i in range(c)]
     q = [[b1[j][i] * y2n for j in range(c)] for i in range(c)]
     for i in range(c):
         p[i][i] = p[i][i] + lead
         q[i][i] = q[i][i] + y1n
-    r = [-m.i_nu[j, 0] * y2n for j in range(c)]
-    beta = [q[i] + [-v for v in p[i]] + [m.J[0, i] * sinf] for i in range(c)]
+    r = [-i_nu[j][0] * y2n for j in range(c)]
+    beta = [q[i] + [-v for v in p[i]] + [j_row[0][i] * sinf] for i in range(c)]
     return p + q + [r], beta
 
 
@@ -274,8 +284,14 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
         raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
     if vals[2] == 0 and vals[3] == 0:
         raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
-    alpha, beta = _assemble(m, tuple(f.evaluate(vals) for f in m.forms))
+    blocks, d = m._integer_blocks
+    forms = [f.evaluate(vals) for f in m.forms]
+    den = lcm(*(v.denominator for v in forms))
+    y1n, y2n, lead, sinf = (v.numerator * (den // v.denominator) for v in forms)
+    # blocks over d and forms over den: alpha and beta scaled by d * den,
+    # which keeps their ranks, once the identity terms carry the d
+    alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
     return (
-        rank(RationalMatrix.from_rows(alpha, cols=m.c)),
-        rank(RationalMatrix.from_rows(beta, cols=2 * m.c + 1)),
+        rank(RationalMatrix._wrap(alpha, 1, m.c)),
+        rank(RationalMatrix._wrap(beta, 1, 2 * m.c + 1)),
     )

@@ -2,31 +2,34 @@
 
 Scalars are `fractions.Fraction` (re-exported as `Rational`): the stdlib type
 already keeps lowest terms and a positive denominator, which is exactly the
-normalization we need, so we do not reimplement it.  Matrices are immutable
-tuples of tuples of Fraction.
+normalization we need, so we do not reimplement it.
 
-The kernels run on Python integers and build one Fraction per output
-entry: `_cleared` writes a row as integer numerators over the lcm of its
-denominators, products take integer dot products of cleared rows and
-columns, and `rank` and `_rref` eliminate fraction-free (Bareiss) on
-cleared rows.  `_rref` is the package's one elimination: kernels, inverses
-and solves read their canonical results off it, `chart.closure_scan`
-reads its kept monomials and normal forms off it, and
-`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
-ideal by running `rref` on the column-reversed rows.
+A matrix is stored as integer rows `num` over one positive denominator
+`den`, kept in lowest terms: the gcd of `den` and every numerator is 1.
+That pair is canonical, so equality and hashing compare it directly, and
+every operation works on it with Python integers: sums bring both
+operands to the lcm of their denominators, products take integer dot
+products over the product of the denominators, and `rank` and `_rref`
+eliminate fraction-free (Bareiss) on the numerators.  `.data` (rows of
+Fraction) and `m[i, j]` are views built from the integers on each read.
+
+`_rref` is the package's one elimination: kernels, inverses and solves
+read their canonical results off it, `chart.closure_scan` reads its kept
+monomials and normal forms off it, and `ideals.ZeroCycleIdeal.from_rows`
+gets the descending echelon basis of an ideal by running `rref` on the
+column-reversed rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, Singular
 
 Rational = Fraction
-_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -61,55 +64,62 @@ def json_rat(v) -> Fraction:
     return rat(v) if isinstance(v, str) else Fraction(json_count(v))
 
 
-def _cleared(xs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of xs over the lcm d of their denominators, and d."""
-    xs = list(xs)
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _over(n: int, d: int) -> Fraction:
-    """n / d, sharing one Fraction for the zeros that fill sparse results."""
-    return Fraction(n, d) if n else _ZERO
-
-
 def rat_str(x: Fraction) -> str:
     """Serialize: 'p' for integers, 'p/q' otherwise."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class RationalMatrix:
-    """Dense immutable matrix over Fraction."""
+def _ratio_str(n: int, d: int) -> str:
+    """rat_str of n / d."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
-    __slots__ = ("rows", "cols", "data")
+
+class RationalMatrix:
+    """Dense immutable matrix over Fraction, stored as integer rows `num`
+    over one positive denominator `den` in lowest terms."""
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable]):
-        rows = tuple(tuple(rat(x) for x in row) for row in data)
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        rows = [[rat(x) for x in row] for row in data]
+        cols = len(rows[0]) if rows else 0
         for row in rows:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ShapeMismatch("ragged rows")
+        # over the lcm of lowest-terms denominators the numerators share no
+        # factor with it, so the pair is already in lowest terms
+        den = lcm(*(x.denominator for row in rows for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        self.den, self.rows, self.cols = den, len(rows), cols
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _trusted(data: tuple[tuple[Fraction, ...], ...], cols: int) -> "RationalMatrix":
-        """Wrap rows that are already tuples of Fraction of width cols."""
+    def _wrap(num: Iterable[Iterable[int]], den: int, cols: int) -> "RationalMatrix":
+        """The matrix num / den, integer rows of width cols over den > 0,
+        brought to lowest terms."""
+        num = tuple(map(tuple, num))
+        if den != 1:
+            g = den
+            for row in num:
+                g = gcd(g, *row)
+                if g == 1:
+                    break
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
         m = RationalMatrix.__new__(RationalMatrix)
-        m.data, m.rows, m.cols = data, len(data), cols
+        m.num, m.den, m.rows, m.cols = num, den, len(num), cols
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix._trusted(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
+        return RationalMatrix._wrap(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return RationalMatrix._wrap([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
@@ -131,97 +141,87 @@ class RationalMatrix:
 
     # -- basics -------------------------------------------------------
 
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of Fraction, built on each read."""
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.data)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self == RationalMatrix.identity(self.rows)
 
     def transpose(self) -> "RationalMatrix":
-        if self.rows == 0:
-            # transpose of 0xN is Nx0: N empty rows
-            return RationalMatrix._trusted(tuple(() for _ in range(self.cols)), 0)
-        return RationalMatrix._trusted(tuple(zip(*self.data)), self.rows)
+        # transpose of 0xN is Nx0: N empty rows
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return RationalMatrix._wrap(num, self.den, self.rows)
+
+    def _combine(self, other: "RationalMatrix", op) -> "RationalMatrix":
+        """Entrywise op (add or sub) over the lcm of the denominators."""
+        self._same_shape(other)
+        (a, b), den = _common((self, other))
+        return RationalMatrix._wrap([map(op, ra, rb) for ra, rb in zip(a, b)], den, self.cols)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        if self.rows == 0 or self.cols == 0:
-            return self
-        return RationalMatrix._trusted(
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)), self.cols
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(Fraction(-1))
+        return self._combine(other, sub)
 
     def scale(self, a) -> "RationalMatrix":
         a = rat(a)
-        if self.rows == 0 or self.cols == 0:
-            return self
-        return RationalMatrix._trusted(
-            tuple(tuple(a * x for x in row) for row in self.data), self.cols
-        )
+        p = a.numerator
+        num = [[p * x for x in row] for row in self.num]
+        return RationalMatrix._wrap(num, self.den * a.denominator, self.cols)
 
     def __neg__(self) -> "RationalMatrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
-            return RationalMatrix.zeros(self.rows, other.cols)
-        left = [_cleared(row) for row in self.data]
-        right = [_cleared(col) for col in other.transpose().data]
-        return RationalMatrix._trusted(
-            tuple(
-                tuple(_over(sum(map(mul, a, b)), da * db) for b, db in right)
-                for a, da in left
-            ),
-            other.cols,
-        )
+        right = list(zip(*other.num)) if other.rows else [()] * other.cols
+        num = [[sum(map(mul, a, b)) for b in right] for a in self.num]
+        return RationalMatrix._wrap(num, self.den * other.den, other.cols)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        if self.rows == 0:
-            return RationalMatrix.zeros(0, self.cols + other.cols)
-        return RationalMatrix([list(a) + list(b) for a, b in zip(self.data, other.data)])
+        (a, b), den = _common((self, other))
+        num = [(*ra, *rb) for ra, rb in zip(a, b)]
+        return RationalMatrix._wrap(num, den, self.cols + other.cols)
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack column mismatch")
-        return RationalMatrix.from_rows(list(self.data) + list(other.data), cols=self.cols)
+        (a, b), den = _common((self, other))
+        return RationalMatrix._wrap([*a, *b], den, self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        rows = [[self.data[i][j] for j in col_idx] for i in row_idx]
-        if not rows:
-            return RationalMatrix.zeros(0, len(col_idx))
-        return RationalMatrix(rows)
+        num = [[self.num[i][j] for j in col_idx] for i in row_idx]
+        return RationalMatrix._wrap(num, self.den, len(col_idx))
 
     def _same_shape(self, other: "RationalMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -232,10 +232,11 @@ class RationalMatrix:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
+        d = self.den
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [rat_str(x) for row in self.data for x in row],
+            "entries": [_ratio_str(x, d) for row in self.num for x in row],
         }
 
     @staticmethod
@@ -251,35 +252,42 @@ class RationalMatrix:
         return RationalMatrix([entries[i * c : (i + 1) * c] for i in range(r)])
 
 
+def _common(mats: Sequence[RationalMatrix]):
+    """The numerator rows of each matrix over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*(m.den for m in mats))
+    return [
+        m.num if m.den == den else [[x * (den // m.den) for x in row] for row in m.num] for m in mats
+    ], den
+
+
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.data[i][j]
-        r0 += b.rows
+    nums, den = _common(blocks)
+    out = []
+    c0 = 0
+    for b, num in zip(blocks, nums):
+        out += [(*[0] * c0, *row, *[0] * (cols - c0 - b.cols)) for row in num]
         c0 += b.cols
-    return RationalMatrix.from_rows(out, cols=cols)
+    return RationalMatrix._wrap(out, den, cols)
 
 
-def _rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def _rref(a: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:
+    """Reduced row echelon form of the integer rows a, reduced in place;
+    returns (rows, denominator, pivot column indices): the reduced form
+    is rows / denominator, with a positive denominator.
 
-    Fraction-free Gauss-Jordan on the rows cleared to integers: each pivot
-    replaces every other row by (piv * row - f * pivot_row) // prev, rows
-    above the pivot and rows with f = 0 included, so every pivot entry
-    ends equal to the last pivot d and every division is exact (Bareiss).
-    Dividing by d once at the end gives the reduced form.
+    Fraction-free Gauss-Jordan: each pivot replaces every other row by
+    (piv * row - f * pivot_row) // prev, rows above the pivot and rows with
+    f = 0 included, so every pivot entry ends equal to the last pivot and
+    every division is exact (Bareiss).  The rows of a matrix's numerators
+    span the same space as its rows, so they reduce to the same form.
     """
-    a = [_cleared(row)[0] for row in m.data]
-    nrows = m.rows
+    nrows = len(a)
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(m.cols):
+    for c in range(ncols):
         if r == nrows:
             break
         p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
@@ -297,19 +305,19 @@ def _rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
     if prev < 0:
         prev, a = -prev, [[-x for x in row] for row in a]
-    return [[_over(x, prev) for x in row] for row in a], pivots
+    return a, prev, pivots
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
-    a, pivots = _rref(m)
-    return RationalMatrix._trusted(tuple(map(tuple, a)), m.cols), pivots
+    a, den, pivots = _rref([list(row) for row in m.num], m.cols)
+    return RationalMatrix._wrap(a, den, m.cols), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank via Bareiss fraction-free elimination on an integer-cleared copy."""
+    """Rank via Bareiss fraction-free elimination on the numerators."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = [_cleared(row)[0] for row in m.data]
+    a = [list(row) for row in m.num]
     nrows, ncols = m.rows, m.cols
     prev = 1
     r = 0
@@ -337,18 +345,18 @@ def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     ordered by increasing f.  Two calls on row-equivalent matrices give the
     same result.
     """
-    a, pivots = _rref(m)
+    a, den, pivots = _rref([list(row) for row in m.num], m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     cols = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [0] * m.cols
+        v[f] = den
         for i, p in enumerate(pivots):
             v[p] = -a[i][f]
         cols.append(v)
     if not cols:
         return RationalMatrix.zeros(m.cols, 0)
-    return RationalMatrix(cols).transpose()
+    return RationalMatrix._wrap(cols, den, m.cols).transpose()
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -357,11 +365,12 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     n = m.rows
     if n == 0:
         return m
-    aug = m.hstack(RationalMatrix.identity(n))
-    a, pivots = _rref(aug)
+    # [num | den I] is row-equivalent to [m | I]
+    aug = [list(row) + [m.den if i == j else 0 for j in range(n)] for i, row in enumerate(m.num)]
+    a, den, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is singular")
-    return RationalMatrix([row[n:] for row in a[:n]])
+    return RationalMatrix._wrap([row[n:] for row in a], den, n)
 
 
 def solve_right(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -370,15 +379,14 @@ def solve_right(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.rows != b.rows:
         raise ShapeMismatch("solve_right row mismatch")
     aug = a.hstack(b)
-    red, pivots = _rref(aug)
+    red, den, pivots = _rref([list(row) for row in aug.num], aug.cols)
     for row in red:
-        if all(x == 0 for x in row[: a.cols]) and any(x != 0 for x in row[a.cols :]):
+        if not any(row[: a.cols]) and any(row[a.cols :]):
             raise Singular("inconsistent linear system")
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    x = [[0] * b.cols for _ in range(a.cols)]
     for i, p in enumerate(pivots):
         if p < a.cols:
-            for j in range(b.cols):
-                x[p][j] = red[i][a.cols + j]
+            x[p] = red[i][a.cols :]
     # free columns stay zero: this is the canonical minimal-support solution;
     # callers that need uniqueness check full column rank themselves
-    return RationalMatrix.from_rows(x, cols=b.cols)
+    return RationalMatrix._wrap(x, den, b.cols)

@@ -212,7 +212,7 @@ def kernel_subrep(x: EnhRep) -> HirzRep:
 def _check_fixed_form(mats) -> None:
     for m in mats:
         for j in range(m.cols):
-            nz = sum(1 for i in range(m.rows) if m[i, j] != 0)
+            nz = sum(1 for i in range(m.rows) if m.num[i][j])
             if nz > 1:
                 raise NotFixedForm("some column has more than one nonzero entry")
 
@@ -222,7 +222,7 @@ def _maps_into(m: RationalMatrix, src: int, dst: int) -> bool:
     for j in range(m.cols):
         if src >> j & 1:
             for i in range(m.rows):
-                if m[i, j] != 0 and not dst >> i & 1:
+                if m.num[i][j] and not dst >> i & 1:
                     return False
     return True
 
@@ -230,7 +230,7 @@ def _maps_into(m: RationalMatrix, src: int, dst: int) -> bool:
 def _support_mask(col: RationalMatrix) -> int:
     mask = 0
     for i in range(col.rows):
-        if any(col[i, j] != 0 for j in range(col.cols)):
+        if any(col.num[i]):
             mask |= 1 << i
     return mask
 

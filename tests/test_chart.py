@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -68,6 +69,25 @@ def test_sigma_change_of_basis_identity():
     # p = 1: (n2 z1 + n1 z2)(n1 z1 - n2 z2) / rho^2
     row = [n2 * n1 / rho**2, (n1 * n1 - n2 * n2) / rho**2, -n1 * n2 / rho**2]
     assert list(s.data[1]) == row
+
+
+def test_sigma_matches_its_definition_at_rational_charts():
+    # the integer construction against the defining expansion in Fraction
+    # arithmetic, at charts whose second coordinate is not an integer
+    for point in (nu(1, 0), nu(0, 1), nu(2, 3), nu(3, -1), nu(-5, 7), nu(4, 1)):
+        n1, n2 = point.nu1, point.nu2
+        for n in range(1, 6):
+            want = []
+            for p in range(n):
+                coeffs = [Fraction(0)] * n
+                for i in range(p + 1):
+                    for j in range(n - p):
+                        coeffs[i + j] += (
+                            comb(p, i) * n2 ** (p - i) * n1**i
+                            * comb(n - 1 - p, j) * n1 ** (n - 1 - p - j) * (-n2) ** j
+                        )
+                want.append([x / point.rho ** (n - 1) for x in coeffs])
+            assert sigma_matrix(point, n) == M(want)
 
 
 def test_embed_extract_round_trip():

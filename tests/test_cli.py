@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nestquiv import (
     BadPair,
@@ -244,6 +246,11 @@ def _malformed_files(tmp_path):
     for name, (rows, cols, entries) in (("negative", (-1, -1, ["1"])), ("negative_empty", (-2, 0, []))):
         scalars[f"rep_rows_{name}"] = json.loads(json.dumps(good))
         scalars[f"rep_rows_{name}"]["J"] = {"rows": rows, "cols": cols, "entries": entries}
+    # an empty basis still declares a width, which must match its degree bound
+    pair_empty_width = NestedIdealPair(
+        nu=nu(1, 0), big=monomial_ideal((2, 2)), small=monomial_ideal((1,))
+    ).to_json()
+    pair_empty_width["small"] = {"c": 3, "d": 1, "basis": {"rows": 0, "cols": 99, "entries": []}}
     paths = {}
     for name, obj in (
         ("good", good),
@@ -253,6 +260,7 @@ def _malformed_files(tmp_path):
         ("pair_nu_str", pair_nu_str),
         ("pair_nu_short", pair_nu_short),
         ("pair_width", pair_width),
+        ("pair_empty_width", pair_empty_width),
         ("rep_exponent", rep_exponent),
         *scalars.items(),
     ):
@@ -277,6 +285,7 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         ["convert", "cycle-to-rep", paths["pair_nu_str"]],
         ["convert", "cycle-to-rep", paths["pair_nu_short"]],
         ["convert", "cycle-to-rep", paths["pair_width"]],
+        ["convert", "cycle-to-rep", paths["pair_empty_width"]],
         ["check", paths["good"], "--theta", "1/0,1,1,1"],
         ["check", paths["rep_exponent"]],
         ["monad-check", paths["rep_exponent"]],
@@ -311,3 +320,69 @@ def test_surface_index_zero_is_a_precondition(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "surface index" in captured.err
+
+
+# Mutation fuzz of the JSON readers: seeded valid files with a few values
+# replaced, keys or items dropped, or items repeated, through every command
+# that reads a file.  Whatever the input, the CLI ends with a documented
+# exit code, prints no traceback, and prints nothing or one sorted-key JSON
+# line.  Replacement values stay small, because a mutated count sizes the
+# work the command does.
+_FUZZ_VALUES = (
+    0, 1, -1, 2, 7, "0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e5", 0.5, True, None,
+    [], {}, ["1"], {"rows": 1, "cols": 1, "entries": ["1"]},
+)
+
+
+def _fuzz_bases():
+    pair = random_nested_pair(random.Random(11), 3, 1)
+    rep = nested_to_rep(pair, 2)
+    return {"pair": pair.to_json(), "rep": rep.to_json(), "plain": rep.left.to_json()}
+
+
+_FUZZ_BASES = _fuzz_bases()
+_REP_COMMANDS = (("check", "{}"), ("monad-check", "{}"), ("convert", "rep-to-cycle", "{}"))
+_FUZZ_COMMANDS = {
+    "pair": (("convert", "cycle-to-rep", "{}"), ("convert", "cycle-to-rep", "{}", "--n", "2")),
+    "rep": _REP_COMMANDS,
+    "plain": _REP_COMMANDS,
+}
+
+
+def _mutate(obj, data):
+    """Walk from the root to a drawn node and change it in place."""
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = node[key]
+    if parent is None:
+        return
+    action = data.draw(st.sampled_from(("replace", "drop", "repeat")))
+    if action == "replace":
+        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_VALUES))))
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(parent[key])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_FUZZ_BASES)), st.data())
+def test_mutated_files_end_with_a_documented_exit(tmp_path, capsys, kind, data):
+    obj = json.loads(json.dumps(_FUZZ_BASES[kind]))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        _mutate(obj, data)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(obj))
+    for command in _FUZZ_COMMANDS[kind]:
+        argv = [a.format(p) for a in command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in captured.err
+        out = captured.out
+        assert out == "" or (
+            out.count("\n") == 1 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        ), argv

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,22 @@ def test_fiber_rank_drops_without_framing():
     )
     m = build_monad(dead, nu(1, 0))
     assert fiber_ranks(m, (0, 1, 0, 1))[1] == 0
+
+
+def test_fiber_ranks_drop_on_fractional_blocks():
+    # at nu = [1, 0] and n = 1, alpha is (y2 s_e + b2 s_inf, y1 + b1 y2, 0)
+    # and beta (y1 + b1 y2, -(y2 s_e + b2 s_inf), 0); with b1 = 1/2 and
+    # b2 = 1/3 both vanish at (-1, 2, 1, -6), which the integer assembly
+    # sees only if it scales every entry by the same factor
+    dead = HirzRep(
+        n=1, c0=1, c1=1, A1=M([[0]]), A2=M([[1]]), C=(M([[0]]),), I=(), J=M([[0]])
+    )
+    m = replace(build_monad(dead, nu(1, 0)), b1=M([[Fraction(1, 2)]]), b2=M([[Fraction(1, 3)]]))
+    assert fiber_ranks(m, (-1, 2, 1, -6)) == (0, 0)
+    for pt in ((-1, 2, 1, -6), (-1, 2, 1, 1), (1, 2, 1, -6), (1, 1, 1, 1)):
+        alpha = [[p.evaluate(pt) for p in row] for row in m.Amat]
+        beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
+        assert fiber_ranks(m, pt) == (rank(M(alpha)), rank(M(beta)))
 
 
 def test_excluded_locus():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -278,3 +279,92 @@ def test_solve_right_matches_sympy(ab):
     _, pivots = sa.rref()
     assert all(x.data[i] == (Fraction(0),) * b.cols for i in range(a.cols) if i not in pivots)
     assert sa * _sym(x) == _sym(b)
+
+
+# Oracle checks of the integer storage's operations against sympy, on the
+# same matrices as the kernels above; every result must also be stored in
+# lowest terms.
+def _lowest_terms(m):
+    return m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=8)).flatmap(
+        lambda rc: st.tuples(_matrices(*rc), _matrices(*rc), _entry)
+    )
+)
+def test_elementwise_ops_match_sympy(abq):
+    sympy = pytest.importorskip("sympy")
+    a, b, q = abq
+    sa, sb = _sym(a), _sym(b)
+    sq = sympy.Rational(q.numerator, q.denominator)
+    for got, want in (
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (-a, -sa),
+        (a.scale(q), sa * sq),
+        (a.transpose(), sa.T),
+    ):
+        assert got == _from_sym(want)
+        assert _lowest_terms(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=8),
+    ).flatmap(
+        lambda s: st.tuples(
+            _matrices(s[0], s[2]), _matrices(s[0], s[3]), _matrices(s[1], s[2]), st.data()
+        )
+    )
+)
+def test_stacking_and_selection_match_sympy(parts):
+    sympy = pytest.importorskip("sympy")
+    a, right, below, data = parts
+    sa = _sym(a)
+    for got, want in (
+        (a.hstack(right), sa.row_join(_sym(right))),
+        (a.vstack(below), sa.col_join(_sym(below))),
+        (block_diag([a, right, below]), sympy.diag(sa, _sym(right), _sym(below))),
+    ):
+        assert got == _from_sym(want)
+        assert _lowest_terms(got)
+    rows = data.draw(st.lists(st.integers(min_value=0, max_value=a.rows - 1), max_size=6)) if a.rows else []
+    cols = data.draw(st.lists(st.integers(min_value=0, max_value=a.cols - 1), max_size=8)) if a.cols else []
+    sub = a.submatrix(rows, cols)
+    assert (sub.rows, sub.cols) == (len(rows), len(cols))
+    assert sub == _from_sym(sa.extract(rows, cols))
+    assert _lowest_terms(sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), _entry.filter(lambda q: q != 0), st.data())
+def test_equal_values_have_one_representation(m, q, data):
+    # the integer rows over one denominator are kept in lowest terms, so
+    # equal matrices compare equal, hash equal and serialize equal however
+    # they were reached
+    same = [
+        m.scale(q).scale(1 / q),
+        (m + m).scale(Fraction(1, 2)),
+        RationalMatrix.from_json(m.to_json()),
+        RationalMatrix.from_rows(m.data, cols=m.cols),
+    ]
+    for other in same:
+        assert other == m and hash(other) == hash(m) and other.to_json() == m.to_json()
+        assert _lowest_terms(other)
+    factors = [data.draw(_entry.filter(lambda f: f != 0)) for _ in range(m.rows)]
+    scaled = RationalMatrix.from_rows(
+        [[f * x for x in row] for f, row in zip(factors, m.data)], cols=m.cols
+    )
+    (r1, p1), (r2, p2) = rref(m), rref(scaled)
+    assert r1 == r2 and hash(r1) == hash(r2) and r1.to_json() == r2.to_json() and p1 == p2
+    diff = m - m
+    zeros = RationalMatrix.zeros(m.rows, m.cols)
+    assert diff.is_zero() and diff == zeros and hash(diff) == hash(zeros)
+    assert diff.to_json() == zeros.to_json() and (diff.num, diff.den) == (zeros.num, zeros.den)
+    assert m.data == tuple(tuple(m[i, j] for j in range(m.cols)) for i in range(m.rows))
