@@ -7,13 +7,15 @@ datum (b1, b2, e): commuting endomorphisms of k^c and a costable covector.
 
 `chart_embed` produces the quiver representation whose cycle is the given
 datum in the chart at nu, gauge-normalized so that the pencil combination
-A_nu is the identity; `chart_extract` reads the datum back from any
-representation whose pencil is regular at nu:
+A_nu is the identity; `chart_blocks` reads any representation whose
+pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
 
-    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   e = J.
+    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
 
 The direction of the b2 product matters: C_nu A_nu is the one that
 transforms by conjugation under gauge, with e transforming as e g^{-1}.
+`first_regular` finds charts, scanning one of the two frozen orders
+`regular_sample` and `conversion_sample`.
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
@@ -166,8 +168,24 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
 
 
 def regular_sample(c: int) -> list[NuPoint]:
-    """The frozen pencil sample [1,0], [1,1], ..., [1,c]."""
+    """The frozen pencil sample [1,0], [1,1], ..., [1,c] of find_regular_nu."""
     return [NuPoint(Fraction(1), Fraction(k)) for k in range(c + 1)]
+
+
+def conversion_sample(count: int) -> list[NuPoint]:
+    """The frozen chart order of the conversions: regular_sample(count) with
+    [0,1] second, so [1,0], [0,1], [1,1], ..., [1,count]."""
+    first, *rest = regular_sample(count)
+    return [first, NuPoint(Fraction(0), Fraction(1)), *rest]
+
+
+def first_regular(pencils, candidates) -> NuPoint | None:
+    """The first candidate at which every square pencil (A1, A2) in
+    pencils has nu2 A1 + nu1 A2 of full rank, None when there is none."""
+    for nu in candidates:
+        if all(rank(pencil(a1, a2, nu)) == a1.rows for a1, a2 in pencils):
+            return nu
+    return None
 
 
 def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
@@ -178,11 +196,10 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
     """
     if a1.rows != a1.cols or a2.rows != a2.cols or a1.rows != a2.rows:
         raise ShapeMismatch("pencil needs two square matrices of equal size")
-    c = a1.rows
-    for nu in regular_sample(c):
-        if rank(pencil(a1, a2, nu)) == c:
-            return nu
-    raise IrregularPencil(f"all {c + 1} sampled charts are singular")
+    nu = first_regular([(a1, a2)], regular_sample(a1.rows))
+    if nu is None:
+        raise IrregularPencil(f"all {a1.rows + 1} sampled charts are singular")
+    return nu
 
 
 def sigma_matrix(nu: NuPoint, n: int) -> RationalMatrix:
@@ -237,6 +254,19 @@ def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     return HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=tuple(cs), I=i_cols, J=a.e)
 
 
+def chart_blocks(x: HirzRep, nu: NuPoint):
+    """The blocks (b1, b2, I_nu) of x in the chart at nu.  Requires c0 = c1
+    and A_nu invertible; the relations are not assumed."""
+    if x.c0 != x.c1:
+        raise ShapeMismatch("reading a chart needs c0 = c1")
+    a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
+    try:
+        a_inv = invert(a_nu)
+    except Singular:
+        raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
+    return a_inv @ d_nu, c_nu @ a_nu, i_nu
+
+
 def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
     """Read the ADHM datum of x in the chart at nu.
 
@@ -244,15 +274,9 @@ def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
     whenever the relations hold with I_nu J = 0; a nonzero commutator
     (equal to I_nu J when the relations hold) raises RelationsViolated.
     """
-    if x.c0 != x.c1:
-        raise ShapeMismatch("chart extraction needs c0 = c1")
-    a_nu, d_nu, c_nu, _ = pencil_combos(x, nu)
+    b1, b2, _ = chart_blocks(x, nu)
     try:
-        a_inv = invert(a_nu)
-    except Singular:
-        raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
-    try:
-        return AdhmData(c=x.c0, b1=a_inv @ d_nu, b2=c_nu @ a_nu, e=x.J)
+        return AdhmData(c=x.c0, b1=b1, b2=b2, e=x.J)
     except NotCommuting:
         raise RelationsViolated("extracted pair does not commute") from None
 

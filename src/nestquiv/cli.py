@@ -11,13 +11,14 @@ unsupported colength).  Every package error carries its code as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 
-from .chart import NuPoint, chart_embed, chart_extract, find_regular_nu
+from .chart import NuPoint, find_regular_nu, transform_chart
 from .corpus import (
     CHART_FIRST,
     CHART_MIXED,
@@ -212,8 +213,7 @@ def _verify_enumerated(pair: NestedIdealPair, n: int):
     """cp >= 1: full conversion round trip; cp = 0: chart dictionary only."""
     if pair.small.c >= 1:
         return _roundtrip_case(pair, n, None)
-    a = adhm_from_ideal(pair.big)
-    back = ideal_from_adhm(chart_extract(chart_embed(a, pair.nu, n), pair.nu))
+    back = ideal_from_adhm(transform_chart(adhm_from_ideal(pair.big), pair.nu, pair.nu, n))
     return None if back == pair.big else "chart dictionary does not close"
 
 
@@ -279,7 +279,9 @@ def cmd_monad_check(args) -> int:
     return 0 if complex_zero and full else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once; main looks up cmd_<subcommand> at each call."""
     parser = argparse.ArgumentParser(
         prog="nestquiv",
         description="Exact tools for framed surface-quiver representations and nested 0-cycles.",
@@ -290,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="representation JSON file")
     p.add_argument("--theta", help="four comma-separated rationals (enhanced reps only)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("convert", help="translate between representations and nested cycles")
     p.add_argument("direction", choices=["rep-to-cycle", "cycle-to-rep"])
@@ -299,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="stability parameter for rep-to-cycle")
     p.add_argument("--nu", help="force this chart instead of scanning, e.g. --nu 1,0")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("roundtrip", help="batch conversion round trips")
     p.add_argument("corpus", nargs="?", help="directory of pair JSON files (default: generated)")
@@ -307,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, help="also run seeded random pairs with gauge scrambles")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("count-fixed", help="enumerate and verify torus-fixed nested pairs")
     p.add_argument("--cp", type=int, required=True)
@@ -315,20 +314,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charts", type=int, choices=[1, 2], default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_count_fixed)
 
     p = sub.add_parser("monad-check", help="composite and fiber ranks of the chart monad")
     p.add_argument("input", help="representation JSON file")
     p.add_argument("--nu", help="chart direction (default: first regular sample point)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_monad_check)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

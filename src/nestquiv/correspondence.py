@@ -15,28 +15,21 @@ no enhancement to speak of and are rejected with DomainError.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chart import (
     AdhmData,
     NuPoint,
     build_nested_adhm,
     chart_embed,
     chart_extract,
+    conversion_sample,
+    first_regular,
     monomial_rows,
-    pencil,
 )
 from .errors import BadPair, ChartUnavailable, DomainError, NotStable, ShapeMismatch
 from .ideals import NestedIdealPair, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
-from .ratmat import RationalMatrix, rank
+from .ratmat import RationalMatrix
 from .stability import EnhThetaParam, is_theta_stable, kernel_subrep
-
-
-def _candidate_charts(count: int) -> list[NuPoint]:
-    pts = [NuPoint(Fraction(1), Fraction(0)), NuPoint(Fraction(0), Fraction(1))]
-    pts += [NuPoint(Fraction(1), Fraction(k)) for k in range(1, count + 1)]
-    return pts
 
 
 def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint) -> NestedIdealPair:
@@ -56,7 +49,8 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     kernel subrepresentation of (F1, F2).  When nu is not given, the
     chart is the first of [1,0], [0,1], [1,1], ..., [1,c] that is regular
     for both; a stable pencil has at most c singular directions, so the
-    scan cannot exhaust.
+    scan cannot exhaust.  Only the left pencil P is tested: the kernel's
+    P' has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
@@ -66,11 +60,10 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     kern = kernel_subrep(x)
     if nu is not None:
         return _pair_at(x, kern, nu)
-    c = x.left.c1
-    for cand in _candidate_charts(c):
-        if all(rank(pencil(r.A1, r.A2, cand)) == r.c1 for r in (x.left, kern)):
-            return _pair_at(x, kern, cand)
-    raise ChartUnavailable("no regular chart among the candidate sample")
+    nu = first_regular([(x.left.A1, x.left.A2)], conversion_sample(x.c))
+    if nu is None:
+        raise ChartUnavailable("no regular chart among the candidate sample")
+    return _pair_at(x, kern, nu)
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -127,10 +120,8 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
         if not verdict.stable:
             raise NotStable(f"representation is not stable: {verdict.witness}")
     kx, ky = kernel_subrep(x), kernel_subrep(y)
-    c = x.left.c1
-    for cand in _candidate_charts(2 * c + 1):
-        if all(rank(pencil(r.A1, r.A2, cand)) == r.c1 for r in (x.left, y.left, kx, ky)):
-            px = _pair_at(x, kx, cand)
-            py = _pair_at(y, ky, cand)
-            return px.big == py.big and px.small == py.small
-    raise ChartUnavailable("no common regular chart among the candidate sample")
+    nu = first_regular([(z.left.A1, z.left.A2) for z in (x, y)], conversion_sample(2 * x.c + 1))
+    if nu is None:
+        raise ChartUnavailable("no common regular chart among the candidate sample")
+    px, py = _pair_at(x, kx, nu), _pair_at(y, ky, nu)
+    return px.big == py.big and px.small == py.small

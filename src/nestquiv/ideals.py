@@ -153,10 +153,10 @@ class ZeroCycleIdeal:
             raise ShapeMismatch("basis row count must match the colength")
 
     @staticmethod
-    def from_rows(rows, c: int, d: int, check: bool = True) -> "ZeroCycleIdeal":
+    def from_rows(rows, c: int, d: int) -> "ZeroCycleIdeal":
         """Canonicalize spanning rows, a row list or a RationalMatrix whose
-        width must be the monomial count; verifies colength and
-        (optionally) closure under multiplication within the degree bound.
+        width must be the monomial count; verifies colength and closure
+        under multiplication within the degree bound.
 
         The descending echelon basis is the reduced echelon form of the
         rows with their columns reversed, reversed back."""
@@ -168,8 +168,7 @@ class ZeroCycleIdeal:
         red, pivots = rref(m.submatrix(range(m.rows), desc))
         basis = red.submatrix(range(len(pivots)), desc)
         ideal = ZeroCycleIdeal(c=c, d=d, basis=basis)
-        if check:
-            ideal.validate()
+        ideal.validate()
         return ideal
 
     def validate(self) -> None:
@@ -387,19 +386,17 @@ def _partition_contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
 def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal:
     """Ideal whose staircase is the Young diagram of the partition:
     x^a y^b lies in the ideal iff a >= lam[b] (rows beyond the diagram have
-    width zero)."""
+    width zero).  The diagram's cells are the standard monomials, each its
+    own normal form, and every other monomial reduces to zero."""
     c = sum(lam)
     if d is None:
         d = c
-    rows = []
     mons = monomials_upto(d)
-    for j, (a, b) in enumerate(mons):
-        width = lam[b] if b < len(lam) else 0
-        if a >= width:
-            row = [Fraction(0)] * len(mons)
-            row[j] = Fraction(1)
-            rows.append(row)
-    return ZeroCycleIdeal.from_rows(rows, c=c, d=d, check=False)
+    std = [(a, b) for a, b in mons if b < len(lam) and a < lam[b]]
+    if len(std) != c:
+        raise ShapeMismatch(f"degree bound {d} is too small for the diagram {lam}")
+    nf = RationalMatrix._wrap([[int(m == s) for s in std] for m in mons], 1, c)
+    return ZeroCycleIdeal.from_normal_forms(std, nf, d)
 
 
 def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> list[NestedIdealPair]:
@@ -412,28 +409,18 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     chart [1, 1] (where both fixed fibers are visible) and summing.  The
     surface degree n enters only through that transport.
 
-    Order: chart-1 colength descending, then partitions in generation order.
+    Order: chart-1 colength descending, then partitions in generation order;
+    charts=1 is the chart-1 colength c block of charts=2.
     """
     if not 0 <= cp <= c:
         raise ShapeMismatch("need 0 <= cp <= c")
     if charts not in (1, 2):
         raise ShapeMismatch("charts must be 1 or 2")
     nu1 = NuPoint(Fraction(1), Fraction(0))
-    if charts == 1:
-        out = []
-        for lam in partitions(c):
-            for mu in partitions(cp):
-                if _partition_contains(lam, mu):
-                    out.append(
-                        NestedIdealPair(
-                            nu=nu1, big=monomial_ideal(lam), small=monomial_ideal(mu, d=cp)
-                        )
-                    )
-        return out
     nu2 = NuPoint(Fraction(0), Fraction(1))
     nu_mix = NuPoint(Fraction(1), Fraction(1))
     out = []
-    for c1 in range(c, -1, -1):
+    for c1 in range(c, -1 if charts == 2 else c - 1, -1):
         c2 = c - c1
         for lam1 in partitions(c1):
             for lam2 in partitions(c2):

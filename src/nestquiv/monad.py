@@ -32,10 +32,10 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 
-from .chart import NuPoint, pencil_combos
-from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch, Singular, SingularAnu
+from .chart import NuPoint, chart_blocks
+from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, _common, invert, json_rat, rank, rat, rat_str
+from .ratmat import RationalMatrix, _common, json_rat, rank, rat, rat_str
 
 _VAR_NAMES = ("y1", "y2", "se", "sinf")
 
@@ -218,20 +218,13 @@ def _assemble(blocks, forms):
 
 
 def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
-    """Monad of x in the chart at nu.  Needs c0 = c1 and A_nu invertible;
-    the relations are NOT assumed (check_complex is the relation test)."""
-    if x.c0 != x.c1:
-        raise ShapeMismatch("monad construction needs c0 = c1")
-    a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
-    try:
-        a_inv = invert(a_nu)
-    except Singular:
-        raise SingularAnu(f"A_nu singular at nu = {nu.to_json()}") from None
+    """Monad of x in the chart at nu: the blocks of chart_blocks and the
+    forms.  Needs c0 = c1 and A_nu invertible; the relations are NOT
+    assumed (check_complex is the relation test)."""
+    b1, b2, i_nu = chart_blocks(x, nu)
     y2n = Y1.scale(-nu.nu2) + Y2.scale(nu.nu1)
     forms = (Y1.scale(nu.nu1) + Y2.scale(nu.nu2), y2n, cox_mul(y2n.pow(x.n), SE), SINF)
-    return MonadComplex(
-        n=x.n, c=x.c0, nu=nu, b1=a_inv @ d_nu, b2=c_nu @ a_nu, i_nu=i_nu, J=x.J, forms=forms
-    )
+    return MonadComplex(n=x.n, c=x.c0, nu=nu, b1=b1, b2=b2, i_nu=i_nu, J=x.J, forms=forms)
 
 
 def check_complex(m: MonadComplex):

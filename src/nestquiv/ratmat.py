@@ -13,11 +13,14 @@ products over the product of the denominators, and `rank` and `_rref`
 eliminate fraction-free (Bareiss) on the numerators.  `.data` (rows of
 Fraction) and `m[i, j]` are views built from the integers on each read.
 
-`_rref` is the package's one elimination: kernels, inverses and solves
-read their canonical results off it, `chart.closure_scan` reads its kept
-monomials and normal forms off it, and `ideals.ZeroCycleIdeal.from_rows`
-gets the descending echelon basis of an ideal by running `rref` on the
-column-reversed rows.
+`_rref` is the package's one reducing elimination: kernels, inverses and
+solves read their canonical results off it, `chart.closure_scan` reads
+its kept monomials and normal forms off it, and
+`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
+ideal by running `rref` on the column-reversed rows.  `rank`, the pencil,
+fiber and closure test, is a second, forward-only elimination, because
+counting the pivots of `_rref` measured 2.2x slower (CPython 3.11, Xeon:
+11.1 vs 5.1 us on random 4x4 rationals, 39.9 vs 18.5 us on 11x5).
 """
 
 from __future__ import annotations

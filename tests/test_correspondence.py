@@ -17,6 +17,7 @@ from nestquiv import (
     rep_to_nested,
     same_orbit,
 )
+from nestquiv.chart import conversion_sample, pencil
 from nestquiv.corpus import (
     CHART_FIRST,
     CHART_MIXED,
@@ -25,6 +26,9 @@ from nestquiv.corpus import (
     random_gauge,
     random_nested_pair,
 )
+
+from nestquiv.ratmat import rank
+from nestquiv.stability import kernel_subrep
 
 from conftest import M, nu
 
@@ -135,3 +139,25 @@ def test_kernel_cycle_is_the_small_one():
     x = nested_to_rep(pair, 1)
     back = rep_to_nested(x, default_theta(4, 2))
     assert back.small == pair.small and back.big == pair.big
+
+
+def test_kernel_pencil_is_regular_where_the_left_pencil_is():
+    # k2 P' = P k1 for the kernel bases k1, k2, so the conversion scans
+    # test only the left pencils
+    assert conversion_sample(2) == [nu(1, 0), nu(0, 1), nu(1, 1), nu(1, 2)]
+    rng = random.Random(25)
+    tried = singular = 0
+    for c in (2, 3, 4, 5):
+        for n in (1, 2, 3):
+            for chart in (CHART_FIRST, CHART_SECOND, CHART_MIXED):
+                cp = rng.randint(1, c - 1)
+                pair = random_nested_pair(rng, c, cp, chart)
+                x = act(random_gauge(rng, c, c - cp), nested_to_rep(pair, n))
+                kern = kernel_subrep(x)
+                for cand in conversion_sample(2 * c + 1):
+                    if rank(pencil(x.left.A1, x.left.A2, cand)) < c:
+                        singular += 1
+                        continue
+                    tried += 1
+                    assert rank(pencil(kern.A1, kern.A2, cand)) == cp
+    assert tried and singular

@@ -316,6 +316,33 @@ def test_enumerate_counts_frozen():
     ]
 
 
+def test_one_chart_enumeration_is_the_first_block_of_two():
+    for n in (1, 2, 3):
+        for c in range(1, 6):
+            for cp in range(c):
+                one = enumerate_nested_monomial(cp, c, charts=1, n=n)
+                two = enumerate_nested_monomial(cp, c, charts=2, n=n)
+                first = [pair for pair in two if pair.nu == nu(1, 0)]
+                assert one == first == two[: len(first)]
+
+
+def test_monomial_ideal_matches_its_row_span():
+    for c in range(8):
+        for lam in partitions(c):
+            for d in (c, c + 1, c + 2):
+                mons = monomials_upto(d)
+                rows = [
+                    [int(j == k) for k in range(len(mons))]
+                    for j, (a, b) in enumerate(mons)
+                    if a >= (lam[b] if b < len(lam) else 0)
+                ]
+                reference = ZeroCycleIdeal.from_rows(rows, c=c, d=d)
+                assert monomial_ideal(lam, d) == reference
+                assert monomial_ideal(lam, d).to_json() == reference.to_json()
+    with pytest.raises(ShapeMismatch):
+        monomial_ideal((3,), d=1)
+
+
 def test_enumerate_pairs_are_nested():
     for pair in enumerate_nested_monomial(1, 3, charts=2):
         assert contains(pair.big, pair.small)
