@@ -27,11 +27,12 @@ and the whole ideal dictionary in `ideals` read their rows from it:
 monomials and every monomial's normal form, and `closure_rank` only
 counts, with the forward-only `rank`.
 
-Rational charts need one normalization the unit-circle parametrization
-hides: the sigma matrix carries a factor (nu1^2 + nu2^2)^{-(n-1)}, which is
-exactly what makes extract(embed(a, nu), nu) = a an identity (binomial
-identity: the nu-weighted sum of the sigma row polynomials telescopes to
-(nu1^2 + nu2^2)^{n-1}).
+The pencil arrows of an embedded datum, A1 = (nu2 + nu1 b1) / rho and
+A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are polynomials in b1,
+so they commute with each other and with b2, and its return arrows are
+the pencil powers C_q = A1^{q-1} A2^{n-q} b2.  The
+binomial theorem then gives C_nu = (nu2 A1 + nu1 A2)^{n-1} b2 = A_nu^{n-1} b2
+= b2, which is why extract(embed(a, nu), nu) = a at every rational chart.
 """
 
 from __future__ import annotations
@@ -142,28 +143,30 @@ def pencil(a1: RationalMatrix, a2: RationalMatrix, nu: NuPoint) -> RationalMatri
     return a1.scale(nu.nu2) + a2.scale(nu.nu1)
 
 
+def _binomial_weighting(mats, nu: NuPoint, zero: RationalMatrix) -> RationalMatrix:
+    """sum_j binom(k, j) nu1^{k-j} nu2^j M_j over the k + 1 matrices M_0 .. M_k
+    (zero when there are none)."""
+    k = len(mats) - 1
+    out = zero
+    for j, m in enumerate(mats):
+        w = comb(k, j) * nu.nu1 ** (k - j) * nu.nu2**j
+        if w:
+            out = out + m.scale(w)
+    return out
+
+
 def pencil_combos(x: HirzRep, nu: NuPoint):
     """The four nu-combinations (A_nu, D_nu, C_nu, I_nu).
 
     A_nu = nu2 A1 + nu1 A2,  D_nu = nu1 A1 - nu2 A2,
-    C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q  (C_1 for n = 1),
+    C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q,
     I_nu = (nu1^2+nu2^2) sum_q binom(n-2, q-1) nu1^{n-q-1} nu2^{q-1} I_q
-    (zero column for n = 1).
+    (a zero column for n = 1, where there is no I_q).
     """
-    n1, n2, n = nu.nu1, nu.nu2, x.n
     a_nu = pencil(x.A1, x.A2, nu)
-    d_nu = x.A1.scale(n1) - x.A2.scale(n2)
-    if n == 1:
-        c_nu = x.C[0]
-        i_nu = RationalMatrix.zeros(x.c0, 1)
-    else:
-        c_nu = RationalMatrix.zeros(x.c0, x.c1)
-        for q in range(1, n + 1):
-            c_nu = c_nu + x.C[q - 1].scale(comb(n - 1, q - 1) * n1 ** (n - q) * n2 ** (q - 1))
-        i_nu = RationalMatrix.zeros(x.c0, 1)
-        for q in range(1, n):
-            i_nu = i_nu + x.I[q - 1].scale(comb(n - 2, q - 1) * n1 ** (n - q - 1) * n2 ** (q - 1))
-        i_nu = i_nu.scale(nu.rho)
+    d_nu = x.A1.scale(nu.nu1) - x.A2.scale(nu.nu2)
+    c_nu = _binomial_weighting(x.C, nu, RationalMatrix.zeros(x.c0, x.c1))
+    i_nu = _binomial_weighting(x.I, nu, RationalMatrix.zeros(x.c0, 1)).scale(nu.rho)
     return a_nu, d_nu, c_nu, i_nu
 
 
@@ -202,56 +205,23 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
     return nu
 
 
-def sigma_matrix(nu: NuPoint, n: int) -> RationalMatrix:
-    """n x n change-of-section-basis matrix for the chart at nu.
-
-    Row p (0-based) holds the coefficients of
-        (nu2 z1 + nu1 z2)^p (nu1 z1 - nu2 z2)^{n-1-p} / (nu1^2+nu2^2)^{n-1}
-    in the basis z1^{n-1-q} z2^q, q = 0 .. n-1.
-    """
-    if n < 1:
-        raise ShapeMismatch("n must be >= 1")
-    # the rows are homogeneous of degree -(n-1) in nu, so they are those of
-    # the integer point [n1 : n2] = den nu, times den^(n-1)
-    den = lcm(nu.nu1.denominator, nu.nu2.denominator)
-    n1, n2 = int(nu.nu1 * den), int(nu.nu2 * den)
-    rows = []
-    for p in range(n):
-        # convolve the two binomial expansions; index = power of z2
-        first = [comb(p, i) * n2 ** (p - i) * n1**i for i in range(p + 1)]
-        m = n - 1 - p
-        second = [comb(m, j) * n1 ** (m - j) * (-n2) ** j for j in range(m + 1)]
-        coeffs = [0] * n
-        for i, fi in enumerate(first):
-            for j, sj in enumerate(second):
-                coeffs[i + j] += fi * sj
-        rows.append([x * den ** (n - 1) for x in coeffs])
-    return RationalMatrix._wrap(rows, (n1 * n1 + n2 * n2) ** (n - 1), n)
-
-
 def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     """Representation of the cycle (b1, b2, e) placed in the chart at nu.
 
     Gauge-normalized so that A_nu = id and D_nu = b1; the C-stack is the
-    sigma-weighted stack of b1-powers times b2, I_q = 0, J = e.
+    pencil powers C_q = A1^{q-1} A2^{n-q} b2, I_q = 0, J = e.
     """
-    rho = nu.rho
     ident = RationalMatrix.identity(a.c)
-    a1 = (ident.scale(nu.nu2) + a.b1.scale(nu.nu1)).scale(Fraction(1) / rho)
-    a2 = (ident.scale(nu.nu1) - a.b1.scale(nu.nu2)).scale(Fraction(1) / rho)
-    sigma = sigma_matrix(nu, n)
-    powers = [ident]
+    inv_rho = Fraction(1) / nu.rho
+    a1 = (ident.scale(nu.nu2) + a.b1.scale(nu.nu1)).scale(inv_rho)
+    a2 = (ident.scale(nu.nu1) - a.b1.scale(nu.nu2)).scale(inv_rho)
+    heads, tails = [ident], [a.b2]  # A1^k and A2^k b2 for k = 0 .. n-1
     for _ in range(n - 1):
-        powers.append(powers[-1] @ a.b1)
-    cs = []
-    for p in range(n):
-        acc = RationalMatrix.zeros(a.c, a.c)
-        for q in range(n):
-            if sigma[p, q] != 0:
-                acc = acc + powers[q].scale(sigma[p, q])
-        cs.append(acc @ a.b2)
+        heads.append(heads[-1] @ a1)
+        tails.append(a2 @ tails[-1])
+    cs = tuple(heads[k] @ tails[n - 1 - k] for k in range(n))
     i_cols = tuple(RationalMatrix.zeros(a.c, 1) for _ in range(n - 1))
-    return HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=tuple(cs), I=i_cols, J=a.e)
+    return HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e)
 
 
 def chart_blocks(x: HirzRep, nu: NuPoint):

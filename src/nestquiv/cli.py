@@ -38,9 +38,7 @@ _EXIT_LABELS = {1: "verification failed", 2: "malformed input", 3: "precondition
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Malformed command-line input; main reports it and returns 2."""
 
 
 def _load_json(path: str):
@@ -48,9 +46,9 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
-        raise _CliFailure(2, f"cannot read {path}: {e}") from None
+        raise _CliFailure(f"cannot read {path}: {e}") from None
     except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
-        raise _CliFailure(2, f"{path} is not valid JSON: {e}") from None
+        raise _CliFailure(f"{path} is not valid JSON: {e}") from None
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -65,17 +63,17 @@ def _emit(report: dict, out: str | None) -> None:
 def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
-        raise _CliFailure(2, f"{what} needs {count} comma-separated rationals, got {text!r}")
+        raise _CliFailure(f"{what} needs {count} comma-separated rationals, got {text!r}")
     try:
         return [rat(p) for p in parts]
     except ValueError as e:
-        raise _CliFailure(2, f"bad rational in {what}: {e}") from None
+        raise _CliFailure(f"bad rational in {what}: {e}") from None
 
 
 def _parse_nu(text: str) -> NuPoint:
     v = _parse_rationals(text, 2, "--nu")
     if v[0] == 0 and v[1] == 0:
-        raise _CliFailure(2, "--nu must be a nonzero direction")
+        raise _CliFailure("--nu must be a nonzero direction")
     return NuPoint(v[0], v[1])
 
 
@@ -95,14 +93,14 @@ def _load_rep(obj):
             return EnhRep.from_json(obj)
         return HirzRep.from_json(obj)
     except (KeyError, TypeError, ValueError, ShapeMismatch) as e:
-        raise _CliFailure(2, f"malformed representation JSON: {e}") from None
+        raise _CliFailure(f"malformed representation JSON: {e}") from None
 
 
 def _load_pair(obj) -> NestedIdealPair:
     try:
         return NestedIdealPair.from_json(obj)
     except (KeyError, TypeError, ValueError, ShapeMismatch, NotAnIdeal) as e:
-        raise _CliFailure(2, f"malformed pair JSON: {e}") from None
+        raise _CliFailure(f"malformed pair JSON: {e}") from None
 
 
 def cmd_check(args) -> int:
@@ -132,7 +130,7 @@ def cmd_convert(args) -> int:
     if args.direction == "rep-to-cycle":
         x = _load_rep(obj)
         if not isinstance(x, EnhRep):
-            raise _CliFailure(2, "rep-to-cycle needs an enhanced representation (cp field)")
+            raise _CliFailure("rep-to-cycle needs an enhanced representation (cp field)")
         theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
         nu = _parse_nu(args.nu) if args.nu else None
         pair = rep_to_nested(x, theta, nu=nu)
@@ -176,7 +174,7 @@ def cmd_roundtrip(args) -> int:
         try:
             names = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
         except OSError as e:
-            raise _CliFailure(2, f"cannot list {args.corpus}: {e}") from None
+            raise _CliFailure(f"cannot list {args.corpus}: {e}") from None
         for name in names:
             cases.append((name, _load_pair(_load_json(os.path.join(args.corpus, name)))))
     else:
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
         return command(args)
     except _CliFailure as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return 2
     except NestquivError as e:
         print(f"{_EXIT_LABELS[e.exit_code]}: {e}", file=sys.stderr)
         return e.exit_code

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .chart import AdhmData, NuPoint, closure_scan, monomial_rows
+from .chart import AdhmData, NuPoint, closure_scan, monomial_rows, transform_chart
 from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, json_count, rat, rat_str, rref
+from .ratmat import RationalMatrix, block_diag, json_count, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,6 @@ class Poly2:
             (m, rat(v)) for m, v in sorted(d.items(), key=lambda kv: deglex_key(kv[0])) if v != 0
         )
         return Poly2(items)
-
-    @staticmethod
-    def from_coeffs(vec, d: int) -> "Poly2":
-        mons = monomials_upto(d)
-        if len(vec) != len(mons):
-            raise ShapeMismatch("coefficient vector has wrong length")
-        return Poly2.from_dict(dict(zip(mons, vec)))
 
     def to_coeffs(self, d: int) -> list[Fraction]:
         mons = monomials_upto(d)
@@ -399,6 +393,11 @@ def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal
     return ZeroCycleIdeal.from_normal_forms(std, nf, d)
 
 
+_FIXED_FIRST = NuPoint(Fraction(1), Fraction(0))
+_FIXED_SECOND = NuPoint(Fraction(0), Fraction(1))
+_FIXED_MIXED = NuPoint(Fraction(1), Fraction(1))
+
+
 def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> list[NestedIdealPair]:
     """All torus-fixed nested pairs of colengths (cp, c).
 
@@ -416,14 +415,15 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
         raise ShapeMismatch("need 0 <= cp <= c")
     if charts not in (1, 2):
         raise ShapeMismatch("charts must be 1 or 2")
-    nu1 = NuPoint(Fraction(1), Fraction(0))
-    nu2 = NuPoint(Fraction(0), Fraction(1))
-    nu_mix = NuPoint(Fraction(1), Fraction(1))
+    # one ideal per cycle and chart: a small cycle recurs under many big ones
+    ideal_at = cache(lambda part1, part2, nu: _fixed_cycle_ideal(part1, part2, nu, n))
     out = []
     for c1 in range(c, -1 if charts == 2 else c - 1, -1):
         c2 = c - c1
+        nu = _FIXED_FIRST if c2 == 0 else _FIXED_SECOND if c1 == 0 else _FIXED_MIXED
         for lam1 in partitions(c1):
             for lam2 in partitions(c2):
+                big = ideal_at(lam1, lam2, nu)
                 for cp1 in range(min(cp, c1), -1, -1):
                     cp2 = cp - cp1
                     if cp2 > c2:
@@ -432,42 +432,32 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
                         if not _partition_contains(lam1, mu1):
                             continue
                         for mu2 in partitions(cp2):
-                            if not _partition_contains(lam2, mu2):
-                                continue
-                            out.append(
-                                _two_chart_pair(lam1, mu1, lam2, mu2, nu1, nu2, nu_mix, n)
-                            )
+                            if _partition_contains(lam2, mu2):
+                                small = ideal_at(mu1, mu2, nu)
+                                out.append(NestedIdealPair(nu=nu, big=big, small=small))
     return out
 
 
-def _two_chart_pair(lam1, mu1, lam2, mu2, nu1, nu2, nu_mix, n: int) -> NestedIdealPair:
-    from .chart import transform_chart
-    from .ratmat import block_diag
-
-    c1, c2 = sum(lam1), sum(lam2)
-    if c2 == 0:
-        return NestedIdealPair(
-            nu=nu1, big=monomial_ideal(lam1), small=monomial_ideal(mu1, d=sum(mu1))
-        )
-    if c1 == 0:
-        return NestedIdealPair(
-            nu=nu2, big=monomial_ideal(lam2), small=monomial_ideal(mu2, d=sum(mu2))
-        )
-
-    def assemble(l1, l2):
-        a1 = adhm_from_ideal(monomial_ideal(l1, d=sum(l1)))
-        a2 = adhm_from_ideal(monomial_ideal(l2, d=sum(l2)))
-        t1 = transform_chart(a1, nu1, nu_mix, n)
-        t2 = transform_chart(a2, nu2, nu_mix, n)
-        joined = AdhmData(
-            c=a1.c + a2.c,
-            b1=block_diag([t1.b1, t2.b1]),
-            b2=block_diag([t1.b2, t2.b2]),
-            e=t1.e.hstack(t2.e),
-        )
-        return ideal_from_adhm(joined)
-
-    return NestedIdealPair(nu=nu_mix, big=assemble(lam1, lam2), small=assemble(mu1, mu2))
+def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
+    """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
+    at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
+    those two charts the other part is empty; in [1, 1] both parts are
+    transported there and summed."""
+    if nu == _FIXED_FIRST:
+        return monomial_ideal(lam1, d=sum(lam1))
+    if nu == _FIXED_SECOND:
+        return monomial_ideal(lam2, d=sum(lam2))
+    parts = [
+        transform_chart(adhm_from_ideal(monomial_ideal(lam, d=sum(lam))), home, nu, n)
+        for lam, home in ((lam1, _FIXED_FIRST), (lam2, _FIXED_SECOND))
+    ]
+    joined = AdhmData(
+        c=sum(lam1) + sum(lam2),
+        b1=block_diag([t.b1 for t in parts]),
+        b2=block_diag([t.b2 for t in parts]),
+        e=parts[0].e.hstack(parts[1].e),
+    )
+    return ideal_from_adhm(joined)
 
 
 def support_approx(a: AdhmData, tol: float = 1e-9):

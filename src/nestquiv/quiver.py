@@ -266,9 +266,8 @@ def act(g: GaugeElement, x: HirzRep | EnhRep):
         raise ShapeMismatch("enhanced action needs all four gauge blocks")
     if g.g3.rows != x.c - x.cp or g.g4.rows != x.c - x.cp:
         raise ShapeMismatch("gauge sizes do not match representation")
-    sub = GaugeElement(g1=g.g1, g2=g.g2)
     return EnhRep(
-        left=act(sub, x.left),
+        left=act(g, x.left),
         cp=x.cp,
         Ap1=g.g4 @ x.Ap1 @ g.inv3,
         Ap2=g.g4 @ x.Ap2 @ g.inv3,

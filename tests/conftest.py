@@ -1,6 +1,12 @@
 from fractions import Fraction
 
+from hypothesis import settings
+
 from nestquiv import EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix
+
+# exact arithmetic runs long on a slow host; no property test has a deadline
+settings.register_profile("nestquiv", deadline=None)
+settings.load_profile("nestquiv")
 
 
 def M(rows, cols=None):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nestquiv import (
     AdhmData,
@@ -23,11 +25,10 @@ from nestquiv import (
     closure_rank,
     find_regular_nu,
     hirz_residuals,
-    sigma_matrix,
     transform_chart,
 )
 from nestquiv.corpus import ideal_of_points, random_gauge, random_points
-from nestquiv.chart import closure_scan, monomial_rows
+from nestquiv.chart import closure_scan, first_regular, monomial_rows
 from nestquiv.ideals import adhm_from_ideal, ideal_from_adhm, monomial_ideal
 from nestquiv.monomials import monomials_upto
 from nestquiv.ratmat import rank
@@ -54,40 +55,45 @@ def test_adhm_requires_commuting():
         AdhmData(c=2, b1=M([[0, 1], [0, 0]]), b2=M([[0, 0], [1, 0]]), e=M([[1, 0]]))
 
 
-def test_sigma_frozen():
-    assert sigma_matrix(nu(1, 0), 2) == RationalMatrix.identity(2)
-    assert sigma_matrix(nu(0, 1), 2) == M([[0, -1], [1, 0]])
-    assert sigma_matrix(nu(7, -3), 1) == M([[1]])
+def _sigma(point, n: int) -> list[list[Fraction]]:
+    """Row p holds the coefficients of
+    (nu2 z1 + nu1 z2)^p (nu1 z1 - nu2 z2)^{n-1-p} / (nu1^2 + nu2^2)^{n-1}
+    in the basis z1^{n-1-q} z2^q, expanded in Fraction arithmetic."""
+    n1, n2 = point.nu1, point.nu2
+    rows = []
+    for p in range(n):
+        coeffs = [Fraction(0)] * n
+        for i in range(p + 1):
+            for j in range(n - p):
+                coeffs[i + j] += (
+                    comb(p, i) * n2 ** (p - i) * n1**i
+                    * comb(n - 1 - p, j) * n1 ** (n - 1 - p - j) * (-n2) ** j
+                )
+        rows.append([x / point.rho ** (n - 1) for x in coeffs])
+    return rows
 
 
-def test_sigma_change_of_basis_identity():
-    # sigma(nu, n) expresses the rotated section basis; rows at p and the
-    # binomial expansion of the defining product must agree entrywise
-    point = nu(1, 2)
-    s = sigma_matrix(point, 3)
-    n1, n2, rho = point.nu1, point.nu2, point.rho
-    # p = 1: (n2 z1 + n1 z2)(n1 z1 - n2 z2) / rho^2
-    row = [n2 * n1 / rho**2, (n1 * n1 - n2 * n2) / rho**2, -n1 * n2 / rho**2]
-    assert list(s.data[1]) == row
-
-
-def test_sigma_matches_its_definition_at_rational_charts():
-    # the integer construction against the defining expansion in Fraction
-    # arithmetic, at charts whose second coordinate is not an integer
+def test_embedded_c_stack_matches_the_sigma_definition():
+    # the pencil powers C_q = A1^(q-1) A2^(n-q) b2 are the sigma-weighted
+    # b1-powers times b2 of the change of section basis, at charts whose
+    # coordinates are not all integers, on gauge-scrambled data
+    rng = random.Random(21)
     for point in (nu(1, 0), nu(0, 1), nu(2, 3), nu(3, -1), nu(-5, 7), nu(4, 1)):
-        n1, n2 = point.nu1, point.nu2
         for n in range(1, 6):
-            want = []
-            for p in range(n):
-                coeffs = [Fraction(0)] * n
-                for i in range(p + 1):
-                    for j in range(n - p):
-                        coeffs[i + j] += (
-                            comb(p, i) * n2 ** (p - i) * n1**i
-                            * comb(n - 1 - p, j) * n1 ** (n - 1 - p - j) * (-n2) ** j
-                        )
-                want.append([x / point.rho ** (n - 1) for x in coeffs])
-            assert sigma_matrix(point, n) == M(want)
+            c = rng.randint(1, 4)
+            a = adhm_from_ideal(ideal_of_points(random_points(rng, c)))
+            g = random_gauge(rng, c)
+            a = AdhmData(c=c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1)
+            powers = [RationalMatrix.identity(c)]
+            for _ in range(n - 1):
+                powers.append(powers[-1] @ a.b1)
+            x = chart_embed(a, point, n)
+            for q, row in enumerate(_sigma(point, n)):
+                want = RationalMatrix.zeros(c, c)
+                for k, s in enumerate(row):
+                    want = want + powers[k].scale(s)
+                assert x.C[q] == want @ a.b2
+            assert all(r.is_zero() for r in hirz_residuals(x))
 
 
 def test_embed_extract_round_trip():
@@ -140,6 +146,34 @@ def test_transform_chart_identity_and_composition():
     there = transform_chart(a, nu(1, 0), nu(1, 1), 3)
     back = transform_chart(there, nu(1, 1), nu(1, 0), 3)
     assert back == a
+
+
+# every chart is [0, 1] or [1, t]
+_chart = st.one_of(
+    st.just(NuPoint(Fraction(0), Fraction(1))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).map(lambda t: NuPoint(Fraction(1), t)),
+)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    _chart,
+    _chart,
+)
+def test_transform_chart_round_trips(seed, c, n, here, there):
+    rng = random.Random(seed)
+    a = adhm_from_ideal(ideal_of_points(random_points(rng, c)))
+    g = random_gauge(rng, c)
+    a = AdhmData(c=c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1)
+    x = chart_embed(a, here, n)
+    # the pencil of the embedded datum is the identity at here
+    assume(first_regular([(x.A1, x.A2)], [there]) is not None)
+    assert transform_chart(a, here, here, n) == a
+    b = transform_chart(a, here, there, n)
+    assert transform_chart(b, there, here, n) == a
 
 
 def test_closure_rank():

@@ -368,7 +368,7 @@ def _mutate(obj, data):
         parent.append(parent[key])
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(sorted(_FUZZ_BASES)), st.data())
 def test_mutated_files_end_with_a_documented_exit(tmp_path, capsys, kind, data):
     obj = json.loads(json.dumps(_FUZZ_BASES[kind]))

@@ -121,7 +121,7 @@ def test_json_round_trip():
 _small = st.integers(min_value=-6, max_value=6)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.lists(_small, min_size=3, max_size=3), min_size=2, max_size=4
@@ -135,7 +135,7 @@ def test_rank_nullity_and_kernel(rows):
         assert (m @ k).is_zero()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(
         st.lists(_small, min_size=3, max_size=3), min_size=3, max_size=3
@@ -153,7 +153,7 @@ _rational = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda cols: st.lists(
@@ -216,7 +216,7 @@ def _from_sym(s):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=0, max_value=8).flatmap(
         lambda k: st.tuples(_matrices(cols=k), _matrices(rows=k))
@@ -227,7 +227,7 @@ def test_matmul_matches_sympy(ab):
     assert a @ b == _from_sym(_sym(a) * _sym(b))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_matrices())
 def test_rank_rref_and_kernel_match_sympy(m):
     s = _sym(m)
@@ -243,7 +243,7 @@ def test_rank_rref_and_kernel_match_sympy(m):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=6).flatmap(lambda n: _matrices(rows=n, cols=n)))
 def test_invert_matches_sympy(m):
     s = _sym(m)
@@ -254,7 +254,7 @@ def test_invert_matches_sympy(m):
         assert invert(m) == _from_sym(s.inv())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.tuples(
         st.integers(min_value=0, max_value=6),
@@ -288,7 +288,7 @@ def _lowest_terms(m):
     return m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=8)).flatmap(
         lambda rc: st.tuples(_matrices(*rc), _matrices(*rc), _entry)
@@ -310,7 +310,7 @@ def test_elementwise_ops_match_sympy(abq):
         assert _lowest_terms(got)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.tuples(
         st.integers(min_value=0, max_value=6),
@@ -342,7 +342,7 @@ def test_stacking_and_selection_match_sympy(parts):
     assert _lowest_terms(sub)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_matrices(), _entry.filter(lambda q: q != 0), st.data())
 def test_equal_values_have_one_representation(m, q, data):
     # the integer rows over one denominator are kept in lowest terms, so
