@@ -55,7 +55,7 @@ from .errors import (
 from .monomials import monomials_upto
 from .quiver import HirzRep
 from .ratmat import (
-    RationalMatrix, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
+    RationalMatrix, _free_rows, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
 )
 
 
@@ -317,9 +317,10 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
 
     incl: k^{c'} -> k^c must be injective and satisfy
         big.b_i incl = incl small.b_i   and   big.e incl = small.e.
-    The quotient projection is the canonical one (identity on the free
-    coordinates of incl's column space), and the induced qb_i are checked
-    to commute and to intertwine quot.
+    quot is the transposed kernel basis of incl^T, the identity at its
+    free columns, so the qb_i with qb_i quot = quot b_i are quot b_i at
+    those columns.  The checks on incl imply it all: rank c' gives c - c'
+    rows, quot incl = 0 makes qb_i exist, and quot onto gives [qb1, qb2] = 0.
     """
     if incl.rows != big.c or incl.cols != small.c:
         raise ShapeMismatch("incl must be c x c'")
@@ -330,20 +331,7 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
             raise NotIntertwining("incl does not intertwine the b's")
     if not (big.e @ incl - small.e).is_zero():
         raise NotIntertwining("incl does not match the covectors")
-    quot = kernel_basis(incl.transpose()).transpose()
-    s = big.c - small.c
-    if quot.rows != s:
-        raise NotInjective("cokernel has wrong dimension")
-    # each row of quot is 1 at its free column, its last nonzero entry;
-    # those columns of the identity are a section of quot
-    free = [max(j for j, x in enumerate(row) if x) for row in quot.num]
-    section = RationalMatrix._wrap([[int(free[j] == i) for j in range(s)] for i in range(big.c)], 1, s)
-    qb = []
-    for b in (big.b1, big.b2):
-        q = quot @ b @ section
-        if not (q @ quot - quot @ b).is_zero():
-            raise NotIntertwining("quotient map is not well-defined")
-        qb.append(q)
-    if not (qb[0] @ qb[1] - qb[1] @ qb[0]).is_zero():
-        raise NotCommuting("[qb1, qb2] != 0")
-    return NestedAdhmData(small=small, big=big, incl=incl, quot=quot, qb1=qb[0], qb2=qb[1])
+    k = kernel_basis(incl.transpose())
+    quot = k.transpose()
+    qb1, qb2 = ((quot @ b).submatrix(range(quot.rows), _free_rows(k)) for b in (big.b1, big.b2))
+    return NestedAdhmData(small=small, big=big, incl=incl, quot=quot, qb1=qb1, qb2=qb2)

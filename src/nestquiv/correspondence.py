@@ -23,9 +23,8 @@ from .chart import (
     chart_extract,
     conversion_sample,
     first_regular,
-    monomial_rows,
 )
-from .errors import BadPair, ChartUnavailable, DomainError, NotStable, ShapeMismatch
+from .errors import BadPair, DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix
@@ -33,36 +32,46 @@ from .stability import EnhThetaParam, is_theta_stable, kernel_subrep
 
 
 def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint) -> NestedIdealPair:
+    """The pair read at nu.  It is nested without a check: kern is the
+    restriction to the kernel bases, so b k1 = k1 b' and e k1 = e' in any
+    chart, the kernel's monomial_rows are the left walk times k1, and
+    big.basis annihilates that walk."""
     big = ideal_from_adhm(chart_extract(x.left, nu))
-    a = chart_extract(kern, nu)
-    small = ideal_from_adhm(a)
-    # nested exactly when big vanishes on the small cycle, in any gauge of a
-    if not (big.basis @ monomial_rows(a.b1, a.b2, a.e, big.d)).is_zero():
-        raise BadPair("extracted cycles are not nested")
+    small = ideal_from_adhm(chart_extract(kern, nu))
     return NestedIdealPair(nu=nu, big=big, small=small)
+
+
+def _require_stable_representations(p: EnhThetaParam, *reps: EnhRep) -> None:
+    """NotStable for the first unstable input, then RelationsViolated,
+    naming the nonzero enh_residuals, for the first that violates them."""
+    for z in reps:
+        verdict = is_theta_stable(z, p)
+        if not verdict.stable:
+            raise NotStable(f"representation is not stable: {verdict.witness}")
+    for z in reps:
+        bad = [i for i, r in enumerate(enh_residuals(z)) if not r.is_zero()]
+        if bad:
+            raise RelationsViolated(f"representation violates the relations: nonzero residuals {bad}")
 
 
 def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> NestedIdealPair:
     """Nested pair of cycles cut out by a Theta-stable representation.
 
     The big cycle comes from the dimension-c part, the small one from the
-    kernel subrepresentation of (F1, F2).  When nu is not given, the
-    chart is the first of [1,0], [0,1], [1,1], ..., [1,c] that is regular
-    for both; a stable pencil has at most c singular directions, so the
-    scan cannot exhaust.  Only the left pencil P is tested: the kernel's
-    P' has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.
+    kernel subrepresentation of (F1, F2).  Raises NotStable, then
+    RelationsViolated for data that are not quiver representations.  When
+    nu is not given, the chart is the first of [1,0], [0,1], [1,1], ...,
+    [1,c] that is regular for both; the scan cannot exhaust, as it holds
+    regular_sample(c), where the stable verdict found a regular chart.
+    Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
+    (kernel bases k1, k2), so it is regular with P.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-    verdict = is_theta_stable(x, p)
-    if not verdict.stable:
-        raise NotStable(f"representation is not stable: {verdict.witness}")
+    _require_stable_representations(p, x)
     kern = kernel_subrep(x)
-    if nu is not None:
-        return _pair_at(x, kern, nu)
-    nu = first_regular([(x.left.A1, x.left.A2)], conversion_sample(x.c))
     if nu is None:
-        raise ChartUnavailable("no regular chart among the candidate sample")
+        nu = first_regular([(x.left.A1, x.left.A2)], conversion_sample(x.c))
     return _pair_at(x, kern, nu)
 
 
@@ -108,20 +117,17 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
 
     Stable orbits are separated by their nested cycles, so the test
     extracts both pairs in a chart regular for the two pencils at once and
-    compares the ideals entrywise.  Raises NotStable if either input
-    fails the stability check.
+    compares the ideals entrywise.  Raises NotStable, then
+    RelationsViolated, if either input fails.  The common chart exists:
+    the 2c + 3 candidates outnumber the at most 2c roots of the two
+    pencil determinants, nonzero forms of degree c as both are stable.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    for z in (x, y):
-        verdict = is_theta_stable(z, p)
-        if not verdict.stable:
-            raise NotStable(f"representation is not stable: {verdict.witness}")
+    _require_stable_representations(p, x, y)
     kx, ky = kernel_subrep(x), kernel_subrep(y)
     nu = first_regular([(z.left.A1, z.left.A2) for z in (x, y)], conversion_sample(2 * x.c + 1))
-    if nu is None:
-        raise ChartUnavailable("no common regular chart among the candidate sample")
     px, py = _pair_at(x, kx, nu), _pair_at(y, ky, nu)
     return px.big == py.big and px.small == py.small

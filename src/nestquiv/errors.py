@@ -90,11 +90,6 @@ class BadPair(NestquivError):
     exit_code = 1
 
 
-class ChartUnavailable(NestquivError):
-    """No sampled chart is regular for the requested object."""
-    exit_code = 3
-
-
 class NotStable(NestquivError):
     """Operation requires a stable representation."""
     exit_code = 1

@@ -25,11 +25,11 @@ from .errors import (
     IrregularPencil,
     NotCommuting,
     NotFixedForm,
+    NotWellDefined,
     ShapeMismatch,
-    Singular,
 )
 from .quiver import EnhRep, HirzRep
-from .ratmat import RationalMatrix, json_rat, kernel_basis, rank, rat, rat_str, solve_right
+from .ratmat import RationalMatrix, _free_rows, json_rat, kernel_basis, rank, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -171,29 +171,30 @@ def kernel_subrep(x: EnhRep) -> HirzRep:
     Well-defined because A_i(ker F1) <= ker F2, C_t(ker F2) <= ker F1 and
     Im I_q <= ker F1 whenever the intertwining relations hold; violations
     raise NotWellDefined.  Bases are the canonical kernel bases, so the
-    output is deterministic.
+    output is deterministic.  A kernel basis K is the identity at its free
+    rows, so the only X with K X = M is M at those rows: each arrow is read
+    there, and one product K X == M per arrow checks that it is a solution.
     """
-    from .errors import NotWellDefined
-
     k1 = kernel_basis(x.F1)
     k2 = kernel_basis(x.F2)
+    free1, free2 = _free_rows(k1), _free_rows(k2)
     l = x.left
 
-    def restrict(big: RationalMatrix, into: RationalMatrix, src: RationalMatrix, name: str):
-        try:
-            return solve_right(into, big @ src)
-        except Singular:
-            raise NotWellDefined(f"{name} does not preserve the kernels") from None
+    def read(k: RationalMatrix, free: list[int], m: RationalMatrix, message: str):
+        out = m.submatrix(free, range(m.cols))
+        if k @ out != m:
+            raise NotWellDefined(message)
+        return out
 
-    a1 = restrict(l.A1, k2, k1, "A1")
-    a2 = restrict(l.A2, k2, k1, "A2")
-    cs = tuple(restrict(ct, k1, k2, f"C{t}") for t, ct in enumerate(l.C, start=1))
-    iqs = []
-    for q, iq in enumerate(l.I, start=1):
-        try:
-            iqs.append(solve_right(k1, iq))
-        except Singular:
-            raise NotWellDefined(f"I{q} does not land in ker F1") from None
+    a1 = read(k2, free2, l.A1 @ k1, "A1 does not preserve the kernels")
+    a2 = read(k2, free2, l.A2 @ k1, "A2 does not preserve the kernels")
+    cs = tuple(
+        read(k1, free1, ct @ k2, f"C{t} does not preserve the kernels")
+        for t, ct in enumerate(l.C, start=1)
+    )
+    iqs = tuple(
+        read(k1, free1, iq, f"I{q} does not land in ker F1") for q, iq in enumerate(l.I, start=1)
+    )
     return HirzRep(
         n=l.n,
         c0=k1.cols,
@@ -201,7 +202,7 @@ def kernel_subrep(x: EnhRep) -> HirzRep:
         A1=a1,
         A2=a2,
         C=cs,
-        I=tuple(iqs),
+        I=iqs,
         J=l.J @ k1,
     )
 

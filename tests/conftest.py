@@ -1,8 +1,12 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import settings
 
-from nestquiv import EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix
+from nestquiv import EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix, act, nested_to_rep
+from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
+from nestquiv.ratmat import kernel_basis
 
 # exact arithmetic runs long on a slow host; no property test has a deadline
 settings.register_profile("nestquiv", deadline=None)
@@ -85,3 +89,39 @@ def injected_family(n: int) -> EnhRep:
         F1=M([[0, 1]]),
         F2=M([[0, 1]]),
     )
+
+
+def _small_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix.from_rows(
+        [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+def perturbed_rep(rng: random.Random, c: int, n: int, preserving: bool) -> EnhRep:
+    """A gauge-scrambled representation of a random nested pair (any c' < c,
+    any of the three anchored charts) whose left arrows are each perturbed
+    with probability 1/2.  A preserving perturbation adds k2 W to A_p and
+    k1 W to C_t and I_q (k1, k2 the kernel bases of F1, F2), so every arrow
+    still maps the kernels into each other; otherwise it adds an arbitrary
+    matrix.  Either way the relations may fail."""
+    cp = rng.randint(1, c - 1)
+    pair = random_nested_pair(rng, c, cp, rng.choice([CHART_FIRST, CHART_SECOND, CHART_MIXED]))
+    x = act(random_gauge(rng, c, c - cp), nested_to_rep(pair, n))
+    k1, k2 = kernel_basis(x.F1), kernel_basis(x.F2)
+
+    def moved(m: RationalMatrix, k: RationalMatrix) -> RationalMatrix:
+        if rng.random() < 0.5:
+            return m
+        if preserving:
+            return m + k @ _small_matrix(rng, k.cols, m.cols)
+        return m + _small_matrix(rng, m.rows, m.cols)
+
+    l = x.left
+    left = replace(
+        l,
+        A1=moved(l.A1, k2),
+        A2=moved(l.A2, k2),
+        C=tuple(moved(ct, k1) for ct in l.C),
+        I=tuple(moved(iq, k1) for iq in l.I),
+    )
+    return replace(x, left=left)

@@ -23,11 +23,14 @@ from nestquiv import (
     chart_embed,
     chart_extract,
     closure_rank,
+    enumerate_nested_monomial,
     find_regular_nu,
     hirz_residuals,
+    inclusion_matrix,
+    partitions,
     transform_chart,
 )
-from nestquiv.corpus import ideal_of_points, random_gauge, random_points
+from nestquiv.corpus import ideal_of_points, random_gauge, random_nested_pair, random_points
 from nestquiv.chart import closure_scan, first_regular, monomial_rows
 from nestquiv.ideals import adhm_from_ideal, ideal_from_adhm, monomial_ideal
 from nestquiv.monomials import monomials_upto
@@ -232,6 +235,49 @@ def test_canonical_form_matches_ideal_gauge():
                 c=c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1
             )
             assert canonical_form(scrambled) == a
+
+
+def _moved(a: AdhmData, g) -> AdhmData:
+    """The datum g a g^-1, with e g^-1, for a gauge element's g1."""
+    return AdhmData(c=a.c, b1=g.g1 @ a.b1 @ g.inv1, b2=g.g1 @ a.b2 @ g.inv1, e=a.e @ g.inv1)
+
+
+def _costable_ideal(rng: random.Random, c: int, monomial: bool):
+    if monomial:
+        return monomial_ideal(rng.choice(partitions(c)))
+    return ideal_of_points(random_points(rng, c))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6), st.booleans())
+def test_canonical_form_is_gauge_invariant(seed, c, monomial):
+    rng = random.Random(seed)
+    a = adhm_from_ideal(_costable_ideal(rng, c, monomial))
+    forms = {canonical_form(_moved(a, random_gauge(rng, c))) for _ in range(2)}
+    assert forms == {a}
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=5), st.booleans())
+def test_build_nested_adhm_quotient_is_a_datum(seed, c, monomial):
+    # the quotient facts build_nested_adhm leaves to its checks on incl, on
+    # nested data moved by gauges g (big) and h (small), incl -> g incl h^-1
+    rng = random.Random(seed)
+    cp = rng.randint(1, c - 1)
+    if monomial:
+        pair = rng.choice(enumerate_nested_monomial(cp, c))
+    else:
+        pair = random_nested_pair(rng, c, cp)
+    g, h = random_gauge(rng, c), random_gauge(rng, cp)
+    big = _moved(adhm_from_ideal(pair.big), g)
+    small = _moved(adhm_from_ideal(pair.small), h)
+    incl = g.g1 @ inclusion_matrix(pair.big, pair.small) @ h.inv1
+    nested = build_nested_adhm(small, big, incl)
+    quot, qb = nested.quot, (nested.qb1, nested.qb2)
+    assert quot.rows == c - cp and (quot @ incl).is_zero()
+    for q, b in zip(qb, (big.b1, big.b2)):
+        assert q @ quot == quot @ b
+    assert qb[0] @ qb[1] == qb[1] @ qb[0]
 
 
 def test_find_regular_nu():

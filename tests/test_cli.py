@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nestquiv import (
     BadPair,
-    ChartUnavailable,
     ConeViolation,
     DomainError,
     ExcludedLocus,
@@ -182,7 +181,6 @@ DOCUMENTED_EXIT = {
     RelationsViolated: 1,
     Singular: 1,
     ShapeMismatch: 2,
-    ChartUnavailable: 3,
     ConeViolation: 3,
     DomainError: 3,
     ExcludedLocus: 3,

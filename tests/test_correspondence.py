@@ -1,23 +1,33 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from nestquiv import (
     DomainError,
     NestedIdealPair,
+    NestquivError,
     NotStable,
+    RationalMatrix,
+    RelationsViolated,
     ShapeMismatch,
     SingularAnu,
     act,
+    contains,
     default_theta,
     enh_residuals,
+    ideal_from_adhm,
     monomial_ideal,
     nested_to_rep,
     rep_to_nested,
     same_orbit,
 )
-from nestquiv.chart import conversion_sample, pencil
+from nestquiv.chart import chart_extract, conversion_sample, first_regular, pencil
+from nestquiv.cli import main
 from nestquiv.corpus import (
     CHART_FIRST,
     CHART_MIXED,
@@ -27,10 +37,10 @@ from nestquiv.corpus import (
     random_nested_pair,
 )
 
-from nestquiv.ratmat import rank
+from nestquiv.ratmat import kernel_basis, rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import M, nu
+from conftest import M, nu, perturbed_rep
 
 
 def hand_pair() -> NestedIdealPair:
@@ -161,3 +171,60 @@ def test_kernel_pencil_is_regular_where_the_left_pencil_is():
                     tried += 1
                     assert rank(pencil(kern.A1, kern.A2, cand)) == cp
     assert tried and singular
+
+
+def _violating_rep():
+    """A valid representation and a stable copy whose left C2 breaks the
+    relations but still maps ker F2 into ker F1; the [1,0] readings use
+    only C1, so the copy reads as a pair unless the relations are checked."""
+    rng = random.Random(3)
+    pair = random_nested_pair(rng, 3, 1, CHART_FIRST)
+    x = act(random_gauge(rng, 3, 2), nested_to_rep(pair, 2))
+    cs = list(x.left.C)
+    cs[1] = cs[1] + kernel_basis(x.F1) @ RationalMatrix([[1, 2, -1]])
+    return x, replace(x, left=replace(x.left, C=tuple(cs)))
+
+
+def test_conversions_reject_violated_relations():
+    x, bad = _violating_rep()
+    p = default_theta(3, 1)
+    assert [i for i, r in enumerate(enh_residuals(bad)) if not r.is_zero()] == [0, 1]
+    for convert in (lambda: rep_to_nested(bad, p), lambda: same_orbit(bad, x, p),
+                    lambda: same_orbit(x, bad, p)):
+        with pytest.raises(RelationsViolated, match=r"nonzero residuals \[0, 1\]"):
+            convert()
+
+
+def test_convert_rep_to_cycle_rejects_violated_relations(tmp_path, capsys):
+    _, bad = _violating_rep()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json()))
+    assert main(["check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["nonzero_residuals"] == [0, 1]
+    assert main(["convert", "rep-to-cycle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonzero residuals [0, 1]" in captured.err
+
+
+# about one draw in eight keeps both readings: in the chart [1,0] they
+# read only A1, A2 and C1, each left unperturbed with probability 1/2
+@settings(max_examples=25, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=3),
+)
+def test_kernel_readings_are_nested(seed, c, n):
+    # wherever both chart readings of a kernel-preserving datum succeed,
+    # the big ideal lies in the small one, which _pair_at relies on unchecked
+    x = perturbed_rep(random.Random(seed), c, n, preserving=True)
+    kern = kernel_subrep(x)
+    nu0 = first_regular([(x.left.A1, x.left.A2)], conversion_sample(c))
+    assume(nu0 is not None)
+    try:
+        big = ideal_from_adhm(chart_extract(x.left, nu0))
+        small = ideal_from_adhm(chart_extract(kern, nu0))
+    except NestquivError:
+        assume(False)
+    assert contains(big, small)

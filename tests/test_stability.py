@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestquiv import (
     ConeViolation,
@@ -10,6 +13,7 @@ from nestquiv import (
     HirzRep,
     NotFixedForm,
     NotWellDefined,
+    Singular,
     default_theta,
     hirz_residuals,
     in_enh_cone,
@@ -20,8 +24,9 @@ from nestquiv import (
     kernel_subrep,
     oracle_semistable_fixed,
 )
+from nestquiv.ratmat import kernel_basis, solve_right
 
-from conftest import M, injected_family, point_rep, theta_triple
+from conftest import M, injected_family, perturbed_rep, point_rep, theta_triple
 
 
 def e3_rep() -> EnhRep:
@@ -156,6 +161,48 @@ def test_kernel_subrep_framing_outside_kernel():
     )
     with pytest.raises(NotWellDefined, match="I1 does not land in ker F1"):
         kernel_subrep(x)
+
+
+def _solved_kernel_subrep(x: EnhRep) -> HirzRep:
+    """kernel_subrep by solving K X = M for every arrow."""
+    k1, k2 = kernel_basis(x.F1), kernel_basis(x.F2)
+    l = x.left
+
+    def solve(k, m, message):
+        try:
+            return solve_right(k, m)
+        except Singular:
+            raise NotWellDefined(message) from None
+
+    return HirzRep(
+        n=l.n, c0=k1.cols, c1=k2.cols,
+        A1=solve(k2, l.A1 @ k1, "A1 does not preserve the kernels"),
+        A2=solve(k2, l.A2 @ k1, "A2 does not preserve the kernels"),
+        C=[solve(k1, ct @ k2, f"C{t} does not preserve the kernels") for t, ct in enumerate(l.C, 1)],
+        I=[solve(k1, iq, f"I{q} does not land in ker F1") for q, iq in enumerate(l.I, 1)],
+        J=l.J @ k1,
+    )
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except NotWellDefined as e:
+        return str(e)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+)
+def test_kernel_subrep_reads_what_solving_finds(seed, c, n, preserving):
+    # reading the kernels at their free rows returns the solved restriction
+    # and fails with the same message wherever solving fails
+    x = perturbed_rep(random.Random(seed), c, n, preserving)
+    assert _outcome(kernel_subrep, x) == _outcome(_solved_kernel_subrep, x)
 
 
 def test_oracle_plain():
