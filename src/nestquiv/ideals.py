@@ -441,8 +441,8 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
 def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
     """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
     at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
-    those two charts the other part is empty; in [1, 1] both parts are
-    transported there and summed."""
+    those two charts the other part is empty; in [1, 1] the nonempty parts
+    are transported there and summed."""
     if nu == _FIXED_FIRST:
         return monomial_ideal(lam1, d=sum(lam1))
     if nu == _FIXED_SECOND:
@@ -450,12 +450,13 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
     parts = [
         transform_chart(adhm_from_ideal(monomial_ideal(lam, d=sum(lam))), home, nu, n)
         for lam, home in ((lam1, _FIXED_FIRST), (lam2, _FIXED_SECOND))
+        if lam
     ]
     joined = AdhmData(
         c=sum(lam1) + sum(lam2),
         b1=block_diag([t.b1 for t in parts]),
         b2=block_diag([t.b2 for t in parts]),
-        e=parts[0].e.hstack(parts[1].e),
+        e=RationalMatrix.row([v for t in parts for v in t.e.data[0]]),
     )
     return ideal_from_adhm(joined)
 

@@ -15,8 +15,12 @@ the complex is
     P = y2_nu^n s_e Id + b2^T s_inf,   Q = y1_nu Id + b1^T y2_nu,   R = -I_nu^T y2_nu,
 
 with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
-`MonadComplex` holds the blocks and the four forms y1_nu, y2_nu,
-y2_nu^n s_e, s_inf.  For any data beta . alpha collapses to
+`MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
+y2_nu^n s_e, s_inf off nu and n: `_forms` is their one definition, taken
+on the CoxPoly variables for the entries and on the four rationals of a
+point for a fiber.  `fiber_ranks` ranks the c x c blocks Q and P first
+and builds alpha and beta only where both are singular.  For any data
+beta . alpha collapses to
 s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T = s_inf y2_nu (C_nu D_nu
 - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The quiver relations force this to
 vanish; the exact vanishing condition across all charts is the smaller
@@ -95,15 +99,16 @@ class CoxPoly:
     def __mul__(self, other: "CoxPoly") -> "CoxPoly":
         return cox_mul(self, other)
 
-
     def pow(self, k: int) -> "CoxPoly":
         out = CoxPoly.constant(1)
         for _ in range(k):
             out = cox_mul(out, self)
         return out
 
+    __pow__ = pow
+
     def evaluate(self, pt) -> Fraction:
-        vals = [rat(v) for v in pt]
+        vals = _point(pt)
         total = Fraction(0)
         for m, c in self.terms:
             prod = c
@@ -154,18 +159,35 @@ def cox_mul(f: CoxPoly, g: CoxPoly) -> CoxPoly:
     return CoxPoly.from_dict(d)
 
 
+def _point(pt) -> tuple:
+    """The coordinates (y1, y2, s_e, s_inf) of a point as rationals; any
+    other number of coordinates raises ShapeMismatch."""
+    vals = tuple(rat(v) for v in pt)
+    if len(vals) != 4:
+        raise ShapeMismatch(f"a point has the four coordinates y1, y2, s_e, s_inf, got {len(vals)}")
+    return vals
+
+
 Y1 = CoxPoly.variable(0)
 Y2 = CoxPoly.variable(1)
 SE = CoxPoly.variable(2)
 SINF = CoxPoly.variable(3)
 
 
+def _forms(nu: NuPoint, n: int, y1, y2, se, sinf) -> tuple:
+    """The four forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) of the chart nu on
+    the surface of index n, from the coordinates: CoxPoly variables or the
+    rationals of one point."""
+    w = nu.nu1 * y2 - nu.nu2 * y1
+    return nu.nu1 * y1 + nu.nu2 * y2, w, w**n * se, sinf
+
+
 @dataclass(frozen=True)
 class MonadComplex:
-    """The monad in the chart nu as its blocks b1, b2, I_nu (c x 1), J (1 x c)
-    and its forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) as CoxPoly; alpha and
-    beta as CoxPoly matrices, (2c+1) x c and c x (2c+1), are the derived
-    `Amat` and `Bmat`."""
+    """The monad in the chart nu as its blocks b1, b2, I_nu (c x 1), J (1 x c);
+    its forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) as CoxPoly are read from nu
+    and n, and alpha and beta as CoxPoly matrices, (2c+1) x c and
+    c x (2c+1), are the derived `Amat` and `Bmat`."""
 
     n: int
     c: int
@@ -174,7 +196,10 @@ class MonadComplex:
     b2: RationalMatrix
     i_nu: RationalMatrix
     J: RationalMatrix
-    forms: tuple
+
+    @cached_property
+    def forms(self) -> tuple:
+        return _forms(self.nu, self.n, Y1, Y2, SE, SINF)
 
     @cached_property
     def _alpha_beta(self) -> tuple:
@@ -200,6 +225,16 @@ class MonadComplex:
         }
 
 
+def _shifted(block, diag, off) -> list:
+    """diag Id + block^T off as row lists, for a square block as row lists:
+    P from (b2, y2_nu^n s_e, s_inf) and Q from (b1, y1_nu, y2_nu)."""
+    c = len(block)
+    out = [[block[j][i] * off for j in range(c)] for i in range(c)]
+    for i in range(c):
+        out[i][i] = out[i][i] + diag
+    return out
+
+
 def _assemble(blocks, forms):
     """alpha = [P; Q; R] and beta = [Q | -P | J^T s_inf] as row lists, from
     the blocks (b1, b2, I_nu, J) as row lists and the values of the four
@@ -207,24 +242,18 @@ def _assemble(blocks, forms):
     y1n, y2n, lead, sinf = forms
     b1, b2, i_nu, j_row = blocks
     c = len(b1)
-    p = [[b2[j][i] * sinf for j in range(c)] for i in range(c)]
-    q = [[b1[j][i] * y2n for j in range(c)] for i in range(c)]
-    for i in range(c):
-        p[i][i] = p[i][i] + lead
-        q[i][i] = q[i][i] + y1n
+    p, q = _shifted(b2, lead, sinf), _shifted(b1, y1n, y2n)
     r = [-i_nu[j][0] * y2n for j in range(c)]
     beta = [q[i] + [-v for v in p[i]] + [j_row[0][i] * sinf] for i in range(c)]
     return p + q + [r], beta
 
 
 def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
-    """Monad of x in the chart at nu: the blocks of chart_blocks and the
-    forms.  Needs c0 = c1 and A_nu invertible; the relations are NOT
-    assumed (check_complex is the relation test)."""
+    """Monad of x in the chart at nu: the blocks of chart_blocks.  Needs
+    c0 = c1 and A_nu invertible; the relations are NOT assumed
+    (check_complex is the relation test)."""
     b1, b2, i_nu = chart_blocks(x, nu)
-    y2n = Y1.scale(-nu.nu2) + Y2.scale(nu.nu1)
-    forms = (Y1.scale(nu.nu1) + Y2.scale(nu.nu2), y2n, cox_mul(y2n.pow(x.n), SE), SINF)
-    return MonadComplex(n=x.n, c=x.c0, nu=nu, b1=b1, b2=b2, i_nu=i_nu, J=x.J, forms=forms)
+    return MonadComplex(n=x.n, c=x.c0, nu=nu, b1=b1, b2=b2, i_nu=i_nu, J=x.J)
 
 
 def check_complex(m: MonadComplex):
@@ -269,20 +298,30 @@ def complex_residuals(x: HirzRep) -> list[RationalMatrix]:
 def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     """Exact ranks of (alpha, beta) at a point (y1, y2, s_e, s_inf).
 
-    Points with y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and
-    raise ExcludedLocus.
+    alpha = [P; Q; R] has c columns and holds the rows of Q, and
+    beta = [Q | -P | J^T s_inf] has c rows and holds the columns of Q, so
+    an invertible Q gives exactly (c, c); so does an invertible P.  The
+    c x c block Q is ranked first, then P where Q is singular, and alpha
+    and beta are built and ranked only where both are singular.
+
+    A point that is not four coordinates raises ShapeMismatch.  Points with
+    y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and raise
+    ExcludedLocus.
     """
-    vals = tuple(rat(v) for v in pt)
+    vals = _point(pt)
     if vals[0] == 0 and vals[1] == 0:
         raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
     if vals[2] == 0 and vals[3] == 0:
         raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
     blocks, d = m._integer_blocks
-    forms = [f.evaluate(vals) for f in m.forms]
+    forms = _forms(m.nu, m.n, *vals)
     den = lcm(*(v.denominator for v in forms))
     y1n, y2n, lead, sinf = (v.numerator * (den // v.denominator) for v in forms)
-    # blocks over d and forms over den: alpha and beta scaled by d * den,
-    # which keeps their ranks, once the identity terms carry the d
+    # blocks over d and forms over den: P, Q, alpha and beta scaled by
+    # d * den, which keeps their ranks, once the identity terms carry the d
+    for block, diag, off in ((blocks[0], d * y1n, y2n), (blocks[1], d * lead, sinf)):
+        if rank(RationalMatrix._wrap(_shifted(block, diag, off), 1, m.c)) == m.c:
+            return m.c, m.c
     alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
     return (
         rank(RationalMatrix._wrap(alpha, 1, m.c)),

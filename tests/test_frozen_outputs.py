@@ -1,4 +1,4 @@
-"""Byte-level identity of the enumeration and of the conversions.
+"""Byte-level identity of the enumeration, the conversions and monad-check.
 
 Each test hashes the sorted-key JSON of many outputs, so any change to a
 canonical basis, a chart choice or a serialized byte shows as a new digest.
@@ -7,9 +7,28 @@ canonical basis, a chart choice or a serialized byte shows as a new digest.
 import hashlib
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 
-from nestquiv import act, default_theta, enumerate_nested_monomial, nested_to_rep, rep_to_nested
-from nestquiv.corpus import random_gauge
+from nestquiv import (
+    act,
+    adhm_from_ideal,
+    chart_embed,
+    default_theta,
+    enumerate_nested_monomial,
+    nested_to_rep,
+    rep_to_nested,
+)
+from nestquiv.cli import main
+from nestquiv.corpus import (
+    CHART_FIRST,
+    CHART_MIXED,
+    CHART_SECOND,
+    ideal_of_points,
+    random_gauge,
+    random_hirz_stable,
+)
+from nestquiv.ratmat import RationalMatrix
 from nestquiv.stability import kernel_subrep
 
 
@@ -45,3 +64,41 @@ def test_conversion_digest():
                     count += 1
     assert count == 432
     assert h.hexdigest() == "01ba76521255de98eb180a89e10b0b75a29d985e87afbd8ad03ad93cb078bcbf"
+
+
+def _single_entry_mutant(rng, x):
+    """x with one entry of A1, A2, J, a C_q or an I_q moved by 1..3."""
+    slots = [("A1", None), ("A2", None), ("J", None)]
+    slots += [("C", q) for q in range(len(x.C))] + [("I", q) for q in range(len(x.I))]
+    field, q = rng.choice(slots)
+    old = getattr(x, field)
+    m = old if q is None else old[q]
+    rows = [list(row) for row in m.data]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.randint(1, 3)
+    moved = RationalMatrix.from_rows(rows, cols=m.cols)
+    return replace(x, **{field: moved if q is None else old[:q] + (moved,) + old[q + 1 :]})
+
+
+def test_monad_check_digest(tmp_path, capsys):
+    """Exit code and stdout of monad-check on seeded plain stable
+    representations, single-entry mutants of them and a cycle on the
+    sample fibers, each in its scanned chart and at nu = [1, 1/2]."""
+    rng = random.Random(11)
+    charts = (CHART_FIRST, CHART_SECOND, CHART_MIXED)
+    reps = []
+    for n in range(1, 4):
+        for c in range(2, 6):
+            x = random_hirz_stable(rng, c, n, charts[(n + c) % 3])
+            reps += [x, _single_entry_mutant(rng, x)]
+        # support on the sample fibers, where Q and then P turn singular
+        pts = [(Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(-2)), (Fraction(1), Fraction(-1, 2))]
+        reps.append(chart_embed(adhm_from_ideal(ideal_of_points(pts)), CHART_FIRST, n))
+    h = hashlib.sha256()
+    path = tmp_path / "rep.json"
+    for x in reps:
+        path.write_text(json.dumps(x.to_json()))
+        for extra in ([], ["--nu", "1,1/2"]):
+            code = main(["monad-check", str(path), *extra])
+            h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(reps) == 27
+    assert h.hexdigest() == "66a7dfea94aad198397bfd2cd3325bde998239cbf13b8484bc5f68499d1791b4"

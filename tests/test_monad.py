@@ -171,6 +171,50 @@ def test_fiber_ranks_drop_on_fractional_blocks():
         assert fiber_ranks(m, pt) == (rank(M(alpha)), rank(M(beta)))
 
 
+def test_points_need_four_coordinates():
+    m = build_monad(point_rep(), nu(1, 0))
+    for pt in ((1, 0, 1), (1, 0, 1, 1, 1)):
+        with pytest.raises(ShapeMismatch):
+            fiber_ranks(m, pt)
+        with pytest.raises(ShapeMismatch):
+            SINF.evaluate(pt)
+
+
+def test_fiber_ranks_take_each_branch(monkeypatch):
+    # on a reduced cycle embedded at [1, 0], Q = y1 + b1^T y2 is singular
+    # on the fiber y1 = -x y2 of a support point (x, y), and P = y2^n s_e
+    # + b2^T s_inf where also s_e = -y s_inf; moving off either by 1/7
+    # leaves an invertible block.  Each rank pair is the entrywise one, and
+    # the number of rank calls tells the branch: Q, then P, then alpha and beta.
+    calls = []
+
+    def counted(mat):
+        calls[-1] += 1
+        return rank(mat)
+
+    monkeypatch.setattr("nestquiv.monad.rank", counted)
+    taken = set()
+    shift = Fraction(1, 7)
+    for seed in range(4):
+        for c in (2, 3, 5):
+            pts = random_points(random.Random(seed), c)
+            for n in (1, 2, 3):
+                m = build_monad(chart_embed(adhm_from_ideal(ideal_of_points(pts)), nu(1, 0), n), nu(1, 0))
+                for x, y in pts:
+                    for pt, want in (
+                        ((-x, 1, -y, 1), (c - 1, c)),
+                        ((-x, 1, -y + shift, 1), (c, c)),
+                        ((-x + shift, 1, -y, 1), (c, c)),
+                    ):
+                        calls.append(0)
+                        got = fiber_ranks(m, pt)
+                        taken.add(calls[-1])
+                        alpha = [[p.evaluate(pt) for p in row] for row in m.Amat]
+                        beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
+                        assert got == want == (rank(M(alpha)), rank(M(beta)))
+    assert taken == {1, 2, 4}
+
+
 def test_excluded_locus():
     m = build_monad(point_rep(), nu(1, 0))
     with pytest.raises(ExcludedLocus):
