@@ -24,7 +24,7 @@ from .chart import (
     conversion_sample,
     first_regular,
 )
-from .errors import BadPair, DomainError, NotStable, RelationsViolated, ShapeMismatch
+from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix
@@ -83,7 +83,8 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     the quotient datum supplies the dimension-c' arrows.  The output uses
     the pair's own chart, so converting back with rep_to_nested returns
     the pair verbatim whenever its chart is the first regular candidate
-    (always true for pairs this package produces).
+    (always true for pairs this package produces).  The relations hold with
+    no check: C_q = A1^(q-1) A2^(n-q) b2 and quot b_i = qb_i quot.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
@@ -97,7 +98,7 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     left = chart_embed(big, pair.nu, n)
     zero_e = RationalMatrix.zeros(1, c - cp)
     quot_rep = chart_embed(AdhmData(c - cp, nested.qb1, nested.qb2, zero_e), pair.nu, n)
-    x = EnhRep(
+    return EnhRep(
         left=left,
         cp=cp,
         Ap1=quot_rep.A1,
@@ -106,10 +107,6 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
         F1=nested.quot,
         F2=nested.quot,
     )
-    bad = [r for r in enh_residuals(x) if not r.is_zero()]
-    if bad:
-        raise BadPair("internal error: spliced representation violates the relations")
-    return x
 
 
 def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:

@@ -80,11 +80,6 @@ class NotAnIdeal(NestquivError):
     exit_code = 1
 
 
-class IllConditioned(NestquivError):
-    """Floating-point clustering is ambiguous at the requested tolerance."""
-    exit_code = 3
-
-
 class BadPair(NestquivError):
     """A nested ideal pair violates containment or colength bookkeeping."""
     exit_code = 1

@@ -25,7 +25,8 @@ Conventions frozen here:
     dictionary is `chart.closure_scan` (normal forms read off one
     elimination of the walk), then `from_normal_forms`, and
     `canonical_form` is the round trip through the ideal.  `contains` and
-    `inclusion_matrix` evaluate on the walk.
+    `inclusion_matrix` evaluate on the walk;
+  * `support` reads a cycle's points and lengths off its datum's traces.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
+from operator import matmul, mul
 
 from .chart import AdhmData, NuPoint, closure_scan, monomial_rows, transform_chart
-from .errors import BadPair, IllConditioned, NotAnIdeal, NotCostable, ShapeMismatch
+from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, block_diag, json_count, rat, rat_str, rref
+from .ratmat import RationalMatrix, block_diag, json_count, kernel_basis, rank, rat, rat_str, rref
 
 
 @dataclass(frozen=True)
@@ -381,7 +384,10 @@ def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal
     """Ideal whose staircase is the Young diagram of the partition:
     x^a y^b lies in the ideal iff a >= lam[b] (rows beyond the diagram have
     width zero).  The diagram's cells are the standard monomials, each its
-    own normal form, and every other monomial reduces to zero."""
+    own normal form, and every other monomial reduces to zero.  A lam that
+    is not a partition raises ShapeMismatch."""
+    if any(not isinstance(p, int) or p < 1 for p in lam) or any(p < q for p, q in zip(lam, lam[1:])):
+        raise ShapeMismatch(f"{lam} is not a partition: parts must be positive and weakly decreasing")
     c = sum(lam)
     if d is None:
         d = c
@@ -461,60 +467,57 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
     return ideal_from_adhm(joined)
 
 
-def support_approx(a: AdhmData, tol: float = 1e-9):
-    """Approximate support of the cycle: joint eigenvalue pairs of (b1, b2)
-    with multiplicities, via a complex Schur flag of a fixed generic
-    combination.  Floating point is quarantined to this function.
+def _trace(a: RationalMatrix, b: RationalMatrix) -> Fraction:
+    """Tr(a @ b), without forming the product."""
+    return Fraction(sum(sum(map(mul, ra, cb)) for ra, cb in zip(a.num, zip(*b.num))), a.den * b.den)
 
-    Raises IllConditioned when the flag fails to triangularize both matrices
-    to within tol, or when two clusters come closer than 10*tol (the answer
-    would then depend on the tolerance).
+
+def _poly_at(p: list, m: RationalMatrix) -> RationalMatrix:
+    """p(m) by Horner, for coefficients p lowest degree first."""
+    out = RationalMatrix.zeros(m.rows, m.rows)
+    for coef in reversed(p):
+        out = out @ m + RationalMatrix.identity(m.rows).scale(coef)
+    return out
+
+
+def _nilpotent(m: RationalMatrix) -> bool:
+    for _ in range(m.rows.bit_length()):  # m^(2^k) with 2^k > rows
+        m = m @ m
+    return m.is_zero()
+
+
+def support(a: AdhmData) -> tuple:
+    """The support of the cycle with its lengths, exactly: the rational
+    univariate representation (t, f, g1, gx, gy) read off the traces of
+    the datum (Rouillier, AAECC 9, 1999).
+
+    The polynomials are Fraction coefficient lists, lowest degree first;
+    f is monic and squarefree, and g1, gx, gy have deg f coefficients.
+    Each root u of f is one point, (gx(u)/g1(u), gy(u)/g1(u)) with
+    x + t y = u, of length g1(u)/f'(u).  A cycle of length c at the origin
+    reads (0, [0, 1], [c], [0], [0]); the empty cycle (0, [1], [], [], []).
+
+    For commuting b1, b2 and L = b1 + t b2, Tr(v(b1, b2) L^k) is the sum
+    of m_p v(p) u_p^k over the points p, of length m_p, so the Hankel
+    matrix of the Tr(L^k) has the rank r of the distinct u_p, its
+    (r+1)x(r+1) kernel is f = prod (T - u_p), and g_v = sum m_p v(p)
+    f/(T - u_p).  t = 0, 1, -1, 2, ... is kept when it separates the
+    points, exactly when g1(L) b1 - gx(L) and g1(L) b2 - gy(L) are
+    nilpotent; a pair of points rules out at most one t, so one of the
+    first c(c-1)/2 + 1 is kept.
     """
-    import numpy as np
-    from scipy.linalg import schur
-
     c = a.c
-    if c == 0:
-        return []
-    b1 = np.array([[float(x) for x in row] for row in a.b1.data], dtype=complex)
-    b2 = np.array([[float(x) for x in row] for row in a.b2.data], dtype=complex)
-    # fixed generic weights: avoids ties between distinct joint eigenvalues
-    w = 0.7390851332151607 + 0.3678794411714423j
-    _, q = schur(b1 + w * b2, output="complex")
-    t1 = q.conj().T @ b1 @ q
-    t2 = q.conj().T @ b2 @ q
-    scale = max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
-    for t in (t1, t2):
-        low = np.tril(t, -1)
-        if float(np.max(np.abs(low))) > tol * scale:
-            raise IllConditioned("matrices do not share the computed flag")
-    pts = [(complex(t1[i, i]), complex(t2[i, i])) for i in range(c)]
-    parent = list(range(c))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def dist(p, q):
-        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-    for i in range(c):
-        for j in range(i + 1, c):
-            if dist(pts[i], pts[j]) <= tol:
-                parent[find(i)] = find(j)
-    clusters: dict = {}
-    for i in range(c):
-        clusters.setdefault(find(i), []).append(i)
-    reps = []
-    for members in clusters.values():
-        zx = sum(pts[i][0] for i in members) / len(members)
-        zy = sum(pts[i][1] for i in members) / len(members)
-        reps.append(((zx, zy), len(members)))
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if dist(reps[i][0], reps[j][0]) < 10 * tol:
-                raise IllConditioned("clusters too close for the tolerance")
-    reps.sort(key=lambda r: (r[0][0].real, r[0][0].imag, r[0][1].real, r[0][1].imag))
-    return reps
+    one = RationalMatrix.identity(c)
+    for k in range(c * (c - 1) // 2 + 1):
+        t = (-1) ** (k + 1) * ((k + 1) // 2)
+        lt = a.b1 + a.b2.scale(t)
+        powers = list(accumulate([lt] * (2 * c), matmul, initial=one))
+        s1, sx, sy = ([_trace(v, p) for p in powers] for v in (one, a.b1, a.b2))
+        hankel = lambda m: RationalMatrix([[s1[i + j] for j in range(m)] for i in range(m)])
+        r = rank(hankel(c))
+        # the first r columns are independent, so the kernel's free slot is r
+        f = [row[0] for row in kernel_basis(hankel(r + 1)).data]
+        g1, gx, gy = ([sum(map(mul, f[i + 1 :], s)) for i in range(r)] for s in (s1, sx, sy))
+        g1_lt = _poly_at(g1, lt)
+        if _nilpotent(g1_lt @ a.b1 - _poly_at(gx, lt)) and _nilpotent(g1_lt @ a.b2 - _poly_at(gy, lt)):
+            return t, f, g1, gx, gy

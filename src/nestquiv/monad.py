@@ -18,10 +18,10 @@ with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
 `MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
 y2_nu^n s_e, s_inf off nu and n: `_forms` is their one definition, taken
 on the CoxPoly variables for the entries and on the four rationals of a
-point for a fiber.  `fiber_ranks` ranks the c x c blocks Q and P first
-and builds alpha and beta only where both are singular.  For any data
-beta . alpha collapses to
-s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T = s_inf y2_nu (C_nu D_nu
+point for a fiber; `check_complex` reads only the rotation y2_nu.
+`fiber_ranks` ranks the c x c blocks Q and P first and builds alpha and
+beta only where both are singular.  For any data beta . alpha collapses
+to s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T = s_inf y2_nu (C_nu D_nu
 - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The quiver relations force this to
 vanish; the exact vanishing condition across all charts is the smaller
 list of combinations returned by `complex_residuals` (the relations imply
@@ -174,12 +174,17 @@ SE = CoxPoly.variable(2)
 SINF = CoxPoly.variable(3)
 
 
+def _rotation(nu: NuPoint, y1, y2) -> tuple:
+    """The rotated coordinates (y1_nu, y2_nu) of the chart nu."""
+    return nu.nu1 * y1 + nu.nu2 * y2, nu.nu1 * y2 - nu.nu2 * y1
+
+
 def _forms(nu: NuPoint, n: int, y1, y2, se, sinf) -> tuple:
     """The four forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) of the chart nu on
     the surface of index n, from the coordinates: CoxPoly variables or the
     rationals of one point."""
-    w = nu.nu1 * y2 - nu.nu2 * y1
-    return nu.nu1 * y1 + nu.nu2 * y2, w, w**n * se, sinf
+    y1n, y2n = _rotation(nu, y1, y2)
+    return y1n, y2n, y2n**n * se, sinf
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,7 @@ def check_complex(m: MonadComplex):
     transpose of b2 b1 - b1 b2 - I_nu J; all-zero iff the chart's
     combination C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J vanishes."""
     k = m.b2 @ m.b1 - m.b1 @ m.b2 - m.i_nu @ m.J
-    form = cox_mul(m.forms[3], m.forms[1])
+    form = cox_mul(SINF, _rotation(m.nu, Y1, Y2)[1])
     return [[form.scale(k[j, i]) for j in range(m.c)] for i in range(m.c)]
 
 

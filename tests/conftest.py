@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 
 from nestquiv import EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix, act, nested_to_rep
@@ -48,6 +49,29 @@ def theta_triple(c: int, cp: int) -> list[EnhThetaParam]:
             Fraction(-3, 8 * c * s),
         ),
     ]
+
+
+def poly_value(p, u) -> Fraction:
+    """The polynomial with coefficients p, lowest degree first, at u."""
+    return sum((v * u**i for i, v in enumerate(p)), Fraction(0))
+
+
+def support_points(sup) -> list:
+    """The points (x, y) of a `support` result with their lengths, for an f
+    that splits over the rationals: sympy finds its roots, and the points
+    and lengths are read at them with Fraction arithmetic."""
+    sympy = pytest.importorskip("sympy")
+    _, f, g1, gx, gy = sup
+    var = sympy.Symbol("T")
+    coeffs = [sympy.Rational(v.numerator, v.denominator) for v in f[::-1]]
+    roots = sympy.roots(sympy.Poly(coeffs, var), filter="Q")
+    assert sorted(roots.values()) == [1] * (len(f) - 1), "f is not squarefree or does not split over Q"
+    df = [i * v for i, v in enumerate(f)][1:]
+    out = []
+    for u in (Fraction(int(r.p), int(r.q)) for r in roots):
+        w = poly_value(g1, u)
+        out.append((poly_value(gx, u) / w, poly_value(gy, u) / w, w / poly_value(df, u)))
+    return out
 
 
 def point_rep() -> HirzRep:

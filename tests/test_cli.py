@@ -11,7 +11,6 @@ from nestquiv import (
     ConeViolation,
     DomainError,
     ExcludedLocus,
-    IllConditioned,
     IrregularPencil,
     NestedIdealPair,
     NestquivError,
@@ -184,7 +183,6 @@ DOCUMENTED_EXIT = {
     ConeViolation: 3,
     DomainError: 3,
     ExcludedLocus: 3,
-    IllConditioned: 3,
     IrregularPencil: 3,
     NotFixedForm: 3,
     SingularAnu: 3,

@@ -1,10 +1,14 @@
+import ast
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nestquiv
 from nestquiv import (
     AdhmData,
     NestedIdealPair,
@@ -25,14 +29,15 @@ from nestquiv import (
     monomial_ideal,
     nested_to_rep,
     partitions,
-    support_approx,
+    support,
+    transform_chart,
 )
 from nestquiv.chart import closure_scan, monomial_rows
-from nestquiv.corpus import ideal_of_points, random_gauge, random_invertible, random_points
+from nestquiv.corpus import ideal_of_points, random_fraction, random_gauge, random_invertible, random_points
 from nestquiv.monomials import count_upto, monomials_upto
 from nestquiv.ratmat import block_diag, kernel_basis, rank
 
-from conftest import M, nu
+from conftest import M, nu, poly_value, support_points
 
 
 def test_poly2_basics():
@@ -349,20 +354,89 @@ def test_enumerate_pairs_are_nested():
         assert pair.big.c == 3 and pair.small.c == 1
 
 
-def test_support_approx():
-    pts = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3))]
-    a = adhm_from_ideal(ideal_of_points(pts))
-    sup = support_approx(a)
-    assert len(sup) == 2
-    (p1, m1), (p2, m2) = sup
-    assert m1 == 1 and m2 == 1
-    assert abs(p1[0] - (-0.5)) < 1e-7 and abs(p1[1] - 3) < 1e-7
-    assert abs(p2[0] - 1) < 1e-7 and abs(p2[1] - 2) < 1e-7
+def test_monomial_ideal_refuses_non_partitions():
+    for lam in ((1, 2), (-1, 2), (1, 0, 1), (2, 0)):
+        with pytest.raises(ShapeMismatch, match="not a partition"):
+            monomial_ideal(lam)
 
 
-def test_support_approx_multiplicity():
-    a = adhm_from_ideal(monomial_ideal((2,)))
-    sup = support_approx(a)
-    assert len(sup) == 1
-    assert sup[0][1] == 2
-    assert abs(sup[0][0][0]) < 1e-9 and abs(sup[0][0][1]) < 1e-9
+def test_support_recovers_scrambled_points():
+    # every point is a simple root u = x + t y of f, read back with length
+    # 1; from c = 2 on two points share their x, so t = 0 cannot separate
+    rng = random.Random(41)
+    for c in range(1, 13):
+        x0, y0 = random_fraction(rng), random_fraction(rng)
+        pts = random_points(rng, c, [(x0, y0), (x0, y0 + 1)][:c])
+        t, f, g1, gx, gy = support(_scrambled(rng, adhm_from_ideal(ideal_of_points(pts))))
+        assert len(f) == c + 1 and f[-1] == 1 and (t != 0 or c == 1)
+        df = [i * v for i, v in enumerate(f)][1:]
+        for x, y in pts:
+            u = x + t * y
+            assert poly_value(f, u) == 0
+            assert poly_value(gx, u) / poly_value(g1, u) == x
+            assert poly_value(gy, u) / poly_value(g1, u) == y
+            assert poly_value(g1, u) / poly_value(df, u) == 1
+
+
+def test_support_of_two_points_is_frozen():
+    # f = (T - 1)(T + 1/2), and g_v = v(1, 2) (T + 1/2) + v(-1/2, 3) (T - 1)
+    a = adhm_from_ideal(ideal_of_points([(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3))]))
+    h = Fraction(1, 2)
+    assert support(a) == (0, [-h, -h, 1], [-h, 2], [1, h], [-2, 5])
+
+
+def test_support_of_a_monomial_ideal_is_the_origin():
+    assert support(adhm_from_ideal(monomial_ideal(()))) == (0, [1], [], [], [])
+    for c in range(1, 7):
+        for lam in partitions(c):
+            t, f, g1, gx, gy = support(adhm_from_ideal(monomial_ideal(lam)))
+            assert (f, g1, gx, gy) == ([0, 1], [c], [0], [0])
+
+
+def test_support_is_gauge_invariant():
+    rng = random.Random(43)
+    data = [adhm_from_ideal(ideal_of_points(random_points(rng, c))) for c in (3, 5, 7)]
+    data += [
+        adhm_from_ideal(pair.big)
+        for pair in enumerate_nested_monomial(0, 4, charts=2, n=2)
+        if pair.nu == nu(1, 1)
+    ]
+    for a in data:
+        want = support(a)
+        for _ in range(3):
+            assert support(_scrambled(rng, a)) == want
+
+
+def test_support_lengths_survive_a_chart_change():
+    # the two-chart fixed cycles, read in [1, 1] and in two other regular
+    # charts: the same number of points with the same lengths
+    for n in (1, 2, 3):
+        for c in range(1, 5):
+            for pair in enumerate_nested_monomial(0, c, charts=2, n=n):
+                if pair.nu != nu(1, 1):
+                    continue
+                a = adhm_from_ideal(pair.big)
+                want = sorted(length for _, _, length in support_points(support(a)))
+                assert sum(want) == c
+                for to in (nu(1, 2), nu(1, -3)):
+                    moved = support(transform_chart(a, pair.nu, to, n))
+                    assert sorted(length for _, _, length in support_points(moved)) == want
+
+
+def test_no_module_uses_floats():
+    # the package has one number system: no float library, no float type
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert not {m.split(".")[0] for m in modules} & {"numpy", "scipy"}, path.name
+            assert not (isinstance(node, ast.Name) and node.id in ("float", "complex")), path.name
+
+
+def test_support_runs_without_numpy_or_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    a = adhm_from_ideal(ideal_of_points(random_points(random.Random(47), 6)))
+    assert len(support(a)[1]) == 7

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,14 +21,15 @@ from nestquiv import (
     fiber_ranks,
     hirz_residuals,
     rank,
+    support,
 )
-from nestquiv.corpus import ideal_of_points, random_points
+from nestquiv.corpus import ideal_of_points, random_fraction, random_points
 from nestquiv.ideals import adhm_from_ideal
 from nestquiv.monad import SE, SINF, Y1, Y2
 from nestquiv.quiver import HirzRep
 from nestquiv.ratmat import RationalMatrix
 
-from conftest import M, nu, point_rep
+from conftest import M, nu, point_rep, support_points
 
 
 def test_coxpoly_algebra():
@@ -213,6 +215,31 @@ def test_fiber_ranks_take_each_branch(monkeypatch):
                         beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
                         assert got == want == (rank(M(alpha)), rank(M(beta)))
     assert taken == {1, 2, 4}
+
+
+def test_fiber_ranks_drop_exactly_on_the_support():
+    # the monad against the ideal layer: at [1, 0] alpha loses rank at
+    # (-x, 1, -y, 1) for each point (x, y) that `support` reads, and nowhere
+    # else sampled: not at the cross points (x_i, y_j), where Q and P are
+    # both singular, nor at seeded points off the support
+    checked = 0
+    for c, seed in product((2, 3, 5), range(6)):
+        rng = random.Random(seed)
+        a = adhm_from_ideal(ideal_of_points(random_points(rng, c)))
+        pts = {(x, y) for x, y, length in support_points(support(a)) if length == 1}
+        assert len(pts) == c
+        cross = {(x, y) for x, _ in pts for _, y in pts} - pts
+        off = set()
+        while len(off) < 3:
+            p = (random_fraction(rng), random_fraction(rng))
+            if p not in pts:
+                off.add(p)
+        for n in (1, 2, 3):
+            m = build_monad(chart_embed(a, nu(1, 0), n), nu(1, 0))
+            for (x, y), ranks in [(p, (c - 1, c)) for p in pts] + [(p, (c, c)) for p in cross | off]:
+                assert fiber_ranks(m, (-x, 1, -y, 1)) == ranks
+            checked += len(cross)
+    assert checked == 474
 
 
 def test_excluded_locus():
