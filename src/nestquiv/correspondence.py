@@ -21,37 +21,66 @@ from .chart import (
     build_nested_adhm,
     chart_embed,
     chart_extract,
+    closure_rank,
+    closure_scan,
     conversion_sample,
     first_regular,
 )
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
-from .ideals import NestedIdealPair, _inclusion, adhm_from_ideal, ideal_from_adhm
+from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix
-from .stability import EnhThetaParam, is_theta_stable, kernel_subrep
+from .stability import EnhThetaParam, _closure_witness, _theta_chart, kernel_subrep
 
 
-def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint) -> NestedIdealPair:
-    """The pair read at nu.  It is nested without a check: kern is the
-    restriction to the kernel bases, so b k1 = k1 b' and e k1 = e' in any
-    chart, the kernel's monomial_rows are the left walk times k1, and
-    big.basis annihilates that walk."""
-    big = ideal_from_adhm(chart_extract(x.left, nu))
+def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
+    """first_regular([(a1, a2)], conversion_sample(c)), given chart, the
+    first regular point of regular_sample(c).  conversion_sample(c) is that
+    sample with [0,1] second, so the answer is [1,0] when chart is, else
+    [0,1] when the pencil is regular there, else chart."""
+    first, second = conversion_sample(0)
+    if chart == first:
+        return chart
+    return first_regular([(a1, a2)], [second]) or chart
+
+
+def _not_stable(witness: str) -> NotStable:
+    return NotStable(f"representation is not stable: {witness}")
+
+
+def _finish_verdict(x: EnhRep, chart: NuPoint | str, nu: NuPoint | None) -> ZeroCycleIdeal | None:
+    """The rest of x's stability verdict after _theta_chart returned chart:
+    read the left datum there and raise NotStable unless it is costable.
+    Where nu, the chart of the pair, is that chart, the closure is counted
+    by the one closure_scan whose normal forms are the big ideal, returned;
+    elsewhere closure_rank counts it and None is returned."""
+    if not isinstance(chart, NuPoint):
+        raise _not_stable(chart)
+    a = chart_extract(x.left, chart)
+    scan = closure_scan(a.b1, a.b2, a.e) if nu == chart else None
+    r = closure_rank(a.b1, a.b2, a.e) if scan is None else len(scan[0])
+    witness = _closure_witness(r, a.c)
+    if witness is not None:
+        raise _not_stable(f"(C2) {witness}")
+    return None if scan is None else ZeroCycleIdeal.from_normal_forms(*scan, a.c)
+
+
+def _require_relations(x: EnhRep) -> None:
+    """RelationsViolated, naming the nonzero enh_residuals, if x has any."""
+    bad = [i for i, r in enumerate(enh_residuals(x)) if not r.is_zero()]
+    if bad:
+        raise RelationsViolated(f"representation violates the relations: nonzero residuals {bad}")
+
+
+def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint, big: ZeroCycleIdeal | None) -> NestedIdealPair:
+    """The pair read at nu, the big ideal read here unless given.  It is
+    nested without a check: kern is the restriction to the kernel bases,
+    so b k1 = k1 b' and e k1 = e' in any chart, the kernel's monomial_rows
+    are the left walk times k1, and big.basis annihilates that walk."""
+    if big is None:
+        big = ideal_from_adhm(chart_extract(x.left, nu))
     small = ideal_from_adhm(chart_extract(kern, nu))
     return NestedIdealPair(nu=nu, big=big, small=small)
-
-
-def _require_stable_representations(p: EnhThetaParam, *reps: EnhRep) -> None:
-    """NotStable for the first unstable input, then RelationsViolated,
-    naming the nonzero enh_residuals, for the first that violates them."""
-    for z in reps:
-        verdict = is_theta_stable(z, p)
-        if not verdict.stable:
-            raise NotStable(f"representation is not stable: {verdict.witness}")
-    for z in reps:
-        bad = [i for i, r in enumerate(enh_residuals(z)) if not r.is_zero()]
-        if bad:
-            raise RelationsViolated(f"representation violates the relations: nonzero residuals {bad}")
 
 
 def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> NestedIdealPair:
@@ -61,18 +90,22 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     kernel subrepresentation of (F1, F2).  Raises NotStable, then
     RelationsViolated for data that are not quiver representations.  When
     nu is not given, the chart is the first of [1,0], [0,1], [1,1], ...,
-    [1,c] that is regular for both; the scan cannot exhaust, as it holds
-    regular_sample(c), where the stable verdict found a regular chart.
-    Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
-    (kernel bases k1, k2), so it is regular with P.
+    [1,c] that is regular for both.  That order is regular_sample(c), where
+    the stable verdict read the first regular chart, with [0,1] second: so
+    the chart is [1,0] when the verdict's is, else [0,1] when the left
+    pencil is regular there, else the verdict's.  Where the two charts
+    coincide, one extraction and one closure scan give both the verdict and
+    the big ideal.  Only the left pencil P is tested: the kernel's P' has
+    k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-    _require_stable_representations(p, x)
-    kern = kernel_subrep(x)
-    if nu is None:
-        nu = first_regular([(x.left.A1, x.left.A2)], conversion_sample(x.c))
-    return _pair_at(x, kern, nu)
+    chart = _theta_chart(x, p)
+    if nu is None and isinstance(chart, NuPoint):
+        nu = _conversion_chart(x.left.A1, x.left.A2, chart)
+    big = _finish_verdict(x, chart, nu)
+    _require_relations(x)
+    return _pair_at(x, kernel_subrep(x), nu, big)
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -112,19 +145,33 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
 def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     """Whether two stable representations lie on one orbit of the gauge group.
 
-    Stable orbits are separated by their nested cycles, so the test
-    extracts both pairs in a chart regular for the two pencils at once and
-    compares the ideals entrywise.  Raises NotStable, then
-    RelationsViolated, if either input fails.  The common chart exists:
-    the 2c + 3 candidates outnumber the at most 2c roots of the two
-    pencil determinants, nonzero forms of degree c as both are stable.
+    Inputs on different surfaces raise ShapeMismatch; inputs with
+    different c or c' return False before any stability check.  Stable
+    orbits are separated by their nested cycles, so the test extracts both
+    pairs in a chart regular for the two pencils at once and compares the
+    ideals entrywise; equality of two cycles does not depend on which such
+    chart reads them.  When the two stability verdicts read one chart, as
+    gauge-equivalent inputs always do, the pairs are read there, and each
+    verdict's closure scan gives its big ideal.  Otherwise the chart is the
+    first of conversion_sample(2c + 1) regular for both, which exists: the
+    2c + 3 candidates outnumber the at most 2c roots of the two pencil
+    determinants, nonzero forms of degree c as both are stable.  Raises
+    NotStable, then RelationsViolated, if either input fails, x before y.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    _require_stable_representations(p, x, y)
+    chart_x, chart_y = _theta_chart(x, p), _theta_chart(y, p)
+    # a witness in chart_x raises at once, so a shared value is a chart
+    shared = chart_x if chart_x == chart_y else None
+    big_x = _finish_verdict(x, chart_x, shared)
+    big_y = _finish_verdict(y, chart_y, shared)
+    _require_relations(x)
+    _require_relations(y)
     kx, ky = kernel_subrep(x), kernel_subrep(y)
-    nu = first_regular([(z.left.A1, z.left.A2) for z in (x, y)], conversion_sample(2 * x.c + 1))
-    px, py = _pair_at(x, kx, nu), _pair_at(y, ky, nu)
+    nu = shared or first_regular(
+        [(z.left.A1, z.left.A2) for z in (x, y)], conversion_sample(2 * x.c + 1)
+    )
+    px, py = _pair_at(x, kx, nu, big_x), _pair_at(y, ky, nu, big_y)
     return px.big == py.big and px.small == py.small

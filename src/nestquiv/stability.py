@@ -116,49 +116,78 @@ def default_theta(c: int, cp: int) -> EnhThetaParam:
     return p
 
 
-def _closure_witness(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> str | None:
-    """The witness that span{e b1^a b2^b} is not full, None when it is."""
-    r = closure_rank(b1, b2, e)
-    return None if r == b1.rows else f"costability closure rank {r} < {b1.rows}"
+def _closure_witness(r: int, c: int) -> str | None:
+    """The witness that a covector closure of rank r in k^c is not full,
+    None when it is."""
+    return None if r == c else f"costability closure rank {r} < {c}"
 
 
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
     """Costability: the covector closure span{e b1^a b2^b} has full rank."""
     if not (b1 @ b2 - b2 @ b1).is_zero():
         raise NotCommuting("[b1, b2] != 0")
-    witness = _closure_witness(b1, b2, e)
+    witness = _closure_witness(closure_rank(b1, b2, e), b1.rows)
     return StabilityVerdict(stable=witness is None, witness=witness)
+
+
+def _left_chart(x: HirzRep) -> NuPoint | str:
+    """The base-cone checks up to the chart, in verdict order: nonzero I
+    (n >= 2), then pencil regularity.  Returns the chart the verdict
+    reads, or the witness of the check that decides it before one."""
+    if x.c0 != x.c1:
+        raise ShapeMismatch("stability needs c0 = c1")
+    if any(not iq.is_zero() for iq in x.I):
+        return "nonzero I"
+    try:
+        return find_regular_nu(x.A1, x.A2)
+    except IrregularPencil:
+        return "irregular pencil"
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1.
 
-    Verdict order: nonzero I (n >= 2), then pencil regularity, then
-    costability of the chart extraction (which `AdhmData` has checked to
-    commute); the verdict carries the chart used.
+    The reading: the checks up to the chart (`_left_chart`), then the
+    chart extraction (which `AdhmData` has checked to commute); then
+    costability of that datum.  The verdict carries the chart used.
     """
-    if x.c0 != x.c1:
-        raise ShapeMismatch("stability needs c0 = c1")
-    if any(not iq.is_zero() for iq in x.I):
-        return StabilityVerdict(stable=False, witness="nonzero I")
-    try:
-        nu = find_regular_nu(x.A1, x.A2)
-    except IrregularPencil:
-        return StabilityVerdict(stable=False, witness="irregular pencil")
+    nu = _left_chart(x)
+    if not isinstance(nu, NuPoint):
+        return StabilityVerdict(stable=False, witness=nu)
     a = chart_extract(x, nu)
-    witness = _closure_witness(a.b1, a.b2, a.e)
+    witness = _closure_witness(closure_rank(a.b1, a.b2, a.e), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
-def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
-    """Two-condition stability test inside the enhanced cone."""
+def _c1_witness(x: EnhRep, p: EnhThetaParam) -> str | None:
+    """The cone check (ConeViolation outside it), then (C1): the witness
+    of the first of F1, F2 that is not surjective, None when both are."""
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
     s = x.c - x.cp
     if rank(x.F1) != s:
-        return StabilityVerdict(stable=False, witness="(C1) F1")
+        return "(C1) F1"
     if rank(x.F2) != s:
-        return StabilityVerdict(stable=False, witness="(C1) F2")
+        return "(C1) F2"
+    return None
+
+
+def _theta_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint | str:
+    """is_theta_stable's checks up to the chart its left verdict reads:
+    that chart, or the witness of the check that decides before it.  What
+    remains of the verdict is costability of the left datum there."""
+    witness = _c1_witness(x, p)
+    if witness is not None:
+        return witness
+    nu = _left_chart(x.left)
+    return nu if isinstance(nu, NuPoint) else f"(C2) {nu}"
+
+
+def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
+    """Two-condition stability test inside the enhanced cone."""
+    witness = _c1_witness(x, p)
+    if witness is not None:
+        return StabilityVerdict(stable=False, witness=witness)
     left = is_gamma_stable(x.left)
     if not left.stable:
         return StabilityVerdict(stable=False, witness=f"(C2) {left.witness}", nu=left.nu)
