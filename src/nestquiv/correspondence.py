@@ -21,8 +21,6 @@ from .chart import (
     build_nested_adhm,
     chart_embed,
     chart_extract,
-    closure_rank,
-    closure_scan,
     conversion_sample,
     first_regular,
 )
@@ -30,7 +28,7 @@ from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, HirzRep, enh_residuals
 from .ratmat import RationalMatrix
-from .stability import EnhThetaParam, _closure_witness, _theta_chart, kernel_subrep
+from .stability import EnhThetaParam, _theta_chart, _theta_costability, kernel_subrep
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
@@ -50,19 +48,15 @@ def _not_stable(witness: str) -> NotStable:
 
 def _finish_verdict(x: EnhRep, chart: NuPoint | str, nu: NuPoint | None) -> ZeroCycleIdeal | None:
     """The rest of x's stability verdict after _theta_chart returned chart:
-    read the left datum there and raise NotStable unless it is costable.
-    Where nu, the chart of the pair, is that chart, the closure is counted
-    by the one closure_scan whose normal forms are the big ideal, returned;
-    elsewhere closure_rank counts it and None is returned."""
+    NotStable unless the left datum read there is costable.  Where nu, the
+    chart of the pair, is that chart, the closure scan that decided it
+    gives the big ideal, returned; elsewhere None is returned."""
     if not isinstance(chart, NuPoint):
         raise _not_stable(chart)
-    a = chart_extract(x.left, chart)
-    scan = closure_scan(a.b1, a.b2, a.e) if nu == chart else None
-    r = closure_rank(a.b1, a.b2, a.e) if scan is None else len(scan[0])
-    witness = _closure_witness(r, a.c)
+    witness, walk = _theta_costability(x, chart, scan=nu == chart)
     if witness is not None:
-        raise _not_stable(f"(C2) {witness}")
-    return None if scan is None else ZeroCycleIdeal.from_normal_forms(*scan, a.c)
+        raise _not_stable(witness)
+    return None if walk is None else ZeroCycleIdeal.from_normal_forms(*walk, x.c)
 
 
 def _require_relations(x: EnhRep) -> None:
@@ -147,16 +141,15 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
 
     Inputs on different surfaces raise ShapeMismatch; inputs with
     different c or c' return False before any stability check.  Stable
-    orbits are separated by their nested cycles, so the test extracts both
-    pairs in a chart regular for the two pencils at once and compares the
-    ideals entrywise; equality of two cycles does not depend on which such
-    chart reads them.  When the two stability verdicts read one chart, as
-    gauge-equivalent inputs always do, the pairs are read there, and each
-    verdict's closure scan gives its big ideal.  Otherwise the chart is the
-    first of conversion_sample(2c + 1) regular for both, which exists: the
-    2c + 3 candidates outnumber the at most 2c roots of the two pencil
-    determinants, nonzero forms of degree c as both are stable.  Raises
-    NotStable, then RelationsViolated, if either input fails, x before y.
+    orbits are separated by their nested cycles, so the test reads both
+    pairs in one chart and compares the ideals entrywise.  That chart is
+    the one both stability verdicts read, and each verdict's closure scan
+    gives its big ideal.  Inputs whose verdicts read different charts are
+    on different orbits: the gauge group moves a pencil's determinant only
+    by a nonzero scalar, so the charts where it is regular, and the first
+    of them, are the same along an orbit.  Raises NotStable, then
+    RelationsViolated, if either input fails, x before y, before that
+    answer.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
@@ -170,8 +163,7 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     _require_relations(x)
     _require_relations(y)
     kx, ky = kernel_subrep(x), kernel_subrep(y)
-    nu = shared or first_regular(
-        [(z.left.A1, z.left.A2) for z in (x, y)], conversion_sample(2 * x.c + 1)
-    )
-    px, py = _pair_at(x, kx, nu, big_x), _pair_at(y, ky, nu, big_y)
+    if shared is None:
+        return False
+    px, py = _pair_at(x, kx, shared, big_x), _pair_at(y, ky, shared, big_y)
     return px.big == py.big and px.small == py.small

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .chart import NuPoint, chart_extract, closure_rank, find_regular_nu
+from .chart import NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
@@ -144,18 +144,30 @@ def _left_chart(x: HirzRep) -> NuPoint | str:
         return "irregular pencil"
 
 
+def _left_costability(
+    x: HirzRep, nu: NuPoint, scan: bool = False
+) -> tuple[str | None, tuple | None]:
+    """The rest of the base-cone verdict at the chart _left_chart returned:
+    extract the datum there (`AdhmData` checks that it commutes) and test
+    costability.  Returns (witness, None when costable; the closure_scan
+    that counted the closure when scan is asked for, else None)."""
+    a = chart_extract(x, nu)
+    walk = closure_scan(a.b1, a.b2, a.e) if scan else None
+    r = closure_rank(a.b1, a.b2, a.e) if walk is None else len(walk[0])
+    return _closure_witness(r, a.c), walk
+
+
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1.
 
-    The reading: the checks up to the chart (`_left_chart`), then the
-    chart extraction (which `AdhmData` has checked to commute); then
-    costability of that datum.  The verdict carries the chart used.
+    The checks up to the chart (`_left_chart`), then costability of the
+    datum read there (`_left_costability`).  The verdict carries the chart
+    used.
     """
     nu = _left_chart(x)
     if not isinstance(nu, NuPoint):
         return StabilityVerdict(stable=False, witness=nu)
-    a = chart_extract(x, nu)
-    witness = _closure_witness(closure_rank(a.b1, a.b2, a.e), a.c)
+    witness, _ = _left_costability(x, nu)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
@@ -172,15 +184,26 @@ def _c1_witness(x: EnhRep, p: EnhThetaParam) -> str | None:
     return None
 
 
+def _c2(witness: str | None) -> str | None:
+    """A base-cone witness of the left part as is_theta_stable reports it."""
+    return None if witness is None else f"(C2) {witness}"
+
+
 def _theta_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint | str:
     """is_theta_stable's checks up to the chart its left verdict reads:
-    that chart, or the witness of the check that decides before it.  What
-    remains of the verdict is costability of the left datum there."""
+    that chart, or the witness of the check that decides before it."""
     witness = _c1_witness(x, p)
     if witness is not None:
         return witness
     nu = _left_chart(x.left)
-    return nu if isinstance(nu, NuPoint) else f"(C2) {nu}"
+    return nu if isinstance(nu, NuPoint) else _c2(nu)
+
+
+def _theta_costability(x: EnhRep, nu: NuPoint, scan: bool) -> tuple[str | None, tuple | None]:
+    """The rest of is_theta_stable's verdict at the chart _theta_chart
+    returned: _left_costability of the left part, its witness prefixed."""
+    witness, walk = _left_costability(x.left, nu, scan)
+    return _c2(witness), walk
 
 
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
@@ -189,9 +212,7 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     if witness is not None:
         return StabilityVerdict(stable=False, witness=witness)
     left = is_gamma_stable(x.left)
-    if not left.stable:
-        return StabilityVerdict(stable=False, witness=f"(C2) {left.witness}", nu=left.nu)
-    return StabilityVerdict(stable=True, nu=left.nu)
+    return StabilityVerdict(stable=left.stable, witness=_c2(left.witness), nu=left.nu)
 
 
 def kernel_subrep(x: EnhRep) -> HirzRep:

@@ -267,6 +267,22 @@ def test_same_orbit_tells_apart_cycles_that_share_a_chart():
     assert tried == 9
 
 
+def test_same_orbit_is_false_across_stability_charts():
+    # the first regular chart is a gauge invariant, so inputs whose
+    # verdicts read different charts are never on one orbit
+    rng = random.Random(137)
+    for c in (3, 4, 5):
+        for n in (1, 2):
+            cp = rng.randint(1, c - 1)
+            p = default_theta(c, cp)
+            _, _, x = scrambled(rng, c, cp, n, CHART_FIRST)
+            for chart in (CHART_SECOND, CHART_MIXED):
+                _, _, y = scrambled(rng, c, cp, n, chart)
+                assert is_theta_stable(x, p).nu != is_theta_stable(y, p).nu
+                assert assert_orbit_agrees(x, y, p) is False
+                assert assert_orbit_agrees(y, x, p) is False
+
+
 # -- work done -------------------------------------------------------
 
 
