@@ -19,11 +19,13 @@ with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
 y2_nu^n s_e, s_inf off nu and n: `_forms` is their one definition, taken
 on the CoxPoly variables for the entries and on the four rationals of a
 point for a fiber; `check_complex` reads only the rotation y2_nu.
-`fiber_ranks` ranks the c x c blocks Q and P first and builds alpha and
-beta only where both are singular.  For any data beta . alpha collapses
-to s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T = s_inf y2_nu (C_nu D_nu
-- A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The quiver relations force this to
-vanish; the exact vanishing condition across all charts is the smaller
+`fiber_ranks` reads one point and `_fiber_ranks_at` a list of them
+(monad-check's 20): Q depends on the fiber base point (y1, y2) only, so
+it is ranked once per base point, P only at the points where Q is
+singular, and alpha and beta are built only where both are.  For any
+data beta . alpha collapses to s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
+= s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The
+quiver relations force this to vanish; the exact vanishing condition across all charts is the smaller
 list of combinations returned by `complex_residuals` (the relations imply
 it, not conversely).  Building the monad needs no relations, only A_nu
 invertible, which is what makes it usable as a detector for broken data.
@@ -313,22 +315,45 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and raise
     ExcludedLocus.
     """
-    vals = _point(pt)
-    if vals[0] == 0 and vals[1] == 0:
-        raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
-    if vals[2] == 0 and vals[3] == 0:
-        raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
+    return _fiber_ranks_at(m, [pt])[0]
+
+
+def _integers(vals) -> list[int]:
+    """The rationals vals as integers over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals]
+
+
+def _fiber_ranks_at(m: MonadComplex, points) -> list[tuple[int, int]]:
+    """fiber_ranks at each of the points, in order, so a bad point raises
+    what the per-point loop raises first.  Q = y1_nu Id + b1^T y2_nu depends
+    on (y1, y2) only and is ranked once per distinct (y1, y2); P, alpha and
+    beta are formed only at the points whose Q is singular."""
     blocks, d = m._integer_blocks
-    forms = _forms(m.nu, m.n, *vals)
-    den = lcm(*(v.denominator for v in forms))
-    y1n, y2n, lead, sinf = (v.numerator * (den // v.denominator) for v in forms)
-    # blocks over d and forms over den: P, Q, alpha and beta scaled by
-    # d * den, which keeps their ranks, once the identity terms carry the d
-    for block, diag, off in ((blocks[0], d * y1n, y2n), (blocks[1], d * lead, sinf)):
-        if rank(RationalMatrix._wrap(_shifted(block, diag, off), 1, m.c)) == m.c:
-            return m.c, m.c
-    alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
-    return (
-        rank(RationalMatrix._wrap(alpha, 1, m.c)),
-        rank(RationalMatrix._wrap(beta, 1, 2 * m.c + 1)),
-    )
+    c = m.c
+    # blocks over d and forms over the lcm of their denominators: Q, P,
+    # alpha and beta scaled by a nonzero integer, which keeps their ranks,
+    # once the identity terms carry the d
+    q_full = {}
+    out = []
+    for pt in points:
+        v = _point(pt)
+        if v[0] == 0 and v[1] == 0:
+            raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
+        if v[2] == 0 and v[3] == 0:
+            raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
+        base = v[:2]
+        if base not in q_full:
+            y1n, y2n = _integers(_rotation(m.nu, *base))
+            q_full[base] = rank(RationalMatrix._wrap(_shifted(blocks[0], d * y1n, y2n), 1, c)) == c
+        if q_full[base]:
+            out.append((c, c))
+            continue
+        y1n, y2n, lead, sinf = _integers(_forms(m.nu, m.n, *v))
+        if rank(RationalMatrix._wrap(_shifted(blocks[1], d * lead, sinf), 1, c)) == c:
+            out.append((c, c))
+            continue
+        alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
+        alpha, beta = RationalMatrix._wrap(alpha, 1, c), RationalMatrix._wrap(beta, 1, 2 * c + 1)
+        out.append((rank(alpha), rank(beta)))
+    return out

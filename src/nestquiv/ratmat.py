@@ -12,6 +12,10 @@ operands to the lcm of their denominators, products take integer dot
 products over the product of the denominators, and `rank` and `_rref`
 eliminate fraction-free (Bareiss) on the numerators.  `.data` (rows of
 Fraction) and `m[i, j]` are views built from the integers on each read.
+`from_json` reads integers too: an entry 'p' or 'p/q' goes straight to
+the integers p and q (`_json_ratio`), the rows go over the lcm of the q's
+and `_wrap` brings the pair to lowest terms, so no entry becomes a
+Fraction; only other forms go through `json_rat`.
 
 `_rref` is the package's one reducing elimination: kernels, inverses and
 solves read their canonical results off it, `chart.closure_scan` reads
@@ -30,6 +34,7 @@ rows; `kernel_subrep` and `build_nested_adhm` read kernels there.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -70,6 +75,24 @@ def json_count(v) -> int:
 def json_rat(v) -> Fraction:
     """A rational read from JSON: a string `rat` reads, or a `json_count`."""
     return rat(v) if isinstance(v, str) else Fraction(json_count(v))
+
+
+# No integer digit limit Python accepts is below this length, so `int`
+# reads any string this short.
+_SHORT = sys.int_info.str_digits_check_threshold
+
+
+def _json_ratio(v) -> tuple[int, int]:
+    """Integers (p, q), q > 0, with p / q = json_rat(v).  A short string 'p'
+    or 'p/q' of ASCII digits, p maybe with a leading '-', is read straight
+    to integers; any other entry goes through json_rat, for its value or
+    for its error."""
+    short = type(v) is str and v.isascii() and len(v) <= _SHORT
+    p, sep, q = v.partition("/") if short else ("", "", "")
+    if p.removeprefix("-").isdigit() and (not sep or q.isdigit() and q.strip("0")):
+        return int(p), int(q or 1)
+    x = json_rat(v)
+    return x.numerator, x.denominator
 
 
 def rat_str(x: Fraction) -> str:
@@ -252,12 +275,14 @@ class RationalMatrix:
         r, c = json_count(obj["rows"]), json_count(obj["cols"])
         if r < 0 or c < 0:
             raise ValueError(f"matrix counts must be non-negative, got rows {r}, cols {c}")
-        entries = [json_rat(e) for e in obj["entries"]]
+        entries = [_json_ratio(e) for e in obj["entries"]]
         if len(entries) != r * c:
             raise ShapeMismatch("entry count does not match rows*cols")
         if r == 0 or c == 0:
             return RationalMatrix.zeros(r, c)
-        return RationalMatrix([entries[i * c : (i + 1) * c] for i in range(r)])
+        den = lcm(*(q for _, q in entries))
+        flat = [p * (den // q) for p, q in entries]
+        return RationalMatrix._wrap([flat[i * c : (i + 1) * c] for i in range(r)], den, c)
 
 
 def _common(mats: Sequence[RationalMatrix]):

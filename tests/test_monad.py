@@ -23,13 +23,24 @@ from nestquiv import (
     rank,
     support,
 )
-from nestquiv.corpus import ideal_of_points, random_fraction, random_points
+from nestquiv.chart import NuPoint
+from nestquiv.cli import main
+from nestquiv.corpus import (
+    CHART_FIRST,
+    CHART_MIXED,
+    CHART_SECOND,
+    ideal_of_points,
+    random_fraction,
+    random_hirz_stable,
+    random_points,
+)
 from nestquiv.ideals import adhm_from_ideal
-from nestquiv.monad import SE, SINF, Y1, Y2
+from nestquiv.monad import SE, SINF, Y1, Y2, _fiber_ranks_at
 from nestquiv.quiver import HirzRep
 from nestquiv.ratmat import RationalMatrix
 
 from conftest import M, nu, point_rep, support_points
+from test_frozen_outputs import _single_entry_mutant
 
 
 def test_coxpoly_algebra():
@@ -239,6 +250,10 @@ def test_fiber_ranks_drop_exactly_on_the_support():
             for (x, y), ranks in [(p, (c - 1, c)) for p in pts] + [(p, (c, c)) for p in cross | off]:
                 assert fiber_ranks(m, (-x, 1, -y, 1)) == ranks
             checked += len(cross)
+            # the grouped reader on the same points: (-x, 1) is the base
+            # point of a support point and of its cross points
+            sample = [(-x, 1, -y, 1) for x, y in sorted(pts | cross | off)]
+            assert _fiber_ranks_at(m, sample) == [fiber_ranks(m, pt) for pt in sample]
     assert checked == 474
 
 
@@ -248,6 +263,91 @@ def test_excluded_locus():
         fiber_ranks(m, (0, 0, 1, 1))
     with pytest.raises(ExcludedLocus):
         fiber_ranks(m, (1, 1, 0, 0))
+
+
+def _monad_check(tmp_path, capsys, x, *extra):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(x.to_json()))
+    code = main(["monad-check", str(path), *extra])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+def test_monad_check_reads_each_point_like_fiber_ranks(tmp_path, capsys):
+    # the inputs of tests/test_frozen_outputs.py::test_monad_check_digest:
+    # seeded stable representations, single-entry mutants of them and a
+    # cycle on the sample fibers, in the scanned chart and at [1, 1/2]
+    rng = random.Random(11)
+    charts = (CHART_FIRST, CHART_SECOND, CHART_MIXED)
+    reps = []
+    for n in range(1, 4):
+        for c in range(2, 6):
+            x = random_hirz_stable(rng, c, n, charts[(n + c) % 3])
+            reps += [x, _single_entry_mutant(rng, x)]
+        pts = [(Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(-2)), (Fraction(1), Fraction(-1, 2))]
+        reps.append(chart_embed(adhm_from_ideal(ideal_of_points(pts)), CHART_FIRST, n))
+    assert len(reps) == 27
+    compared = dropped = 0
+    for x in reps:
+        for extra in ([], ["--nu", "1,1/2"]):
+            _, report = _monad_check(tmp_path, capsys, x, *extra)
+            if report is None:
+                continue
+            m = build_monad(x, NuPoint.from_json(report["nu"]))
+            points = [tuple(map(Fraction, pt)) for pt in report["points"]]
+            want = [list(fiber_ranks(m, pt)) for pt in points]
+            assert report["ranks"] == want
+            compared += 1
+            dropped += not report["full_rank"]
+    assert (compared, dropped) == (54, 10)
+
+
+def test_monad_check_ranks_q_once_per_base_point(tmp_path, capsys, monkeypatch):
+    # at [1, 0] Q = y1 + b1^T y2 is singular only where y1 = -x y2 for a
+    # support point (x, y); with no x in {0, -1, 1, -2} it is invertible at
+    # all five sample base points, so the 20 points take 5 rank calls where
+    # the per-point loop takes 20
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return rank(mat)
+
+    pts = [(Fraction(3), Fraction(1)), (Fraction(5), Fraction(-2)), (Fraction(1, 2), Fraction(4))]
+    monkeypatch.setattr("nestquiv.monad.rank", counted)
+    for n in (1, 2, 3):
+        x = chart_embed(adhm_from_ideal(ideal_of_points(pts)), nu(1, 0), n)
+        calls.clear()
+        code, report = _monad_check(tmp_path, capsys, x, "--nu", "1,0")
+        assert code == 0 and report["full_rank"] and calls == [3] * 5
+        calls.clear()
+        m = build_monad(x, nu(1, 0))
+        for pt in report["points"]:
+            fiber_ranks(m, tuple(map(Fraction, pt)))
+        assert len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 0, 1, 1), (1, 0, 1), (0, 0, 1, 1)],
+        [(1, 0, 1, 1), (0, 0, 1, 1), (1, 0, 1)],
+        [(2, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)],
+        [(0, 0, 0, 0), (1, 0, 1, 1, 1)],
+        [(1, 0, 1, 1, 1), (0, 0, 0, 0)],
+    ],
+)
+def test_grouped_reader_raises_the_first_error(points):
+    m = build_monad(point_rep(), nu(1, 0))
+
+    def first_error(read):
+        with pytest.raises((ShapeMismatch, ExcludedLocus)) as e:
+            read()
+        return type(e.value), str(e.value)
+
+    assert first_error(lambda: _fiber_ranks_at(m, points)) == first_error(
+        lambda: [fiber_ranks(m, pt) for pt in points]
+    )
 
 
 def _random_rep(rng, c, n):
