@@ -12,6 +12,8 @@ pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
 
     b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
 
+Each nu-combination (`pencil`, `pencil_combos`, and the pencil arrows of
+`chart_embed`) is one `ratmat.lincomb`: one integer pass over its terms.
 The direction of the b2 product matters: C_nu A_nu is the one that
 transforms by conjugation under gauge, with e transforming as e g^{-1}.
 `first_regular` finds charts, scanning one of the two frozen orders
@@ -23,9 +25,11 @@ earlier row.  It multiplies the integer numerators that
 `RationalMatrix` stores (integer rows over one denominator, in lowest
 terms), so no `Fraction` is built along the walk.  The covector closure
 and the whole ideal dictionary in `ideals` read their rows from it:
-`closure_scan` eliminates it once and returns the kept (standard)
-monomials and every monomial's normal form, and `closure_rank` only
-counts, with the forward-only `rank`.
+`scan_walk` eliminates a walk once and returns the kept (standard)
+monomials and every monomial's normal form, `closure_scan` is that
+reader of a datum's own walk up to degree c, and `closure_rank` only
+counts, with the forward-only `rank`.  The conversions give `scan_walk`
+the small cycle's walk, the left walk times a kernel basis.
 
 The pencil arrows of an embedded datum, A1 = (nu2 + nu1 b1) / rho and
 A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are polynomials in b1,
@@ -55,7 +59,8 @@ from .errors import (
 from .monomials import monomials_upto
 from .quiver import HirzRep
 from .ratmat import (
-    RationalMatrix, _free_rows, invert, json_count, json_rat, kernel_basis, rank, rat, rat_str, rref,
+    RationalMatrix, _free_rows, invert, json_count, json_rat, kernel_basis, lincomb, rank, rat,
+    rat_str, rref,
 )
 
 
@@ -140,19 +145,12 @@ class NestedAdhmData:
 
 def pencil(a1: RationalMatrix, a2: RationalMatrix, nu: NuPoint) -> RationalMatrix:
     """The pencil combination A_nu = nu2 A1 + nu1 A2."""
-    return a1.scale(nu.nu2) + a2.scale(nu.nu1)
+    return lincomb((nu.nu2, nu.nu1), (a1, a2), a1.rows, a1.cols)
 
 
-def _binomial_weighting(mats, nu: NuPoint, zero: RationalMatrix) -> RationalMatrix:
-    """sum_j binom(k, j) nu1^{k-j} nu2^j M_j over the k + 1 matrices M_0 .. M_k
-    (zero when there are none)."""
-    k = len(mats) - 1
-    out = zero
-    for j, m in enumerate(mats):
-        w = comb(k, j) * nu.nu1 ** (k - j) * nu.nu2**j
-        if w:
-            out = out + m.scale(w)
-    return out
+def _binomial_weights(k: int, nu: NuPoint, scale: Fraction = Fraction(1)) -> list[Fraction]:
+    """scale * binom(k, j) nu1^{k-j} nu2^j for j = 0 .. k."""
+    return [scale * comb(k, j) * nu.nu1 ** (k - j) * nu.nu2**j for j in range(k + 1)]
 
 
 def pencil_combos(x: HirzRep, nu: NuPoint):
@@ -161,12 +159,12 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
     A_nu = nu2 A1 + nu1 A2,  D_nu = nu1 A1 - nu2 A2,
     C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q,
     I_nu = (nu1^2+nu2^2) sum_q binom(n-2, q-1) nu1^{n-q-1} nu2^{q-1} I_q
-    (a zero column for n = 1, where there is no I_q).
+    (a zero column for n = 1, where there is no I_q), each one `lincomb`.
     """
     a_nu = pencil(x.A1, x.A2, nu)
-    d_nu = x.A1.scale(nu.nu1) - x.A2.scale(nu.nu2)
-    c_nu = _binomial_weighting(x.C, nu, RationalMatrix.zeros(x.c0, x.c1))
-    i_nu = _binomial_weighting(x.I, nu, RationalMatrix.zeros(x.c0, 1)).scale(nu.rho)
+    d_nu = lincomb((nu.nu1, -nu.nu2), (x.A1, x.A2), x.c1, x.c0)
+    c_nu = lincomb(_binomial_weights(len(x.C) - 1, nu), x.C, x.c0, x.c1)
+    i_nu = lincomb(_binomial_weights(len(x.I) - 1, nu, nu.rho), x.I, x.c0, 1)
     return a_nu, d_nu, c_nu, i_nu
 
 
@@ -212,9 +210,9 @@ def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     pencil powers C_q = A1^{q-1} A2^{n-q} b2, I_q = 0, J = e.
     """
     ident = RationalMatrix.identity(a.c)
-    inv_rho = Fraction(1) / nu.rho
-    a1 = (ident.scale(nu.nu2) + a.b1.scale(nu.nu1)).scale(inv_rho)
-    a2 = (ident.scale(nu.nu1) - a.b1.scale(nu.nu2)).scale(inv_rho)
+    nu1, nu2 = nu.nu1 / nu.rho, nu.nu2 / nu.rho
+    a1 = lincomb((nu2, nu1), (ident, a.b1), a.c, a.c)
+    a2 = lincomb((nu1, -nu2), (ident, a.b1), a.c, a.c)
     heads, tails = [ident], [a.b2]  # A1^k and A2^k b2 for k = 0 .. n-1
     for _ in range(n - 1):
         heads.append(heads[-1] @ a1)
@@ -291,20 +289,27 @@ def monomial_rows(
     )
 
 
-def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
-    """Greedy scan of the covector closure: (monomials kept, normal forms).
+def scan_walk(walk: RationalMatrix, d: int):
+    """Greedy scan of a walk, the rows of monomials_upto(d) in order:
+    (monomials kept, normal forms).
 
-    The kept monomials, whose rows of monomial_rows up to total degree c
-    grow the span of the rows before them, are the pivots of the reduced
-    echelon form of its transpose.  Its nonzero rows, transposed, hold in
-    row m the coordinates of row m of the walk in the kept rows: in the
-    canonical gauge, the normal form of m.
+    The kept monomials, whose rows grow the span of the rows before them,
+    are the pivots of the reduced echelon form of its transpose.  Its
+    nonzero rows, transposed, hold in row m the coordinates of row m of the
+    walk in the kept rows: for the walk of a datum in the canonical gauge,
+    the normal form of m.
     """
-    c = b1.rows
-    red, pivots = rref(monomial_rows(b1, b2, e, c).transpose())
-    mons = monomials_upto(c)
+    red, pivots = rref(walk.transpose())
+    mons = monomials_upto(d)
     nf = red.submatrix(range(len(pivots)), range(red.cols)).transpose()
     return [mons[p] for p in pivots], nf
+
+
+def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
+    """Greedy scan of the covector closure: (monomials kept, normal forms),
+    scan_walk of monomial_rows up to total degree c."""
+    c = b1.rows
+    return scan_walk(monomial_rows(b1, b2, e, c), c)
 
 
 def closure_rank(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> int:

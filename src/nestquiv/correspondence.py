@@ -1,9 +1,12 @@
 """Conversions between stable enhanced representations and nested cycles.
 
 The bridge runs through a chart: restrict the representation to a patch
-where the pencil A_nu is invertible, extract commuting ADHM data for the
-dimension-c part and for the kernel subrepresentation cut out by F1, F2,
-and read off the two ideals.  The reverse direction rebuilds the canonical
+where the pencil A_nu is invertible, extract the commuting ADHM datum of
+the dimension-c part and read off the big ideal.  The small cycle is the
+kernel subrepresentation cut out by F1, F2, the left part restricted to
+the kernel bases; its walk is the left walk times the kernel basis k1 of
+F1, so the small ideal is read off the same datum, with no kernel
+subrepresentation built.  The reverse direction rebuilds the canonical
 gauge of both cycles and splices them along the inclusion of quotients.
 
 Both directions are deterministic: charts are tried in the fixed order
@@ -23,12 +26,14 @@ from .chart import (
     chart_extract,
     conversion_sample,
     first_regular,
+    monomial_rows,
+    scan_walk,
 )
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
-from .quiver import EnhRep, HirzRep, enh_residuals
-from .ratmat import RationalMatrix
-from .stability import EnhThetaParam, _theta_chart, _theta_costability, kernel_subrep
+from .quiver import EnhRep, enh_residuals
+from .ratmat import RationalMatrix, kernel_basis
+from .stability import EnhThetaParam, _theta_chart, _theta_costability
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
@@ -46,17 +51,19 @@ def _not_stable(witness: str) -> NotStable:
     return NotStable(f"representation is not stable: {witness}")
 
 
-def _finish_verdict(x: EnhRep, chart: NuPoint | str, nu: NuPoint | None) -> ZeroCycleIdeal | None:
+def _finish_verdict(
+    x: EnhRep, chart: NuPoint | str, nu: NuPoint | None
+) -> tuple[AdhmData, ZeroCycleIdeal] | None:
     """The rest of x's stability verdict after _theta_chart returned chart:
     NotStable unless the left datum read there is costable.  Where nu, the
-    chart of the pair, is that chart, the closure scan that decided it
-    gives the big ideal, returned; elsewhere None is returned."""
+    chart of the pair, is that chart, returns that datum and the big ideal
+    the closure scan that decided the verdict gives; elsewhere None."""
     if not isinstance(chart, NuPoint):
         raise _not_stable(chart)
-    witness, walk = _theta_costability(x, chart, scan=nu == chart)
+    witness, a, walk = _theta_costability(x, chart, scan=nu == chart)
     if witness is not None:
         raise _not_stable(witness)
-    return None if walk is None else ZeroCycleIdeal.from_normal_forms(*walk, x.c)
+    return None if walk is None else (a, ZeroCycleIdeal.from_normal_forms(*walk, x.c))
 
 
 def _require_relations(x: EnhRep) -> None:
@@ -66,40 +73,61 @@ def _require_relations(x: EnhRep) -> None:
         raise RelationsViolated(f"representation violates the relations: nonzero residuals {bad}")
 
 
-def _pair_at(x: EnhRep, kern: HirzRep, nu: NuPoint, big: ZeroCycleIdeal | None) -> NestedIdealPair:
-    """The pair read at nu, the big ideal read here unless given.  It is
-    nested without a check: kern is the restriction to the kernel bases,
-    so b k1 = k1 b' and e k1 = e' in any chart, the kernel's monomial_rows
-    are the left walk times k1, and big.basis annihilates that walk."""
-    if big is None:
-        big = ideal_from_adhm(chart_extract(x.left, nu))
-    small = ideal_from_adhm(chart_extract(kern, nu))
-    return NestedIdealPair(nu=nu, big=big, small=small)
+def _small_ideal(x: EnhRep, a: AdhmData) -> ZeroCycleIdeal:
+    """The small ideal of x, read off a, its left datum in the pair's chart.
+
+    The kernel subrepresentation is the left part restricted to the kernel
+    bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
+    e k1 = e': its walk is the left walk times k1, one product and one
+    scan_walk.  Its datum needs no check.  The relations, checked first,
+    make the restriction well defined; k2 P' = P k1 makes its pencil P'
+    invertible where P is; [b1', b2'] lies in [b1, b2] k1 = 0; and the
+    left walk has rank c with k1 injective, so the product has rank c'.
+    """
+    cp = x.cp
+    walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
+    return ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
+
+
+def _pair_at(
+    x: EnhRep, nu: NuPoint, read: tuple[AdhmData, ZeroCycleIdeal] | None
+) -> NestedIdealPair:
+    """The pair read at nu from read, the left datum there and the big
+    ideal, or from one extraction of the left part when read is None.  It
+    is nested without a check: big.basis annihilates the left walk, and
+    the small walk is that walk times k1."""
+    if read is None:
+        a = chart_extract(x.left, nu)
+        read = a, ideal_from_adhm(a)
+    a, big = read
+    return NestedIdealPair(nu=nu, big=big, small=_small_ideal(x, a))
 
 
 def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> NestedIdealPair:
     """Nested pair of cycles cut out by a Theta-stable representation.
 
     The big cycle comes from the dimension-c part, the small one from the
-    kernel subrepresentation of (F1, F2).  Raises NotStable, then
-    RelationsViolated for data that are not quiver representations.  When
-    nu is not given, the chart is the first of [1,0], [0,1], [1,1], ...,
+    kernel subrepresentation of (F1, F2), read off the same left datum
+    (_small_ideal).  Raises NotStable, then RelationsViolated for data
+    that are not quiver representations.  When nu is not given, the chart is the first of [1,0], [0,1], [1,1], ...,
     [1,c] that is regular for both.  That order is regular_sample(c), where
     the stable verdict read the first regular chart, with [0,1] second: so
     the chart is [1,0] when the verdict's is, else [0,1] when the left
     pencil is regular there, else the verdict's.  Where the two charts
-    coincide, one extraction and one closure scan give both the verdict and
-    the big ideal.  Only the left pencil P is tested: the kernel's P' has
-    k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.
+    coincide, one extraction and one closure scan give the verdict and the
+    big ideal, and that extraction's walk gives the small ideal; elsewhere
+    the pair's chart is read with one more extraction.  Only the left
+    pencil P is tested: the kernel's P' has k2 P' = P k1 (kernel bases
+    k1, k2), so it is regular with P.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
     chart = _theta_chart(x, p)
     if nu is None and isinstance(chart, NuPoint):
         nu = _conversion_chart(x.left.A1, x.left.A2, chart)
-    big = _finish_verdict(x, chart, nu)
+    read = _finish_verdict(x, chart, nu)
     _require_relations(x)
-    return _pair_at(x, kernel_subrep(x), nu, big)
+    return _pair_at(x, nu, read)
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -142,9 +170,11 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     Inputs on different surfaces raise ShapeMismatch; inputs with
     different c or c' return False before any stability check.  Stable
     orbits are separated by their nested cycles, so the test reads both
-    pairs in one chart and compares the ideals entrywise.  That chart is
-    the one both stability verdicts read, and each verdict's closure scan
-    gives its big ideal.  Inputs whose verdicts read different charts are
+    pairs in one chart and compares the ideals entrywise, the big ones
+    first.  That chart is the one both stability verdicts read: each
+    verdict's closure scan gives its big ideal, and the small ideals are
+    read off the same extractions only when the big ones agree.  Inputs
+    whose verdicts read different charts are
     on different orbits: the gauge group moves a pencil's determinant only
     by a nonzero scalar, so the charts where it is regular, and the first
     of them, are the same along an orbit.  Raises NotStable, then
@@ -158,12 +188,11 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     chart_x, chart_y = _theta_chart(x, p), _theta_chart(y, p)
     # a witness in chart_x raises at once, so a shared value is a chart
     shared = chart_x if chart_x == chart_y else None
-    big_x = _finish_verdict(x, chart_x, shared)
-    big_y = _finish_verdict(y, chart_y, shared)
+    read_x = _finish_verdict(x, chart_x, shared)
+    read_y = _finish_verdict(y, chart_y, shared)
     _require_relations(x)
     _require_relations(y)
-    kx, ky = kernel_subrep(x), kernel_subrep(y)
     if shared is None:
         return False
-    px, py = _pair_at(x, kx, shared, big_x), _pair_at(y, ky, shared, big_y)
-    return px.big == py.big and px.small == py.small
+    (ax, big_x), (ay, big_y) = read_x, read_y
+    return big_x == big_y and _small_ideal(x, ax) == _small_ideal(y, ay)

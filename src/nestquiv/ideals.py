@@ -143,6 +143,8 @@ class ZeroCycleIdeal:
     basis: RationalMatrix
 
     def __post_init__(self):
+        if self.d < 0:
+            raise ShapeMismatch(f"degree bound must be non-negative, got {self.d}")
         nmon = count_upto(self.d)
         if self.basis.cols != nmon:
             raise ShapeMismatch("basis width must match the monomial count")

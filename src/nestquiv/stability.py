@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .chart import NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
+from .chart import AdhmData, NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
@@ -146,15 +146,16 @@ def _left_chart(x: HirzRep) -> NuPoint | str:
 
 def _left_costability(
     x: HirzRep, nu: NuPoint, scan: bool = False
-) -> tuple[str | None, tuple | None]:
+) -> tuple[str | None, AdhmData, tuple | None]:
     """The rest of the base-cone verdict at the chart _left_chart returned:
     extract the datum there (`AdhmData` checks that it commutes) and test
-    costability.  Returns (witness, None when costable; the closure_scan
-    that counted the closure when scan is asked for, else None)."""
+    costability.  Returns (witness, None when costable; the datum; the
+    closure_scan that counted the closure when scan is asked for, else
+    None)."""
     a = chart_extract(x, nu)
     walk = closure_scan(a.b1, a.b2, a.e) if scan else None
     r = closure_rank(a.b1, a.b2, a.e) if walk is None else len(walk[0])
-    return _closure_witness(r, a.c), walk
+    return _closure_witness(r, a.c), a, walk
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
@@ -167,7 +168,7 @@ def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     nu = _left_chart(x)
     if not isinstance(nu, NuPoint):
         return StabilityVerdict(stable=False, witness=nu)
-    witness, _ = _left_costability(x, nu)
+    witness, _, _ = _left_costability(x, nu)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
@@ -199,11 +200,13 @@ def _theta_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint | str:
     return nu if isinstance(nu, NuPoint) else _c2(nu)
 
 
-def _theta_costability(x: EnhRep, nu: NuPoint, scan: bool) -> tuple[str | None, tuple | None]:
+def _theta_costability(
+    x: EnhRep, nu: NuPoint, scan: bool
+) -> tuple[str | None, AdhmData, tuple | None]:
     """The rest of is_theta_stable's verdict at the chart _theta_chart
     returned: _left_costability of the left part, its witness prefixed."""
-    witness, walk = _left_costability(x.left, nu, scan)
-    return _c2(witness), walk
+    witness, a, walk = _left_costability(x.left, nu, scan)
+    return _c2(witness), a, walk
 
 
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
@@ -217,6 +220,11 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
 
 def kernel_subrep(x: EnhRep) -> HirzRep:
     """Restriction of the left part to (ker F1, ker F2).
+
+    The conversions do not call it: they read the small cycle off the
+    left walk times kernel_basis(F1), which is this datum's walk in any
+    regular chart.  It stays public, and as the tests' oracle for that
+    reading.
 
     Well-defined because A_i(ker F1) <= ker F2, C_t(ker F2) <= ker F1 and
     Im I_q <= ker F1 whenever the intertwining relations hold; violations

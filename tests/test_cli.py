@@ -111,6 +111,23 @@ def test_convert_rejects_empty_small_cycle(tmp_path):
     assert main(["convert", "cycle-to-rep", str(p)]) == 3
 
 
+
+@pytest.mark.parametrize("d", [-1, -2])
+def test_negative_degree_bound_is_malformed_input(d, tmp_path, capsys):
+    # count_upto(d) is 0 below d = 0, so an empty 0x0 basis would read as
+    # a colength-0 ideal and reach the c' > 0 precondition
+    pair_obj = {
+        "nu": ["1", "0"],
+        "big": monomial_ideal((1,)).to_json(),
+        "small": {"c": 0, "d": d, "basis": {"rows": 0, "cols": 0, "entries": []}},
+    }
+    p = tmp_path / "negative_d.json"
+    p.write_text(json.dumps(pair_obj))
+    assert main(["convert", "cycle-to-rep", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "degree bound must be non-negative" in captured.err
+
 def test_roundtrip_generated_deterministic(tmp_path):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestquiv import RationalMatrix, Singular, rat, rat_str
+from nestquiv import RationalMatrix, ShapeMismatch, Singular, rat, rat_str
 from nestquiv.ratmat import (
-    _json_ratio, block_diag, invert, json_count, json_rat, kernel_basis, rank, rref, solve_right,
+    _json_ratio, block_diag, invert, json_count, json_rat, kernel_basis, lincomb, rank, rref, solve_right,
 )
 
 from conftest import M
@@ -353,6 +353,66 @@ def test_stacking_and_selection_match_sympy(parts):
     assert sub == _from_sym(sa.extract(rows, cols))
     assert _lowest_terms(sub)
 
+
+
+def _scale_and_add(weights, mats, rows, cols):
+    """The chain lincomb replaces: scale each term, then add."""
+    out = RationalMatrix.zeros(rows, cols)
+    for w, m in zip(weights, mats):
+        out = out + m.scale(w)
+    return out
+
+
+def _assert_lincomb_agrees(weights, mats, rows, cols):
+    sympy = pytest.importorskip("sympy")
+    got = lincomb(weights, mats, rows, cols)
+    want = sympy.zeros(rows, cols)
+    for w, m in zip(weights, mats):
+        want += _sym(m) * sympy.Rational(w.numerator, w.denominator)
+    for other in (_scale_and_add(weights, mats, rows, cols), _from_sym(want)):
+        assert got == other and hash(got) == hash(other)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert _lowest_terms(got)
+
+
+# weights: zero, small integers of either sign, and fractions up to 2**40
+@settings(max_examples=60)
+@given(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=4),
+    ).flatmap(
+        lambda rck: st.tuples(
+            st.lists(_entry, min_size=rck[2], max_size=rck[2]),
+            st.lists(_matrices(rck[0], rck[1]), min_size=rck[2], max_size=rck[2]),
+            st.just(rck[0]),
+            st.just(rck[1]),
+        )
+    )
+)
+def test_lincomb_matches_scale_and_add_and_sympy(case):
+    _assert_lincomb_agrees(*case)
+
+
+def test_lincomb_edge_cases():
+    a = M([[1, Fraction(-2, 3)], [Fraction(5, 7), 0]])
+    b = M([[Fraction(3, 4), 1], [-1, Fraction(1, 6)]])
+    for weights, mats, rows, cols in (
+        ([], [], 2, 2),  # no terms
+        ([], [], 0, 3),
+        ([Fraction(0), Fraction(0)], [a, b], 2, 2),  # every weight zero
+        ([Fraction(-3, 2), Fraction(0)], [a, b], 2, 2),
+        ([Fraction(7, 3), Fraction(-7, 3)], [a, a], 2, 2),  # terms that cancel
+        ([Fraction(1, 2), Fraction(-5)], [RationalMatrix.zeros(0, 4)] * 2, 0, 4),
+        ([Fraction(1, 2), Fraction(-5)], [RationalMatrix.zeros(3, 0)] * 2, 3, 0),
+    ):
+        _assert_lincomb_agrees(weights, mats, rows, cols)
+    assert lincomb([], [], 2, 3) == RationalMatrix.zeros(2, 3)
+    with pytest.raises(ShapeMismatch):
+        lincomb([Fraction(1)], [a], 2, 3)
+    with pytest.raises(ShapeMismatch):
+        lincomb([Fraction(1)], [a, b], 2, 2)
 
 @settings(max_examples=60)
 @given(_matrices(), _nonzero_entry, st.data())
