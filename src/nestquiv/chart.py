@@ -59,8 +59,8 @@ from .errors import (
 from .monomials import monomials_upto
 from .quiver import HirzRep
 from .ratmat import (
-    RationalMatrix, _free_rows, invert, json_count, json_rat, kernel_basis, lincomb, rank, rat,
-    rat_str, rref,
+    RationalMatrix, _free_rows, _json_shaped, invert, json_count, json_rat, kernel_basis, lincomb,
+    rank, rat, rat_str, rref,
 )
 
 
@@ -122,11 +122,14 @@ class AdhmData:
 
     @staticmethod
     def from_json(obj) -> "AdhmData":
+        """Each matrix's declared shape is checked against c before the
+        matrix is built."""
+        c = json_count(obj["c"])
         return AdhmData(
-            c=json_count(obj["c"]),
-            b1=RationalMatrix.from_json(obj["b1"]),
-            b2=RationalMatrix.from_json(obj["b2"]),
-            e=RationalMatrix.from_json(obj["e"]),
+            c=c,
+            b1=_json_shaped(obj["b1"], c, c, "b1"),
+            b2=_json_shaped(obj["b2"], c, c, "b2"),
+            e=_json_shaped(obj["e"], 1, c, "e"),
         )
 
 

@@ -33,7 +33,7 @@ from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, enh_residuals
 from .ratmat import RationalMatrix, kernel_basis
-from .stability import EnhThetaParam, _theta_chart, _theta_costability
+from .stability import EnhThetaParam, _c2, _left_costability, _theta_chart
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
@@ -60,9 +60,9 @@ def _finish_verdict(
     the closure scan that decided the verdict gives; elsewhere None."""
     if not isinstance(chart, NuPoint):
         raise _not_stable(chart)
-    witness, a, walk = _theta_costability(x, chart, scan=nu == chart)
+    witness, a, walk = _left_costability(x.left, chart, scan=nu == chart)
     if witness is not None:
-        raise _not_stable(witness)
+        raise _not_stable(_c2(witness))
     return None if walk is None else (a, ZeroCycleIdeal.from_normal_forms(*walk, x.c))
 
 

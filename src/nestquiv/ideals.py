@@ -13,10 +13,12 @@ Conventions frozen here:
     form the divisor-closed staircase of standard monomials.
     `ZeroCycleIdeal.from_rows` computes that basis as `ratmat.rref` of the
     rows with their columns reversed; only `ZeroCycleIdeal` reads that layout;
-  * `ZeroCycleIdeal.normal_forms` reads the normal form of every monomial
-    off the reduced basis, with no elimination, and `from_normal_forms`
-    is its inverse.  `adhm_from_ideal`, `validate`, `reduce` and `member`
-    are row selections or products of the normal forms;
+  * a polynomial is its coefficient row over `monomials_upto(d)`;
+    `ZeroCycleIdeal.normal_forms` reads the normal form of every monomial
+    off the reduced basis, with no elimination, so a row v reduces to
+    v @ normal_forms(), and `from_normal_forms` is its inverse.
+    `adhm_from_ideal` and `validate` are row selections or products of
+    the normal forms;
   * multiplication matrices act on the standard-monomial basis in ascending
     order, and the ADHM matrices are their transposes: the canonical gauge;
   * every passage from a datum to its ideal goes through
@@ -39,84 +41,8 @@ from operator import matmul, mul
 
 from .chart import AdhmData, NuPoint, closure_scan, monomial_rows, transform_chart
 from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
-from .monomials import count_upto, deglex_key, monomials_upto
-from .ratmat import RationalMatrix, block_diag, json_count, kernel_basis, rank, rat, rat_str, rref
-
-
-@dataclass(frozen=True)
-class Poly2:
-    """Polynomial in two variables with rational coefficients."""
-
-    coeffs: tuple  # tuple of ((a, b), Fraction), sorted ascending, no zeros
-
-    @staticmethod
-    def from_dict(d: dict) -> "Poly2":
-        items = tuple(
-            (m, rat(v)) for m, v in sorted(d.items(), key=lambda kv: deglex_key(kv[0])) if v != 0
-        )
-        return Poly2(items)
-
-    def to_coeffs(self, d: int) -> list[Fraction]:
-        mons = monomials_upto(d)
-        index = {m: i for i, m in enumerate(mons)}
-        out = [Fraction(0)] * len(mons)
-        for m, v in self.coeffs:
-            if m not in index:
-                raise ShapeMismatch(f"monomial {m} exceeds degree bound {d}")
-            out[index[m]] = v
-        return out
-
-    def degree(self) -> int:
-        return max((a + b for (a, b), _ in self.coeffs), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_monomial(self) -> tuple[int, int]:
-        """Largest monomial in the frozen order."""
-        if not self.coeffs:
-            raise ShapeMismatch("zero polynomial has no leading monomial")
-        return self.coeffs[-1][0]
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        d = dict(self.coeffs)
-        for m, v in other.coeffs:
-            d[m] = d.get(m, Fraction(0)) + v
-        return Poly2.from_dict(d)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        d = dict(self.coeffs)
-        for m, v in other.coeffs:
-            d[m] = d.get(m, Fraction(0)) - v
-        return Poly2.from_dict(d)
-
-    def scale(self, f) -> "Poly2":
-        f = rat(f)
-        if f == 0:
-            return Poly2(())
-        return Poly2(tuple((m, v * f) for m, v in self.coeffs))
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        d: dict = {}
-        for (a1, b1), v1 in self.coeffs:
-            for (a2, b2), v2 in other.coeffs:
-                m = (a1 + a2, b1 + b2)
-                d[m] = d.get(m, Fraction(0)) + v1 * v2
-        return Poly2.from_dict(d)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b), v in reversed(self.coeffs):
-            mon = ""
-            if a:
-                mon += "x" + (f"^{a}" if a > 1 else "")
-            if b:
-                mon += ("*" if mon else "") + "y" + (f"^{b}" if b > 1 else "")
-            coeff = rat_str(v)
-            parts.append(f"{coeff}*{mon}" if mon and coeff not in ("1", "-1") else (f"-{mon}" if mon and coeff == "-1" else mon or coeff))
-        return " + ".join(parts).replace("+ -", "- ")
+from .monomials import count_upto, monomials_upto
+from .ratmat import RationalMatrix, block_diag, json_count, kernel_basis, rank, rref
 
 
 def _pivot_rows(basis: RationalMatrix) -> dict:
@@ -233,14 +159,6 @@ class ZeroCycleIdeal:
                 rows.append(row)
         return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix._wrap(rows, nf.den, len(mons)))
 
-    def reduce(self, p: Poly2) -> Poly2:
-        """Normal form of p modulo the ideal (p must fit the degree bound)."""
-        nf = RationalMatrix.row(p.to_coeffs(self.d)) @ self.normal_forms()
-        return Poly2.from_dict(dict(zip(self.standard_monomials(), nf.data[0])))
-
-    def member(self, p: Poly2) -> bool:
-        return self.reduce(p).is_zero()
-
     def to_json(self) -> dict:
         return {"c": self.c, "d": self.d, "basis": self.basis.to_json()}
 
@@ -277,10 +195,6 @@ class NestedIdealPair:
             big=ZeroCycleIdeal.from_json(obj["big"]),
             small=ZeroCycleIdeal.from_json(obj["small"]),
         )
-
-
-def colength(i: ZeroCycleIdeal) -> int:
-    return count_upto(i.d) - i.basis.rows
 
 
 def contains(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> bool:

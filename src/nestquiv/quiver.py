@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ShapeMismatch, Singular
-from .ratmat import RationalMatrix, invert, json_count
+from .ratmat import RationalMatrix, _json_shaped, invert, json_count
 
 
 def _expect_shape(m: RationalMatrix, rows: int, cols: int, name: str):
@@ -76,17 +76,30 @@ class HirzRep:
 
     @staticmethod
     def from_json(obj: dict) -> "HirzRep":
-        n = json_count(obj["n"])
+        """Each matrix's declared shape is checked against the counts before
+        the matrix is built."""
+        n, c0, c1 = (json_count(obj[k]) for k in ("n", "c0", "c1"))
+
+        def read(key: str, rows: int, cols: int) -> RationalMatrix:
+            return _json_shaped(obj[key], rows, cols, key)
+
         return HirzRep(
             n=n,
-            c0=json_count(obj["c0"]),
-            c1=json_count(obj["c1"]),
-            A1=RationalMatrix.from_json(obj["A1"]),
-            A2=RationalMatrix.from_json(obj["A2"]),
-            C=tuple(RationalMatrix.from_json(obj[f"C{t}"]) for t in range(1, n + 1)),
-            I=tuple(RationalMatrix.from_json(obj[f"I{q}"]) for q in range(1, n)),
-            J=RationalMatrix.from_json(obj["J"]),
+            c0=c0,
+            c1=c1,
+            A1=read("A1", c1, c0),
+            A2=read("A2", c1, c0),
+            C=tuple(read(f"C{t}", c0, c1) for t in range(1, n + 1)),
+            I=tuple(read(f"I{q}", c0, 1) for q in range(1, n)),
+            J=read("J", 1, c0),
         )
+
+
+def _right_dim(c: int, cp: int) -> int:
+    """The right part's dimension c - c', for 0 <= c' < c."""
+    if not 0 <= cp < c:
+        raise ShapeMismatch(f"need 0 <= cp < c, got cp={cp}, c={c}")
+    return c - cp
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,7 @@ class EnhRep:
         c = self.left.c0
         if self.left.c1 != c:
             raise ShapeMismatch("enhanced left part needs c0 = c1")
-        if not 0 <= self.cp < c:
-            raise ShapeMismatch(f"need 0 <= cp < c, got cp={self.cp}, c={c}")
-        s = c - self.cp
+        s = _right_dim(c, self.cp)
         _expect_shape(self.Ap1, s, s, "Ap1")
         _expect_shape(self.Ap2, s, s, "Ap2")
         if len(self.Cp) != self.left.n:
@@ -139,16 +150,23 @@ class EnhRep:
 
     @staticmethod
     def from_json(obj: dict) -> "EnhRep":
+        """Like HirzRep.from_json, each declared shape is checked first."""
         c = json_count(obj["c"])
         left = HirzRep.from_json({**obj, "c0": c, "c1": c})
+        cp = json_count(obj["cp"])
+        s = _right_dim(c, cp)
+
+        def read(key: str, cols: int) -> RationalMatrix:
+            return _json_shaped(obj[key], s, cols, key)
+
         return EnhRep(
             left=left,
-            cp=json_count(obj["cp"]),
-            Ap1=RationalMatrix.from_json(obj["Ap1"]),
-            Ap2=RationalMatrix.from_json(obj["Ap2"]),
-            Cp=tuple(RationalMatrix.from_json(obj[f"Cp{t}"]) for t in range(1, left.n + 1)),
-            F1=RationalMatrix.from_json(obj["F1"]),
-            F2=RationalMatrix.from_json(obj["F2"]),
+            cp=cp,
+            Ap1=read("Ap1", s),
+            Ap2=read("Ap2", s),
+            Cp=tuple(read(f"Cp{t}", s) for t in range(1, left.n + 1)),
+            F1=read("F1", c),
+            F2=read("F2", c),
         )
 
 

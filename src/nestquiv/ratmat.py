@@ -150,7 +150,7 @@ class RationalMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix._wrap(((0,) * cols,) * rows, 1, cols)
+        return RationalMatrix._wrap(((0,) * cols,) * rows if rows else (), 1, cols)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -287,6 +287,16 @@ class RationalMatrix:
         den = lcm(*(q for _, q in entries))
         flat = [p * (den // q) for p, q in entries]
         return RationalMatrix._wrap([flat[i * c : (i + 1) * c] for i in range(r)], den, c)
+
+
+def _json_shaped(obj: dict, rows: int, cols: int, name: str) -> RationalMatrix:
+    """RationalMatrix.from_json(obj), once obj declares the shape rows x cols
+    (ShapeMismatch otherwise).  A matrix without entries is built from its
+    declared counts alone, so the caller's counts must bound them."""
+    r, c = json_count(obj["rows"]), json_count(obj["cols"])
+    if (r, c) != (rows, cols):
+        raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {r}x{c}")
+    return RationalMatrix.from_json(obj)
 
 
 def _common(mats: Sequence[RationalMatrix]):

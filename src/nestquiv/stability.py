@@ -200,22 +200,15 @@ def _theta_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint | str:
     return nu if isinstance(nu, NuPoint) else _c2(nu)
 
 
-def _theta_costability(
-    x: EnhRep, nu: NuPoint, scan: bool
-) -> tuple[str | None, AdhmData, tuple | None]:
-    """The rest of is_theta_stable's verdict at the chart _theta_chart
-    returned: _left_costability of the left part, its witness prefixed."""
-    witness, a, walk = _left_costability(x.left, nu, scan)
-    return _c2(witness), a, walk
-
-
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
-    """Two-condition stability test inside the enhanced cone."""
-    witness = _c1_witness(x, p)
-    if witness is not None:
-        return StabilityVerdict(stable=False, witness=witness)
-    left = is_gamma_stable(x.left)
-    return StabilityVerdict(stable=left.stable, witness=_c2(left.witness), nu=left.nu)
+    """Two-condition stability test inside the enhanced cone: the checks
+    up to the chart (`_theta_chart`), then costability of the left datum
+    read there (`_left_costability`)."""
+    nu = _theta_chart(x, p)
+    if not isinstance(nu, NuPoint):
+        return StabilityVerdict(stable=False, witness=nu)
+    witness, _, _ = _left_costability(x.left, nu)
+    return StabilityVerdict(stable=witness is None, witness=_c2(witness), nu=nu)
 
 
 def kernel_subrep(x: EnhRep) -> HirzRep:

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nestquiv
 from nestquiv import (
     BadPair,
     ConeViolation,
@@ -314,6 +319,58 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+# A child Python whose address space is capped at 1 GiB, so that a matrix
+# sized by a file's counts fails there instead of exhausting the host.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+"""
+
+
+def _run_capped(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(nestquiv.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED + code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+_HUGE_EMPTY = (
+    {"rows": 0, "cols": 10**9, "entries": []},
+    {"rows": 10**9, "cols": 0, "entries": []},
+)
+
+
+def test_entryless_matrices_are_sized_by_the_counts(tmp_path):
+    # an entry-less matrix declaring a billion rows or columns is refused
+    # by its declared shape, before anything of that size is built
+    pair = NestedIdealPair(nu=nu(1, 0), big=monomial_ideal((2,)), small=monomial_ideal((1,)))
+    rep = nested_to_rep(pair, 1)
+    runs = []
+    for k, huge in enumerate(_HUGE_EMPTY):
+        for name, obj in (("rep", rep.to_json()), ("plain", rep.left.to_json())):
+            p = tmp_path / f"{name}{k}.json"
+            p.write_text(json.dumps({**obj, "J": huge}))
+            runs.append(["check", str(p)])
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps({**pair.to_json(), "small": {"c": 1, "d": 1, "basis": _HUGE_EMPTY[0]}}))
+    runs.append(["convert", "cycle-to-rep", str(p)])
+    for argv in runs:
+        done = _run_capped("from nestquiv.cli import main\nsys.exit(main(sys.argv[1:]))", *argv)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stdout == "" and done.stderr.startswith("error: malformed ")
+        assert "Traceback" not in done.stderr
+    for huge in _HUGE_EMPTY:
+        datum = {"c": 1, "b1": huge, "b2": huge, "e": huge}
+        done = _run_capped(
+            "import json\nfrom nestquiv import AdhmData, ShapeMismatch\n"
+            "try:\n    AdhmData.from_json(json.loads(sys.argv[1]))\n"
+            "except ShapeMismatch:\n    sys.exit(2)",
+            json.dumps(datum),
+        )
+        assert done.returncode == 2, done.stderr
 
 
 @pytest.mark.parametrize(
