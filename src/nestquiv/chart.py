@@ -94,6 +94,13 @@ class NuPoint:
         return NuPoint(json_rat(obj[0]), json_rat(obj[1]))
 
 
+# The charts of the torus-fixed points: the fiber over [1,0], the fiber
+# over [0,1], and the chart [1,1] where both are visible.
+CHART_FIRST = NuPoint(Fraction(1), Fraction(0))
+CHART_SECOND = NuPoint(Fraction(0), Fraction(1))
+CHART_MIXED = NuPoint(Fraction(1), Fraction(1))
+
+
 @dataclass(frozen=True)
 class AdhmData:
     """Commuting pair plus covector; the commutator is checked eagerly."""
@@ -180,7 +187,7 @@ def conversion_sample(count: int) -> list[NuPoint]:
     """The frozen chart order of the conversions: regular_sample(count) with
     [0,1] second, so [1,0], [0,1], [1,1], ..., [1,count]."""
     first, *rest = regular_sample(count)
-    return [first, NuPoint(Fraction(0), Fraction(1)), *rest]
+    return [first, CHART_SECOND, *rest]
 
 
 def first_regular(pencils, candidates) -> NuPoint | None:

@@ -3,9 +3,12 @@
 Subcommands: check, convert, roundtrip, count-fixed, monad-check.  All
 reports are JSON with sorted keys, so a fixed --seed reproduces identical
 bytes.  Exit codes: 0 success, 1 verification failure, 2 unreadable or
-malformed input, 3 precondition violation (bad parameter, singular chart,
-unsupported colength).  Every package error carries its code as
-`exit_code`, so no error reaches the user as a traceback.
+malformed input (a file that cannot be read, JSON nested too deep, an
+--out that cannot be written), 3 precondition violation (bad parameter,
+singular chart, unsupported colength).  Every failure is a package error
+carrying its code as `exit_code`: main prints it as the one stderr line
+`error: <message>`, prints nothing on stdout, and returns the code, so no
+error reaches the user as a traceback.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .chart import NuPoint, find_regular_nu, transform_chart
-from .corpus import (
-    CHART_FIRST,
-    CHART_MIXED,
-    CHART_SECOND,
-    random_gauge,
-    random_nested_pair,
-)
+from .chart import CHART_FIRST, CHART_MIXED, CHART_SECOND, NuPoint, find_regular_nu, transform_chart
+from .corpus import random_gauge, random_nested_pair
 from .correspondence import nested_to_rep, rep_to_nested, same_orbit
 from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
@@ -34,30 +31,38 @@ from .quiver import EnhRep, HirzRep, act, enh_residuals, hirz_residuals
 from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
 
-_EXIT_LABELS = {1: "verification failed", 2: "malformed input", 3: "precondition violated"}
+
+class _CliFailure(NestquivError):
+    """Malformed command-line input, or a file that cannot be read or written."""
+    exit_code = 2
 
 
-class _CliFailure(Exception):
-    """Malformed command-line input; main reports it and returns 2."""
-
-
-def _load_json(path: str):
+def _read(path: str, parse, what: str):
+    """parse applied to the JSON in the file at path; every way the file
+    fails to give a `what` is a _CliFailure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise _CliFailure(f"cannot read {path}: {e}") from None
-    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, a 4301-digit integer, deep nesting
         raise _CliFailure(f"{path} is not valid JSON: {e}") from None
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, ShapeMismatch, NotAnIdeal) as e:
+        raise _CliFailure(f"malformed {what} JSON: {e}") from None
 
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise _CliFailure(f"cannot write {out}: {e}") from None
 
 
 def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
@@ -86,26 +91,13 @@ def _parse_theta(text: str) -> EnhThetaParam:
     return EnhThetaParam(*_parse_rationals(text, 4, "--theta"))
 
 
-def _load_rep(obj):
+def _rep_from_json(obj):
     """EnhRep when the JSON carries cp, plain HirzRep otherwise."""
-    try:
-        if "cp" in obj:
-            return EnhRep.from_json(obj)
-        return HirzRep.from_json(obj)
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as e:
-        raise _CliFailure(f"malformed representation JSON: {e}") from None
-
-
-def _load_pair(obj) -> NestedIdealPair:
-    try:
-        return NestedIdealPair.from_json(obj)
-    except (KeyError, TypeError, ValueError, ShapeMismatch, NotAnIdeal) as e:
-        raise _CliFailure(f"malformed pair JSON: {e}") from None
+    return EnhRep.from_json(obj) if "cp" in obj else HirzRep.from_json(obj)
 
 
 def cmd_check(args) -> int:
-    obj = _load_json(args.input)
-    x = _load_rep(obj)
+    x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, EnhRep):
         theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
         residuals = enh_residuals(x)
@@ -126,9 +118,8 @@ def cmd_check(args) -> int:
 def cmd_convert(args) -> int:
     if args.direction == "cycle-to-rep":
         _check_surface_index(args.n)
-    obj = _load_json(args.input)
     if args.direction == "rep-to-cycle":
-        x = _load_rep(obj)
+        x = _read(args.input, _rep_from_json, "representation")
         if not isinstance(x, EnhRep):
             raise _CliFailure("rep-to-cycle needs an enhanced representation (cp field)")
         theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
@@ -136,7 +127,7 @@ def cmd_convert(args) -> int:
         pair = rep_to_nested(x, theta, nu=nu)
         _emit(pair.to_json(), args.out)
         return 0
-    pair = _load_pair(obj)
+    pair = _read(args.input, NestedIdealPair.from_json, "pair")
     x = nested_to_rep(pair, args.n)
     _emit(x.to_json(), args.out)
     return 0
@@ -176,7 +167,8 @@ def cmd_roundtrip(args) -> int:
         except OSError as e:
             raise _CliFailure(f"cannot list {args.corpus}: {e}") from None
         for name in names:
-            cases.append((name, _load_pair(_load_json(os.path.join(args.corpus, name)))))
+            pair = _read(os.path.join(args.corpus, name), NestedIdealPair.from_json, "pair")
+            cases.append((name, pair))
     else:
         for i, pair in enumerate(_monomial_pairs(args.cmax)):
             cases.append((f"monomial-{i}", pair))
@@ -251,8 +243,7 @@ _MONAD_S = ((1, 1), (2, 1), (1, 2), (1, 0))
 
 
 def cmd_monad_check(args) -> int:
-    obj = _load_json(args.input)
-    x = _load_rep(obj)
+    x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, EnhRep):
         x = x.left
     if x.c0 != x.c1:
@@ -325,11 +316,8 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except _CliFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NestquivError as e:
-        print(f"{_EXIT_LABELS[e.exit_code]}: {e}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return e.exit_code
 
 

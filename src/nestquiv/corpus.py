@@ -19,14 +19,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, chart_embed
+from .chart import CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, chart_embed
 from .ideals import NestedIdealPair, ZeroCycleIdeal, adhm_from_ideal, ideal_from_adhm
 from .quiver import GaugeElement, act
 from .ratmat import RationalMatrix, rank
-
-CHART_FIRST = NuPoint(Fraction(1), Fraction(0))
-CHART_SECOND = NuPoint(Fraction(0), Fraction(1))
-CHART_MIXED = NuPoint(Fraction(1), Fraction(1))
 
 
 def random_fraction(rng: random.Random, span: int = 9, den: int = 4) -> Fraction:

@@ -39,7 +39,10 @@ from functools import cache
 from itertools import accumulate
 from operator import matmul, mul
 
-from .chart import AdhmData, NuPoint, closure_scan, monomial_rows, transform_chart
+from .chart import (
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, closure_scan, monomial_rows,
+    transform_chart,
+)
 from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, monomials_upto
 from .ratmat import RationalMatrix, block_diag, json_count, kernel_basis, rank, rref
@@ -56,6 +59,14 @@ def _pivot_rows(basis: RationalMatrix) -> dict:
     return out
 
 
+def _width(d: int) -> int:
+    """count_upto(d), the basis width of a degree-d truncation;
+    ShapeMismatch for d < 0, where count_upto is 0."""
+    if d < 0:
+        raise ShapeMismatch(f"degree bound must be non-negative, got {d}")
+    return count_upto(d)
+
+
 @dataclass(frozen=True)
 class ZeroCycleIdeal:
     """Degree-d truncation of a colength-c ideal, canonical echelon basis.
@@ -69,9 +80,7 @@ class ZeroCycleIdeal:
     basis: RationalMatrix
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ShapeMismatch(f"degree bound must be non-negative, got {self.d}")
-        nmon = count_upto(self.d)
+        nmon = _width(self.d)
         if self.basis.cols != nmon:
             raise ShapeMismatch("basis width must match the monomial count")
         if self.basis.rows != nmon - self.c:
@@ -164,9 +173,12 @@ class ZeroCycleIdeal:
 
     @staticmethod
     def from_json(obj) -> "ZeroCycleIdeal":
-        return ZeroCycleIdeal.from_rows(
-            RationalMatrix.from_json(obj["basis"]), c=json_count(obj["c"]), d=json_count(obj["d"])
-        )
+        """The basis's declared width is checked before it is built, since
+        an entry-less basis is sized by its declared counts alone."""
+        c, d = json_count(obj["c"]), json_count(obj["d"])
+        if json_count(obj["basis"]["cols"]) != _width(d):
+            raise ShapeMismatch("basis width must match the monomial count")
+        return ZeroCycleIdeal.from_rows(RationalMatrix.from_json(obj["basis"]), c=c, d=d)
 
 
 @dataclass(frozen=True)
@@ -315,11 +327,6 @@ def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal
     return ZeroCycleIdeal.from_normal_forms(std, nf, d)
 
 
-_FIXED_FIRST = NuPoint(Fraction(1), Fraction(0))
-_FIXED_SECOND = NuPoint(Fraction(0), Fraction(1))
-_FIXED_MIXED = NuPoint(Fraction(1), Fraction(1))
-
-
 def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> list[NestedIdealPair]:
     """All torus-fixed nested pairs of colengths (cp, c).
 
@@ -342,7 +349,7 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     out = []
     for c1 in range(c, -1 if charts == 2 else c - 1, -1):
         c2 = c - c1
-        nu = _FIXED_FIRST if c2 == 0 else _FIXED_SECOND if c1 == 0 else _FIXED_MIXED
+        nu = CHART_FIRST if c2 == 0 else CHART_SECOND if c1 == 0 else CHART_MIXED
         for lam1 in partitions(c1):
             for lam2 in partitions(c2):
                 big = ideal_at(lam1, lam2, nu)
@@ -365,13 +372,13 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
     at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
     those two charts the other part is empty; in [1, 1] the nonempty parts
     are transported there and summed."""
-    if nu == _FIXED_FIRST:
+    if nu == CHART_FIRST:
         return monomial_ideal(lam1, d=sum(lam1))
-    if nu == _FIXED_SECOND:
+    if nu == CHART_SECOND:
         return monomial_ideal(lam2, d=sum(lam2))
     parts = [
         transform_chart(adhm_from_ideal(monomial_ideal(lam, d=sum(lam))), home, nu, n)
-        for lam, home in ((lam1, _FIXED_FIRST), (lam2, _FIXED_SECOND))
+        for lam, home in ((lam1, CHART_FIRST), (lam2, CHART_SECOND))
         if lam
     ]
     joined = AdhmData(

@@ -172,41 +172,24 @@ class EnhRep:
 
 @dataclass(frozen=True)
 class GaugeElement:
-    """(g1, g2, g3, g4), each invertible; invertibility checked eagerly."""
+    """(g1, g2, g3, g4), each invertible; the inverses inv1..inv4 are
+    computed eagerly, which checks invertibility."""
 
     g1: RationalMatrix
     g2: RationalMatrix
     g3: RationalMatrix | None = None
     g4: RationalMatrix | None = None
-    _inv: tuple = field(init=False, repr=False, compare=False, default=())
+    inv1: RationalMatrix = field(init=False, repr=False, compare=False)
+    inv2: RationalMatrix = field(init=False, repr=False, compare=False)
+    inv3: RationalMatrix | None = field(init=False, repr=False, compare=False)
+    inv4: RationalMatrix | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        invs = []
-        for g in (self.g1, self.g2, self.g3, self.g4):
-            if g is None:
-                invs.append(None)
-                continue
+        for k, g in enumerate((self.g1, self.g2, self.g3, self.g4), start=1):
             try:
-                invs.append(invert(g))
+                object.__setattr__(self, f"inv{k}", None if g is None else invert(g))
             except Singular:
                 raise Singular("gauge element must be invertible") from None
-        object.__setattr__(self, "_inv", tuple(invs))
-
-    @property
-    def inv1(self):
-        return self._inv[0]
-
-    @property
-    def inv2(self):
-        return self._inv[1]
-
-    @property
-    def inv3(self):
-        return self._inv[2]
-
-    @property
-    def inv4(self):
-        return self._inv[3]
 
 
 def hirz_residuals(x: HirzRep) -> list[RationalMatrix]:

@@ -188,6 +188,28 @@ def test_monad_check_detects_broken_relations(hand_files, tmp_path, capsys):
     assert report["complex_zero"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "REP"],
+        ["convert", "cycle-to-rep", "PAIR"],
+        ["roundtrip", "--cmax", "2"],
+        ["count-fixed", "--cp", "1", "--c", "2"],
+        ["monad-check", "PLAIN"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_malformed_input(argv, hand_files, capsys):
+    paths, tmp_path = hand_files
+    argv = [paths[a.lower()] if a.isupper() else a for a in argv]
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        assert main([*argv, "--out", str(out)]) == 2, out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
+
 # The documented exit code of every package error: 1 a verification failed,
 # 2 malformed input, 3 a precondition violation.
 DOCUMENTED_EXIT = {
@@ -202,6 +224,7 @@ DOCUMENTED_EXIT = {
     RelationsViolated: 1,
     Singular: 1,
     ShapeMismatch: 2,
+    cli._CliFailure: 2,
     ConeViolation: 3,
     DomainError: 3,
     ExcludedLocus: 3,
@@ -321,6 +344,18 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    # the decoder gives up on nesting past the recursion limit
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 10**5 + "]" * 10**5)
+    for argv in (["check", str(p)], ["convert", "cycle-to-rep", str(p)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "is not valid JSON" in captured.err
+        assert "Traceback" not in captured.err
+
+
 # A child Python whose address space is capped at 1 GiB, so that a matrix
 # sized by a file's counts fails there instead of exhausting the host.
 _CAPPED = """
@@ -354,9 +389,12 @@ def test_entryless_matrices_are_sized_by_the_counts(tmp_path):
             p = tmp_path / f"{name}{k}.json"
             p.write_text(json.dumps({**obj, "J": huge}))
             runs.append(["check", str(p)])
-    p = tmp_path / "pair.json"
-    p.write_text(json.dumps({**pair.to_json(), "small": {"c": 1, "d": 1, "basis": _HUGE_EMPTY[0]}}))
-    runs.append(["convert", "cycle-to-rep", str(p)])
+    # the small basis's width is checked against d, and d < 0 is refused
+    # first, since count_upto(-1) == 0 would pass a 10^9 x 0 basis
+    for k, (d, huge) in enumerate(((1, _HUGE_EMPTY[0]), (1, _HUGE_EMPTY[1]), (-1, _HUGE_EMPTY[1]))):
+        p = tmp_path / f"pair{k}.json"
+        p.write_text(json.dumps({**pair.to_json(), "small": {"c": 1, "d": d, "basis": huge}}))
+        runs.append(["convert", "cycle-to-rep", str(p)])
     for argv in runs:
         done = _run_capped("from nestquiv.cli import main\nsys.exit(main(sys.argv[1:]))", *argv)
         assert done.returncode == 2, (argv, done.stderr)
