@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
 from operator import matmul, mul
 
@@ -385,7 +385,7 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
         c=sum(lam1) + sum(lam2),
         b1=block_diag([t.b1 for t in parts]),
         b2=block_diag([t.b2 for t in parts]),
-        e=RationalMatrix.row([v for t in parts for v in t.e.data[0]]),
+        e=reduce(RationalMatrix.hstack, (t.e for t in parts), RationalMatrix.zeros(1, 0)),
     )
     return ideal_from_adhm(joined)
 

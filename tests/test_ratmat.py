@@ -2,12 +2,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestquiv import RationalMatrix, ShapeMismatch, Singular, rat, rat_str
+from nestquiv import RationalMatrix, ShapeMismatch, Singular, rat, rat_str, ratmat
 from nestquiv.ratmat import (
-    _json_ratio, block_diag, invert, json_count, json_rat, kernel_basis, lincomb, rank, rref, solve_right,
+    _json_ratio, _rref, block_diag, invert, json_count, json_rat, kernel_basis, lincomb, rank, rref, solve_right,
 )
 
 from conftest import M
@@ -48,9 +48,7 @@ def test_constructors_and_indexing():
     m = M([[1, 2], [3, 4]])
     assert m[0, 1] == 2
     assert m.transpose()[1, 0] == 2
-    assert RationalMatrix.identity(2).is_identity()
     assert RationalMatrix.zeros(2, 3).is_zero()
-    assert RationalMatrix.column([1, 2]).cols == 1
     assert RationalMatrix.row([1, 2]).rows == 1
     with pytest.raises(Exception):
         RationalMatrix.from_rows([[1, 2], [3]])
@@ -241,6 +239,11 @@ def test_matmul_matches_sympy(ab):
 
 @settings(max_examples=60)
 @given(_matrices())
+@example(M([[1, 2], [3, 4]]))  # last pivot -2: the sign is normalised
+@example(M([[1, 0, 2], [0, 1, 3]]))  # a zero above a pivot: no term to subtract
+@example(M([[1, 0, 2], [0, 0, 3]]))  # a middle column without a pivot
+@example(M([], cols=3))
+@example(M([[], [], []]))
 def test_rank_rref_and_kernel_match_sympy(m):
     s = _sym(m)
     assert rank(m) == s.rank()
@@ -248,11 +251,34 @@ def test_rank_rref_and_kernel_match_sympy(m):
     expected, expected_pivots = s.rref()
     assert pivots == list(expected_pivots)
     assert r == _from_sym(expected)
+    # the raw form kernel_basis, invert and solve_right read: rows over a
+    # positive denominator, each pivot column den at its row and 0 elsewhere,
+    # zero rows from the rank on
+    a, den, raw_pivots = _rref([list(row) for row in m.num], m.cols)
+    assert raw_pivots == pivots and rank(m) == len(pivots)
+    assert den > 0 and len(a) == m.rows
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in a] == [den if k == i else 0 for k in range(m.rows)]
+    assert not any(map(any, a[len(pivots):]))
     k = kernel_basis(m)
     assert k.rows == m.cols
     assert [list(col) for col in k.transpose().data] == [
         list(_from_sym(v).transpose().data[0]) for v in s.nullspace()
     ]
+
+
+def test_each_elimination_runs_one_forward_pass(monkeypatch):
+    # rank counts the pivots of _echelon and _rref back-substitutes its rows:
+    # one forward pass per call, and no second elimination beside it
+    calls = []
+    echelon = ratmat._echelon
+    monkeypatch.setattr(ratmat, "_echelon", lambda a, ncols: calls.append(ncols) or echelon(a, ncols))
+    m = M([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    for run in (lambda: rank(m), lambda: rref(m), lambda: kernel_basis(m),
+                lambda: invert(M([[1, 2], [3, 4]])), lambda: solve_right(m, M([[1], [2], [0]]))):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 @settings(max_examples=60)
