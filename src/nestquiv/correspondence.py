@@ -2,12 +2,16 @@
 
 The bridge runs through a chart: restrict the representation to a patch
 where the pencil A_nu is invertible, extract the commuting ADHM datum of
-the dimension-c part and read off the big ideal.  The small cycle is the
-kernel subrepresentation cut out by F1, F2, the left part restricted to
-the kernel bases; its walk is the left walk times the kernel basis k1 of
-F1, so the small ideal is read off the same datum, with no kernel
-subrepresentation built.  The reverse direction rebuilds the canonical
-gauge of both cycles and splices them along the inclusion of quotients.
+the dimension-c part and read off the big ideal.  The stability verdict
+already extracts that datum at its own chart (`stability._theta_reading`),
+and scans its closure when the caller reads the pair there, so a
+conversion whose chart is the verdict's reads the left part once.  The
+small cycle is the kernel subrepresentation cut out by F1, F2, the left
+part restricted to the kernel bases; its walk is the left walk times the
+kernel basis k1 of F1, so the small ideal is read off the same datum,
+with no kernel subrepresentation built.  The reverse direction rebuilds
+the canonical gauge of both cycles and splices them along the inclusion
+of quotients.
 
 Both directions are deterministic: charts are tried in the fixed order
 [1,0], [0,1], [1,1], [1,2], ... and the first regular one wins, so a
@@ -17,6 +21,8 @@ no enhancement to speak of and are rejected with DomainError.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .chart import (
     AdhmData,
@@ -33,7 +39,7 @@ from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
 from .quiver import EnhRep, enh_residuals
 from .ratmat import RationalMatrix, kernel_basis
-from .stability import EnhThetaParam, _c2, _left_costability, _theta_chart
+from .stability import EnhThetaParam, _theta_reading
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
@@ -47,23 +53,14 @@ def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) ->
     return first_regular([(a1, a2)], [second]) or chart
 
 
-def _not_stable(witness: str) -> NotStable:
-    return NotStable(f"representation is not stable: {witness}")
-
-
-def _finish_verdict(
-    x: EnhRep, chart: NuPoint | str, nu: NuPoint | None
-) -> tuple[AdhmData, ZeroCycleIdeal] | None:
-    """The rest of x's stability verdict after _theta_chart returned chart:
-    NotStable unless the left datum read there is costable.  Where nu, the
-    chart of the pair, is that chart, returns that datum and the big ideal
-    the closure scan that decided the verdict gives; elsewhere None."""
-    if not isinstance(chart, NuPoint):
-        raise _not_stable(chart)
-    witness, a, walk = _left_costability(x.left, chart, scan=nu == chart)
-    if witness is not None:
-        raise _not_stable(_c2(witness))
-    return None if walk is None else (a, ZeroCycleIdeal.from_normal_forms(*walk, x.c))
+def _stable_reading(x: EnhRep, p: EnhThetaParam, reads):
+    """x's stability reading (`_theta_reading`): its chart, the left datum
+    read there and the closure scan, as that returns them.  NotStable
+    unless x is stable."""
+    verdict, a, scan = _theta_reading(x, p, reads)
+    if not verdict.stable:
+        raise NotStable(f"representation is not stable: {verdict.witness}")
+    return verdict.nu, a, scan
 
 
 def _require_relations(x: EnhRep) -> None:
@@ -89,45 +86,42 @@ def _small_ideal(x: EnhRep, a: AdhmData) -> ZeroCycleIdeal:
     return ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
 
 
-def _pair_at(
-    x: EnhRep, nu: NuPoint, read: tuple[AdhmData, ZeroCycleIdeal] | None
-) -> NestedIdealPair:
-    """The pair read at nu from read, the left datum there and the big
-    ideal, or from one extraction of the left part when read is None.  It
-    is nested without a check: big.basis annihilates the left walk, and
-    the small walk is that walk times k1."""
-    if read is None:
-        a = chart_extract(x.left, nu)
-        read = a, ideal_from_adhm(a)
-    a, big = read
-    return NestedIdealPair(nu=nu, big=big, small=_small_ideal(x, a))
-
-
 def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> NestedIdealPair:
     """Nested pair of cycles cut out by a Theta-stable representation.
 
     The big cycle comes from the dimension-c part, the small one from the
     kernel subrepresentation of (F1, F2), read off the same left datum
     (_small_ideal).  Raises NotStable, then RelationsViolated for data
-    that are not quiver representations.  When nu is not given, the chart is the first of [1,0], [0,1], [1,1], ...,
-    [1,c] that is regular for both.  That order is regular_sample(c), where
-    the stable verdict read the first regular chart, with [0,1] second: so
-    the chart is [1,0] when the verdict's is, else [0,1] when the left
-    pencil is regular there, else the verdict's.  Where the two charts
-    coincide, one extraction and one closure scan give the verdict and the
-    big ideal, and that extraction's walk gives the small ideal; elsewhere
-    the pair's chart is read with one more extraction.  Only the left
-    pencil P is tested: the kernel's P' has k2 P' = P k1 (kernel bases
-    k1, k2), so it is regular with P.
+    that are not quiver representations.  When nu is not given, the chart
+    is the first of [1,0], [0,1], [1,1], ..., [1,c] that is regular for
+    both.  That order is regular_sample(c), where the stable verdict read
+    the first regular chart, with [0,1] second: so the chart is [1,0] when
+    the verdict's is, else [0,1] when the left pencil is regular there,
+    else the verdict's (pair_chart, cached, so the [0,1] pencil is ranked
+    once).  Where the two charts coincide, the verdict's reading scans the
+    closure, and its extraction and scan give the big ideal and the small
+    one; elsewhere the verdict only counts the closure and the pair's
+    chart is read with one more extraction.  Only the left pencil P is
+    tested: the kernel's P' has k2 P' = P k1 (kernel bases k1, k2), so it
+    is regular with P.  The pair is nested without a check: big.basis
+    annihilates the left walk, and the small walk is that walk times k1.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-    chart = _theta_chart(x, p)
-    if nu is None and isinstance(chart, NuPoint):
-        nu = _conversion_chart(x.left.A1, x.left.A2, chart)
-    read = _finish_verdict(x, chart, nu)
+
+    @cache
+    def pair_chart(chart: NuPoint) -> NuPoint:
+        return nu if nu is not None else _conversion_chart(x.left.A1, x.left.A2, chart)
+
+    chart, a, scan = _stable_reading(x, p, lambda chart: pair_chart(chart) == chart)
     _require_relations(x)
-    return _pair_at(x, nu, read)
+    at = pair_chart(chart)
+    if scan is None:
+        a = chart_extract(x.left, at)
+        big = ideal_from_adhm(a)
+    else:
+        big = ZeroCycleIdeal.from_normal_forms(*scan, x.c)
+    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, a))
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -169,30 +163,25 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
 
     Inputs on different surfaces raise ShapeMismatch; inputs with
     different c or c' return False before any stability check.  Stable
-    orbits are separated by their nested cycles, so the test reads both
-    pairs in one chart and compares the ideals entrywise, the big ones
-    first.  That chart is the one both stability verdicts read: each
-    verdict's closure scan gives its big ideal, and the small ideals are
-    read off the same extractions only when the big ones agree.  Inputs
-    whose verdicts read different charts are
-    on different orbits: the gauge group moves a pencil's determinant only
-    by a nonzero scalar, so the charts where it is regular, and the first
-    of them, are the same along an orbit.  Raises NotStable, then
-    RelationsViolated, if either input fails, x before y, before that
-    answer.
+    orbits are separated by their nested cycles, so the test compares the
+    pairs both stability verdicts read, each at its own chart: x's whole
+    reading, then y's, each scanning its closure, then both inputs'
+    relations.  Inputs whose verdicts read different charts are on
+    different orbits: the gauge group moves a pencil's determinant only by
+    a nonzero scalar, so the charts where it is regular, and the first of
+    them, are the same along an orbit.  In one chart the closure scans are
+    the big ideals (`ZeroCycleIdeal.from_normal_forms` is one to one), and
+    the small ideals are read off the same extractions only when the scans
+    agree.  Raises NotStable, then RelationsViolated, if either input
+    fails, x before y, before that answer.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    chart_x, chart_y = _theta_chart(x, p), _theta_chart(y, p)
-    # a witness in chart_x raises at once, so a shared value is a chart
-    shared = chart_x if chart_x == chart_y else None
-    read_x = _finish_verdict(x, chart_x, shared)
-    read_y = _finish_verdict(y, chart_y, shared)
+    always = lambda chart: True
+    chart_x, ax, scan_x = _stable_reading(x, p, always)
+    chart_y, ay, scan_y = _stable_reading(y, p, always)
     _require_relations(x)
     _require_relations(y)
-    if shared is None:
-        return False
-    (ax, big_x), (ay, big_y) = read_x, read_y
-    return big_x == big_y and _small_ideal(x, ax) == _small_ideal(y, ay)
+    return chart_x == chart_y and scan_x == scan_y and _small_ideal(x, ax) == _small_ideal(y, ay)

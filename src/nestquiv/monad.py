@@ -41,7 +41,7 @@ from math import comb, lcm
 from .chart import NuPoint, chart_blocks
 from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch
 from .quiver import HirzRep
-from .ratmat import RationalMatrix, _common, json_rat, rank, rat, rat_str
+from .ratmat import RationalMatrix, _common, rank, rat, rat_str
 
 _VAR_NAMES = ("y1", "y2", "se", "sinf")
 
@@ -146,10 +146,6 @@ class CoxPoly:
 
     def to_json(self) -> list:
         return [{"exponents": list(m), "coeff": rat_str(c)} for m, c in self.terms]
-
-    @staticmethod
-    def from_json(obj) -> "CoxPoly":
-        return CoxPoly.from_dict({tuple(t["exponents"]): json_rat(t["coeff"]) for t in obj})
 
 
 def cox_mul(f: CoxPoly, g: CoxPoly) -> CoxPoly:

@@ -77,8 +77,12 @@ class HirzRep:
     @staticmethod
     def from_json(obj: dict) -> "HirzRep":
         """Each matrix's declared shape is checked against the counts before
-        the matrix is built."""
+        the matrix is built.  The entries of J bound c0 and those of A1
+        bound c1 given c0 >= 1, but with c0 = 0 no entry bounds c1, so
+        c0 = 0 < c1 is refused before anything is built."""
         n, c0, c1 = (json_count(obj[k]) for k in ("n", "c0", "c1"))
+        if c0 == 0 < c1:
+            raise ShapeMismatch(f"c0 = 0 needs c1 = 0, got c1 = {c1}")
 
         def read(key: str, rows: int, cols: int) -> RationalMatrix:
             return _json_shaped(obj[key], rows, cols, key)
@@ -214,34 +218,22 @@ def enh_residuals(x: EnhRep) -> list[RationalMatrix]:
     """Residuals of every enhanced relation, in the frozen order.
 
     The left-part residuals come first and equal hirz_residuals(x.left)
-    entry by entry.  Then, for n = 1:
-        right loop, F2 A1 - Ap1 F1, F2 A2 - Ap2 F1, F1 C1 - Cp1 F2.
-    For n >= 2:
-        right residuals Ap1 Cp_q - Ap2 Cp_{q+1} (q = 1..n-1),
-        right residuals Cp_q Ap1 - Cp_{q+1} Ap2 (q = 1..n-1),
-        F1 I_q (q = 1..n-1),
+    entry by entry; then the right copy's, hirz_residuals of the plain
+    representation (Ap1, Ap2, Cp) with zero I_q and J; then
+        F1 I_q (q = 1..n-1; none for n = 1),
         F2 A_p - Ap_p F1 (p = 1, 2),
         F1 C_t - Cp_t F2 (t = 1..n).
     """
-    out = list(hirz_residuals(x.left))
-    l = x.left
-    if x.n == 1:
-        cp1 = x.Cp[0]
-        out.append(x.Ap1 @ cp1 @ x.Ap2 - x.Ap2 @ cp1 @ x.Ap1)
-        out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
-        out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)
-        out.append(x.F1 @ l.C[0] - cp1 @ x.F2)
-        return out
-    for q in range(x.n - 1):
-        out.append(x.Ap1 @ x.Cp[q] - x.Ap2 @ x.Cp[q + 1])
-    for q in range(x.n - 1):
-        out.append(x.Cp[q] @ x.Ap1 - x.Cp[q + 1] @ x.Ap2)
-    for q in range(x.n - 1):
-        out.append(x.F1 @ l.I[q])
+    l, s = x.left, x.c - x.cp
+    zero_i = RationalMatrix.zeros(s, 1)
+    right = HirzRep(
+        n=x.n, c0=s, c1=s, A1=x.Ap1, A2=x.Ap2, C=x.Cp, I=(zero_i,) * (x.n - 1), J=zero_i.transpose()
+    )
+    out = hirz_residuals(l) + hirz_residuals(right)
+    out += [x.F1 @ iq for iq in l.I]
     out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
     out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)
-    for t in range(x.n):
-        out.append(x.F1 @ l.C[t] - x.Cp[t] @ x.F2)
+    out += [x.F1 @ ct - cpt @ x.F2 for ct, cpt in zip(l.C, x.Cp)]
     return out
 
 

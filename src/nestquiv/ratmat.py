@@ -164,10 +164,6 @@ class RationalMatrix:
             return RationalMatrix.zeros(0, cols)
         return RationalMatrix(rows)
 
-    @staticmethod
-    def row(entries: Sequence) -> "RationalMatrix":
-        return RationalMatrix([list(entries)]) if entries else RationalMatrix.zeros(1, 0)
-
     # -- basics -------------------------------------------------------
 
     @property

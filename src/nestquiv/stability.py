@@ -8,18 +8,23 @@ inside the parameter cone, an enhanced representation is stable iff
     (C2) the left part is stable for the base cone,
 
 and (C2) in turn reduces to: all I_q vanish (n >= 2), some sampled chart is
-regular, and the extracted ADHM datum is costable.  The oracle re-derives
+regular, and the extracted ADHM datum is costable.  One reader per level
+runs that chain, `_left_reading` for the base cone and `_theta_reading`
+for the enhanced one: each returns the verdict together with the datum it
+extracted and, when the caller will read its pair at the verdict's chart,
+the closure scan that decided costability, which the conversions in
+`correspondence` turn into the big ideal.  The oracle re-derives
 verdicts directly from the subrepresentation inequalities and is used by the
 test suite to cross-check the chain on torus-fixed inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .chart import AdhmData, NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
+from .chart import NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
@@ -29,7 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .quiver import EnhRep, HirzRep
-from .ratmat import RationalMatrix, _free_rows, json_rat, kernel_basis, rank, rat, rat_str
+from .ratmat import RationalMatrix, _free_rows, kernel_basis, rank, rat
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,6 @@ class EnhThetaParam:
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3", "theta4"):
             object.__setattr__(self, name, rat(getattr(self, name)))
-
-    def to_json(self) -> list[str]:
-        return [rat_str(getattr(self, f"theta{i}")) for i in range(1, 5)]
-
-    @staticmethod
-    def from_json(obj) -> "EnhThetaParam":
-        return EnhThetaParam(*(json_rat(t) for t in obj))
 
 
 @dataclass(frozen=True)
@@ -130,85 +128,60 @@ def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> St
     return StabilityVerdict(stable=witness is None, witness=witness)
 
 
-def _left_chart(x: HirzRep) -> NuPoint | str:
-    """The base-cone checks up to the chart, in verdict order: nonzero I
-    (n >= 2), then pencil regularity.  Returns the chart the verdict
-    reads, or the witness of the check that decides it before one."""
+def _left_reading(x: HirzRep, reads=None):
+    """The base-cone verdict of x, with what it read.
+
+    The checks in verdict order: nonzero I (n >= 2), pencil regularity
+    (`find_regular_nu`), then costability of the datum extracted at that
+    chart (`AdhmData` checks that it commutes).  Returns (verdict, the
+    datum, the closure scan), the last two None where the verdict was
+    decided before them.  The closure is scanned (`closure_scan`) only when
+    reads(nu) says the caller reads its pair at the verdict's chart nu, and
+    otherwise counted (`closure_rank`).
+    """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
     if any(not iq.is_zero() for iq in x.I):
-        return "nonzero I"
+        return StabilityVerdict(stable=False, witness="nonzero I"), None, None
     try:
-        return find_regular_nu(x.A1, x.A2)
+        nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
-        return "irregular pencil"
-
-
-def _left_costability(
-    x: HirzRep, nu: NuPoint, scan: bool = False
-) -> tuple[str | None, AdhmData, tuple | None]:
-    """The rest of the base-cone verdict at the chart _left_chart returned:
-    extract the datum there (`AdhmData` checks that it commutes) and test
-    costability.  Returns (witness, None when costable; the datum; the
-    closure_scan that counted the closure when scan is asked for, else
-    None)."""
+        return StabilityVerdict(stable=False, witness="irregular pencil"), None, None
+    scanned = reads is not None and reads(nu)
     a = chart_extract(x, nu)
-    walk = closure_scan(a.b1, a.b2, a.e) if scan else None
-    r = closure_rank(a.b1, a.b2, a.e) if walk is None else len(walk[0])
-    return _closure_witness(r, a.c), a, walk
+    scan = closure_scan(a.b1, a.b2, a.e) if scanned else None
+    r = closure_rank(a.b1, a.b2, a.e) if scan is None else len(scan[0])
+    witness = _closure_witness(r, a.c)
+    return StabilityVerdict(stable=witness is None, witness=witness, nu=nu), a, scan
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
-    """Base-cone stability of a plain representation with c0 = c1.
-
-    The checks up to the chart (`_left_chart`), then costability of the
-    datum read there (`_left_costability`).  The verdict carries the chart
-    used.
-    """
-    nu = _left_chart(x)
-    if not isinstance(nu, NuPoint):
-        return StabilityVerdict(stable=False, witness=nu)
-    witness, _, _ = _left_costability(x, nu)
-    return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
+    """Base-cone stability of a plain representation with c0 = c1
+    (`_left_reading`).  The verdict carries the chart used."""
+    return _left_reading(x)[0]
 
 
-def _c1_witness(x: EnhRep, p: EnhThetaParam) -> str | None:
-    """The cone check (ConeViolation outside it), then (C1): the witness
-    of the first of F1, F2 that is not surjective, None when both are."""
+def _theta_reading(x: EnhRep, p: EnhThetaParam, reads=None):
+    """The enhanced verdict of x at p, with what it read, as
+    `_left_reading` returns it: the cone check (ConeViolation outside it),
+    then (C1), the first of F1, F2 that is not surjective, then (C2), the
+    left part's reading, its witness prefixed."""
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
     s = x.c - x.cp
-    if rank(x.F1) != s:
-        return "(C1) F1"
-    if rank(x.F2) != s:
-        return "(C1) F2"
-    return None
-
-
-def _c2(witness: str | None) -> str | None:
-    """A base-cone witness of the left part as is_theta_stable reports it."""
-    return None if witness is None else f"(C2) {witness}"
-
-
-def _theta_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint | str:
-    """is_theta_stable's checks up to the chart its left verdict reads:
-    that chart, or the witness of the check that decides before it."""
-    witness = _c1_witness(x, p)
-    if witness is not None:
-        return witness
-    nu = _left_chart(x.left)
-    return nu if isinstance(nu, NuPoint) else _c2(nu)
+    for name, f in (("F1", x.F1), ("F2", x.F2)):
+        if rank(f) != s:
+            return StabilityVerdict(stable=False, witness=f"(C1) {name}"), None, None
+    verdict, a, scan = _left_reading(x.left, reads)
+    if not verdict.stable:
+        verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
+    return verdict, a, scan
 
 
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
-    """Two-condition stability test inside the enhanced cone: the checks
-    up to the chart (`_theta_chart`), then costability of the left datum
-    read there (`_left_costability`)."""
-    nu = _theta_chart(x, p)
-    if not isinstance(nu, NuPoint):
-        return StabilityVerdict(stable=False, witness=nu)
-    witness, _, _ = _left_costability(x.left, nu)
-    return StabilityVerdict(stable=witness is None, witness=_c2(witness), nu=nu)
+    """Two-condition stability test inside the enhanced cone
+    (`_theta_reading`)."""
+    return _theta_reading(x, p)[0]
 
 
 def kernel_subrep(x: EnhRep) -> HirzRep:

@@ -389,6 +389,15 @@ def test_entryless_matrices_are_sized_by_the_counts(tmp_path):
             p = tmp_path / f"{name}{k}.json"
             p.write_text(json.dumps({**obj, "J": huge}))
             runs.append(["check", str(p)])
+    # with c0 = 0 no entry bounds c1: a plain rep declaring c1 = 10^9,
+    # with A1 and A2 of 10^9 x 0, is refused by its counts
+    unbounded = {
+        "n": 1, "c0": 0, "c1": 10**9, "A1": _HUGE_EMPTY[1], "A2": _HUGE_EMPTY[1],
+        "C1": _HUGE_EMPTY[0], "J": {"rows": 1, "cols": 0, "entries": []},
+    }
+    p = tmp_path / "unbounded.json"
+    p.write_text(json.dumps(unbounded))
+    runs += [["check", str(p)], ["monad-check", str(p)]]
     # the small basis's width is checked against d, and d < 0 is refused
     # first, since count_upto(-1) == 0 would pass a 10^9 x 0 basis
     for k, (d, huge) in enumerate(((1, _HUGE_EMPTY[0]), (1, _HUGE_EMPTY[1]), (-1, _HUGE_EMPTY[1]))):

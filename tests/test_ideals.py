@@ -283,7 +283,7 @@ def test_normal_forms_match_point_evaluation():
         i = ideal_of_points(pts)
         mons, std, nf = monomials_upto(i.d), i.standard_monomials(), i.normal_forms()
         v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in mons]
-        reduced = dict(zip(std, (RationalMatrix.row(v) @ nf).data[0]))
+        reduced = dict(zip(std, (RationalMatrix([v]) @ nf).data[0]))
         rows = [
             v,
             [x - reduced.get(m, 0) for m, x in zip(mons, v)],

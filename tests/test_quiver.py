@@ -91,3 +91,53 @@ def test_act_conjugates_residuals():
     res = hirz_residuals(bad)[1]
     res_g = hirz_residuals(act(g, bad))[1]
     assert res_g == g.g1 @ res @ g.inv1
+
+
+def _enh_residuals_by_hand(x):
+    """The enhanced residuals written out in full, as a reference."""
+    l, out = x.left, list(hirz_residuals(x.left))
+    if x.n == 1:
+        cp1 = x.Cp[0]
+        out.append(x.Ap1 @ cp1 @ x.Ap2 - x.Ap2 @ cp1 @ x.Ap1)
+        out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
+        out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)
+        out.append(x.F1 @ l.C[0] - cp1 @ x.F2)
+        return out
+    for q in range(x.n - 1):
+        out.append(x.Ap1 @ x.Cp[q] - x.Ap2 @ x.Cp[q + 1])
+    for q in range(x.n - 1):
+        out.append(x.Cp[q] @ x.Ap1 - x.Cp[q + 1] @ x.Ap2)
+    for q in range(x.n - 1):
+        out.append(x.F1 @ l.I[q])
+    out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
+    out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)
+    for t in range(x.n):
+        out.append(x.F1 @ l.C[t] - x.Cp[t] @ x.F2)
+    return out
+
+
+def test_enh_residuals_match_the_formulas_written_out():
+    # random arrows break the relations; each residual, in its place,
+    # equals the formula written out for the right copy and the maps F
+    rng = random.Random(19)
+
+    def mat(rows, cols):
+        return M([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    for n in (1, 2, 3, 4):
+        for c, cp in ((1, 0), (2, 1), (3, 1), (4, 2)):
+            s = c - cp
+            for _ in range(3):
+                left = HirzRep(
+                    n=n, c0=c, c1=c, A1=mat(c, c), A2=mat(c, c),
+                    C=tuple(mat(c, c) for _ in range(n)), I=tuple(mat(c, 1) for _ in range(n - 1)),
+                    J=mat(1, c),
+                )
+                x = EnhRep(
+                    left=left, cp=cp, Ap1=mat(s, s), Ap2=mat(s, s),
+                    Cp=tuple(mat(s, s) for _ in range(n)), F1=mat(s, c), F2=mat(s, c),
+                )
+                got, expected = enh_residuals(x), _enh_residuals_by_hand(x)
+                assert len(got) == len(expected) == 2 * len(hirz_residuals(left)) + 2 + n + (n - 1)
+                assert got == expected
+                assert any(not r.is_zero() for r in got)

@@ -49,7 +49,6 @@ def test_constructors_and_indexing():
     assert m[0, 1] == 2
     assert m.transpose()[1, 0] == 2
     assert RationalMatrix.zeros(2, 3).is_zero()
-    assert RationalMatrix.row([1, 2]).rows == 1
     with pytest.raises(Exception):
         RationalMatrix.from_rows([[1, 2], [3]])
 

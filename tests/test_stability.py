@@ -72,11 +72,6 @@ def test_enh_cone_and_default():
     assert not in_enh_cone(bad2, 2, 1)
 
 
-def test_theta_param_json():
-    p = default_theta(2, 1)
-    assert EnhThetaParam.from_json(p.to_json()) == p
-
-
 def test_costable_verdicts():
     good = is_costable(M([[0, 1], [0, 0]]), M([[0, 0], [0, 0]]), M([[1, 0]]))
     assert good.stable
