@@ -13,7 +13,7 @@ pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
     b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
 
 Each nu-combination (`pencil`, `pencil_combos`, and the pencil arrows of
-`chart_embed`) is one `ratmat.lincomb`: one integer pass over its terms.
+`_pencil_arrows`) is one `ratmat.lincomb`: one integer pass over its terms.
 The direction of the b2 product matters: C_nu A_nu is the one that
 transforms by conjugation under gauge, with e transforming as e g^{-1}.
 `first_regular` finds charts, scanning one of the two frozen orders
@@ -31,12 +31,13 @@ reader of a datum's own walk up to degree c, and `closure_rank` only
 counts, with the forward-only `rank`.  The conversions give `scan_walk`
 the small cycle's walk, the left walk times a kernel basis.
 
-The pencil arrows of an embedded datum, A1 = (nu2 + nu1 b1) / rho and
-A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are polynomials in b1,
-so they commute with each other and with b2, and its return arrows are
-the pencil powers C_q = A1^{q-1} A2^{n-q} b2.  The
+The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
+/ rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
+polynomials in b1, so they commute with each other and with b2, and its
+return arrows are the pencil powers C_q = A1^{q-1} A2^{n-q} b2.  The
 binomial theorem then gives C_nu = (nu2 A1 + nu1 A2)^{n-1} b2 = A_nu^{n-1} b2
 = b2, which is why extract(embed(a, nu), nu) = a at every rational chart.
+`chart_embed` adds I_q = 0 and J = e; an unframed right copy is the arrows.
 """
 
 from __future__ import annotations
@@ -213,21 +214,25 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
     return nu
 
 
-def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
-    """Representation of the cycle (b1, b2, e) placed in the chart at nu.
-
-    Gauge-normalized so that A_nu = id and D_nu = b1; the C-stack is the
-    pencil powers C_q = A1^{q-1} A2^{n-q} b2, I_q = 0, J = e.
-    """
-    ident = RationalMatrix.identity(a.c)
+def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
+    """The arrows (A1, A2, (C1..Cn)) of the pair (b1, b2) in the chart at
+    nu: A_nu = id, D_nu = b1 and the pencil powers C_q = A1^{q-1} A2^{n-q} b2."""
+    c = b1.rows
+    ident = RationalMatrix.identity(c)
     nu1, nu2 = nu.nu1 / nu.rho, nu.nu2 / nu.rho
-    a1 = lincomb((nu2, nu1), (ident, a.b1), a.c, a.c)
-    a2 = lincomb((nu1, -nu2), (ident, a.b1), a.c, a.c)
-    heads, tails = [ident], [a.b2]  # A1^k and A2^k b2 for k = 0 .. n-1
+    a1 = lincomb((nu2, nu1), (ident, b1), c, c)
+    a2 = lincomb((nu1, -nu2), (ident, b1), c, c)
+    heads, tails = [ident], [b2]  # A1^k and A2^k b2 for k = 0 .. n-1
     for _ in range(n - 1):
         heads.append(heads[-1] @ a1)
         tails.append(a2 @ tails[-1])
-    cs = tuple(heads[k] @ tails[n - 1 - k] for k in range(n))
+    return a1, a2, tuple(heads[k] @ tails[n - 1 - k] for k in range(n))
+
+
+def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
+    """Representation of the cycle (b1, b2, e) placed in the chart at nu:
+    the pencil arrows of (b1, b2) (`_pencil_arrows`), I_q = 0 and J = e."""
+    a1, a2, cs = _pencil_arrows(a.b1, a.b2, nu, n)
     i_cols = tuple(RationalMatrix.zeros(a.c, 1) for _ in range(n - 1))
     return HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e)
 

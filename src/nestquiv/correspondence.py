@@ -27,6 +27,7 @@ from functools import cache
 from .chart import (
     AdhmData,
     NuPoint,
+    _pencil_arrows,
     build_nested_adhm,
     chart_embed,
     chart_extract,
@@ -129,15 +130,16 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
 
     Both cycles are put in the canonical costable gauge, the inclusion is
     the transpose of the reduction onto the small standard monomials, and
-    the quotient datum supplies the dimension-c' arrows.  The output uses
-    the pair's own chart, so converting back with rep_to_nested returns
-    the pair verbatim whenever its chart is the first regular candidate
-    (always true for pairs this package produces).  The relations hold with
-    no check: C_q = A1^(q-1) A2^(n-q) b2 and quot b_i = qb_i quot.
+    the unframed right copy is the pencil arrows of the quotient pair
+    (qb1, qb2).  The output uses the pair's own chart, so converting back
+    with rep_to_nested returns the pair verbatim whenever its chart is the
+    first regular candidate (always true for pairs this package produces).
+    The relations hold with no check: C_q = A1^(q-1) A2^(n-q) b2, quot b_i
+    = qb_i quot, and [qb1, qb2] quot = quot [b1, b2] = 0 with quot onto.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
-    c, cp = pair.big.c, pair.small.c
+    cp = pair.small.c
     if cp < 1:
         raise DomainError("conversion needs 0 < c' < c")
     big = adhm_from_ideal(pair.big)
@@ -145,17 +147,8 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     incl = _inclusion(pair.big, small)
     nested = build_nested_adhm(small, big, incl)
     left = chart_embed(big, pair.nu, n)
-    zero_e = RationalMatrix.zeros(1, c - cp)
-    quot_rep = chart_embed(AdhmData(c - cp, nested.qb1, nested.qb2, zero_e), pair.nu, n)
-    return EnhRep(
-        left=left,
-        cp=cp,
-        Ap1=quot_rep.A1,
-        Ap2=quot_rep.A2,
-        Cp=quot_rep.C,
-        F1=nested.quot,
-        F2=nested.quot,
-    )
+    ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
+    return EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)
 
 
 def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:

@@ -340,8 +340,8 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     Order: chart-1 colength descending, then partitions in generation order;
     charts=1 is the chart-1 colength c block of charts=2.
     """
-    if not 0 <= cp <= c:
-        raise ShapeMismatch("need 0 <= cp <= c")
+    if not 0 <= cp < c:
+        raise ShapeMismatch("need 0 <= cp < c")
     if charts not in (1, 2):
         raise ShapeMismatch("charts must be 1 or 2")
     # one ideal per cycle and chart: a small cycle recurs under many big ones

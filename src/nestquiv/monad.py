@@ -101,13 +101,11 @@ class CoxPoly:
     def __mul__(self, other: "CoxPoly") -> "CoxPoly":
         return cox_mul(self, other)
 
-    def pow(self, k: int) -> "CoxPoly":
+    def __pow__(self, k: int) -> "CoxPoly":
         out = CoxPoly.constant(1)
         for _ in range(k):
             out = cox_mul(out, self)
         return out
-
-    __pow__ = pow
 
     def evaluate(self, pt) -> Fraction:
         vals = _point(pt)

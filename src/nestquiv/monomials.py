@@ -9,11 +9,6 @@ do not change it.
 from __future__ import annotations
 
 
-def deglex_key(m: tuple[int, int]) -> tuple[int, int]:
-    a, b = m
-    return (a + b, b)
-
-
 def monomials_upto(d: int) -> list[tuple[int, int]]:
     """All (a, b) with a + b <= d, in the frozen order."""
     out = []

@@ -4,7 +4,7 @@ A `HirzRep` is a representation of the quiver with two vertices of dimensions
 (c0, c1), arrows A1, A2: V0 -> V1, return arrows C1..Cn: V1 -> V0, framing
 row J: V0 -> W = k, and (for n >= 2) framing columns I1..I_{n-1}: W -> V0.
 An `EnhRep` glues a c-dimensional left copy to a (c - c')-dimensional right
-copy through surjections F1, F2.
+copy through surjections F1, F2; the right copy has no framing, so no I_q J.
 
 Relation residuals are returned as matrices, in a frozen documented order,
 so "all relations hold" is exactly "every residual is zero".
@@ -196,21 +196,26 @@ class GaugeElement:
                 raise Singular("gauge element must be invertible") from None
 
 
-def hirz_residuals(x: HirzRep) -> list[RationalMatrix]:
-    """Relation residuals of the plain quiver, in the frozen order.
+def _pencil_residuals(A1: RationalMatrix, A2: RationalMatrix, C) -> list[RationalMatrix]:
+    """Residuals of the unframed relations, in the frozen order.
 
     n = 1:  [A1 C1 A2 - A2 C1 A1].
     n >= 2: first the n-1 residuals A1 C_q - A2 C_{q+1}, then the n-1
-    residuals C_q A1 - C_{q+1} A2 - I_q J, both for q = 1 .. n-1.
+    residuals C_q A1 - C_{q+1} A2, both for q = 1 .. n-1.
     """
-    if x.n == 1:
-        c1 = x.C[0]
-        return [x.A1 @ c1 @ x.A2 - x.A2 @ c1 @ x.A1]
-    out = []
-    for q in range(x.n - 1):
-        out.append(x.A1 @ x.C[q] - x.A2 @ x.C[q + 1])
-    for q in range(x.n - 1):
-        out.append(x.C[q] @ x.A1 - x.C[q + 1] @ x.A2 - x.I[q] @ x.J)
+    if len(C) == 1:
+        return [A1 @ C[0] @ A2 - A2 @ C[0] @ A1]
+    pairs = list(zip(C, C[1:]))
+    return [A1 @ cq - A2 @ cr for cq, cr in pairs] + [cq @ A1 - cr @ A2 for cq, cr in pairs]
+
+
+def hirz_residuals(x: HirzRep) -> list[RationalMatrix]:
+    """Relation residuals of the plain quiver, in the frozen order: those of
+    `_pencil_residuals`, with I_q J subtracted from the n-1 residuals
+    C_q A1 - C_{q+1} A2 of the second family (n >= 2)."""
+    out = _pencil_residuals(x.A1, x.A2, x.C)
+    for q, iq in enumerate(x.I, start=x.n - 1):
+        out[q] = out[q] - iq @ x.J
     return out
 
 
@@ -218,18 +223,14 @@ def enh_residuals(x: EnhRep) -> list[RationalMatrix]:
     """Residuals of every enhanced relation, in the frozen order.
 
     The left-part residuals come first and equal hirz_residuals(x.left)
-    entry by entry; then the right copy's, hirz_residuals of the plain
-    representation (Ap1, Ap2, Cp) with zero I_q and J; then
+    entry by entry; then the unframed right copy's, `_pencil_residuals`
+    of (Ap1, Ap2, Cp): the left formulas without I_q J; then
         F1 I_q (q = 1..n-1; none for n = 1),
         F2 A_p - Ap_p F1 (p = 1, 2),
         F1 C_t - Cp_t F2 (t = 1..n).
     """
-    l, s = x.left, x.c - x.cp
-    zero_i = RationalMatrix.zeros(s, 1)
-    right = HirzRep(
-        n=x.n, c0=s, c1=s, A1=x.Ap1, A2=x.Ap2, C=x.Cp, I=(zero_i,) * (x.n - 1), J=zero_i.transpose()
-    )
-    out = hirz_residuals(l) + hirz_residuals(right)
+    l = x.left
+    out = hirz_residuals(l) + _pencil_residuals(x.Ap1, x.Ap2, x.Cp)
     out += [x.F1 @ iq for iq in l.I]
     out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
     out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)

@@ -1,6 +1,6 @@
 """Exact rational linear algebra.
 
-Scalars are `fractions.Fraction` (re-exported as `Rational`): the stdlib type
+Scalars are `fractions.Fraction`: the stdlib type
 already keeps lowest terms and a positive denominator, which is exactly the
 normalization we need, so we do not reimplement it.
 
@@ -43,8 +43,6 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, Singular
-
-Rational = Fraction
 
 
 def rat(x) -> Fraction:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nestquiv
+from nestquiv import ideals
 from nestquiv import (
     AdhmData,
     NestedIdealPair,
@@ -317,6 +318,61 @@ def test_enumerate_counts_frozen():
     ]
 
 
+def test_enumerate_refuses_equal_colengths_before_any_work(monkeypatch):
+    def no_ideal(*args):
+        raise AssertionError("built an ideal")
+
+    monkeypatch.setattr(ideals, "_fixed_cycle_ideal", no_ideal)
+    for c in (0, 3):
+        for charts in (1, 2):
+            with pytest.raises(ShapeMismatch, match=r"need 0 <= cp < c"):
+                enumerate_nested_monomial(c, c, charts=charts)
+
+
+def _partitions_by_hand(k, largest=None):
+    # partitions of k into parts <= largest, built independently of the package
+    largest = k if largest is None else largest
+    if k == 0:
+        return [()]
+    return [
+        (part, *rest)
+        for part in range(min(k, largest), 0, -1)
+        for rest in _partitions_by_hand(k - part, part)
+    ]
+
+
+def test_fixed_point_counts_are_euler_characteristics():
+    def nested(cp, c):  # pairs lam' <= lam of sizes (cp, c) at one fixed point
+        return sum(
+            len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+            for big in _partitions_by_hand(c)
+            for small in _partitions_by_hand(cp)
+        )
+
+    for c in range(1, 7):
+        for cp in range(c):
+            assert len(enumerate_nested_monomial(cp, c, charts=1)) == nested(cp, c)
+            two = sum(
+                nested(cp1, c1) * nested(cp - cp1, c - c1)
+                for c1 in range(c + 1)
+                for cp1 in range(min(cp, c1) + 1)
+                if cp - cp1 <= c - c1
+            )
+            assert len(enumerate_nested_monomial(cp, c, charts=2)) == two
+
+    # Cheah: at c' = c - 1 the count is the coefficient of q^(c-1) in
+    # 2/(1-q) prod_k (1-q^k)^(-2), a series built here in integers
+    top = 7
+    series = [1] + [0] * (top - 1)
+    for k in range(1, top):
+        for _ in range(2):  # divide by (1 - q^k), twice
+            for d in range(k, top):
+                series[d] += series[d - k]
+    cheah = [2 * sum(series[: d + 1]) for d in range(top)]
+    assert cheah == [2, 6, 16, 36, 76, 148, 278]
+    assert [len(enumerate_nested_monomial(c - 1, c, charts=2)) for c in range(1, top + 1)] == cheah
+
+
 def test_one_chart_enumeration_is_the_first_block_of_two():
     for n in (1, 2, 3):
         for c in range(1, 6):
@@ -429,6 +485,22 @@ def test_no_module_uses_floats():
                 modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             assert not {m.split(".")[0] for m in modules} & {"numpy", "scipy"}, path.name
             assert not (isinstance(node, ast.Name) and node.id in ("float", "complex")), path.name
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # each deletion of a caller can strand an import; no linter runs here
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name
 
 
 def test_public_names_resolve_once():

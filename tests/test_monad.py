@@ -49,12 +49,12 @@ def test_coxpoly_algebra():
     assert str(q) == "4*y2^2 + 4*y1*y2 + y1^2"
     assert q.evaluate((1, 1, 0, 0)) == 9
     assert (p - p).is_zero()
-    assert Y1.pow(3).evaluate((2, 0, 0, 0)) == 8
+    assert (Y1**3).evaluate((2, 0, 0, 0)) == 8
 
 
 def test_coxpoly_bidegree():
     n = 2
-    assert cox_mul(Y2.pow(n), SE).bidegree(n) == (1, 0)
+    assert cox_mul(Y2**n, SE).bidegree(n) == (1, 0)
     assert Y1.bidegree(n) == (0, 1)
     assert SINF.bidegree(n) == (1, 0)
     assert CoxPoly.zero().bidegree(n) is None

@@ -9,8 +9,11 @@ from nestquiv import (
     ShapeMismatch,
     Singular,
     act,
+    RationalMatrix,
     enh_residuals,
+    enumerate_nested_monomial,
     hirz_residuals,
+    nested_to_rep,
 )
 from nestquiv.corpus import random_gauge
 
@@ -141,3 +144,24 @@ def test_enh_residuals_match_the_formulas_written_out():
                 assert len(got) == len(expected) == 2 * len(hirz_residuals(left)) + 2 + n + (n - 1)
                 assert got == expected
                 assert any(not r.is_zero() for r in got)
+
+
+def test_the_right_copy_costs_its_pencil_relations_only(monkeypatch):
+    # the unframed right copy forms no zero I_q J products, and its arrows
+    # are built without a zero-framed representation around them
+    products = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    pair = enumerate_nested_monomial(2, 4, charts=2)[-1]
+    for n in (1, 2, 3, 4):
+        products.clear()
+        x = nested_to_rep(pair, n)
+        assert len(products) == 6 * n + 8
+        products.clear()
+        assert all(r.is_zero() for r in enh_residuals(x))
+        assert len(products) == (14 if n == 1 else 12 * n - 6)
