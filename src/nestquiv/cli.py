@@ -27,7 +27,7 @@ from .correspondence import nested_to_rep, rep_to_nested, same_orbit
 from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
 from .monad import _fiber_ranks_at, build_monad, check_complex
-from .quiver import EnhRep, HirzRep, act, enh_residuals, hirz_residuals
+from .quiver import EnhRep, HirzRep, act
 from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
 
@@ -100,14 +100,12 @@ def cmd_check(args) -> int:
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, EnhRep):
         theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
-        residuals = enh_residuals(x)
         verdict = is_theta_stable(x, theta)
         report = {"kind": "enhanced", "n": x.n, "c": x.c, "cp": x.cp}
     else:
-        residuals = hirz_residuals(x)
         verdict = is_gamma_stable(x)
         report = {"kind": "plain", "n": x.n, "c0": x.c0, "c1": x.c1}
-    bad = [i for i, r in enumerate(residuals) if not r.is_zero()]
+    bad = list(x._nonzero_residuals)
     report["relations"] = "zero" if not bad else "nonzero"
     report["nonzero_residuals"] = bad
     report["stability"] = verdict.to_json()

@@ -9,7 +9,11 @@ conversion whose chart is the verdict's reads the left part once.  The
 small cycle is the kernel subrepresentation cut out by F1, F2, the left
 part restricted to the kernel bases; its walk is the left walk times the
 kernel basis k1 of F1, so the small ideal is read off the same datum,
-with no kernel subrepresentation built.  The reverse direction rebuilds
+with no kernel subrepresentation built.  What depends only on the
+representation is kept on it and read once across calls: the stability
+reading (on the left part), the relation verdict and the small ideal at
+each chart, so `rep_to_nested(x, p)` then `same_orbit(x, y, p)` reads x
+once.  The reverse direction rebuilds
 the canonical gauge of both cycles and splices them along the inclusion
 of quotients.
 
@@ -38,7 +42,7 @@ from .chart import (
 )
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
-from .quiver import EnhRep, enh_residuals
+from .quiver import EnhRep
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _theta_reading
 
@@ -65,14 +69,16 @@ def _stable_reading(x: EnhRep, p: EnhThetaParam, reads):
 
 
 def _require_relations(x: EnhRep) -> None:
-    """RelationsViolated, naming the nonzero enh_residuals, if x has any."""
-    bad = [i for i, r in enumerate(enh_residuals(x)) if not r.is_zero()]
+    """RelationsViolated, naming the nonzero enh_residuals, if x has any
+    (`EnhRep._nonzero_residuals`, kept on x)."""
+    bad = x._nonzero_residuals
     if bad:
-        raise RelationsViolated(f"representation violates the relations: nonzero residuals {bad}")
+        raise RelationsViolated(f"representation violates the relations: nonzero residuals {list(bad)}")
 
 
-def _small_ideal(x: EnhRep, a: AdhmData) -> ZeroCycleIdeal:
-    """The small ideal of x, read off a, its left datum in the pair's chart.
+def _small_ideal(x: EnhRep, nu: NuPoint, a: AdhmData) -> ZeroCycleIdeal:
+    """The small ideal of x, read off a, its left datum in the chart nu,
+    and kept on x per chart (`EnhRep._kept`).
 
     The kernel subrepresentation is the left part restricted to the kernel
     bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
@@ -82,9 +88,12 @@ def _small_ideal(x: EnhRep, a: AdhmData) -> ZeroCycleIdeal:
     invertible where P is; [b1', b2'] lies in [b1, b2] k1 = 0; and the
     left walk has rank c with k1 injective, so the product has rank c'.
     """
-    cp = x.cp
-    walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
-    return ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
+    small = x._kept.get(nu)
+    if small is None:
+        cp = x.cp
+        walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
+        small = x._kept[nu] = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
+    return small
 
 
 def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> NestedIdealPair:
@@ -102,9 +111,12 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     once).  Where the two charts coincide, the verdict's reading scans the
     closure, and its extraction and scan give the big ideal and the small
     one; elsewhere the verdict only counts the closure and the pair's
-    chart is read with one more extraction.  Only the left pencil P is
-    tested: the kernel's P' has k2 P' = P k1 (kernel bases k1, k2), so it
-    is regular with P.  The pair is nested without a check: big.basis
+    chart is read with one more extraction.  The stability reading, the
+    relation verdict and the small ideal are kept on x, so a later
+    conversion or `same_orbit` of x does not read them again; the big
+    ideal at a chart other than the verdict's is read on every call.  Only
+    the left pencil P is tested: the kernel's P' has k2 P' = P k1 (kernel
+    bases k1, k2), so it is regular with P.  The pair is nested without a check: big.basis
     annihilates the left walk, and the small walk is that walk times k1.
     """
     if x.cp == 0:
@@ -117,12 +129,12 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     chart, a, scan = _stable_reading(x, p, lambda chart: pair_chart(chart) == chart)
     _require_relations(x)
     at = pair_chart(chart)
-    if scan is None:
+    if at == chart:
+        big = ZeroCycleIdeal.from_normal_forms(*scan, x.c)
+    else:
         a = chart_extract(x.left, at)
         big = ideal_from_adhm(a)
-    else:
-        big = ZeroCycleIdeal.from_normal_forms(*scan, x.c)
-    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, a))
+    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at, a))
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -166,7 +178,9 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     the big ideals (`ZeroCycleIdeal.from_normal_forms` is one to one), and
     the small ideals are read off the same extractions only when the scans
     agree.  Raises NotStable, then RelationsViolated, if either input
-    fails, x before y, before that answer.
+    fails, x before y, before that answer.  Each input's readings are kept
+    on it, as in `rep_to_nested`: an input already converted is not read
+    again, and same_orbit(x, x, p) reads x once.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
@@ -177,4 +191,6 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     chart_y, ay, scan_y = _stable_reading(y, p, always)
     _require_relations(x)
     _require_relations(y)
-    return chart_x == chart_y and scan_x == scan_y and _small_ideal(x, ax) == _small_ideal(y, ay)
+    if chart_x != chart_y or scan_x != scan_y:
+        return False
+    return _small_ideal(x, chart_x, ax) == _small_ideal(y, chart_y, ay)

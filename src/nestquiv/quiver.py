@@ -9,6 +9,10 @@ copy through surjections F1, F2; the right copy has no framing, so no I_q J.
 Relation residuals are returned as matrices, in a frozen documented order,
 so "all relations hold" is exactly "every residual is zero".
 
+Both classes are immutable, so what is read off one object is kept on it,
+computed on first use: its relation verdict (`_nonzero_residuals`) and, in
+`_kept`, the readings that `stability` and `correspondence` fill in.
+
 Sign convention, frozen package-wide: the mixed relation reads
 
     C_q A1 - C_{q+1} A2 - I_q J = 0        (q = 1 .. n-1)
@@ -20,6 +24,7 @@ see test_monad for the locked check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ShapeMismatch, Singular
 from .ratmat import RationalMatrix, _json_shaped, invert, json_count
@@ -62,6 +67,17 @@ class HirzRep:
         for q, Iq in enumerate(self.I, start=1):
             _expect_shape(Iq, self.c0, 1, f"I{q}")
         _expect_shape(self.J, 1, self.c0, "J")
+
+    @cached_property
+    def _nonzero_residuals(self) -> tuple[int, ...]:
+        """The relation verdict: the indices of the nonzero hirz_residuals."""
+        return tuple(i for i, r in enumerate(hirz_residuals(self)) if not r.is_zero())
+
+    @cached_property
+    def _kept(self) -> dict:
+        """Readings of this object, filled in by the readers that compute
+        them: `stability._left_reading` keeps its reading here."""
+        return {}
 
     def to_json(self) -> dict:
         out = {"n": self.n, "c0": self.c0, "c1": self.c1}
@@ -141,6 +157,18 @@ class EnhRep:
     @property
     def c(self) -> int:
         return self.left.c0
+
+    @cached_property
+    def _nonzero_residuals(self) -> tuple[int, ...]:
+        """The relation verdict: the indices of the nonzero enh_residuals."""
+        return tuple(i for i, r in enumerate(enh_residuals(self)) if not r.is_zero())
+
+    @cached_property
+    def _kept(self) -> dict:
+        """Readings of this object, filled in by the readers that compute
+        them: `correspondence._small_ideal` keeps one small ideal per chart.
+        The left part's reading is kept on `left`."""
+        return {}
 
     def to_json(self) -> dict:
         """The left part's JSON with "c" for "c0"/"c1", then the right part."""

@@ -13,7 +13,9 @@ runs that chain, `_left_reading` for the base cone and `_theta_reading`
 for the enhanced one: each returns the verdict together with the datum it
 extracted and, when the caller will read its pair at the verdict's chart,
 the closure scan that decided costability, which the conversions in
-`correspondence` turn into the big ideal.  The oracle re-derives
+`correspondence` turn into the big ideal.  A representation is immutable,
+so its left reading is kept on it and computed once, by whichever reader
+asks first (`HirzRep._kept`).  The oracle re-derives
 verdicts directly from the subrepresentation inequalities and is used by the
 test suite to cross-check the chain on torus-fixed inputs.
 """
@@ -138,9 +140,27 @@ def _left_reading(x: HirzRep, reads=None):
     decided before them.  The closure is scanned (`closure_scan`) only when
     reads(nu) says the caller reads its pair at the verdict's chart nu, and
     otherwise counted (`closure_rank`).
+
+    The reading is kept on x (`HirzRep._kept`): a later call returns it,
+    scanning the closure only when reads(nu) asks for a scan that no
+    earlier call made.  Errors are not kept: an input that raises raises
+    again on every call.
     """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
+    reading = x._kept.get("left")
+    if reading is None:
+        reading = _read_left(x, reads)
+    else:
+        verdict, a, scan = reading
+        if scan is None and a is not None and reads is not None and reads(verdict.nu):
+            reading = verdict, a, closure_scan(a.b1, a.b2, a.e)
+    x._kept["left"] = reading
+    return reading
+
+
+def _read_left(x: HirzRep, reads):
+    """`_left_reading`'s first reading of x, with nothing kept."""
     if any(not iq.is_zero() for iq in x.I):
         return StabilityVerdict(stable=False, witness="nonzero I"), None, None
     try:
@@ -157,7 +177,7 @@ def _left_reading(x: HirzRep, reads=None):
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1
-    (`_left_reading`).  The verdict carries the chart used."""
+    (`_left_reading`, kept on x).  The verdict carries the chart used."""
     return _left_reading(x)[0]
 
 
@@ -165,7 +185,8 @@ def _theta_reading(x: EnhRep, p: EnhThetaParam, reads=None):
     """The enhanced verdict of x at p, with what it read, as
     `_left_reading` returns it: the cone check (ConeViolation outside it),
     then (C1), the first of F1, F2 that is not surjective, then (C2), the
-    left part's reading, its witness prefixed."""
+    left part's reading, its witness prefixed.  The left reading is kept on
+    x.left; the cone check, (C1) and the prefix run on every call."""
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
     s = x.c - x.cp

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nestquiv
 from nestquiv import ideals
@@ -34,7 +36,7 @@ from nestquiv import (
 from nestquiv.chart import closure_scan, monomial_rows
 from nestquiv.corpus import ideal_of_points, random_fraction, random_gauge, random_invertible, random_points
 from nestquiv.monomials import count_upto, monomials_upto
-from nestquiv.ratmat import block_diag, kernel_basis, rank
+from nestquiv.ratmat import block_diag, invert, kernel_basis, rank
 
 from conftest import M, nu, poly_value, support_points
 
@@ -189,6 +191,47 @@ def test_inclusion_matrix_reduction():
     small = ideal_of_points([(Fraction(1), Fraction(0))])
     assert contains(big, small)
     assert inclusion_matrix(big, small) == M([[1], [1]])
+
+
+@st.composite
+def scrambled_cycles(draw, min_c=1, max_c=6):
+    """(points, a): min_c <= c <= max_c distinct rational points and the
+    diagonal datum of their reduced cycle, gauge-scrambled by g = L U with
+    L, U unitriangular: b -> g b g^-1, e -> e g^-1."""
+    c = draw(st.integers(min_value=min_c, max_value=max_c))
+    coords = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=c, max_size=c, unique=True))
+    entries = st.integers(min_value=-2, max_value=2)
+    l = RationalMatrix([[draw(entries) if j < i else int(i == j) for j in range(c)] for i in range(c)])
+    u = RationalMatrix([[draw(entries) if j > i else int(i == j) for j in range(c)] for i in range(c)])
+    g = l @ u
+    g_inv = invert(g)
+    b1, b2 = (
+        RationalMatrix([[pt[k] if i == j else 0 for j in range(c)] for i, pt in enumerate(points)]) for k in (0, 1)
+    )
+    e = RationalMatrix([[1] * c])
+    return points, AdhmData(c=c, b1=g @ b1 @ g_inv, b2=g @ b2 @ g_inv, e=e @ g_inv)
+
+
+@given(scrambled_cycles())
+def test_dictionary_identities_hold_on_scrambled_cycles(cycle):
+    points, a = cycle
+    i = ideal_from_adhm(a)
+    assert i == ideal_of_points(points)
+    assert ideal_from_adhm(adhm_from_ideal(i)) == i
+    assert canonical_form(a) == canonical_form(adhm_from_ideal(i)) == adhm_from_ideal(i)
+    assert contains(i, i)
+
+
+@given(scrambled_cycles(min_c=2), st.data())
+def test_nested_scrambled_cycles_are_contained(cycle, data):
+    points, a = cycle
+    c = a.c
+    kept = data.draw(st.lists(st.sampled_from(range(c)), min_size=1, max_size=c - 1, unique=True))
+    big, small = ideal_from_adhm(a), ideal_of_points([points[k] for k in sorted(kept)])
+    assert contains(big, small)
+    assert not contains(small, big)
+    assert rank(inclusion_matrix(big, small)) == len(kept)
 
 
 def _point_pool(seed: int, size: int):
