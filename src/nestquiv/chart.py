@@ -26,10 +26,11 @@ earlier row.  It multiplies the integer numerators that
 terms), so no `Fraction` is built along the walk.  The covector closure
 and the whole ideal dictionary in `ideals` read their rows from it:
 `scan_walk` eliminates a walk once and returns the kept (standard)
-monomials and every monomial's normal form, `closure_scan` is that
-reader of a datum's own walk up to degree c, and `closure_rank` only
-counts, with the forward-only `rank`.  The conversions give `scan_walk`
-the small cycle's walk, the left walk times a kernel basis.
+monomials and every monomial's normal form, and `closure_scan` is that
+reader of a datum's own walk up to degree c: the number of monomials it
+keeps is the rank of the covector closure, so it is costability's one
+reader too.  The conversions give `scan_walk` the small cycle's walk, the
+left walk times a kernel basis.
 
 The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
 / rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
@@ -325,11 +326,6 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
     scan_walk of monomial_rows up to total degree c."""
     c = b1.rows
     return scan_walk(monomial_rows(b1, b2, e, c), c)
-
-
-def closure_rank(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> int:
-    """Rank of span{e b1^a b2^b}, complete within total degree c - 1."""
-    return rank(monomial_rows(b1, b2, e, max(b1.rows - 1, 0)))
 
 
 def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:

@@ -4,11 +4,14 @@ Subcommands: check, convert, roundtrip, count-fixed, monad-check.  All
 reports are JSON with sorted keys, so a fixed --seed reproduces identical
 bytes.  Exit codes: 0 success, 1 verification failure, 2 unreadable or
 malformed input (a file that cannot be read, JSON nested too deep, an
---out that cannot be written), 3 precondition violation (bad parameter,
-singular chart, unsupported colength).  Every failure is a package error
-carrying its code as `exit_code`: main prints it as the one stderr line
-`error: <message>`, prints nothing on stdout, and returns the code, so no
-error reaches the user as a traceback.
+--out that cannot be written, a --theta or --nu that does not parse), 3
+precondition violation (bad parameter, singular chart, unsupported
+colength).  The --theta and --nu values are parsed before the input is
+read, so a malformed one exits 2 whatever the input; a well-formed one
+that does not apply to the input is ignored.  Every failure is a package
+error carrying its code as `exit_code`: main prints it as the one stderr
+line `error: <message>`, prints nothing on stdout, and returns the code,
+so no error reaches the user as a traceback.
 """
 
 from __future__ import annotations
@@ -97,12 +100,14 @@ def _rep_from_json(obj):
 
 
 def cmd_check(args) -> int:
+    theta = _parse_theta(args.theta) if args.theta else None
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, EnhRep):
-        theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
-        verdict = is_theta_stable(x, theta)
+        verdict = is_theta_stable(x, theta or default_theta(x.c, x.cp))
         report = {"kind": "enhanced", "n": x.n, "c": x.c, "cp": x.cp}
     else:
+        if x.c0 != x.c1:
+            raise DomainError("stability needs c0 = c1")
         verdict = is_gamma_stable(x)
         report = {"kind": "plain", "n": x.n, "c0": x.c0, "c1": x.c1}
     bad = list(x._nonzero_residuals)
@@ -114,15 +119,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    theta = _parse_theta(args.theta) if args.theta else None
+    nu = _parse_nu(args.nu) if args.nu else None
     if args.direction == "cycle-to-rep":
         _check_surface_index(args.n)
     if args.direction == "rep-to-cycle":
         x = _read(args.input, _rep_from_json, "representation")
         if not isinstance(x, EnhRep):
             raise _CliFailure("rep-to-cycle needs an enhanced representation (cp field)")
-        theta = _parse_theta(args.theta) if args.theta else default_theta(x.c, x.cp)
-        nu = _parse_nu(args.nu) if args.nu else None
-        pair = rep_to_nested(x, theta, nu=nu)
+        pair = rep_to_nested(x, theta or default_theta(x.c, x.cp), nu=nu)
         _emit(pair.to_json(), args.out)
         return 0
     pair = _read(args.input, NestedIdealPair.from_json, "pair")
@@ -241,12 +246,13 @@ _MONAD_S = ((1, 1), (2, 1), (1, 2), (1, 0))
 
 
 def cmd_monad_check(args) -> int:
+    nu = _parse_nu(args.nu) if args.nu else None
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, EnhRep):
         x = x.left
     if x.c0 != x.c1:
         raise DomainError("monad needs c0 = c1")
-    nu = _parse_nu(args.nu) if args.nu else find_regular_nu(x.A1, x.A2)
+    nu = nu or find_regular_nu(x.A1, x.A2)
     monad = build_monad(x, nu)
     composite = check_complex(monad)
     complex_zero = all(p.is_zero() for row in composite for p in row)

@@ -3,17 +3,17 @@
 The bridge runs through a chart: restrict the representation to a patch
 where the pencil A_nu is invertible, extract the commuting ADHM datum of
 the dimension-c part and read off the big ideal.  The stability verdict
-already extracts that datum at its own chart (`stability._theta_reading`),
-and scans its closure when the caller reads the pair there, so a
-conversion whose chart is the verdict's reads the left part once.  The
-small cycle is the kernel subrepresentation cut out by F1, F2, the left
-part restricted to the kernel bases; its walk is the left walk times the
-kernel basis k1 of F1, so the small ideal is read off the same datum,
-with no kernel subrepresentation built.  What depends only on the
-representation is kept on it and read once across calls: the stability
-reading (on the left part), the relation verdict and the small ideal at
-each chart, so `rep_to_nested(x, p)` then `same_orbit(x, y, p)` reads x
-once.  The reverse direction rebuilds
+reads its own chart through `stability._chart_reading`, one extraction
+and one closure scan, and the conversions read the big ideal off that
+same reader, so a conversion whose chart is the verdict's reads the left
+part once.  The small cycle is the kernel subrepresentation cut out by
+F1, F2, the left part restricted to the kernel bases; its walk is the
+left walk times the kernel basis k1 of F1, so the small ideal is read off
+the same datum, with no kernel subrepresentation built.  What depends
+only on the representation is kept on it and read once across calls:
+the verdict and each chart reading (on the left part), the relation
+verdict and the small ideal at each chart, so `rep_to_nested(x, p)` then
+`same_orbit(x, y, p)` reads x once.  The reverse direction rebuilds
 the canonical gauge of both cycles and splices them along the inclusion
 of quotients.
 
@@ -26,25 +26,21 @@ no enhancement to speak of and are rejected with DomainError.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .chart import (
-    AdhmData,
     NuPoint,
     _pencil_arrows,
     build_nested_adhm,
     chart_embed,
-    chart_extract,
     conversion_sample,
     first_regular,
     monomial_rows,
     scan_walk,
 )
-from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
-from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal, ideal_from_adhm
+from .errors import DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
+from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal
 from .quiver import EnhRep
 from .ratmat import RationalMatrix, kernel_basis
-from .stability import EnhThetaParam, _theta_reading
+from .stability import EnhThetaParam, _chart_reading, is_theta_stable
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
@@ -58,14 +54,13 @@ def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) ->
     return first_regular([(a1, a2)], [second]) or chart
 
 
-def _stable_reading(x: EnhRep, p: EnhThetaParam, reads):
-    """x's stability reading (`_theta_reading`): its chart, the left datum
-    read there and the closure scan, as that returns them.  NotStable
-    unless x is stable."""
-    verdict, a, scan = _theta_reading(x, p, reads)
+def _stable_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint:
+    """The chart x's stability verdict read (`is_theta_stable`).
+    NotStable unless x is stable."""
+    verdict = is_theta_stable(x, p)
     if not verdict.stable:
         raise NotStable(f"representation is not stable: {verdict.witness}")
-    return verdict.nu, a, scan
+    return verdict.nu
 
 
 def _require_relations(x: EnhRep) -> None:
@@ -76,9 +71,9 @@ def _require_relations(x: EnhRep) -> None:
         raise RelationsViolated(f"representation violates the relations: nonzero residuals {list(bad)}")
 
 
-def _small_ideal(x: EnhRep, nu: NuPoint, a: AdhmData) -> ZeroCycleIdeal:
-    """The small ideal of x, read off a, its left datum in the chart nu,
-    and kept on x per chart (`EnhRep._kept`).
+def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
+    """The small ideal of x, read off its left datum in the chart nu
+    (`_chart_reading`), and kept on x per chart (`EnhRep._kept`).
 
     The kernel subrepresentation is the left part restricted to the kernel
     bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
@@ -91,6 +86,7 @@ def _small_ideal(x: EnhRep, nu: NuPoint, a: AdhmData) -> ZeroCycleIdeal:
     small = x._kept.get(nu)
     if small is None:
         cp = x.cp
+        a, _ = _chart_reading(x.left, nu)
         walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
         small = x._kept[nu] = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
     return small
@@ -107,34 +103,26 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     both.  That order is regular_sample(c), where the stable verdict read
     the first regular chart, with [0,1] second: so the chart is [1,0] when
     the verdict's is, else [0,1] when the left pencil is regular there,
-    else the verdict's (pair_chart, cached, so the [0,1] pencil is ranked
-    once).  Where the two charts coincide, the verdict's reading scans the
-    closure, and its extraction and scan give the big ideal and the small
-    one; elsewhere the verdict only counts the closure and the pair's
-    chart is read with one more extraction.  The stability reading, the
-    relation verdict and the small ideal are kept on x, so a later
-    conversion or `same_orbit` of x does not read them again; the big
-    ideal at a chart other than the verdict's is read on every call.  Only
-    the left pencil P is tested: the kernel's P' has k2 P' = P k1 (kernel
-    bases k1, k2), so it is regular with P.  The pair is nested without a check: big.basis
-    annihilates the left walk, and the small walk is that walk times k1.
+    else the verdict's (`_conversion_chart`).  The big ideal is the closure
+    scan of the chart reading there (`_chart_reading`, kept on x.left):
+    where the chart is the verdict's, the verdict already read it.  The
+    verdict, the chart readings, the relation verdict and the small ideal
+    are kept on x, so a later conversion or `same_orbit` of x does not
+    read them again.  Only the left pencil P is tested: the kernel's P'
+    has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.  The
+    pair is nested without a check: big.basis annihilates the left walk,
+    and the small walk is that walk times k1.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-
-    @cache
-    def pair_chart(chart: NuPoint) -> NuPoint:
-        return nu if nu is not None else _conversion_chart(x.left.A1, x.left.A2, chart)
-
-    chart, a, scan = _stable_reading(x, p, lambda chart: pair_chart(chart) == chart)
+    chart = _stable_chart(x, p)
     _require_relations(x)
-    at = pair_chart(chart)
-    if at == chart:
-        big = ZeroCycleIdeal.from_normal_forms(*scan, x.c)
-    else:
-        a = chart_extract(x.left, at)
-        big = ideal_from_adhm(a)
-    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at, a))
+    at = nu or _conversion_chart(x.left.A1, x.left.A2, chart)
+    _, (kept, nf) = _chart_reading(x.left, at)
+    if len(kept) != x.c:
+        raise NotCostable("datum is not costable")
+    big = ZeroCycleIdeal.from_normal_forms(kept, nf, x.c)
+    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at))
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -169,15 +157,15 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     Inputs on different surfaces raise ShapeMismatch; inputs with
     different c or c' return False before any stability check.  Stable
     orbits are separated by their nested cycles, so the test compares the
-    pairs both stability verdicts read, each at its own chart: x's whole
-    reading, then y's, each scanning its closure, then both inputs'
-    relations.  Inputs whose verdicts read different charts are on
-    different orbits: the gauge group moves a pencil's determinant only by
-    a nonzero scalar, so the charts where it is regular, and the first of
-    them, are the same along an orbit.  In one chart the closure scans are
-    the big ideals (`ZeroCycleIdeal.from_normal_forms` is one to one), and
-    the small ideals are read off the same extractions only when the scans
-    agree.  Raises NotStable, then RelationsViolated, if either input
+    pairs both stability verdicts read, each at its own chart: x's
+    verdict, then y's, then both inputs' relations.  Inputs whose verdicts
+    read different charts are on different orbits: the gauge group moves a
+    pencil's determinant only by a nonzero scalar, so the charts where it
+    is regular, and the first of them, are the same along an orbit.  In
+    one chart the closure scans that the verdicts read (`_chart_reading`)
+    are the big ideals (`ZeroCycleIdeal.from_normal_forms` is one to one),
+    and the small ideals are read off the same extractions only when the
+    scans agree.  Raises NotStable, then RelationsViolated, if either input
     fails, x before y, before that answer.  Each input's readings are kept
     on it, as in `rep_to_nested`: an input already converted is not read
     again, and same_orbit(x, x, p) reads x once.
@@ -186,11 +174,12 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    always = lambda chart: True
-    chart_x, ax, scan_x = _stable_reading(x, p, always)
-    chart_y, ay, scan_y = _stable_reading(y, p, always)
+    chart_x = _stable_chart(x, p)
+    chart_y = _stable_chart(y, p)
     _require_relations(x)
     _require_relations(y)
-    if chart_x != chart_y or scan_x != scan_y:
+    if chart_x != chart_y:
         return False
-    return _small_ideal(x, chart_x, ax) == _small_ideal(y, chart_y, ay)
+    if _chart_reading(x.left, chart_x)[1] != _chart_reading(y.left, chart_y)[1]:
+        return False
+    return _small_ideal(x, chart_x) == _small_ideal(y, chart_y)

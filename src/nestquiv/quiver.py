@@ -76,7 +76,7 @@ class HirzRep:
     @cached_property
     def _kept(self) -> dict:
         """Readings of this object, filled in by the readers that compute
-        them: `stability._left_reading` keeps its reading here."""
+        them: `stability` keeps the verdict and each chart reading here."""
         return {}
 
     def to_json(self) -> dict:

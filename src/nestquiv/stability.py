@@ -8,14 +8,15 @@ inside the parameter cone, an enhanced representation is stable iff
     (C2) the left part is stable for the base cone,
 
 and (C2) in turn reduces to: all I_q vanish (n >= 2), some sampled chart is
-regular, and the extracted ADHM datum is costable.  One reader per level
-runs that chain, `_left_reading` for the base cone and `_theta_reading`
-for the enhanced one: each returns the verdict together with the datum it
-extracted and, when the caller will read its pair at the verdict's chart,
-the closure scan that decided costability, which the conversions in
-`correspondence` turn into the big ideal.  A representation is immutable,
-so its left reading is kept on it and computed once, by whichever reader
-asks first (`HirzRep._kept`).  The oracle re-derives
+regular, and the extracted ADHM datum is costable.  `_left_reading` runs
+that chain for the base cone, and `is_theta_stable` puts the cone check
+and (C1) in front of it.  Costability is read off `_chart_reading`, the
+one reader of a chart: it extracts the datum at a chart and scans its
+covector closure once, and the size of the scan is the verdict, while
+its normal forms are the big ideal that the conversions in
+`correspondence` read at the same chart.  A representation is immutable,
+so the verdict and each chart reading are kept on it and computed once,
+by whichever caller asks first (`HirzRep._kept`).  The oracle re-derives
 verdicts directly from the subrepresentation inequalities and is used by the
 test suite to cross-check the chain on torus-fixed inputs.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .chart import NuPoint, chart_extract, closure_rank, closure_scan, find_regular_nu
+from .chart import NuPoint, chart_extract, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
@@ -123,86 +124,81 @@ def _closure_witness(r: int, c: int) -> str | None:
 
 
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
-    """Costability: the covector closure span{e b1^a b2^b} has full rank."""
+    """Costability: the covector closure span{e b1^a b2^b} has full rank,
+    the number of monomials `closure_scan` keeps."""
     if not (b1 @ b2 - b2 @ b1).is_zero():
         raise NotCommuting("[b1, b2] != 0")
-    witness = _closure_witness(closure_rank(b1, b2, e), b1.rows)
+    witness = _closure_witness(len(closure_scan(b1, b2, e)[0]), b1.rows)
     return StabilityVerdict(stable=witness is None, witness=witness)
 
 
-def _left_reading(x: HirzRep, reads=None):
-    """The base-cone verdict of x, with what it read.
+def _chart_reading(x: HirzRep, nu: NuPoint):
+    """(the datum of x in the chart at nu, its closure scan), kept on x
+    per chart (`HirzRep._kept`).
 
-    The checks in verdict order: nonzero I (n >= 2), pencil regularity
-    (`find_regular_nu`), then costability of the datum extracted at that
-    chart (`AdhmData` checks that it commutes).  Returns (verdict, the
-    datum, the closure scan), the last two None where the verdict was
-    decided before them.  The closure is scanned (`closure_scan`) only when
-    reads(nu) says the caller reads its pair at the verdict's chart nu, and
-    otherwise counted (`closure_rank`).
-
-    The reading is kept on x (`HirzRep._kept`): a later call returns it,
-    scanning the closure only when reads(nu) asks for a scan that no
-    earlier call made.  Errors are not kept: an input that raises raises
-    again on every call.
+    The one reader of a closure: the scan's kept monomials count it for
+    costability, and its normal forms are the big ideal, so the verdict
+    and the conversions share one extraction and one scan per chart.
+    Nothing is kept when the extraction raises (`chart_extract`).
     """
-    if x.c0 != x.c1:
-        raise ShapeMismatch("stability needs c0 = c1")
-    reading = x._kept.get("left")
+    reading = x._kept.get(nu)
     if reading is None:
-        reading = _read_left(x, reads)
-    else:
-        verdict, a, scan = reading
-        if scan is None and a is not None and reads is not None and reads(verdict.nu):
-            reading = verdict, a, closure_scan(a.b1, a.b2, a.e)
-    x._kept["left"] = reading
+        a = chart_extract(x, nu)
+        reading = x._kept[nu] = a, closure_scan(a.b1, a.b2, a.e)
     return reading
 
 
-def _read_left(x: HirzRep, reads):
-    """`_left_reading`'s first reading of x, with nothing kept."""
+def _left_reading(x: HirzRep) -> StabilityVerdict:
+    """The base-cone verdict of x, kept on x (`HirzRep._kept`).
+
+    The checks in verdict order: nonzero I (n >= 2), pencil regularity
+    (`find_regular_nu`), then costability of the datum read at that chart
+    (`_chart_reading`; `AdhmData` checks that it commutes).  Errors are
+    not kept: an input that raises raises again on every call.
+    """
+    if x.c0 != x.c1:
+        raise ShapeMismatch("stability needs c0 = c1")
+    verdict = x._kept.get("left")
+    if verdict is None:
+        verdict = x._kept["left"] = _read_left(x)
+    return verdict
+
+
+def _read_left(x: HirzRep) -> StabilityVerdict:
+    """`_left_reading`'s first reading of x."""
     if any(not iq.is_zero() for iq in x.I):
-        return StabilityVerdict(stable=False, witness="nonzero I"), None, None
+        return StabilityVerdict(stable=False, witness="nonzero I")
     try:
         nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
-        return StabilityVerdict(stable=False, witness="irregular pencil"), None, None
-    scanned = reads is not None and reads(nu)
-    a = chart_extract(x, nu)
-    scan = closure_scan(a.b1, a.b2, a.e) if scanned else None
-    r = closure_rank(a.b1, a.b2, a.e) if scan is None else len(scan[0])
-    witness = _closure_witness(r, a.c)
-    return StabilityVerdict(stable=witness is None, witness=witness, nu=nu), a, scan
+        return StabilityVerdict(stable=False, witness="irregular pencil")
+    a, (kept, _) = _chart_reading(x, nu)
+    witness = _closure_witness(len(kept), a.c)
+    return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1
     (`_left_reading`, kept on x).  The verdict carries the chart used."""
-    return _left_reading(x)[0]
+    return _left_reading(x)
 
 
-def _theta_reading(x: EnhRep, p: EnhThetaParam, reads=None):
-    """The enhanced verdict of x at p, with what it read, as
-    `_left_reading` returns it: the cone check (ConeViolation outside it),
-    then (C1), the first of F1, F2 that is not surjective, then (C2), the
-    left part's reading, its witness prefixed.  The left reading is kept on
-    x.left; the cone check, (C1) and the prefix run on every call."""
+def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
+    """Two-condition stability test inside the enhanced cone: the cone
+    check (ConeViolation outside it), then (C1), the first of F1, F2 that
+    is not surjective, then (C2), the left part's verdict (`_left_reading`,
+    kept on x.left), its witness prefixed.  The cone check, (C1) and the
+    prefix run on every call."""
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
     s = x.c - x.cp
     for name, f in (("F1", x.F1), ("F2", x.F2)):
         if rank(f) != s:
-            return StabilityVerdict(stable=False, witness=f"(C1) {name}"), None, None
-    verdict, a, scan = _left_reading(x.left, reads)
+            return StabilityVerdict(stable=False, witness=f"(C1) {name}")
+    verdict = _left_reading(x.left)
     if not verdict.stable:
         verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
-    return verdict, a, scan
-
-
-def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
-    """Two-condition stability test inside the enhanced cone
-    (`_theta_reading`)."""
-    return _theta_reading(x, p)[0]
+    return verdict
 
 
 def kernel_subrep(x: EnhRep) -> HirzRep:

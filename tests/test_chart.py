@@ -22,10 +22,10 @@ from nestquiv import (
     canonical_form,
     chart_embed,
     chart_extract,
-    closure_rank,
     enumerate_nested_monomial,
     find_regular_nu,
     hirz_residuals,
+    is_costable,
     inclusion_matrix,
     partitions,
     transform_chart,
@@ -180,11 +180,15 @@ def test_transform_chart_round_trips(seed, c, n, here, there):
 
 
 def test_closure_rank():
+    # the closure's rank is the number of monomials closure_scan keeps,
+    # which is_costable reads
     a = e2_datum()
-    assert closure_rank(a.b1, a.b2, a.e) == 2
+    assert len(closure_scan(a.b1, a.b2, a.e)[0]) == 2
+    assert is_costable(a.b1, a.b2, a.e).stable
     # e a joint eigenvector: closure stops at rank 1
     b1 = M([[1, 1], [0, 2]])
-    assert closure_rank(b1, b1 @ b1, M([[0, 1]])) == 1
+    assert len(closure_scan(b1, b1 @ b1, M([[0, 1]]))[0]) == 1
+    assert is_costable(b1, b1 @ b1, M([[0, 1]])).witness == "costability closure rank 1 < 2"
 
 
 def test_closure_scan_keeps_rank_growth():

@@ -84,6 +84,24 @@ def test_check_bad_theta_is_precondition(hand_files, capsys):
     assert main(["check", paths["rep"], "--theta", "1,2"]) == 2
 
 
+def test_check_unequal_plain_dimensions_is_precondition(tmp_path, capsys):
+    # a well-formed plain rep with c0 = 1, c1 = 2: check and monad-check
+    # both refuse it as a precondition violation
+    plain = {
+        "n": 1, "c0": 1, "c1": 2,
+        "A1": {"rows": 2, "cols": 1, "entries": ["1", "0"]},
+        "A2": {"rows": 2, "cols": 1, "entries": ["0", "1"]},
+        "C1": {"rows": 1, "cols": 2, "entries": ["0", "0"]},
+        "J": {"rows": 1, "cols": 1, "entries": ["1"]},
+    }
+    p = tmp_path / "plain12.json"
+    p.write_text(json.dumps(plain))
+    for command in ("check", "monad-check"):
+        assert main([command, str(p)]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c0 = c1" in captured.err
+
+
 def test_convert_round_trip(hand_files, tmp_path, capsys):
     paths, _ = hand_files
     out1 = str(tmp_path / "cycle.json")
@@ -295,6 +313,8 @@ def _malformed_files(tmp_path):
     paths = {}
     for name, obj in (
         ("good", good),
+        ("plain", nested_to_rep(pair, 1).left.to_json()),
+        ("pair", pair.to_json()),
         ("rep", rep),
         ("pair_entry", pair_entry),
         ("pair_nu", pair_nu),
@@ -336,6 +356,10 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys):
         ["check", paths["rep_n_true"]],
         ["convert", "cycle-to-rep", paths["pair_nu_float"]],
         ["convert", "cycle-to-rep", paths["pair_c_true"]],
+        # flags are parsed before the input is read, whether or not they apply
+        ["check", paths["plain"], "--theta", "garbage"],
+        ["convert", "cycle-to-rep", paths["pair"], "--theta", "garbage"],
+        ["convert", "cycle-to-rep", paths["pair"], "--nu", "0,0"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -22,7 +22,6 @@ from nestquiv import (
     ZeroCycleIdeal,
     adhm_from_ideal,
     canonical_form,
-    closure_rank,
     contains,
     enumerate_nested_monomial,
     ideal_from_adhm,
@@ -118,7 +117,7 @@ def test_ideal_from_adhm_matches_kernel_construction():
     # the normal forms of the closure scan give the same basis as the left
     # kernel of the walk, on scrambled point ideals, monomial ideals and the
     # two-chart big ideals; non-costable data have their closure rank
-    # counted alike by closure_rank and closure_scan
+    # counted alike by the rank of their walk and by closure_scan
     rng = random.Random(31)
     ideals = [ideal_of_points(random_points(rng, c)) for c in range(1, 9)]
     ideals += [monomial_ideal(lam) for lam in partitions(4) + partitions(5)]
@@ -137,7 +136,8 @@ def test_ideal_from_adhm_matches_kernel_construction():
         )
         e_zero = AdhmData(c=a.c, b1=a.b1, b2=a.b2, e=RationalMatrix.zeros(1, a.c))
         for bad, r in ((unreachable, a.c), (e_zero, 0), (_scrambled(rng, unreachable), a.c)):
-            assert closure_rank(bad.b1, bad.b2, bad.e) == len(closure_scan(bad.b1, bad.b2, bad.e)[0]) == r
+            walk = monomial_rows(bad.b1, bad.b2, bad.e, bad.c - 1)
+            assert rank(walk) == len(closure_scan(bad.b1, bad.b2, bad.e)[0]) == r
             for build in (ideal_from_adhm, _kernel_ideal):
                 with pytest.raises(NotCostable, match="datum is not costable"):
                     build(bad)

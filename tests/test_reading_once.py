@@ -159,33 +159,44 @@ def test_failing_inputs_raise_again_on_every_call():
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))
 def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     # rep_to_nested(x) then same_orbit(x, rep): x's verdict chart is
-    # extracted once, and each input's relations and closure scan are
-    # read once
+    # extracted once, each input's relations are read once, and no
+    # (input, chart) closure is read twice: x's closure is read only at
+    # the verdict's chart and the pair's
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
     x = act(random_gauge(rng, 4, 2), rep)
     p = default_theta(4, 2)
     verdict_chart = is_theta_stable(fresh(x), p).nu
-    extracted, residuals, scanned = [], [], []
+    extracted, residuals, closures = [], [], []
+    datums = {}  # id(datum.b1) -> (id(input), chart, datum), kept alive
 
     def recording(module, name, log, key):
         orig = getattr(module, name)
 
         def wrapper(*args):
+            out = orig(*args)
             log.append(key(*args))
-            return orig(*args)
+            if name == "chart_extract":
+                datums[id(out.b1)] = (*log[-1], out)
+            return out
 
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (nestquiv.stability, nestquiv.correspondence):
-        recording(module, "chart_extract", extracted, lambda z, nu: (id(z), nu))
+        if hasattr(module, "chart_extract"):
+            recording(module, "chart_extract", extracted, lambda z, nu: (id(z), nu))
     for module in (nestquiv.quiver, nestquiv.correspondence):
         if hasattr(module, "enh_residuals"):
             recording(module, "enh_residuals", residuals, id)
-    recording(nestquiv.stability, "closure_scan", scanned, lambda b1, b2, e: id(e))
+    # every reader of a closure, counted by the input and chart of its datum
+    for module in (nestquiv.stability, nestquiv.ideals, nestquiv.correspondence):
+        for name in ("closure_scan", "closure_rank"):
+            if hasattr(module, name):
+                recording(module, name, closures, lambda b1, b2, e: datums[id(b1)][:2])
     assert rep_to_nested(x, p) == pair
     assert same_orbit(x, rep, p)
     assert extracted.count((id(x.left), verdict_chart)) == 1
     assert residuals == [id(x), id(rep)]
-    assert scanned == [id(x.left.J), id(rep.left.J)]
+    assert len(closures) == len(set(closures)), closures
+    assert {nu for z, nu in closures if z == id(x.left)} == {verdict_chart, pair.nu}
