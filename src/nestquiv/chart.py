@@ -12,12 +12,17 @@ pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
 
     b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
 
-Each nu-combination (`pencil`, `pencil_combos`, and the pencil arrows of
-`_pencil_arrows`) is one `ratmat.lincomb`: one integer pass over its terms.
-The direction of the b2 product matters: C_nu A_nu is the one that
-transforms by conjugation under gauge, with e transforming as e g^{-1}.
-`first_regular` finds charts, scanning one of the two frozen orders
-`regular_sample` and `conversion_sample`.
+A label `NuPoint` is read once, in integers: it keeps the primitive
+integer pair (u1, u2) with nu = (u1, u2) / g, which is its key for `==`
+and `hash`, and rho.  Each nu-combination (`pencil`, `pencil_combos`, and
+the pencil arrows of `_pencil_arrows`) is one `ratmat.lincomb` over
+integer weights and one denominator read off that pair: one integer pass
+over its terms, with no Fraction weight.  The direction of the b2
+product matters: C_nu A_nu is the one that transforms by conjugation
+under gauge, with e transforming as e g^{-1}.  `first_regular` finds
+charts, walking one of the two frozen orders `_regular_order` and
+`_conversion_order` one label at a time; `regular_sample` and
+`conversion_sample` are their lists.
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -66,25 +71,46 @@ from .ratmat import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuPoint:
     """Point of P^1 as a chart label, normalized so the first nonzero
-    coordinate is 1."""
+    coordinate is 1.
+
+    The label is read once, in integers: `_num` is the primitive integer
+    pair (u1, u2) on the line through (nu1, nu2) whose first nonzero entry
+    g = `_den` is positive, so (nu1, nu2) = (u1, u2) / g.  `_num` is the
+    key of `==` and `hash`, and rho = nu1^2 + nu2^2 = (u1^2 + u2^2) / g^2
+    is kept as a Fraction."""
 
     nu1: Fraction
     nu2: Fraction
 
     def __post_init__(self):
         n1, n2 = rat(self.nu1), rat(self.nu2)
-        if n1 == 0 and n2 == 0:
+        u1, u2 = n1.numerator * n2.denominator, n2.numerator * n1.denominator
+        g = gcd(u1, u2)
+        if g == 0:
             raise ShapeMismatch("nu must be a point of P^1")
-        scale = n1 if n1 != 0 else n2
-        object.__setattr__(self, "nu1", n1 / scale)
-        object.__setattr__(self, "nu2", n2 / scale)
+        if (u1 or u2) < 0:
+            g = -g
+        u1, u2 = u1 // g, u2 // g
+        lead = u1 or u2
+        for name, value in (
+            ("nu1", Fraction(u1, lead)),
+            ("nu2", Fraction(u2, lead)),
+            ("rho", Fraction(u1 * u1 + u2 * u2, lead * lead)),
+            ("_num", (u1, u2)),
+            ("_den", lead),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def rho(self) -> Fraction:
-        return self.nu1 * self.nu1 + self.nu2 * self.nu2
+    def __eq__(self, other):
+        if not isinstance(other, NuPoint):
+            return NotImplemented
+        return self._num == other._num
+
+    def __hash__(self):
+        return hash(self._num)
 
     def to_json(self) -> list[str]:
         return [rat_str(self.nu1), rat_str(self.nu2)]
@@ -157,12 +183,19 @@ class NestedAdhmData:
 
 def pencil(a1: RationalMatrix, a2: RationalMatrix, nu: NuPoint) -> RationalMatrix:
     """The pencil combination A_nu = nu2 A1 + nu1 A2."""
-    return lincomb((nu.nu2, nu.nu1), (a1, a2), a1.rows, a1.cols)
+    (u1, u2), g = nu._num, nu._den
+    return lincomb((u2, u1), (a1, a2), a1.rows, a1.cols, g)
 
 
-def _binomial_weights(k: int, nu: NuPoint, scale: Fraction = Fraction(1)) -> list[Fraction]:
-    """scale * binom(k, j) nu1^{k-j} nu2^j for j = 0 .. k."""
-    return [scale * comb(k, j) * nu.nu1 ** (k - j) * nu.nu2**j for j in range(k + 1)]
+def _binomial_weights(k: int, nu: NuPoint, times_rho: bool = False) -> tuple[list[int], int]:
+    """The weights binom(k, j) nu1^{k-j} nu2^j for j = 0 .. k, times rho
+    when times_rho, as integer numerators over one denominator: with
+    nu = (u1, u2) / g and rho = (u1^2 + u2^2) / g^2, the numerators
+    binom(k, j) u1^{k-j} u2^j over g^k, or u1^2 + u2^2 times them over
+    g^(k+2)."""
+    (u1, u2), g = nu._num, nu._den
+    scale, den = (u1 * u1 + u2 * u2, g ** (k + 2)) if times_rho else (1, g**k)
+    return [scale * comb(k, j) * u1 ** (k - j) * u2**j for j in range(k + 1)], den
 
 
 def pencil_combos(x: HirzRep, nu: NuPoint):
@@ -171,25 +204,46 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
     A_nu = nu2 A1 + nu1 A2,  D_nu = nu1 A1 - nu2 A2,
     C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q,
     I_nu = (nu1^2+nu2^2) sum_q binom(n-2, q-1) nu1^{n-q-1} nu2^{q-1} I_q
-    (a zero column for n = 1, where there is no I_q), each one `lincomb`.
+    (a zero column for n = 1, where there is no I_q), each one `lincomb`
+    over the integer weights of nu (`_binomial_weights`).
     """
+    (u1, u2), g = nu._num, nu._den
     a_nu = pencil(x.A1, x.A2, nu)
-    d_nu = lincomb((nu.nu1, -nu.nu2), (x.A1, x.A2), x.c1, x.c0)
-    c_nu = lincomb(_binomial_weights(len(x.C) - 1, nu), x.C, x.c0, x.c1)
-    i_nu = lincomb(_binomial_weights(len(x.I) - 1, nu, nu.rho), x.I, x.c0, 1)
+    d_nu = lincomb((u1, -u2), (x.A1, x.A2), x.c1, x.c0, g)
+    c_weights, c_den = _binomial_weights(len(x.C) - 1, nu)
+    c_nu = lincomb(c_weights, x.C, x.c0, x.c1, c_den)
+    i_weights, i_den = _binomial_weights(len(x.I) - 1, nu, times_rho=True)
+    i_nu = lincomb(i_weights, x.I, x.c0, 1, i_den)
     return a_nu, d_nu, c_nu, i_nu
 
 
+def _regular_order(c: int):
+    """The frozen pencil order [1,0], [1,1], ..., [1,c], one label at a time."""
+    yield CHART_FIRST
+    for k in range(1, c + 1):
+        yield NuPoint(1, k)
+
+
+def _conversion_order(count: int):
+    """The frozen chart order of the conversions, one label at a time:
+    _regular_order(count) with [0,1] second, so [1,0], [0,1], [1,1], ...,
+    [1,count]."""
+    order = _regular_order(count)
+    yield next(order)
+    yield CHART_SECOND
+    yield from order
+
+
 def regular_sample(c: int) -> list[NuPoint]:
-    """The frozen pencil sample [1,0], [1,1], ..., [1,c] of find_regular_nu."""
-    return [NuPoint(Fraction(1), Fraction(k)) for k in range(c + 1)]
+    """The frozen pencil sample [1,0], [1,1], ..., [1,c] of find_regular_nu,
+    as a list (`_regular_order`)."""
+    return list(_regular_order(c))
 
 
 def conversion_sample(count: int) -> list[NuPoint]:
-    """The frozen chart order of the conversions: regular_sample(count) with
-    [0,1] second, so [1,0], [0,1], [1,1], ..., [1,count]."""
-    first, *rest = regular_sample(count)
-    return [first, CHART_SECOND, *rest]
+    """The frozen chart order of the conversions, [1,0], [0,1], [1,1], ...,
+    [1,count], as a list (`_conversion_order`)."""
+    return list(_conversion_order(count))
 
 
 def first_regular(pencils, candidates) -> NuPoint | None:
@@ -209,7 +263,7 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
     """
     if a1.rows != a1.cols or a2.rows != a2.cols or a1.rows != a2.rows:
         raise ShapeMismatch("pencil needs two square matrices of equal size")
-    nu = first_regular([(a1, a2)], regular_sample(a1.rows))
+    nu = first_regular([(a1, a2)], _regular_order(a1.rows))
     if nu is None:
         raise IrregularPencil(f"all {a1.rows + 1} sampled charts are singular")
     return nu
@@ -220,9 +274,11 @@ def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
     nu: A_nu = id, D_nu = b1 and the pencil powers C_q = A1^{q-1} A2^{n-q} b2."""
     c = b1.rows
     ident = RationalMatrix.identity(c)
-    nu1, nu2 = nu.nu1 / nu.rho, nu.nu2 / nu.rho
-    a1 = lincomb((nu2, nu1), (ident, b1), c, c)
-    a2 = lincomb((nu1, -nu2), (ident, b1), c, c)
+    # nu_i / rho = u_i g / (u1^2 + u2^2) for nu = (u1, u2) / g
+    (u1, u2), g = nu._num, nu._den
+    w1, w2, r = u1 * g, u2 * g, u1 * u1 + u2 * u2
+    a1 = lincomb((w2, w1), (ident, b1), c, c, r)
+    a2 = lincomb((w1, -w2), (ident, b1), c, c, r)
     heads, tails = [ident], [b2]  # A1^k and A2^k b2 for k = 0 .. n-1
     for _ in range(n - 1):
         heads.append(heads[-1] @ a1)

@@ -256,8 +256,8 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     nf = i.normal_forms()
     b1 = nf.submatrix([index[(a + 1, b)] for a, b in std], range(c))
     b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
-    e = [[Fraction(1) if m == (0, 0) else Fraction(0) for m in std]]
-    return AdhmData(c=c, b1=b1, b2=b2, e=RationalMatrix.from_rows(e, cols=c))
+    e = RationalMatrix._wrap([[int(m == (0, 0)) for m in std]], 1, c)
+    return AdhmData(c=c, b1=b1, b2=b2, e=e)
 
 
 def canonical_form(a: AdhmData) -> AdhmData:

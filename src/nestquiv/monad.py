@@ -16,14 +16,17 @@ the complex is
 
 with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
 `MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
-y2_nu^n s_e, s_inf off nu and n: `_forms` is their one definition, taken
-on the CoxPoly variables for the entries and on the four rationals of a
-point for a fiber; `check_complex` reads only the rotation y2_nu.
-`fiber_ranks` reads one point and `_fiber_ranks_at` a list of them
-(monad-check's 20): Q depends on the fiber base point (y1, y2) only, so
-it is ranked once per base point, P only at the points where Q is
-singular, and alpha and beta are built only where both are.  For any
-data beta . alpha collapses to s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
+y2_nu^n s_e, s_inf off nu and n: `_forms` is their definition on the
+CoxPoly variables for the entries, and `check_complex` reads only the
+rotation y2_nu.  `fiber_ranks` reads one point and `_fiber_ranks_at` a
+list of them (monad-check's 20), all in integers: the blocks over their
+common denominator, the chart rotation as the integer pair of nu, and
+each point's coordinates as numerators and denominators, read once per
+point, so no Fraction arithmetic runs at a fiber.  Q depends on the
+fiber base point (y1, y2) only, so it is ranked once per base point, P
+only at the points where Q is singular, and alpha and beta are built only
+where both are.  For any data beta . alpha collapses to
+s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
 = s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The
 quiver relations force this to vanish; the exact vanishing condition across all charts is the smaller
 list of combinations returned by `complex_residuals` (the relations imply
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .chart import NuPoint, chart_blocks
 from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch
@@ -177,8 +180,8 @@ def _rotation(nu: NuPoint, y1, y2) -> tuple:
 
 def _forms(nu: NuPoint, n: int, y1, y2, se, sinf) -> tuple:
     """The four forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) of the chart nu on
-    the surface of index n, from the coordinates: CoxPoly variables or the
-    rationals of one point."""
+    the surface of index n, from the CoxPoly variables.  A fiber reads
+    them in integers (`_fiber_ranks_at`)."""
     y1n, y2n = _rotation(nu, y1, y2)
     return y1n, y2n, y2n**n * se, sinf
 
@@ -312,38 +315,42 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     return _fiber_ranks_at(m, [pt])[0]
 
 
-def _integers(vals) -> list[int]:
-    """The rationals vals as integers over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals]
-
-
 def _fiber_ranks_at(m: MonadComplex, points) -> list[tuple[int, int]]:
     """fiber_ranks at each of the points, in order, so a bad point raises
     what the per-point loop raises first.  Q = y1_nu Id + b1^T y2_nu depends
     on (y1, y2) only and is ranked once per distinct (y1, y2); P, alpha and
-    beta are formed only at the points whose Q is singular."""
+    beta are formed only at the points whose Q is singular.
+
+    Everything is read in integers: the blocks over their denominator d,
+    the chart as nu = (u1, u2) / g and each coordinate as p / q.  The
+    rotated coordinates (y1_nu, y2_nu) are integers Y1, Y2 over
+    D = g q1 q2, and (y2_nu^n s_e, s_inf) are integers over D^n q_e q_inf.
+    Once the identity terms carry the d, Q and R are scaled by one nonzero
+    integer and P and the J column of beta by another: a scaling of row
+    blocks of alpha and of column blocks of beta, which keeps every rank.
+    """
     blocks, d = m._integer_blocks
-    c = m.c
-    # blocks over d and forms over the lcm of their denominators: Q, P,
-    # alpha and beta scaled by a nonzero integer, which keeps their ranks,
-    # once the identity terms carry the d
+    c, n = m.c, m.n
+    (u1, u2), g = m.nu._num, m.nu._den
     q_full = {}
     out = []
     for pt in points:
-        v = _point(pt)
-        if v[0] == 0 and v[1] == 0:
+        (p1, q1), (p2, q2), (pe, qe), (pi, qi) = (
+            (v.numerator, v.denominator) for v in _point(pt)
+        )
+        if p1 == 0 and p2 == 0:
             raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
-        if v[2] == 0 and v[3] == 0:
+        if pe == 0 and pi == 0:
             raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
-        base = v[:2]
+        y1n = u1 * p1 * q2 + u2 * p2 * q1
+        y2n = u1 * p2 * q1 - u2 * p1 * q2
+        base = (p1, q1, p2, q2)
         if base not in q_full:
-            y1n, y2n = _integers(_rotation(m.nu, *base))
             q_full[base] = rank(RationalMatrix._wrap(_shifted(blocks[0], d * y1n, y2n), 1, c)) == c
         if q_full[base]:
             out.append((c, c))
             continue
-        y1n, y2n, lead, sinf = _integers(_forms(m.nu, m.n, *v))
+        lead, sinf = y2n**n * pe * qi, pi * (g * q1 * q2) ** n * qe
         if rank(RationalMatrix._wrap(_shifted(blocks[1], d * lead, sinf), 1, c)) == c:
             out.append((c, c))
             continue

@@ -24,9 +24,9 @@ inverses and solves read their canonical results off that,
 `ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
 ideal by running `rref` on the column-reversed rows.
 
-`lincomb` forms sum_j w_j M_j over rational weights in integers, with
-one reduction to lowest terms at the end; the chart's pencil
-combinations are each one call.
+`lincomb` forms sum_j (w_j / den) M_j in integers, with one reduction
+to lowest terms at the end; the chart's pencil combinations are each
+one call, with integer weights over one denominator.
 
 A `kernel_basis` K is the identity at its free rows (`_free_rows`), the
 last nonzero row of each column, so the only X with K X = M is M at those
@@ -294,16 +294,18 @@ def _common(mats: Sequence[RationalMatrix]):
 
 
 def lincomb(
-    weights: Sequence, mats: Sequence[RationalMatrix], rows: int, cols: int
+    weights: Sequence, mats: Sequence[RationalMatrix], rows: int, cols: int, den: int = 1
 ) -> RationalMatrix:
-    """sum_j w_j M_j over rational weights, each M_j rows x cols (the zero
-    matrix when there are no terms or every weight is zero).
+    """sum_j (w_j / den) M_j over integer or Fraction weights w_j and a
+    positive integer den, each M_j rows x cols (the zero matrix when there
+    are no terms or every weight is zero).
 
-    Term j is p_j N_j / (q_j d_j) for w_j = p_j / q_j and M_j = N_j / d_j,
-    so over the lcm D of the q_j d_j the numerators are
-    sum_j p_j (D / (q_j d_j)) N_j: integer products and sums only, and one
+    Term j is p_j N_j / (q_j d_j den) for w_j = p_j / q_j and M_j = N_j / d_j,
+    so over den times the lcm L of the q_j d_j the numerators are
+    sum_j p_j (L / (q_j d_j)) N_j: integer products and sums only, and one
     `_wrap` at the end, where a scale-then-add chain reduces every
-    intermediate sum.
+    intermediate sum.  The chart passes integer weights over one
+    denominator, so no weight is a Fraction.
     """
     if len(weights) != len(mats):
         raise ShapeMismatch(f"{len(weights)} weights for {len(mats)} matrices")
@@ -311,19 +313,18 @@ def lincomb(
     for w, m in zip(weights, mats):
         if m.rows != rows or m.cols != cols:
             raise ShapeMismatch(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
-        w = rat(w)
         if w:
             terms.append((w.numerator, w.denominator * m.den, m.num))
     if not terms:
         return RationalMatrix.zeros(rows, cols)
-    den = lcm(*(q for _, q, _ in terms))
+    common = lcm(*(q for _, q, _ in terms))
     (p, q, num), *rest = terms
-    f = p * (den // q)
+    f = p * (common // q)
     out = [[f * x for x in row] for row in num]
     for p, q, num in rest:
-        f = p * (den // q)
+        f = p * (common // q)
         out = [[a + f * x for a, x in zip(ra, rb)] for ra, rb in zip(out, num)]
-    return RationalMatrix._wrap(out, den, cols)
+    return RationalMatrix._wrap(out, common * den, cols)
 
 
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:

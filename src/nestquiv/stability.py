@@ -10,7 +10,9 @@ inside the parameter cone, an enhanced representation is stable iff
 and (C2) in turn reduces to: all I_q vanish (n >= 2), some sampled chart is
 regular, and the extracted ADHM datum is costable.  `_left_reading` runs
 that chain for the base cone, and `is_theta_stable` puts the cone check
-and (C1) in front of it.  Costability is read off `_chart_reading`, the
+and (C1) in front of it.  The cone checks compare cross-multiplied
+integer numerators and denominators of the parameters, so no Fraction
+is built for a verdict.  Costability is read off `_chart_reading`, the
 one reader of a chart: it extracts the datum at a chart and scans its
 covector closure once, and the size of the scan is the verdict, while
 its normal forms are the big ideal that the conversions in
@@ -80,32 +82,48 @@ class StabilityVerdict:
         }
 
 
+def _in_base_cone(t0: Fraction, t1: Fraction, c: int) -> bool:
+    """t0 > 0 and -t0 < t1 < -(c-1)/c t0, cross-multiplied: with
+    t_i = p_i / q_i over positive q_i, p0 > 0 and
+    -p0 q1 < p1 q0 and c p1 q0 < -(c-1) p0 q1."""
+    p0, q0, p1, q1 = t0.numerator, t0.denominator, t1.numerator, t1.denominator
+    return p0 > 0 and -p0 * q1 < p1 * q0 and c * p1 * q0 < -(c - 1) * p0 * q1
+
+
 def in_gamma_c(p: GammaParam, c: int) -> bool:
     """Strict membership in the base cone for colength c >= 1."""
     if c < 1:
         raise ShapeMismatch("cone is defined for c >= 1")
-    t0, t1 = p.theta0, p.theta1
-    return t0 > 0 and -t0 < t1 < -Fraction(c - 1, c) * t0
+    return _in_base_cone(p.theta0, p.theta1, c)
 
 
 def in_enh_cone(p: EnhThetaParam, c: int, cp: int) -> bool:
-    """Strict membership in the enhanced cone for colengths c > cp >= 0."""
+    """Strict membership in the enhanced cone for colengths c > cp >= 0:
+    (theta1, theta2) in the base cone, theta3, theta4 < 0 and
+    theta1 + theta2 + (theta3 + theta4)(c - cp) > 0, each compared in
+    cross-multiplied integers."""
     if not 0 <= cp < c:
         raise ShapeMismatch("need 0 <= cp < c")
-    if not in_gamma_c(GammaParam(p.theta1, p.theta2), c):
+    if not _in_base_cone(p.theta1, p.theta2, c):
         return False
-    if not (p.theta3 < 0 and p.theta4 < 0):
+    (p1, q1), (p2, q2), (p3, q3), (p4, q4) = (
+        (t.numerator, t.denominator) for t in (p.theta1, p.theta2, p.theta3, p.theta4)
+    )
+    if not (p3 < 0 and p4 < 0):
         return False
-    return p.theta1 + p.theta2 + (p.theta3 + p.theta4) * (c - cp) > 0
+    return (p1 * q2 + p2 * q1) * q3 * q4 + (p3 * q4 + p4 * q3) * q1 * q2 * (c - cp) > 0
 
 
 def default_theta(c: int, cp: int) -> EnhThetaParam:
-    """A parameter in the interior of the enhanced cone.
+    """A parameter in the interior of the enhanced cone, for 0 <= cp < c
+    (ShapeMismatch otherwise).
 
     theta2 is the midpoint of the base interval; theta3 = theta4 =
     -1/(8c(c-cp)) keeps the sum condition at 1/(4c) > 0.  (The naive
     -1/(4(c-cp)) fails the sum condition for every c.)
     """
+    if not 0 <= cp < c:
+        raise ShapeMismatch("need 0 <= cp < c")
     p = EnhThetaParam(
         Fraction(1),
         Fraction(-(2 * c - 1), 2 * c),

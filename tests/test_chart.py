@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nestquiv import (
     AdhmData,
     HirzRep,
+    ShapeMismatch,
     IrregularPencil,
     NotCommuting,
     NotInjective,
@@ -31,10 +32,11 @@ from nestquiv import (
     transform_chart,
 )
 from nestquiv.corpus import ideal_of_points, random_gauge, random_nested_pair, random_points
-from nestquiv.chart import closure_scan, first_regular, monomial_rows
+from nestquiv.chart import closure_scan, first_regular, monomial_rows, pencil_combos
 from nestquiv.ideals import adhm_from_ideal, ideal_from_adhm, monomial_ideal
 from nestquiv.monomials import monomials_upto
 from nestquiv.ratmat import rank
+from nestquiv.stability import _chart_reading
 
 from conftest import M, nu
 
@@ -51,6 +53,66 @@ def test_nu_normalization():
     assert (q.nu1, q.nu2) == (Fraction(0), Fraction(1))
     assert nu(1, 2).rho == Fraction(5)
     assert NuPoint.from_json(["1", "1/2"]).to_json() == ["1", "1/2"]
+
+
+_rational = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+_nonzero_rational = _rational.filter(lambda v: v != 0)
+_label_pair = st.tuples(_rational, _rational).filter(lambda ab: ab != (0, 0))
+
+
+def _rotation_rep() -> HirzRep:
+    # A1 = 1 and A2 = R, R^2 = -1, so A_nu = nu2 + nu1 R has determinant
+    # nu1^2 + nu2^2: every chart is regular, and b1 = -R with e = (1, 0)
+    # is costable at each of them
+    return HirzRep(
+        n=1,
+        c0=2,
+        c1=2,
+        A1=RationalMatrix.identity(2),
+        A2=M([[0, -1], [1, 0]]),
+        C=(M([[0, 0], [0, 0]]),),
+        I=(),
+        J=M([[1, 0]]),
+    )
+
+
+@settings(max_examples=120)
+@given(_label_pair, _nonzero_rational)
+def test_nu_point_is_a_projective_key(ab, k):
+    a, b = ab
+    p, q = NuPoint(a, b), NuPoint(k * a, k * b)
+    assert p == q and hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+    # the first nonzero coordinate is 1, and rho is read off the label
+    assert (p.nu1, p.nu2) == ((Fraction(1), b / a) if a else (Fraction(0), Fraction(1)))
+    assert p.rho == p.nu1**2 + p.nu2**2
+    assert isinstance(p.nu1, Fraction) and isinstance(p.nu2, Fraction)
+    # the JSON bytes survive a round trip
+    back = NuPoint.from_json(p.to_json())
+    assert back == p and back.to_json() == p.to_json() == q.to_json()
+    assert (back.nu1, back.nu2, back.rho) == (p.nu1, p.nu2, p.rho)
+    # a chart reading kept under one label is found under an equal label
+    # built separately
+    x = _rotation_rep()
+    reading = _chart_reading(x, p)
+    assert x._kept[q] is reading
+    assert _chart_reading(x, NuPoint(k * a, k * b)) is reading
+    assert len(x._kept) == 1
+
+
+def test_nu_point_refuses_what_it_refused():
+    for bad in ([0, 0], ["0", "0/5"]):
+        with pytest.raises(ShapeMismatch):
+            NuPoint.from_json(bad)
+    with pytest.raises(ShapeMismatch):
+        NuPoint(Fraction(0), 0)
+    for v, error in ((0.5, TypeError), ("1/0", ValueError), ("1e3", ValueError), (None, TypeError)):
+        with pytest.raises(error):
+            NuPoint(v, Fraction(1))
+        with pytest.raises(error):
+            NuPoint(Fraction(0), v)
+    assert NuPoint(Fraction(1), Fraction(0)) != (Fraction(1), Fraction(0))
+    assert NuPoint("2", 4) == nu(1, 2) and repr(NuPoint("2", 4)) == repr(nu(1, 2))
 
 
 def test_adhm_requires_commuting():
@@ -97,6 +159,51 @@ def test_embedded_c_stack_matches_the_sigma_definition():
                     want = want + powers[k].scale(s)
                 assert x.C[q] == want @ a.b2
             assert all(r.is_zero() for r in hirz_residuals(x))
+
+
+def _fraction_rep(rng: random.Random, n: int, c: int) -> HirzRep:
+    """A representation with random rational entries, every I_q nonzero,
+    scrambled by a random gauge; no relation is imposed."""
+
+    def mat(rows, cols):
+        return M([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(cols)] for _ in range(rows)])
+
+    iqs = []
+    for _ in range(n - 1):
+        iq = mat(c, 1)
+        iqs.append(iq if not iq.is_zero() else M([[1]] + [[0]] * (c - 1)))
+    x = HirzRep(
+        n=n, c0=c, c1=c, A1=mat(c, c), A2=mat(c, c), C=tuple(mat(c, c) for _ in range(n)), I=tuple(iqs), J=mat(1, c)
+    )
+    return act(random_gauge(rng, c), x)
+
+
+def _fraction_sum(weights, mats, rows, cols) -> RationalMatrix:
+    """sum_j w_j M_j entry by entry in Fraction arithmetic."""
+    return M(
+        [[sum((w * m[i, j] for w, m in zip(weights, mats)), Fraction(0)) for j in range(cols)] for i in range(rows)],
+        cols=cols,
+    )
+
+
+def test_pencil_weights_at_non_integer_charts():
+    # the four nu-combinations against their definitions written out in
+    # Fractions, on gauge-scrambled data with nonzero I_q
+    rng = random.Random(24)
+    for point in (nu(1, Fraction(1, 2)), nu(1, Fraction(-2, 3)), nu(0, 1), nu(1, 0), nu(2, 3)):
+        n1, n2 = point.nu1, point.nu2
+        rho = n1 * n1 + n2 * n2
+        for n in range(1, 6):
+            c = rng.randint(1, 3)
+            x = _fraction_rep(rng, n, c)
+            assert n == 1 or any(not iq.is_zero() for iq in x.I)
+            a_nu, d_nu, c_nu, i_nu = pencil_combos(x, point)
+            assert a_nu == _fraction_sum((n2, n1), (x.A1, x.A2), c, c)
+            assert d_nu == _fraction_sum((n1, -n2), (x.A1, x.A2), c, c)
+            c_weights = [comb(n - 1, q - 1) * n1 ** (n - q) * n2 ** (q - 1) for q in range(1, n + 1)]
+            assert c_nu == _fraction_sum(c_weights, x.C, c, c)
+            i_weights = [rho * comb(n - 2, q - 1) * n1 ** (n - q - 1) * n2 ** (q - 1) for q in range(1, n)]
+            assert i_nu == _fraction_sum(i_weights, x.I, c, 1)
 
 
 def test_embed_extract_round_trip():

@@ -530,6 +530,38 @@ def test_no_module_uses_floats():
             assert not (isinstance(node, ast.Name) and node.id in ("float", "complex")), path.name
 
 
+def _is_memo(node) -> bool:
+    """Is node functools.cache or lru_cache, bare, as an attribute, or called?"""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("cache", "lru_cache")
+    return isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+
+
+def test_no_module_level_memo_table():
+    # readings are kept on the objects they read (HirzRep._kept, cached
+    # properties), so nothing outlives its object: no module-level
+    # functools.cache or lru_cache except on the CLI's argument parser.
+    # A cache inside a function body lives for that one call.
+    found = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                aliased = [a.name for a in node.names if a.asname and a.name in ("cache", "lru_cache")]
+                assert not aliased, path.name
+            # top-level statements and class bodies live as long as the module
+            for item in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(_is_memo(d) for d in item.decorator_list):
+                        found.append(f"{path.stem}.{item.name}")
+                elif isinstance(item, (ast.Assign, ast.AnnAssign, ast.Expr)) and item.value is not None:
+                    if any(_is_memo(sub) for sub in ast.walk(item.value)):
+                        found.append(f"{path.stem}:{item.lineno}")
+    assert found == ["cli._build_parser"]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # each deletion of a caller can strand an import; no linter runs here
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):

@@ -227,6 +227,28 @@ def test_fiber_ranks_take_each_branch(monkeypatch):
     assert taken == {1, 2, 4}
 
 
+def test_fiber_ranks_at_non_integer_charts():
+    # a reduced cycle embedded at a chart nu whose label is not integral;
+    # the point whose rotated coordinates are (y1_nu, y2_nu) = (-x, 1) and
+    # (s_e, s_inf) = (-y, 1) for a support point (x, y) makes Q and P
+    # singular, and moving s_e or y1_nu by 1/7 leaves an invertible block:
+    # each rank pair is the entrywise one, through every branch
+    shift = Fraction(1, 7)
+    rng = random.Random(24)
+    for point in (nu(2, -3), nu(3, 1), nu(1, Fraction(1, 2)), nu(0, 1)):
+        n1, n2, rho = point.nu1, point.nu2, point.rho
+        for n in (1, 2, 3):
+            c = rng.randint(2, 4)
+            pts = random_points(rng, c)
+            m = build_monad(chart_embed(adhm_from_ideal(ideal_of_points(pts)), point, n), point)
+            for x, y in pts:
+                for y1n, se, want in ((-x, -y, (c - 1, c)), (-x, -y + shift, (c, c)), (-x + shift, -y, (c, c))):
+                    pt = ((n1 * y1n - n2) / rho, (n2 * y1n + n1) / rho, se, Fraction(1))
+                    alpha = [[p.evaluate(pt) for p in row] for row in m.Amat]
+                    beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
+                    assert fiber_ranks(m, pt) == want == (rank(M(alpha)), rank(M(beta)))
+
+
 def test_fiber_ranks_drop_exactly_on_the_support():
     # the monad against the ideal layer: at [1, 0] alpha loses rank at
     # (-x, 1, -y, 1) for each point (x, y) that `support` reads, and nowhere

@@ -439,6 +439,25 @@ def test_lincomb_edge_cases():
     with pytest.raises(ShapeMismatch):
         lincomb([Fraction(1)], [a, b], 2, 2)
 
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=k, max_size=k),
+            st.lists(_matrices(3, 2), min_size=k, max_size=k),
+        )
+    ),
+    st.integers(min_value=1, max_value=2**40),
+)
+def test_lincomb_over_one_denominator(case, den):
+    # integer weights over den are the Fraction weights w / den
+    weights, mats = case
+    got = lincomb(weights, mats, 3, 2, den)
+    assert got == lincomb([Fraction(w, den) for w in weights], mats, 3, 2)
+    assert _lowest_terms(got)
+
+
 @settings(max_examples=60)
 @given(_matrices(), _nonzero_entry, st.data())
 def test_equal_values_have_one_representation(m, q, data):

@@ -13,6 +13,7 @@ from nestquiv import (
     HirzRep,
     NotFixedForm,
     NotWellDefined,
+    ShapeMismatch,
     Singular,
     default_theta,
     hirz_residuals,
@@ -70,6 +71,81 @@ def test_enh_cone_and_default():
     # sum condition: theta3 + theta4 too negative
     bad2 = EnhThetaParam(Fraction(1), Fraction(-3, 4), Fraction(-1), Fraction(-1))
     assert not in_enh_cone(bad2, 2, 1)
+
+
+def test_default_theta_refuses_colengths_outside_the_cone():
+    for c, cp in ((3, 3), (0, 0), (3, 5), (3, -1)):
+        with pytest.raises(ShapeMismatch, match="need 0 <= cp < c"):
+            default_theta(c, cp)
+
+
+def _gamma_by_fractions(t0: Fraction, t1: Fraction, c: int) -> bool:
+    return t0 > 0 and -t0 < t1 < -Fraction(c - 1, c) * t0
+
+
+def _enh_by_fractions(p: EnhThetaParam, c: int, cp: int) -> bool:
+    return (
+        _gamma_by_fractions(p.theta1, p.theta2, c)
+        and p.theta3 < 0
+        and p.theta4 < 0
+        and p.theta1 + p.theta2 + (p.theta3 + p.theta4) * (c - cp) > 0
+    )
+
+
+_ratio = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2), max_denominator=40)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=60),
+    _ratio,
+    _ratio,
+    _ratio,
+)
+def test_cones_match_their_written_inequalities(c, data, t0, lam, mu3, mu4):
+    # theta1 = -lam theta0 and theta3, theta4 = -mu (theta0 + theta1) / (c - c'):
+    # lam in (1 - 1/c, 1) and mu3 + mu4 < 1 with both positive is the cone,
+    # so the draws land on both sides of every inequality
+    cp = data.draw(st.integers(min_value=0, max_value=c - 1))
+    t1 = -lam * t0
+    gamma = GammaParam(t0, t1)
+    assert in_gamma_c(gamma, c) == _gamma_by_fractions(t0, t1, c)
+    s = c - cp
+    p = EnhThetaParam(t0, t1, -mu3 * (t0 + t1) / s, -mu4 * (t0 + t1) / s)
+    assert in_enh_cone(p, c, cp) == _enh_by_fractions(p, c, cp)
+
+
+def test_cone_boundaries_read_outside():
+    for c in range(1, 9):
+        for t0 in (Fraction(1), Fraction(7, 3)):
+            steep = -Fraction(c - 1, c) * t0
+            inner = (steep - t0) / 2
+            assert in_gamma_c(GammaParam(t0, inner), c)
+            for t1 in (-t0, steep):
+                assert not in_gamma_c(GammaParam(t0, t1), c)
+            assert not in_gamma_c(GammaParam(-t0, -inner), c)
+            assert not in_gamma_c(GammaParam(Fraction(0), Fraction(0)), c)
+            for cp in range(c):
+                s = c - cp
+                t3 = -(t0 + inner) / (4 * s)
+                assert in_enh_cone(EnhThetaParam(t0, inner, t3, t3), c, cp)
+                for t1 in (-t0, steep):
+                    assert not in_enh_cone(EnhThetaParam(t0, t1, t3, t3), c, cp)
+                # theta3 = 0, either slot
+                assert not in_enh_cone(EnhThetaParam(t0, inner, Fraction(0), t3), c, cp)
+                assert not in_enh_cone(EnhThetaParam(t0, inner, t3, Fraction(0)), c, cp)
+                # a zero sum theta1 + theta2 + (theta3 + theta4)(c - c')
+                zero = -(t0 + inner) / (2 * s)
+                assert not in_enh_cone(EnhThetaParam(t0, inner, zero, zero), c, cp)
+                assert not in_enh_cone(EnhThetaParam(t0, inner, zero * 3 / 2, zero / 2), c, cp)
+    for c in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            in_gamma_c(GammaParam(Fraction(1), Fraction(-1, 2)), c)
+    for c, cp in ((2, 2), (2, -1), (0, 0)):
+        with pytest.raises(ShapeMismatch):
+            in_enh_cone(default_theta(2, 1), c, cp)
 
 
 def test_costable_verdicts():
