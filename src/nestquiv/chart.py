@@ -20,9 +20,10 @@ integer weights and one denominator read off that pair: one integer pass
 over its terms, with no Fraction weight.  The direction of the b2
 product matters: C_nu A_nu is the one that transforms by conjugation
 under gauge, with e transforming as e g^{-1}.  `first_regular` finds
-charts, walking one of the two frozen orders `_regular_order` and
-`_conversion_order` one label at a time; `regular_sample` and
-`conversion_sample` are their lists.
+charts among candidates: `find_regular_nu` walks the frozen pencil order
+`_regular_order` one label at a time, and `regular_sample` is its list.
+`conversion_sample`, the conversions' frozen order, is that list with
+[0,1] second.
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
@@ -187,15 +188,11 @@ def pencil(a1: RationalMatrix, a2: RationalMatrix, nu: NuPoint) -> RationalMatri
     return lincomb((u2, u1), (a1, a2), a1.rows, a1.cols, g)
 
 
-def _binomial_weights(k: int, nu: NuPoint, times_rho: bool = False) -> tuple[list[int], int]:
-    """The weights binom(k, j) nu1^{k-j} nu2^j for j = 0 .. k, times rho
-    when times_rho, as integer numerators over one denominator: with
-    nu = (u1, u2) / g and rho = (u1^2 + u2^2) / g^2, the numerators
-    binom(k, j) u1^{k-j} u2^j over g^k, or u1^2 + u2^2 times them over
-    g^(k+2)."""
-    (u1, u2), g = nu._num, nu._den
-    scale, den = (u1 * u1 + u2 * u2, g ** (k + 2)) if times_rho else (1, g**k)
-    return [scale * comb(k, j) * u1 ** (k - j) * u2**j for j in range(k + 1)], den
+def _binomial_weights(k: int, nu: NuPoint) -> list[int]:
+    """The weights binom(k, j) nu1^{k-j} nu2^j for j = 0 .. k as integer
+    numerators over g^k: with nu = (u1, u2) / g, binom(k, j) u1^{k-j} u2^j."""
+    u1, u2 = nu._num
+    return [comb(k, j) * u1 ** (k - j) * u2**j for j in range(k + 1)]
 
 
 def pencil_combos(x: HirzRep, nu: NuPoint):
@@ -205,15 +202,17 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
     C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q,
     I_nu = (nu1^2+nu2^2) sum_q binom(n-2, q-1) nu1^{n-q-1} nu2^{q-1} I_q
     (a zero column for n = 1, where there is no I_q), each one `lincomb`
-    over the integer weights of nu (`_binomial_weights`).
+    over the integer weights of nu (`_binomial_weights`); rho = nu1^2 + nu2^2
+    is (u1^2 + u2^2) / g^2, so I_nu's weights are u1^2 + u2^2 times those
+    of degree n - 2 over g^n.
     """
     (u1, u2), g = nu._num, nu._den
+    n = x.n
     a_nu = pencil(x.A1, x.A2, nu)
     d_nu = lincomb((u1, -u2), (x.A1, x.A2), x.c1, x.c0, g)
-    c_weights, c_den = _binomial_weights(len(x.C) - 1, nu)
-    c_nu = lincomb(c_weights, x.C, x.c0, x.c1, c_den)
-    i_weights, i_den = _binomial_weights(len(x.I) - 1, nu, times_rho=True)
-    i_nu = lincomb(i_weights, x.I, x.c0, 1, i_den)
+    c_nu = lincomb(_binomial_weights(n - 1, nu), x.C, x.c0, x.c1, g ** (n - 1))
+    r = u1 * u1 + u2 * u2
+    i_nu = lincomb([r * w for w in _binomial_weights(n - 2, nu)], x.I, x.c0, 1, g**n)
     return a_nu, d_nu, c_nu, i_nu
 
 
@@ -224,16 +223,6 @@ def _regular_order(c: int):
         yield NuPoint(1, k)
 
 
-def _conversion_order(count: int):
-    """The frozen chart order of the conversions, one label at a time:
-    _regular_order(count) with [0,1] second, so [1,0], [0,1], [1,1], ...,
-    [1,count]."""
-    order = _regular_order(count)
-    yield next(order)
-    yield CHART_SECOND
-    yield from order
-
-
 def regular_sample(c: int) -> list[NuPoint]:
     """The frozen pencil sample [1,0], [1,1], ..., [1,c] of find_regular_nu,
     as a list (`_regular_order`)."""
@@ -242,8 +231,9 @@ def regular_sample(c: int) -> list[NuPoint]:
 
 def conversion_sample(count: int) -> list[NuPoint]:
     """The frozen chart order of the conversions, [1,0], [0,1], [1,1], ...,
-    [1,count], as a list (`_conversion_order`)."""
-    return list(_conversion_order(count))
+    [1,count]: regular_sample(count) with [0,1] second."""
+    first, *rest = regular_sample(count)
+    return [first, CHART_SECOND, *rest]
 
 
 def first_regular(pencils, candidates) -> NuPoint | None:

@@ -29,7 +29,7 @@ from .corpus import random_gauge, random_nested_pair
 from .correspondence import nested_to_rep, rep_to_nested, same_orbit
 from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
-from .monad import _fiber_ranks_at, build_monad, check_complex
+from .monad import build_monad, check_complex, fiber_ranks
 from .quiver import EnhRep, HirzRep, act
 from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
@@ -257,7 +257,7 @@ def cmd_monad_check(args) -> int:
     composite = check_complex(monad)
     complex_zero = all(p.is_zero() for row in composite for p in row)
     points = [(y1, y2, se, si) for (se, si) in _MONAD_S for (y1, y2) in _MONAD_Y]
-    ranks = [list(r) for r in _fiber_ranks_at(monad, points)]
+    ranks = [list(fiber_ranks(monad, pt)) for pt in points]
     full = all(ra == x.c0 and rb == x.c0 for ra, rb in ranks)
     report = {
         "n": x.n,

@@ -27,11 +27,12 @@ no enhancement to speak of and are rejected with DomainError.
 from __future__ import annotations
 
 from .chart import (
+    CHART_FIRST,
+    CHART_SECOND,
     NuPoint,
     _pencil_arrows,
     build_nested_adhm,
     chart_embed,
-    conversion_sample,
     first_regular,
     monomial_rows,
     scan_walk,
@@ -48,10 +49,9 @@ def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) ->
     first regular point of regular_sample(c).  conversion_sample(c) is that
     sample with [0,1] second, so the answer is [1,0] when chart is, else
     [0,1] when the pencil is regular there, else chart."""
-    first, second = conversion_sample(0)
-    if chart == first:
+    if chart == CHART_FIRST:
         return chart
-    return first_regular([(a1, a2)], [second]) or chart
+    return first_regular([(a1, a2)], [CHART_SECOND]) or chart
 
 
 def _stable_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint:

@@ -18,14 +18,10 @@ with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
 `MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
 y2_nu^n s_e, s_inf off nu and n: `_forms` is their definition on the
 CoxPoly variables for the entries, and `check_complex` reads only the
-rotation y2_nu.  `fiber_ranks` reads one point and `_fiber_ranks_at` a
-list of them (monad-check's 20), all in integers: the blocks over their
-common denominator, the chart rotation as the integer pair of nu, and
-each point's coordinates as numerators and denominators, read once per
-point, so no Fraction arithmetic runs at a fiber.  Q depends on the
-fiber base point (y1, y2) only, so it is ranked once per base point, P
-only at the points where Q is singular, and alpha and beta are built only
-where both are.  For any data beta . alpha collapses to
+rotation y2_nu.  `fiber_ranks` reads one point in integers, so no
+Fraction arithmetic runs at a fiber, and keeps the verdict on its first
+block Q, which depends on the fiber base point (y1, y2) only, on the
+monad per base point.  For any data beta . alpha collapses to
 s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
 = s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The
 quiver relations force this to vanish; the exact vanishing condition across all charts is the smaller
@@ -181,7 +177,7 @@ def _rotation(nu: NuPoint, y1, y2) -> tuple:
 def _forms(nu: NuPoint, n: int, y1, y2, se, sinf) -> tuple:
     """The four forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) of the chart nu on
     the surface of index n, from the CoxPoly variables.  A fiber reads
-    them in integers (`_fiber_ranks_at`)."""
+    them in integers (`fiber_ranks`)."""
     y1n, y2n = _rotation(nu, y1, y2)
     return y1n, y2n, y2n**n * se, sinf
 
@@ -215,6 +211,12 @@ class MonadComplex:
         """b1, b2, I_nu and J as integer rows over their common denominator,
         and that denominator: read once for all fibers."""
         return _common((self.b1, self.b2, self.i_nu, self.J))
+
+    @cached_property
+    def _q_full(self) -> dict:
+        """Whether Q is invertible, per fiber base point (p1, q1, p2, q2)
+        with (y1, y2) = (p1/q1, p2/q2): filled by `fiber_ranks`."""
+        return {}
 
     Amat = property(lambda self: self._alpha_beta[0])
     Bmat = property(lambda self: self._alpha_beta[1])
@@ -306,20 +308,10 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     beta = [Q | -P | J^T s_inf] has c rows and holds the columns of Q, so
     an invertible Q gives exactly (c, c); so does an invertible P.  The
     c x c block Q is ranked first, then P where Q is singular, and alpha
-    and beta are built and ranked only where both are singular.
-
-    A point that is not four coordinates raises ShapeMismatch.  Points with
-    y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and raise
-    ExcludedLocus.
-    """
-    return _fiber_ranks_at(m, [pt])[0]
-
-
-def _fiber_ranks_at(m: MonadComplex, points) -> list[tuple[int, int]]:
-    """fiber_ranks at each of the points, in order, so a bad point raises
-    what the per-point loop raises first.  Q = y1_nu Id + b1^T y2_nu depends
-    on (y1, y2) only and is ranked once per distinct (y1, y2); P, alpha and
-    beta are formed only at the points whose Q is singular.
+    and beta are built and ranked only where both are singular.  Q depends
+    on the fiber base point (y1, y2) only, so its verdict is kept on m per
+    base point (`MonadComplex._q_full`) and monad-check's 20 points rank it
+    once per base point.
 
     Everything is read in integers: the blocks over their denominator d,
     the chart as nu = (u1, u2) / g and each coordinate as p / q.  The
@@ -328,33 +320,30 @@ def _fiber_ranks_at(m: MonadComplex, points) -> list[tuple[int, int]]:
     Once the identity terms carry the d, Q and R are scaled by one nonzero
     integer and P and the J column of beta by another: a scaling of row
     blocks of alpha and of column blocks of beta, which keeps every rank.
+
+    A point that is not four coordinates raises ShapeMismatch.  Points with
+    y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and raise
+    ExcludedLocus.
     """
     blocks, d = m._integer_blocks
-    c, n = m.c, m.n
+    c = m.c
     (u1, u2), g = m.nu._num, m.nu._den
-    q_full = {}
-    out = []
-    for pt in points:
-        (p1, q1), (p2, q2), (pe, qe), (pi, qi) = (
-            (v.numerator, v.denominator) for v in _point(pt)
-        )
-        if p1 == 0 and p2 == 0:
-            raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
-        if pe == 0 and pi == 0:
-            raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
-        y1n = u1 * p1 * q2 + u2 * p2 * q1
-        y2n = u1 * p2 * q1 - u2 * p1 * q2
-        base = (p1, q1, p2, q2)
-        if base not in q_full:
-            q_full[base] = rank(RationalMatrix._wrap(_shifted(blocks[0], d * y1n, y2n), 1, c)) == c
-        if q_full[base]:
-            out.append((c, c))
-            continue
-        lead, sinf = y2n**n * pe * qi, pi * (g * q1 * q2) ** n * qe
-        if rank(RationalMatrix._wrap(_shifted(blocks[1], d * lead, sinf), 1, c)) == c:
-            out.append((c, c))
-            continue
-        alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
-        alpha, beta = RationalMatrix._wrap(alpha, 1, c), RationalMatrix._wrap(beta, 1, 2 * c + 1)
-        out.append((rank(alpha), rank(beta)))
-    return out
+    (p1, q1), (p2, q2), (pe, qe), (pi, qi) = ((v.numerator, v.denominator) for v in _point(pt))
+    if p1 == 0 and p2 == 0:
+        raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
+    if pe == 0 and pi == 0:
+        raise ExcludedLocus("s_e = s_inf = 0 is not on the surface")
+    y1n = u1 * p1 * q2 + u2 * p2 * q1
+    y2n = u1 * p2 * q1 - u2 * p1 * q2
+    base = (p1, q1, p2, q2)
+    q_full = m._q_full.get(base)
+    if q_full is None:
+        q = RationalMatrix._wrap(_shifted(blocks[0], d * y1n, y2n), 1, c)
+        q_full = m._q_full[base] = rank(q) == c
+    if q_full:
+        return c, c
+    lead, sinf = y2n**m.n * pe * qi, pi * (g * q1 * q2) ** m.n * qe
+    if rank(RationalMatrix._wrap(_shifted(blocks[1], d * lead, sinf), 1, c)) == c:
+        return c, c
+    alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
+    return rank(RationalMatrix._wrap(alpha, 1, c)), rank(RationalMatrix._wrap(beta, 1, 2 * c + 1))

@@ -8,7 +8,7 @@ inside the parameter cone, an enhanced representation is stable iff
     (C2) the left part is stable for the base cone,
 
 and (C2) in turn reduces to: all I_q vanish (n >= 2), some sampled chart is
-regular, and the extracted ADHM datum is costable.  `_left_reading` runs
+regular, and the extracted ADHM datum is costable.  `is_gamma_stable` runs
 that chain for the base cone, and `is_theta_stable` puts the cone check
 and (C1) in front of it.  The cone checks compare cross-multiplied
 integer numerators and denominators of the parameters, so no Fraction
@@ -29,11 +29,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .chart import NuPoint, chart_extract, closure_scan, find_regular_nu
+from .chart import AdhmData, NuPoint, chart_extract, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
-    NotCommuting,
     NotFixedForm,
     NotWellDefined,
     ShapeMismatch,
@@ -143,10 +142,11 @@ def _closure_witness(r: int, c: int) -> str | None:
 
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
     """Costability: the covector closure span{e b1^a b2^b} has full rank,
-    the number of monomials `closure_scan` keeps."""
-    if not (b1 @ b2 - b2 @ b1).is_zero():
-        raise NotCommuting("[b1, b2] != 0")
-    witness = _closure_witness(len(closure_scan(b1, b2, e)[0]), b1.rows)
+    the number of monomials `closure_scan` keeps.  The inputs are read as
+    an `AdhmData`, which raises ShapeMismatch unless b1, b2 are c x c and
+    e is 1 x c, and NotCommuting unless [b1, b2] = 0."""
+    a = AdhmData(c=b1.rows, b1=b1, b2=b2, e=e)
+    witness = _closure_witness(len(closure_scan(a.b1, a.b2, a.e)[0]), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness)
 
 
@@ -166,8 +166,9 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     return reading
 
 
-def _left_reading(x: HirzRep) -> StabilityVerdict:
-    """The base-cone verdict of x, kept on x (`HirzRep._kept`).
+def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
+    """Base-cone stability of a plain representation with c0 = c1, kept
+    on x (`HirzRep._kept`).  The verdict carries the chart used.
 
     The checks in verdict order: nonzero I (n >= 2), pencil regularity
     (`find_regular_nu`), then costability of the datum read at that chart
@@ -183,7 +184,7 @@ def _left_reading(x: HirzRep) -> StabilityVerdict:
 
 
 def _read_left(x: HirzRep) -> StabilityVerdict:
-    """`_left_reading`'s first reading of x."""
+    """`is_gamma_stable`'s first reading of x."""
     if any(not iq.is_zero() for iq in x.I):
         return StabilityVerdict(stable=False, witness="nonzero I")
     try:
@@ -195,16 +196,10 @@ def _read_left(x: HirzRep) -> StabilityVerdict:
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
-def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
-    """Base-cone stability of a plain representation with c0 = c1
-    (`_left_reading`, kept on x).  The verdict carries the chart used."""
-    return _left_reading(x)
-
-
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     """Two-condition stability test inside the enhanced cone: the cone
     check (ConeViolation outside it), then (C1), the first of F1, F2 that
-    is not surjective, then (C2), the left part's verdict (`_left_reading`,
+    is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
     kept on x.left), its witness prefixed.  The cone check, (C1) and the
     prefix run on every call."""
     if not in_enh_cone(p, x.c, x.cp):
@@ -213,7 +208,7 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     for name, f in (("F1", x.F1), ("F2", x.F2)):
         if rank(f) != s:
             return StabilityVerdict(stable=False, witness=f"(C1) {name}")
-    verdict = _left_reading(x.left)
+    verdict = is_gamma_stable(x.left)
     if not verdict.stable:
         verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
     return verdict

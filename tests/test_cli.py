@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -527,3 +528,16 @@ def test_mutated_files_end_with_a_documented_exit(tmp_path, capsys, kind, data):
         assert out == "" or (
             out.count("\n") == 1 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
         ), argv
+
+
+def test_cli_imports_only_public_names():
+    # the CLI runs on the package's public entry points, so anything that
+    # observes those entry points sees all of its work
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nestquiv")):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            private += [a.name for a in node.names if a.name.startswith("nestquiv") and "._" in a.name]
+    assert private == []

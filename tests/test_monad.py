@@ -24,19 +24,20 @@ from nestquiv import (
     support,
 )
 from nestquiv.chart import NuPoint
-from nestquiv.cli import main
+from nestquiv.cli import _MONAD_S, _MONAD_Y, main
 from nestquiv.corpus import (
     CHART_FIRST,
     CHART_MIXED,
     CHART_SECOND,
     ideal_of_points,
     random_fraction,
+    random_gauge,
     random_hirz_stable,
     random_points,
 )
-from nestquiv.ideals import adhm_from_ideal
-from nestquiv.monad import SE, SINF, Y1, Y2, _fiber_ranks_at
-from nestquiv.quiver import HirzRep
+from nestquiv.ideals import adhm_from_ideal, monomial_ideal
+from nestquiv.monad import SE, SINF, Y1, Y2
+from nestquiv.quiver import HirzRep, act
 from nestquiv.ratmat import RationalMatrix
 
 from conftest import M, nu, point_rep, support_points
@@ -198,6 +199,8 @@ def test_fiber_ranks_take_each_branch(monkeypatch):
     # + b2^T s_inf where also s_e = -y s_inf; moving off either by 1/7
     # leaves an invertible block.  Each rank pair is the entrywise one, and
     # the number of rank calls tells the branch: Q, then P, then alpha and beta.
+    # Each point is read on a fresh copy of the monad, which has no kept Q
+    # verdict: the points of one support point share their base point.
     calls = []
 
     def counted(mat):
@@ -219,7 +222,7 @@ def test_fiber_ranks_take_each_branch(monkeypatch):
                         ((-x + shift, 1, -y, 1), (c, c)),
                     ):
                         calls.append(0)
-                        got = fiber_ranks(m, pt)
+                        got = fiber_ranks(replace(m), pt)
                         taken.add(calls[-1])
                         alpha = [[p.evaluate(pt) for p in row] for row in m.Amat]
                         beta = [[p.evaluate(pt) for p in row] for row in m.Bmat]
@@ -271,11 +274,32 @@ def test_fiber_ranks_drop_exactly_on_the_support():
             for (x, y), ranks in [(p, (c - 1, c)) for p in pts] + [(p, (c, c)) for p in cross | off]:
                 assert fiber_ranks(m, (-x, 1, -y, 1)) == ranks
             checked += len(cross)
-            # the grouped reader on the same points: (-x, 1) is the base
-            # point of a support point and of its cross points
-            sample = [(-x, 1, -y, 1) for x, y in sorted(pts | cross | off)]
-            assert _fiber_ranks_at(m, sample) == [fiber_ranks(m, pt) for pt in sample]
     assert checked == 474
+
+
+def test_fiber_ranks_drop_by_the_socle_on_fat_points():
+    # a fat point: the monomial ideal of a partition lam moved to a random
+    # rational point (x, y), gauge-scrambled and embedded at [1, 0].  At
+    # (-x, 1, -y, 1) Q and P are the transposed nilpotent parts, and alpha
+    # has rank c - s, s the number of removable boxes of lam (the socle
+    # dimension of the local algebra); off the point nothing drops
+    rng = random.Random(7)
+    checked = 0
+    for lam in ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)):
+        c, s = sum(lam), len(set(lam))
+        a = adhm_from_ideal(monomial_ideal(lam))
+        x, y = random_fraction(rng), random_fraction(rng)
+        ident = RationalMatrix.identity(c)
+        a = replace(a, b1=a.b1 + ident.scale(x), b2=a.b2 + ident.scale(y))
+        for n in (1, 2, 3):
+            rep = act(random_gauge(rng, c), chart_embed(a, nu(1, 0), n))
+            m = build_monad(rep, nu(1, 0))
+            assert fiber_ranks(m, (-x, 1, -y, 1)) == (c - s, c)
+            checked += 1
+            for off in ((x, y + 1), (x + 1, y), (random_fraction(rng), random_fraction(rng))):
+                if off != (x, y):
+                    assert fiber_ranks(m, (-off[0], 1, -off[1], 1)) == (c, c)
+    assert checked == 33
 
 
 def test_excluded_locus():
@@ -326,8 +350,9 @@ def test_monad_check_reads_each_point_like_fiber_ranks(tmp_path, capsys):
 def test_monad_check_ranks_q_once_per_base_point(tmp_path, capsys, monkeypatch):
     # at [1, 0] Q = y1 + b1^T y2 is singular only where y1 = -x y2 for a
     # support point (x, y); with no x in {0, -1, 1, -2} it is invertible at
-    # all five sample base points, so the 20 points take 5 rank calls where
-    # the per-point loop takes 20
+    # all five sample base points, so the 20 points take 5 rank calls: Q's
+    # verdict is kept on the monad per base point, in monad-check and in a
+    # direct loop over the points alike
     calls = []
 
     def counted(mat):
@@ -345,7 +370,23 @@ def test_monad_check_ranks_q_once_per_base_point(tmp_path, capsys, monkeypatch):
         m = build_monad(x, nu(1, 0))
         for pt in report["points"]:
             fiber_ranks(m, tuple(map(Fraction, pt)))
-        assert len(calls) == 20
+        assert calls == [3] * 5
+
+
+def test_kept_q_verdict_keeps_every_check():
+    # after a good point with base point (1, 0), whose Q verdict the monad
+    # keeps, points with that base point are still checked in full
+    m = build_monad(point_rep(), nu(1, 0))
+    assert fiber_ranks(m, (1, 0, 1, 1)) == (1, 1)
+    with pytest.raises(ExcludedLocus, match=r"^s_e = s_inf = 0 is not on the surface$"):
+        fiber_ranks(m, (1, 0, 0, 0))
+    with pytest.raises(
+        ShapeMismatch, match=r"^a point has the four coordinates y1, y2, s_e, s_inf, got 3$"
+    ):
+        fiber_ranks(m, (1, 0, 1))
+    with pytest.raises(ExcludedLocus, match=r"^y1 = y2 = 0 is not on the surface$"):
+        fiber_ranks(m, (0, 0, 1, 1))
+    assert fiber_ranks(m, (1, 0, 2, 1)) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +400,9 @@ def test_monad_check_ranks_q_once_per_base_point(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_grouped_reader_raises_the_first_error(points):
+    # monad-check's reading: the points in order on one monad, which keeps
+    # Q's verdict per base point, raise what the points read each on a
+    # fresh copy raise first
     m = build_monad(point_rep(), nu(1, 0))
 
     def first_error(read):
@@ -366,8 +410,8 @@ def test_grouped_reader_raises_the_first_error(points):
             read()
         return type(e.value), str(e.value)
 
-    assert first_error(lambda: _fiber_ranks_at(m, points)) == first_error(
-        lambda: [fiber_ranks(m, pt) for pt in points]
+    assert first_error(lambda: [fiber_ranks(m, pt) for pt in points]) == first_error(
+        lambda: [fiber_ranks(replace(m), pt) for pt in points]
     )
 
 
@@ -382,6 +426,35 @@ def _random_rep(rng, c, n):
         n=n, c0=c, c1=c, A1=mat(c, c), A2=mat(c, c), C=tuple(mat(c, c) for _ in range(n)),
         I=tuple(mat(c, 1) for _ in range(n - 1)), J=mat(1, c),
     )
+
+
+def test_kept_q_verdict_is_order_free():
+    # monad-check's 20 points, and two whose base points share numerators
+    # with (1, 1), read in order, reversed and shuffled, each order on one
+    # monad, give what each point gives on a fresh copy, which has no kept
+    # Q verdict; the cycle with a point at x = -1 makes Q singular at the
+    # base point (1, 1) but not at (1/2, 1) or (1, 1/2)
+    rng = random.Random(53)
+    points = [(y1, y2, se, si) for (se, si) in _MONAD_S for (y1, y2) in _MONAD_Y]
+    points += [(Fraction(1, 2), 1, 1, 1), (1, Fraction(1, 2), 1, 1)]
+    pts = [(Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(-2)), (Fraction(1), Fraction(-1, 2))]
+    reps = [_random_rep(rng, 1 + k % 4, 1 + k % 3) for k in range(8)]
+    reps.append(chart_embed(adhm_from_ideal(ideal_of_points(pts)), nu(1, 0), 2))
+    built = 0
+    for x in reps:
+        for point in (nu(1, 0), nu(1, 1)):
+            try:
+                m = build_monad(x, point)
+            except SingularAnu:
+                continue
+            built += 1
+            want = {pt: fiber_ranks(replace(m), pt) for pt in points}
+            orders = [points, points[::-1]] + [rng.sample(points, len(points)) for _ in range(3)]
+            for order in orders:
+                m = replace(m)
+                for pt in order:
+                    assert fiber_ranks(m, pt) == want[pt]
+    assert built >= 12
 
 
 def test_closed_forms_match_entrywise_product():

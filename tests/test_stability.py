@@ -11,6 +11,7 @@ from nestquiv import (
     EnhThetaParam,
     GammaParam,
     HirzRep,
+    NotCommuting,
     NotFixedForm,
     NotWellDefined,
     ShapeMismatch,
@@ -25,7 +26,7 @@ from nestquiv import (
     kernel_subrep,
     oracle_semistable_fixed,
 )
-from nestquiv.ratmat import kernel_basis, solve_right
+from nestquiv.ratmat import RationalMatrix, kernel_basis, solve_right
 
 from conftest import M, injected_family, perturbed_rep, point_rep, theta_triple
 
@@ -155,6 +156,24 @@ def test_costable_verdicts():
     bad = is_costable(b1, b1 @ b1, M([[0, 1]]))
     assert not bad.stable
     assert bad.witness == "costability closure rank 1 < 2"
+
+
+@pytest.mark.parametrize(
+    "e",
+    [M([[1, 0, 0]]), M([[1, 0], [0, 1]]), RationalMatrix.from_rows([], cols=2)],
+    ids=["1x3", "2x2", "0x2"],
+)
+def test_costable_refuses_a_covector_of_the_wrong_shape(e):
+    # a 1x3 covector would be truncated by the walk's dot products, a 2x2
+    # one read by its first row only, and a 0x2 one has no row to read
+    b1 = M([[0, 1], [0, 0]])
+    with pytest.raises(ShapeMismatch, match=r"^e must be a 1xc row$"):
+        is_costable(b1, M([[0, 0], [0, 0]]), e)
+
+
+def test_costable_refuses_a_noncommuting_pair():
+    with pytest.raises(NotCommuting, match=r"^\[b1, b2\] != 0$"):
+        is_costable(M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]]), M([[1, 0]]))
 
 
 def test_gamma_stable_witnesses():
