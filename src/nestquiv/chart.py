@@ -22,8 +22,8 @@ product matters: C_nu A_nu is the one that transforms by conjugation
 under gauge, with e transforming as e g^{-1}.  `first_regular` finds
 charts among candidates: `find_regular_nu` walks the frozen pencil order
 `_regular_order` one label at a time, and `regular_sample` is its list.
-`conversion_sample`, the conversions' frozen order, is that list with
-[0,1] second.
+The conversions' frozen order is that list with [0,1] second: [1,0],
+[0,1], [1,1], [1,2], ...
 
 The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
 for (a, b) in the frozen monomial order, each one factor beyond an
@@ -45,6 +45,8 @@ return arrows are the pencil powers C_q = A1^{q-1} A2^{n-q} b2.  The
 binomial theorem then gives C_nu = (nu2 A1 + nu1 A2)^{n-1} b2 = A_nu^{n-1} b2
 = b2, which is why extract(embed(a, nu), nu) = a at every rational chart.
 `chart_embed` adds I_q = 0 and J = e; an unframed right copy is the arrows.
+Since the arrows commute and I_q J = 0, every relation of the embedded
+representation holds, and `chart_embed` records that verdict on it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .errors import (
     SingularAnu,
 )
 from .monomials import monomials_upto
-from .quiver import HirzRep
+from .quiver import HirzRep, _keep_relations
 from .ratmat import (
     RationalMatrix, _free_rows, _json_shaped, invert, json_count, json_rat, kernel_basis, lincomb,
     rank, rat, rat_str, rref,
@@ -229,13 +231,6 @@ def regular_sample(c: int) -> list[NuPoint]:
     return list(_regular_order(c))
 
 
-def conversion_sample(count: int) -> list[NuPoint]:
-    """The frozen chart order of the conversions, [1,0], [0,1], [1,1], ...,
-    [1,count]: regular_sample(count) with [0,1] second."""
-    first, *rest = regular_sample(count)
-    return [first, CHART_SECOND, *rest]
-
-
 def first_regular(pencils, candidates) -> NuPoint | None:
     """The first candidate at which every square pencil (A1, A2) in
     pencils has nu2 A1 + nu1 A2 of full rank, None when there is none."""
@@ -278,10 +273,16 @@ def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
 
 def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     """Representation of the cycle (b1, b2, e) placed in the chart at nu:
-    the pencil arrows of (b1, b2) (`_pencil_arrows`), I_q = 0 and J = e."""
+    the pencil arrows of (b1, b2) (`_pencil_arrows`), I_q = 0 and J = e.
+
+    Its relations hold with no check, and it keeps that verdict
+    (`quiver._keep_relations`): A1, A2 and the pencil powers
+    C_q = A1^(q-1) A2^(n-q) b2 are polynomials in b1 and b2, which commute
+    (`AdhmData` checks that), so each unframed relation is an identity of
+    polynomials, and I_q J = 0."""
     a1, a2, cs = _pencil_arrows(a.b1, a.b2, nu, n)
     i_cols = tuple(RationalMatrix.zeros(a.c, 1) for _ in range(n - 1))
-    return HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e)
+    return _keep_relations(HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e), ())
 
 
 def chart_blocks(x: HirzRep, nu: NuPoint):

@@ -15,7 +15,9 @@ the verdict and each chart reading (on the left part), the relation
 verdict and the small ideal at each chart, so `rep_to_nested(x, p)` then
 `same_orbit(x, y, p)` reads x once.  The reverse direction rebuilds
 the canonical gauge of both cycles and splices them along the inclusion
-of quotients.
+of quotients; its output keeps the relation verdict its construction
+proves, as do its gauge images (`act`), so their residuals are never
+formed.
 
 Both directions are deterministic: charts are tried in the fixed order
 [1,0], [0,1], [1,1], [1,2], ... and the first regular one wins, so a
@@ -39,16 +41,17 @@ from .chart import (
 )
 from .errors import DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal
-from .quiver import EnhRep
+from .quiver import EnhRep, _keep_relations
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
 
 
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
-    """first_regular([(a1, a2)], conversion_sample(c)), given chart, the
-    first regular point of regular_sample(c).  conversion_sample(c) is that
-    sample with [0,1] second, so the answer is [1,0] when chart is, else
-    [0,1] when the pencil is regular there, else chart."""
+    """The first regular chart of the conversions' order [1,0], [0,1],
+    [1,1], ..., [1,c], given chart, the first regular point of
+    regular_sample(c).  That order is the sample with [0,1] second, so the
+    answer is [1,0] when chart is, else [0,1] when the pencil is regular
+    there, else chart."""
     if chart == CHART_FIRST:
         return chart
     return first_regular([(a1, a2)], [CHART_SECOND]) or chart
@@ -134,8 +137,14 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     (qb1, qb2).  The output uses the pair's own chart, so converting back
     with rep_to_nested returns the pair verbatim whenever its chart is the
     first regular candidate (always true for pairs this package produces).
-    The relations hold with no check: C_q = A1^(q-1) A2^(n-q) b2, quot b_i
-    = qb_i quot, and [qb1, qb2] quot = quot [b1, b2] = 0 with quot onto.
+    The relations hold with no check, and the output keeps that verdict
+    (`quiver._keep_relations`), so no later reader forms `enh_residuals`:
+    C_q = A1^(q-1) A2^(n-q) b2, quot b_i = qb_i quot, and [qb1, qb2] quot =
+    quot [b1, b2] = 0 with quot onto.  The verdict rests on the checks that
+    prove those premises: `adhm_from_ideal`'s commutator check (through
+    `AdhmData`), which refuses a directly built basis that is not an ideal
+    with NotCommuting, and `build_nested_adhm`'s injectivity and
+    intertwining checks.  Dropping any of them needs another proof first.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
@@ -148,7 +157,8 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     nested = build_nested_adhm(small, big, incl)
     left = chart_embed(big, pair.nu, n)
     ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
-    return EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)
+    rep = EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)
+    return _keep_relations(rep, ())
 
 
 def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:

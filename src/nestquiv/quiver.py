@@ -13,6 +13,14 @@ Both classes are immutable, so what is read off one object is kept on it,
 computed on first use: its relation verdict (`_nonzero_residuals`) and, in
 `_kept`, the readings that `stability` and `correspondence` fill in.
 
+The relation verdict is also recorded, by `_keep_relations`, where a
+construction proves it, and then never computed: `chart.chart_embed` and
+`correspondence.nested_to_rep` record that every residual is zero, and
+`act` carries a verdict known on x to g.x, since each residual moves by
+conjugation and so keeps its index and whether it is zero.  Directly
+built, JSON-read and `dataclasses.replace`d objects compute their verdict
+on first use, so `cli check` on a file always computes it.
+
 Sign convention, frozen package-wide: the mixed relation reads
 
     C_q A1 - C_{q+1} A2 - I_q J = 0        (q = 1 .. n-1)
@@ -266,15 +274,28 @@ def enh_residuals(x: EnhRep) -> list[RationalMatrix]:
     return out
 
 
+def _keep_relations(x: HirzRep | EnhRep, bad: tuple[int, ...] | None):
+    """x, with bad kept as its relation verdict `_nonzero_residuals`; None
+    keeps nothing.  The one writer of a verdict x did not compute: its
+    callers pass only what x's construction proves."""
+    if bad is not None:
+        x.__dict__["_nonzero_residuals"] = bad
+    return x
+
+
 def act(g: GaugeElement, x: HirzRep | EnhRep):
     """Base-change action.  On the left part (g1 on V0, g2 on V1):
     A -> g2 A g1^-1, C -> g1 C g2^-1, I -> g1 I, J -> J g1^-1; on the right
     part (g3, g4) likewise, and F1 -> g3 F1 g1^-1, F2 -> g4 F2 g2^-1.
+
+    Each residual transforms by conjugation, R -> g_i R g_j^-1, so the
+    nonzero ones keep their indices: a relation verdict already known on x
+    is kept on g.x (`_keep_relations`); none is computed here.
     """
     if isinstance(x, HirzRep):
         if g.g1.rows != x.c0 or g.g2.rows != x.c1:
             raise ShapeMismatch("gauge sizes do not match representation")
-        return HirzRep(
+        y = HirzRep(
             n=x.n,
             c0=x.c0,
             c1=x.c1,
@@ -284,16 +305,18 @@ def act(g: GaugeElement, x: HirzRep | EnhRep):
             I=tuple(g.g1 @ Iq for Iq in x.I),
             J=x.J @ g.inv1,
         )
-    if g.g3 is None or g.g4 is None:
-        raise ShapeMismatch("enhanced action needs all four gauge blocks")
-    if g.g3.rows != x.c - x.cp or g.g4.rows != x.c - x.cp:
-        raise ShapeMismatch("gauge sizes do not match representation")
-    return EnhRep(
-        left=act(g, x.left),
-        cp=x.cp,
-        Ap1=g.g4 @ x.Ap1 @ g.inv3,
-        Ap2=g.g4 @ x.Ap2 @ g.inv3,
-        Cp=tuple(g.g3 @ Ct @ g.inv4 for Ct in x.Cp),
-        F1=g.g3 @ x.F1 @ g.inv1,
-        F2=g.g4 @ x.F2 @ g.inv2,
-    )
+    else:
+        if g.g3 is None or g.g4 is None:
+            raise ShapeMismatch("enhanced action needs all four gauge blocks")
+        if g.g3.rows != x.c - x.cp or g.g4.rows != x.c - x.cp:
+            raise ShapeMismatch("gauge sizes do not match representation")
+        y = EnhRep(
+            left=act(g, x.left),
+            cp=x.cp,
+            Ap1=g.g4 @ x.Ap1 @ g.inv3,
+            Ap2=g.g4 @ x.Ap2 @ g.inv3,
+            Cp=tuple(g.g3 @ Ct @ g.inv4 for Ct in x.Cp),
+            F1=g.g3 @ x.F1 @ g.inv1,
+            F2=g.g4 @ x.F2 @ g.inv2,
+        )
+    return _keep_relations(y, x.__dict__.get("_nonzero_residuals"))

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from nestquiv import EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix, act, nested_to_rep
+from nestquiv import (
+    EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix, act, nested_to_rep, regular_sample,
+)
 from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
 from nestquiv.ratmat import kernel_basis
 
@@ -22,6 +24,13 @@ def M(rows, cols=None):
 
 def nu(a, b) -> NuPoint:
     return NuPoint(Fraction(a), Fraction(b))
+
+
+def conversion_sample(count: int) -> list[NuPoint]:
+    """The frozen chart order of the conversions, [1,0], [0,1], [1,1], ...,
+    [1,count]: regular_sample(count) with [0,1] second."""
+    first, *rest = regular_sample(count)
+    return [first, CHART_SECOND, *rest]
 
 
 def theta_triple(c: int, cp: int) -> list[EnhThetaParam]:

@@ -38,13 +38,13 @@ from nestquiv import (
     rep_to_nested,
     same_orbit,
 )
-from nestquiv.chart import chart_extract, conversion_sample, find_regular_nu, first_regular, pencil
+from nestquiv.chart import chart_extract, find_regular_nu, first_regular, pencil
 from nestquiv.correspondence import _conversion_chart
 from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
 from nestquiv.ratmat import rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import injected_family
+from conftest import conversion_sample, injected_family
 
 CHARTS = (CHART_FIRST, CHART_SECOND, CHART_MIXED)
 

@@ -11,11 +11,14 @@ from nestquiv import (
     DomainError,
     NestedIdealPair,
     NestquivError,
+    NotAnIdeal,
+    NotCommuting,
     NotStable,
     RationalMatrix,
     RelationsViolated,
     ShapeMismatch,
     SingularAnu,
+    ZeroCycleIdeal,
     act,
     contains,
     default_theta,
@@ -26,7 +29,7 @@ from nestquiv import (
     rep_to_nested,
     same_orbit,
 )
-from nestquiv.chart import chart_extract, conversion_sample, first_regular, pencil
+from nestquiv.chart import chart_extract, first_regular, pencil
 from nestquiv.cli import main
 from nestquiv.corpus import (
     CHART_FIRST,
@@ -40,7 +43,7 @@ from nestquiv.corpus import (
 from nestquiv.ratmat import kernel_basis, rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import M, nu, perturbed_rep
+from conftest import M, conversion_sample, nu, perturbed_rep
 
 
 def hand_pair() -> NestedIdealPair:
@@ -74,6 +77,20 @@ def test_rep_to_nested_rejects_unsupported():
                   Cp=(M([[0, 0], [0, 0]]),), F1=M([[1, 0], [0, 1]]), F2=M([[1, 0], [0, 1]]))
     with pytest.raises(DomainError):
         rep_to_nested(bad, default_theta(2, 0))
+
+
+def test_nested_to_rep_refuses_a_big_basis_that_is_not_an_ideal():
+    # the relation verdict nested_to_rep records rests on adhm_from_ideal's
+    # commutator check: y^2 - 1, xy, x^2 - 1, y - x has the staircase 1, x
+    # but its multiplications by x and y do not commute
+    rows = [[-1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [-1, 0, 0, 1, 0, 0], [0, -1, 1, 0, 0, 0]]
+    big = ZeroCycleIdeal(c=2, d=2, basis=M(rows))
+    with pytest.raises(NotAnIdeal):
+        big.validate()
+    pair = NestedIdealPair(nu=nu(1, 0), big=big, small=monomial_ideal((1,)))
+    for n in (1, 2):
+        with pytest.raises(NotCommuting):
+            nested_to_rep(pair, n)
 
 
 def test_rep_to_nested_rejects_unstable():

@@ -562,6 +562,27 @@ def test_no_module_level_memo_table():
     assert found == ["cli._build_parser"]
 
 
+def test_only_quiver_writes_a_relation_verdict():
+    # a verdict that is not computed is recorded by quiver._keep_relations,
+    # called only where a construction proves it; no other module writes
+    # _nonzero_residuals: the classes are frozen, so no setattr by that
+    # name and no __dict__ access
+    callers = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_keep_relations":
+                        callers.append(f"{path.stem}.{fn.name}")
+        if path.name == "quiver.py":
+            continue
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "__dict__"), path.name
+            assert not (isinstance(node, ast.Constant) and node.value == "_nonzero_residuals"), path.name
+    assert sorted(callers) == ["chart.chart_embed", "correspondence.nested_to_rep", "quiver.act"]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # each deletion of a caller can strand an import; no linter runs here
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):

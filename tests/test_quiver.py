@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestquiv import (
     EnhRep,
@@ -15,7 +18,7 @@ from nestquiv import (
     hirz_residuals,
     nested_to_rep,
 )
-from nestquiv.corpus import random_gauge
+from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
 
 from conftest import M, injected_family, point_rep
 
@@ -165,3 +168,81 @@ def test_the_right_copy_costs_its_pencil_relations_only(monkeypatch):
         products.clear()
         assert all(r.is_zero() for r in enh_residuals(x))
         assert len(products) == (14 if n == 1 else 12 * n - 6)
+
+
+def kept_verdict(x):
+    """The relation verdict kept on x, None when x keeps none."""
+    return x.__dict__.get("_nonzero_residuals")
+
+
+def fresh_verdict(x):
+    """The relation verdict computed from scratch."""
+    residuals = enh_residuals(x) if isinstance(x, EnhRep) else hirz_residuals(x)
+    return tuple(i for i, r in enumerate(residuals) if not r.is_zero())
+
+
+def assert_recorded(x):
+    """x and its left part keep the zero verdict, and it is right."""
+    for z in (x, x.left):
+        assert kept_verdict(z) == () == fresh_verdict(z)
+
+
+def test_enumerated_conversions_record_their_verdict():
+    # nested_to_rep (and chart_embed, for its left part) records that the
+    # relations hold, and act carries it; a fresh enh_residuals agrees
+    rng = random.Random(26)
+    for n in (1, 2, 3):
+        for c in range(2, 5):
+            for cp in range(1, c):
+                for pair in enumerate_nested_monomial(cp, c, charts=2, n=n):
+                    rep = nested_to_rep(pair, n)
+                    assert_recorded(rep)
+                    assert_recorded(act(random_gauge(rng, c, c - cp), rep))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([CHART_FIRST, CHART_SECOND, CHART_MIXED]),
+)
+def test_scrambled_conversions_carry_their_verdict(seed, c, n, chart):
+    rng = random.Random(seed)
+    cp = rng.randint(1, c - 1)
+    rep = nested_to_rep(random_nested_pair(rng, c, cp, chart), n)
+    x = act(random_gauge(rng, c, c - cp), rep)
+    assert_recorded(x)
+    assert_recorded(act(random_gauge(rng, c, c - cp), x))
+
+
+def test_act_carries_a_nonzero_verdict_once_read():
+    rng = random.Random(27)
+    rep = nested_to_rep(enumerate_nested_monomial(2, 4, charts=2, n=2)[-1], 2)
+    broken = replace(rep, Ap1=rep.Ap1 + RationalMatrix.identity(rep.c - rep.cp))
+    moved = list(rep.left.C)
+    moved[0] = moved[0] + RationalMatrix.identity(rep.c)
+    for x, g in (
+        (broken, random_gauge(rng, 4, 2)),
+        (replace(rep.left, C=tuple(moved)), random_gauge(rng, 4)),
+    ):
+        # an unread verdict is not carried, and act computes none
+        assert kept_verdict(act(g, x)) is None
+        bad = x._nonzero_residuals
+        assert bad and bad == fresh_verdict(x)
+        y = act(g, x)
+        assert kept_verdict(y) == bad == fresh_verdict(y)
+
+
+def test_replaced_and_json_read_representations_keep_no_verdict():
+    rep = nested_to_rep(enumerate_nested_monomial(1, 3, charts=2, n=2)[-1], 2)
+    assert_recorded(rep)
+    # replace(rep) shares rep's left part, and with it the left verdict
+    for x in (
+        replace(rep),
+        replace(rep, left=replace(rep.left)),
+        EnhRep.from_json(rep.to_json()),
+        replace(rep.left),
+        HirzRep.from_json(rep.left.to_json()),
+    ):
+        assert kept_verdict(x) is None
+        assert x._nonzero_residuals == () == kept_verdict(x)

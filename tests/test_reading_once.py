@@ -18,6 +18,7 @@ import nestquiv.correspondence
 import nestquiv.quiver
 import nestquiv.stability
 from nestquiv import (
+    EnhRep,
     NestedIdealPair,
     NestquivError,
     RationalMatrix,
@@ -159,9 +160,11 @@ def test_failing_inputs_raise_again_on_every_call():
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))
 def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     # rep_to_nested(x) then same_orbit(x, rep): x's verdict chart is
-    # extracted once, each input's relations are read once, and no
-    # (input, chart) closure is read twice: x's closure is read only at
-    # the verdict's chart and the pair's
+    # extracted once, no input's relations are read (rep keeps the verdict
+    # nested_to_rep records, and x the one act carries), and no (input,
+    # chart) closure is read twice: x's closure is read only at the
+    # verdict's chart and the pair's.  A JSON-read copy of x keeps nothing,
+    # so its relations are read, once.
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
@@ -197,6 +200,10 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     assert rep_to_nested(x, p) == pair
     assert same_orbit(x, rep, p)
     assert extracted.count((id(x.left), verdict_chart)) == 1
-    assert residuals == [id(x), id(rep)]
+    assert residuals == []
+    read = EnhRep.from_json(x.to_json())
+    assert rep_to_nested(read, p) == pair
+    assert same_orbit(read, rep, p)
+    assert residuals == [id(read)]
     assert len(closures) == len(set(closures)), closures
     assert {nu for z, nu in closures if z == id(x.left)} == {verdict_chart, pair.nu}

@@ -17,12 +17,12 @@ import nestquiv.chart
 import nestquiv.correspondence
 import nestquiv.stability
 from nestquiv import act, default_theta, is_theta_stable, nested_to_rep, rep_to_nested, same_orbit
-from nestquiv.chart import chart_extract, conversion_sample, monomial_rows, pencil
+from nestquiv.chart import chart_extract, monomial_rows, pencil
 from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
 from nestquiv.ratmat import kernel_basis, rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import nu
+from conftest import conversion_sample, nu
 
 
 def test_kernel_walk_is_the_left_walk_times_k1():
