@@ -47,6 +47,15 @@ binomial theorem then gives C_nu = (nu2 A1 + nu1 A2)^{n-1} b2 = A_nu^{n-1} b2
 `chart_embed` adds I_q = 0 and J = e; an unframed right copy is the arrows.
 Since the arrows commute and I_q J = 0, every relation of the embedded
 representation holds, and `chart_embed` records that verdict on it.
+
+`AdhmData` checks its commutator where data can break it: the public
+constructor, `AdhmData.from_json` and `stability.is_costable` form
+[b1, b2].  Where a construction proves that the pair commutes, the
+private `_commuting` builds the datum without forming it, at three
+sites, each with its argument in its docstring: `chart_extract` of a
+representation whose relations are known to hold with every I_q zero,
+`ideals.adhm_from_ideal` of an ideal built as one, and the join of
+commuting blocks in `ideals._fixed_cycle_ideal`.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ from .errors import (
     SingularAnu,
 )
 from .monomials import monomials_upto
-from .quiver import HirzRep, _keep_relations
+from .quiver import HirzRep, _keep_relations, _kept_relations
 from .ratmat import (
     RationalMatrix, _free_rows, _json_shaped, invert, json_count, json_rat, kernel_basis, lincomb,
     rank, rat, rat_str, rref,
@@ -134,7 +143,12 @@ CHART_MIXED = NuPoint(Fraction(1), Fraction(1))
 
 @dataclass(frozen=True)
 class AdhmData:
-    """Commuting pair plus covector; the commutator is checked eagerly."""
+    """Commuting pair plus covector.
+
+    The constructor checks the shapes (ShapeMismatch) and the commutator
+    (NotCommuting), so a directly built, JSON-read or `replace`d datum is
+    always checked.  Only `_commuting` skips the commutator, for a pair
+    its caller's construction proves commutes (module docstring)."""
 
     c: int
     b1: RationalMatrix
@@ -142,11 +156,7 @@ class AdhmData:
     e: RationalMatrix
 
     def __post_init__(self):
-        for name, m in (("b1", self.b1), ("b2", self.b2)):
-            if m.rows != self.c or m.cols != self.c:
-                raise ShapeMismatch(f"{name} must be {self.c}x{self.c}")
-        if self.e.rows != 1 or self.e.cols != self.c:
-            raise ShapeMismatch("e must be a 1xc row")
+        _check_shapes(self)
         if not (self.b1 @ self.b2 - self.b2 @ self.b1).is_zero():
             raise NotCommuting("[b1, b2] != 0")
 
@@ -169,6 +179,25 @@ class AdhmData:
             b2=_json_shaped(obj["b2"], c, c, "b2"),
             e=_json_shaped(obj["e"], 1, c, "e"),
         )
+
+
+def _check_shapes(a: AdhmData) -> None:
+    for name, m in (("b1", a.b1), ("b2", a.b2)):
+        if m.rows != a.c or m.cols != a.c:
+            raise ShapeMismatch(f"{name} must be {a.c}x{a.c}")
+    if a.e.rows != 1 or a.e.cols != a.c:
+        raise ShapeMismatch("e must be a 1xc row")
+
+
+def _commuting(c: int, b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> AdhmData:
+    """AdhmData(c, b1, b2, e) with its shapes checked but [b1, b2] not
+    formed.  Only for a pair its caller's construction proves commutes;
+    each caller says why in its docstring."""
+    a = object.__new__(AdhmData)
+    for name, value in (("c", c), ("b1", b1), ("b2", b2), ("e", e)):
+        object.__setattr__(a, name, value)
+    _check_shapes(a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -278,8 +307,8 @@ def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     Its relations hold with no check, and it keeps that verdict
     (`quiver._keep_relations`): A1, A2 and the pencil powers
     C_q = A1^(q-1) A2^(n-q) b2 are polynomials in b1 and b2, which commute
-    (`AdhmData` checks that), so each unframed relation is an identity of
-    polynomials, and I_q J = 0."""
+    (`AdhmData` checks that, or `_commuting`'s caller proves it), so each
+    unframed relation is an identity of polynomials, and I_q J = 0."""
     a1, a2, cs = _pencil_arrows(a.b1, a.b2, nu, n)
     i_cols = tuple(RationalMatrix.zeros(a.c, 1) for _ in range(n - 1))
     return _keep_relations(HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e), ())
@@ -301,11 +330,19 @@ def chart_blocks(x: HirzRep, nu: NuPoint):
 def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
     """Read the ADHM datum of x in the chart at nu.
 
-    Requires c0 = c1 and A_nu invertible.  The extracted pair commutes
-    whenever the relations hold with I_nu J = 0; a nonzero commutator
-    (equal to I_nu J when the relations hold) raises RelationsViolated.
+    Requires c0 = c1 and A_nu invertible.  The commutator of the pair is
+    [b1, b2] = A_nu^-1 (D_nu C_nu A_nu - A_nu C_nu D_nu).  For n = 1 that
+    is rho A_nu^-1 (A1 C1 A2 - A2 C1 A1), rho times A_nu^-1 the residual of
+    the one relation; for n >= 2 it is -I_nu J once the relations hold.
+    So when x keeps a zero relation verdict (`quiver._kept_relations`,
+    recorded by its construction or computed) and every I_q is zero, the
+    pair commutes and is built without forming it (`_commuting`).  Every
+    other x has its commutator formed, and a nonzero one raises
+    RelationsViolated.
     """
     b1, b2, _ = chart_blocks(x, nu)
+    if _kept_relations(x) == () and all(iq.is_zero() for iq in x.I):
+        return _commuting(x.c0, b1, b2, x.J)
     try:
         return AdhmData(c=x.c0, b1=b1, b2=b2, e=x.J)
     except NotCommuting:

@@ -40,7 +40,7 @@ from .chart import (
     scan_walk,
 )
 from .errors import DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
-from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, adhm_from_ideal
+from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, _keep_closed, adhm_from_ideal
 from .quiver import EnhRep, _keep_relations
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
@@ -85,13 +85,16 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
     make the restriction well defined; k2 P' = P k1 makes its pencil P'
     invertible where P is; [b1', b2'] lies in [b1, b2] k1 = 0; and the
     left walk has rank c with k1 injective, so the product has rank c'.
+    The scan of a commuting datum's walk is an ideal, recorded so
+    (`ideals._keep_closed`).
     """
     small = x._kept.get(nu)
     if small is None:
         cp = x.cp
         a, _ = _chart_reading(x.left, nu)
         walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
-        small = x._kept[nu] = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
+        small = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
+        small = x._kept[nu] = _keep_closed(small)
     return small
 
 
@@ -114,7 +117,10 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     read them again.  Only the left pencil P is tested: the kernel's P'
     has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.  The
     pair is nested without a check: big.basis annihilates the left walk,
-    and the small walk is that walk times k1.
+    and the small walk is that walk times k1.  Both ideals are scans of a
+    commuting datum's walk, so both are recorded as ideals
+    (`ideals._keep_closed`), and `adhm_from_ideal` of either forms no
+    commutator.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
@@ -124,7 +130,7 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     _, (kept, nf) = _chart_reading(x.left, at)
     if len(kept) != x.c:
         raise NotCostable("datum is not costable")
-    big = ZeroCycleIdeal.from_normal_forms(kept, nf, x.c)
+    big = _keep_closed(ZeroCycleIdeal.from_normal_forms(kept, nf, x.c))
     return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at))
 
 
@@ -140,11 +146,14 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     The relations hold with no check, and the output keeps that verdict
     (`quiver._keep_relations`), so no later reader forms `enh_residuals`:
     C_q = A1^(q-1) A2^(n-q) b2, quot b_i = qb_i quot, and [qb1, qb2] quot =
-    quot [b1, b2] = 0 with quot onto.  The verdict rests on the checks that
-    prove those premises: `adhm_from_ideal`'s commutator check (through
-    `AdhmData`), which refuses a directly built basis that is not an ideal
-    with NotCommuting, and `build_nested_adhm`'s injectivity and
-    intertwining checks.  Dropping any of them needs another proof first.
+    quot [b1, b2] = 0 with quot onto.  The verdict rests on the premises
+    that the two data commute and that incl intertwines them.  Commutation
+    is checked by `adhm_from_ideal` where the data can break it: an ideal
+    recorded as built as one (`monomial_ideal`, `ideal_from_adhm`,
+    `rep_to_nested`) commutes by construction, and any other basis has its
+    commutator formed, so one that is not an ideal raises NotCommuting.
+    `build_nested_adhm` checks injectivity and intertwining.  Dropping any
+    of these needs another proof first.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")

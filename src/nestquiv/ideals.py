@@ -29,6 +29,19 @@ Conventions frozen here:
     `canonical_form` is the round trip through the ideal.  `contains` and
     `inclusion_matrix` evaluate on the walk;
   * `support` reads a cycle's points and lengths off its datum's traces.
+
+`adhm_from_ideal`'s datum commutes when its basis is an ideal's, so it
+forms the commutator only where the data can break it.  An ideal built
+as one is recorded so by `_keep_closed`: the outputs
+of `monomial_ideal`, `ideal_from_adhm` and the conversions' readings
+(`correspondence.rep_to_nested`, big and small), each the staircase of a
+partition or the scan of a commuting datum's walk.  Its datum is built
+without the commutator (`chart._commuting`), and so is the join of
+commuting blocks in `_fixed_cycle_ideal`.  Every other ZeroCycleIdeal,
+built directly, `replace`d, read by `from_rows` or `from_json`, or made
+by a public `from_normal_forms` call, has its datum's commutator formed,
+so a basis that is not an ideal raises NotCommuting there.  The record
+is not a field: it changes no `==`, hash or JSON.
 """
 
 from __future__ import annotations
@@ -40,8 +53,8 @@ from itertools import accumulate
 from operator import matmul, mul
 
 from .chart import (
-    CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, closure_scan, monomial_rows,
-    transform_chart,
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, _commuting, closure_scan,
+    monomial_rows, transform_chart,
 )
 from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, monomials_upto
@@ -73,11 +86,14 @@ class ZeroCycleIdeal:
 
     basis rows are coefficient vectors over monomials_upto(d) in ascending
     order, reduced against the descending order (see module docstring).
+    `_closed` is True only on an ideal `_keep_closed` recorded as built
+    as one; it is not a field.
     """
 
     c: int
     d: int
     basis: RationalMatrix
+    _closed = False
 
     def __post_init__(self):
         nmon = _width(self.d)
@@ -140,6 +156,11 @@ class ZeroCycleIdeal:
         its unit vector, and a pivot monomial's row is minus its basis row
         at the standard columns.  A coefficient vector v reduces to v @ NF.
         """
+        return self._reduced()[1]
+
+    def _reduced(self) -> tuple[list[int], RationalMatrix]:
+        """(the standard monomials' columns, normal_forms()), off one read
+        of the basis pivots."""
         piv = _pivot_rows(self.basis)
         den = self.basis.den
         std = [j for j in range(self.basis.cols) if j not in piv]
@@ -147,7 +168,7 @@ class ZeroCycleIdeal:
             [-piv[j][s] for s in std] if j in piv else [den if s == j else 0 for s in std]
             for j in range(self.basis.cols)
         ]
-        return RationalMatrix._wrap(rows, den, len(std))
+        return std, RationalMatrix._wrap(rows, den, len(std))
 
     @staticmethod
     def from_normal_forms(std, nf: RationalMatrix, d: int) -> "ZeroCycleIdeal":
@@ -230,33 +251,53 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
     left kernel of monomial_rows) is exactly the truncated ideal, written
     out by from_normal_forms from closure_scan's normal forms; the datum
-    is costable exactly when the walk has rank c.
+    is costable exactly when the walk has rank c.  It is an ideal since
+    b1, b2 commute: e f(b1, b2) = 0 gives e (x f)(b1, b2) = e f(b1, b2) b1
+    = 0, and likewise for y; so it is recorded as one (`_keep_closed`).
     """
     std, nf = closure_scan(a.b1, a.b2, a.e)
     if len(std) != a.c:
         raise NotCostable("datum is not costable")
-    return ZeroCycleIdeal.from_normal_forms(std, nf, a.c)
+    return _keep_closed(ZeroCycleIdeal.from_normal_forms(std, nf, a.c))
+
+
+def _keep_closed(i: ZeroCycleIdeal) -> ZeroCycleIdeal:
+    """i, recorded as closed under multiplication (`ZeroCycleIdeal._closed`).
+    The one writer of that record: its callers pass only what their
+    construction proves is an ideal."""
+    object.__setattr__(i, "_closed", True)
+    return i
 
 
 def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     """Multiplication action on the standard-monomial basis, transposed.
 
     Row k of b1 (of b2) is the normal form of x (of y) times the k-th
-    standard monomial: two row selections of i.normal_forms().  Returns
-    the datum in the canonical gauge: composing with ideal_from_adhm is
-    the identity, and the other composite is canonical_form.
+    standard monomial: two row selections of i.normal_forms(), read with
+    the staircase off one read of the pivots.  Returns the datum in the
+    canonical gauge: composing with ideal_from_adhm is the identity, and
+    the other composite is canonical_form.
+
+    When i is an ideal, b1 and b2 are the multiplications by x and y of
+    its quotient ring, which commute.  An ideal recorded as built as one
+    (`_keep_closed`) gets its datum without the commutator
+    (`chart._commuting`); any other i has it formed by `AdhmData`, which
+    raises NotCommuting for a basis that is not an ideal's.
     """
-    std = i.standard_monomials()
+    cols, nf = i._reduced()
+    mons = monomials_upto(i.d)
+    std = [mons[j] for j in cols]
     c = len(std)
     if c != i.c:
         raise NotAnIdeal(f"staircase size {c} != recorded colength {i.c}")
     if any(a + b >= i.d for a, b in std) and c > 0:
         raise NotAnIdeal("degree bound too small to read off multiplication")
-    index = {m: j for j, m in enumerate(monomials_upto(i.d))}
-    nf = i.normal_forms()
+    index = {m: j for j, m in enumerate(mons)}
     b1 = nf.submatrix([index[(a + 1, b)] for a, b in std], range(c))
     b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
     e = RationalMatrix._wrap([[int(m == (0, 0)) for m in std]], 1, c)
+    if i._closed:
+        return _commuting(c, b1, b2, e)
     return AdhmData(c=c, b1=b1, b2=b2, e=e)
 
 
@@ -313,7 +354,9 @@ def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal
     x^a y^b lies in the ideal iff a >= lam[b] (rows beyond the diagram have
     width zero).  The diagram's cells are the standard monomials, each its
     own normal form, and every other monomial reduces to zero.  A lam that
-    is not a partition raises ShapeMismatch."""
+    is not a partition raises ShapeMismatch.  The output is recorded as an
+    ideal (`_keep_closed`): lam is weakly decreasing, so a monomial of the
+    ideal stays in it times x or y."""
     if any(not isinstance(p, int) or p < 1 for p in lam) or any(p < q for p, q in zip(lam, lam[1:])):
         raise ShapeMismatch(f"{lam} is not a partition: parts must be positive and weakly decreasing")
     c = sum(lam)
@@ -324,7 +367,7 @@ def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal
     if len(std) != c:
         raise ShapeMismatch(f"degree bound {d} is too small for the diagram {lam}")
     nf = RationalMatrix._wrap([[int(m == s) for s in std] for m in mons], 1, c)
-    return ZeroCycleIdeal.from_normal_forms(std, nf, d)
+    return _keep_closed(ZeroCycleIdeal.from_normal_forms(std, nf, d))
 
 
 def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> list[NestedIdealPair]:
@@ -371,7 +414,9 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
     """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
     at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
     those two charts the other part is empty; in [1, 1] the nonempty parts
-    are transported there and summed."""
+    are transported there and summed.  The sum is built without its
+    commutator (`chart._commuting`): block_diag of commuting pairs
+    commutes block by block."""
     if nu == CHART_FIRST:
         return monomial_ideal(lam1, d=sum(lam1))
     if nu == CHART_SECOND:
@@ -381,11 +426,11 @@ def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
         for lam, home in ((lam1, CHART_FIRST), (lam2, CHART_SECOND))
         if lam
     ]
-    joined = AdhmData(
-        c=sum(lam1) + sum(lam2),
-        b1=block_diag([t.b1 for t in parts]),
-        b2=block_diag([t.b2 for t in parts]),
-        e=reduce(RationalMatrix.hstack, (t.e for t in parts), RationalMatrix.zeros(1, 0)),
+    joined = _commuting(
+        sum(lam1) + sum(lam2),
+        block_diag([t.b1 for t in parts]),
+        block_diag([t.b2 for t in parts]),
+        reduce(RationalMatrix.hstack, (t.e for t in parts), RationalMatrix.zeros(1, 0)),
     )
     return ideal_from_adhm(joined)
 

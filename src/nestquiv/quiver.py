@@ -20,6 +20,9 @@ construction proves it, and then never computed: `chart.chart_embed` and
 conjugation and so keeps its index and whether it is zero.  Directly
 built, JSON-read and `dataclasses.replace`d objects compute their verdict
 on first use, so `cli check` on a file always computes it.
+`_kept_relations` reads a kept verdict without computing one:
+`chart.chart_extract` trusts the commutator of a pair read off a
+representation whose kept verdict is zero.
 
 Sign convention, frozen package-wide: the mixed relation reads
 
@@ -283,6 +286,12 @@ def _keep_relations(x: HirzRep | EnhRep, bad: tuple[int, ...] | None):
     return x
 
 
+def _kept_relations(x: HirzRep | EnhRep) -> tuple[int, ...] | None:
+    """The relation verdict kept on x, recorded or computed; None when x
+    keeps none.  Never computes one."""
+    return x.__dict__.get("_nonzero_residuals")
+
+
 def act(g: GaugeElement, x: HirzRep | EnhRep):
     """Base-change action.  On the left part (g1 on V0, g2 on V1):
     A -> g2 A g1^-1, C -> g1 C g2^-1, I -> g1 I, J -> J g1^-1; on the right
@@ -319,4 +328,4 @@ def act(g: GaugeElement, x: HirzRep | EnhRep):
             F1=g.g3 @ x.F1 @ g.inv1,
             F2=g.g4 @ x.F2 @ g.inv2,
         )
-    return _keep_relations(y, x.__dict__.get("_nonzero_residuals"))
+    return _keep_relations(y, _kept_relations(x))

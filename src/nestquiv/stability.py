@@ -42,18 +42,6 @@ from .ratmat import RationalMatrix, _free_rows, kernel_basis, rank, rat
 
 
 @dataclass(frozen=True)
-class GammaParam:
-    """Base-cone parameter (theta0, theta1)."""
-
-    theta0: Fraction
-    theta1: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", rat(self.theta0))
-        object.__setattr__(self, "theta1", rat(self.theta1))
-
-
-@dataclass(frozen=True)
 class EnhThetaParam:
     """Enhanced-cone parameter (theta1, theta2, theta3, theta4)."""
 
@@ -87,13 +75,6 @@ def _in_base_cone(t0: Fraction, t1: Fraction, c: int) -> bool:
     -p0 q1 < p1 q0 and c p1 q0 < -(c-1) p0 q1."""
     p0, q0, p1, q1 = t0.numerator, t0.denominator, t1.numerator, t1.denominator
     return p0 > 0 and -p0 * q1 < p1 * q0 and c * p1 * q0 < -(c - 1) * p0 * q1
-
-
-def in_gamma_c(p: GammaParam, c: int) -> bool:
-    """Strict membership in the base cone for colength c >= 1."""
-    if c < 1:
-        raise ShapeMismatch("cone is defined for c >= 1")
-    return _in_base_cone(p.theta0, p.theta1, c)
 
 
 def in_enh_cone(p: EnhThetaParam, c: int, cp: int) -> bool:
@@ -172,7 +153,8 @@ def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
 
     The checks in verdict order: nonzero I (n >= 2), pencil regularity
     (`find_regular_nu`), then costability of the datum read at that chart
-    (`_chart_reading`; `AdhmData` checks that it commutes).  Errors are
+    (`_chart_reading`; `chart_extract` raises RelationsViolated unless it
+    commutes).  Errors are
     not kept: an input that raises raises again on every call.
     """
     if x.c0 != x.c1:

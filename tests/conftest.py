@@ -1,15 +1,23 @@
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import settings
 
 from nestquiv import (
-    EnhRep, EnhThetaParam, HirzRep, NuPoint, RationalMatrix, act, nested_to_rep, regular_sample,
+    AdhmData, EnhRep, EnhThetaParam, HirzRep, NestedIdealPair, NuPoint, RationalMatrix, act,
+    adhm_from_ideal, ideal_from_adhm, monomial_ideal, nested_to_rep, partitions, regular_sample,
 )
-from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
-from nestquiv.ratmat import kernel_basis
+from nestquiv import chart, ideals
+from nestquiv.corpus import (
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, _anchors_for, random_gauge, random_nested_pair,
+    random_points,
+)
+from nestquiv.ratmat import block_diag, kernel_basis
 
 # exact arithmetic runs long on a slow host; no property test has a deadline
 settings.register_profile("nestquiv", deadline=None)
@@ -158,3 +166,76 @@ def perturbed_rep(rng: random.Random, c: int, n: int, preserving: bool) -> EnhRe
         I=tuple(moved(iq, k1) for iq in l.I),
     )
     return replace(x, left=left)
+
+
+# -- non-reduced cycles: unions of fat points --------------------------
+
+
+def fat_point(lam, x, y) -> AdhmData:
+    """The fat point of staircase lam at (x, y): the canonical datum of
+    monomial_ideal(lam), moved by x and y times the identity."""
+    a = adhm_from_ideal(monomial_ideal(lam))
+    ident = RationalMatrix.identity(a.c)
+    return AdhmData(c=a.c, b1=a.b1 + ident.scale(x), b2=a.b2 + ident.scale(y), e=a.e)
+
+
+def union(data) -> AdhmData:
+    """The cycle of data with disjoint supports: block_diag of the pairs,
+    hstack of the covectors."""
+    return AdhmData(
+        c=sum(a.c for a in data),
+        b1=block_diag([a.b1 for a in data]),
+        b2=block_diag([a.b2 for a in data]),
+        e=reduce(RationalMatrix.hstack, (a.e for a in data), RationalMatrix.zeros(1, 0)),
+    )
+
+
+def sub_partition(rng: random.Random, lam) -> tuple:
+    """A random partition inside lam, possibly empty."""
+    out = []
+    for part in lam:
+        p = rng.randint(0, min(part, out[-1]) if out else part)
+        if p == 0:
+            break
+        out.append(p)
+    return tuple(out)
+
+
+def random_fat_pair(rng: random.Random, c: int, chart: NuPoint = CHART_FIRST) -> NestedIdealPair:
+    """A nested pair of unions of fat points, of colengths 0 < c' < c: the
+    big cycle puts a random partition at each of a few distinct rational
+    points (anchored for the chart as in `corpus`), and the small cycle a
+    random partition inside it at each, dropping the points where that is
+    empty."""
+    anchors = _anchors_for(chart, rng)
+    k = rng.randint(max(1, len(anchors)), min(c, 3))
+    cuts = sorted(rng.sample(range(1, c), k - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, c])]
+    points = random_points(rng, k, anchors)
+    lams = [rng.choice(partitions(size)) for size in sizes]
+    while True:
+        mus = [sub_partition(rng, lam) for lam in lams]
+        if 0 < sum(map(sum, mus)) < c:
+            break
+    big = union([fat_point(lam, *pt) for lam, pt in zip(lams, points)])
+    small = union([fat_point(mu, *pt) for mu, pt in zip(mus, points) if mu])
+    return NestedIdealPair(nu=chart, big=ideal_from_adhm(big), small=ideal_from_adhm(small))
+
+
+@contextmanager
+def trusted_commutators():
+    """Assert that every datum built without its commutator check
+    (`chart._commuting`) commutes; yields the names of the functions that
+    built them, one per datum."""
+    sites = []
+    unchecked = chart._commuting
+
+    def checked(c, b1, b2, e):
+        assert b1 @ b2 == b2 @ b1
+        sites.append(sys._getframe(1).f_code.co_name)
+        return unchecked(c, b1, b2, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (chart, ideals):
+            mp.setattr(module, "_commuting", checked)
+        yield sites

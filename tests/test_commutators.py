@@ -1,0 +1,137 @@
+"""Where `AdhmData`'s commutator is trusted and where it is still formed.
+
+`chart._commuting` builds a datum without forming [b1, b2] at three sites
+whose construction proves the pair commutes; `trusted_commutators` checks
+each such datum.  Everything else keeps the check: a representation
+without a kept zero verdict or with a nonzero I_q, and an ideal not
+recorded as built as one.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nestquiv import (
+    HirzRep,
+    NotAnIdeal,
+    NotCommuting,
+    RelationsViolated,
+    ZeroCycleIdeal,
+    act,
+    adhm_from_ideal,
+    chart_extract,
+    default_theta,
+    enumerate_nested_monomial,
+    monomial_ideal,
+    nested_to_rep,
+    rep_to_nested,
+    same_orbit,
+)
+from nestquiv.chart import chart_blocks
+from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
+from nestquiv.quiver import _keep_relations
+
+from conftest import M, injected_family, nu, random_fat_pair, trusted_commutators
+
+SITES = {"chart_extract", "adhm_from_ideal", "_fixed_cycle_ideal"}
+
+
+def _round_trip(pair, n, rng):
+    """nested_to_rep, a gauge image, both read back and compared."""
+    c, cp = pair.big.c, pair.small.c
+    p = default_theta(c, cp)
+    x = nested_to_rep(pair, n)
+    y = act(random_gauge(rng, c, c - cp), x)
+    assert rep_to_nested(y, p) == rep_to_nested(x, p) == pair
+    assert same_orbit(x, y, p)
+
+
+def test_enumerated_pairs_commute_where_trusted():
+    rng = random.Random(27)
+    with trusted_commutators() as sites:
+        for n in (1, 2, 3):
+            for c in range(2, 5):
+                for cp in range(1, c):
+                    for pair in enumerate_nested_monomial(cp, c, charts=2, n=n):
+                        _round_trip(pair, n, rng)
+    assert set(sites) == SITES
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([CHART_FIRST, CHART_SECOND, CHART_MIXED]),
+    st.booleans(),
+)
+def test_scrambled_pairs_commute_where_trusted(seed, c, n, chart, reduced):
+    # reduced cycles in general position, and unions of fat points
+    rng = random.Random(seed)
+    with trusted_commutators() as sites:
+        if reduced:
+            pair = random_nested_pair(rng, c, rng.randint(1, c - 1), chart)
+        else:
+            pair = random_fat_pair(rng, c, chart)
+        _round_trip(pair, n, rng)
+    assert {"chart_extract", "adhm_from_ideal"} <= set(sites)
+
+
+def test_commutator_of_a_chart_is_minus_i_nu_j():
+    # chart_extract's argument: once the relations hold, [b1, b2] = -I_nu J
+    rng = random.Random(5)
+    for n in (2, 3):
+        x = injected_family(n).left
+        for y in [x] + [act(random_gauge(rng, 2), x) for _ in range(3)]:
+            for at in (nu(1, 0), nu(1, 1), nu(1, 2), nu(3, -1)):
+                b1, b2, i_nu = chart_blocks(y, at)
+                assert b1 @ b2 - b2 @ b1 == (i_nu @ y.J).scale(-1)
+
+
+def test_a_kept_zero_verdict_with_nonzero_framing_is_checked():
+    for n in (2, 3):
+        x = injected_family(n).left
+        for y in (x, _keep_relations(HirzRep.from_json(x.to_json()), ())):
+            assert y._nonzero_residuals == ()
+            with trusted_commutators() as sites:
+                with pytest.raises(RelationsViolated):
+                    chart_extract(y, nu(1, 0))
+            assert sites == []
+
+
+# y^2 - 1, xy, x^2 - 1, y - x: the staircase 1, x, but its multiplications
+# by x and y do not commute (as in test_correspondence)
+NOT_AN_IDEAL = [[-1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [-1, 0, 0, 1, 0, 0], [0, -1, 1, 0, 0, 0]]
+
+
+def test_replaced_and_json_read_ideals_are_checked():
+    i = monomial_ideal((2, 1))
+    a = adhm_from_ideal(i)
+    copies = (
+        replace(i),
+        ZeroCycleIdeal(c=i.c, d=i.d, basis=i.basis),
+        ZeroCycleIdeal.from_json(i.to_json()),
+        ZeroCycleIdeal.from_rows(i.basis, i.c, i.d),
+        ZeroCycleIdeal.from_normal_forms(i.standard_monomials(), i.normal_forms(), i.d),
+    )
+    for j in copies:
+        # the record is not a field: equal, same hash, same JSON
+        assert j == i and hash(j) == hash(i) and j.to_json() == i.to_json()
+        with trusted_commutators() as sites:
+            assert adhm_from_ideal(j) == a
+            assert sites == []
+            assert adhm_from_ideal(i) == a
+            assert sites == ["adhm_from_ideal"]
+
+
+def test_a_replaced_basis_that_is_not_an_ideal_is_refused():
+    good = monomial_ideal((2,))
+    bad = replace(good, basis=M(NOT_AN_IDEAL))
+    with pytest.raises(NotCommuting):
+        adhm_from_ideal(bad)
+    with pytest.raises(NotCommuting):
+        adhm_from_ideal(ZeroCycleIdeal.from_normal_forms(bad.standard_monomials(), bad.normal_forms(), 2))
+    with pytest.raises(NotAnIdeal):
+        ZeroCycleIdeal.from_json(bad.to_json())

@@ -583,6 +583,38 @@ def test_only_quiver_writes_a_relation_verdict():
     assert sorted(callers) == ["chart.chart_embed", "correspondence.nested_to_rep", "quiver.act"]
 
 
+def test_only_proven_sites_skip_the_commutator():
+    # chart._commuting builds a datum without forming [b1, b2], and
+    # ideals._keep_closed records an ideal as built as one; each is called
+    # only where a construction proves it, and only the writer names the
+    # record or builds a bare AdhmData
+    callers = {"_commuting": [], "_keep_closed": []}
+    named = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                        callers[node.func.id].append(f"{path.stem}.{fn.name}")
+                    if isinstance(node, ast.Constant) and node.value == "_closed":
+                        named.append(f"{path.stem}.{fn.name}")
+                    if (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "__new__"
+                        and any(getattr(arg, "id", None) == "AdhmData" for arg in node.args)
+                    ):
+                        named.append(f"{path.stem}.{fn.name}")
+    assert sorted(callers["_commuting"]) == [
+        "chart.chart_extract", "ideals._fixed_cycle_ideal", "ideals.adhm_from_ideal",
+    ]
+    assert sorted(callers["_keep_closed"]) == [
+        "correspondence._small_ideal", "correspondence.rep_to_nested",
+        "ideals.ideal_from_adhm", "ideals.monomial_ideal",
+    ]
+    assert named == ["chart._commuting", "ideals._keep_closed"]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # each deletion of a caller can strand an import; no linter runs here
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):

@@ -13,11 +13,16 @@ from nestquiv import (
     Singular,
     act,
     RationalMatrix,
+    adhm_from_ideal,
+    chart_embed,
+    chart_extract,
     enh_residuals,
     enumerate_nested_monomial,
     hirz_residuals,
+    monomial_ideal,
     nested_to_rep,
 )
+from nestquiv.chart import chart_blocks
 from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
 
 from conftest import M, injected_family, point_rep
@@ -164,10 +169,39 @@ def test_the_right_copy_costs_its_pencil_relations_only(monkeypatch):
     for n in (1, 2, 3, 4):
         products.clear()
         x = nested_to_rep(pair, n)
-        assert len(products) == 6 * n + 8
+        assert len(products) == 6 * n + 4
         products.clear()
         assert all(r.is_zero() for r in enh_residuals(x))
         assert len(products) == (14 if n == 1 else 12 * n - 6)
+
+
+def test_extraction_forms_the_commutator_only_where_data_can_break_it(monkeypatch):
+    # an embedded representation keeps a zero verdict and zero I_q, so
+    # chart_extract forms no product beyond chart_blocks'; a JSON-read copy
+    # keeps no verdict and forms the two of [b1, b2]
+    products = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(None)
+        return matmul(a, b)
+
+    def count(read, x, at):
+        products.clear()
+        datum = read(x, at)
+        return len(products), datum
+
+    a = adhm_from_ideal(monomial_ideal((2, 1)))
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    for n in (1, 2, 3):
+        x = chart_embed(a, CHART_FIRST, n)
+        read = HirzRep.from_json(x.to_json())
+        for at in (CHART_FIRST, CHART_MIXED):
+            blocks, _ = count(chart_blocks, x, at)
+            trusted, datum = count(chart_extract, x, at)
+            checked, same = count(chart_extract, read, at)
+            assert (trusted, checked) == (blocks, blocks + 2)
+            assert datum == same
 
 
 def kept_verdict(x):

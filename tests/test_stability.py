@@ -9,7 +9,6 @@ from nestquiv import (
     ConeViolation,
     EnhRep,
     EnhThetaParam,
-    GammaParam,
     HirzRep,
     NotCommuting,
     NotFixedForm,
@@ -19,7 +18,6 @@ from nestquiv import (
     default_theta,
     hirz_residuals,
     in_enh_cone,
-    in_gamma_c,
     is_costable,
     is_gamma_stable,
     is_theta_stable,
@@ -27,6 +25,7 @@ from nestquiv import (
     oracle_semistable_fixed,
 )
 from nestquiv.ratmat import RationalMatrix, kernel_basis, solve_right
+from nestquiv.stability import _in_base_cone
 
 from conftest import M, injected_family, perturbed_rep, point_rep, theta_triple
 
@@ -55,10 +54,10 @@ def e3_rep() -> EnhRep:
 
 
 def test_gamma_cone():
-    assert in_gamma_c(GammaParam(Fraction(1), Fraction(-3, 4)), 2)
-    assert not in_gamma_c(GammaParam(Fraction(1), Fraction(-1, 4)), 2)
-    assert not in_gamma_c(GammaParam(Fraction(1), Fraction(-1)), 2)
-    assert not in_gamma_c(GammaParam(Fraction(-1), Fraction(-3, 4)), 2)
+    assert _in_base_cone(Fraction(1), Fraction(-3, 4), 2)
+    assert not _in_base_cone(Fraction(1), Fraction(-1, 4), 2)
+    assert not _in_base_cone(Fraction(1), Fraction(-1), 2)
+    assert not _in_base_cone(Fraction(-1), Fraction(-3, 4), 2)
 
 
 def test_enh_cone_and_default():
@@ -111,8 +110,7 @@ def test_cones_match_their_written_inequalities(c, data, t0, lam, mu3, mu4):
     # so the draws land on both sides of every inequality
     cp = data.draw(st.integers(min_value=0, max_value=c - 1))
     t1 = -lam * t0
-    gamma = GammaParam(t0, t1)
-    assert in_gamma_c(gamma, c) == _gamma_by_fractions(t0, t1, c)
+    assert _in_base_cone(t0, t1, c) == _gamma_by_fractions(t0, t1, c)
     s = c - cp
     p = EnhThetaParam(t0, t1, -mu3 * (t0 + t1) / s, -mu4 * (t0 + t1) / s)
     assert in_enh_cone(p, c, cp) == _enh_by_fractions(p, c, cp)
@@ -123,11 +121,11 @@ def test_cone_boundaries_read_outside():
         for t0 in (Fraction(1), Fraction(7, 3)):
             steep = -Fraction(c - 1, c) * t0
             inner = (steep - t0) / 2
-            assert in_gamma_c(GammaParam(t0, inner), c)
+            assert _in_base_cone(t0, inner, c)
             for t1 in (-t0, steep):
-                assert not in_gamma_c(GammaParam(t0, t1), c)
-            assert not in_gamma_c(GammaParam(-t0, -inner), c)
-            assert not in_gamma_c(GammaParam(Fraction(0), Fraction(0)), c)
+                assert not _in_base_cone(t0, t1, c)
+            assert not _in_base_cone(-t0, -inner, c)
+            assert not _in_base_cone(Fraction(0), Fraction(0), c)
             for cp in range(c):
                 s = c - cp
                 t3 = -(t0 + inner) / (4 * s)
@@ -141,9 +139,6 @@ def test_cone_boundaries_read_outside():
                 zero = -(t0 + inner) / (2 * s)
                 assert not in_enh_cone(EnhThetaParam(t0, inner, zero, zero), c, cp)
                 assert not in_enh_cone(EnhThetaParam(t0, inner, zero * 3 / 2, zero / 2), c, cp)
-    for c in (0, -1):
-        with pytest.raises(ShapeMismatch):
-            in_gamma_c(GammaParam(Fraction(1), Fraction(-1, 2)), c)
     for c, cp in ((2, 2), (2, -1), (0, 0)):
         with pytest.raises(ShapeMismatch):
             in_enh_cone(default_theta(2, 1), c, cp)
