@@ -30,13 +30,15 @@ for (a, b) in the frozen monomial order, each one factor beyond an
 earlier row.  It multiplies the integer numerators that
 `RationalMatrix` stores (integer rows over one denominator, in lowest
 terms), so no `Fraction` is built along the walk.  The covector closure
-and the whole ideal dictionary in `ideals` read their rows from it:
-`scan_walk` eliminates a walk once and returns the kept (standard)
-monomials and every monomial's normal form, and `closure_scan` is that
-reader of a datum's own walk up to degree c: the number of monomials it
-keeps is the rank of the covector closure, so it is costability's one
-reader too.  The conversions give `scan_walk` the small cycle's walk, the
-left walk times a kernel basis.
+and the whole ideal dictionary in `ideals` read their rows from it.
+`closure_scan` is the reader of a datum's own walk up to degree c: it
+keeps the (standard) monomials whose rows grow the span, stopping at the
+c-th, and returns every monomial's normal form, read off the walk of the
+canonical datum, or off the walk itself where the kept rows are the
+identity.  The number of monomials it keeps is the rank of the covector
+closure, so it is costability's one reader too.  `scan_walk` eliminates
+a whole walk once; the conversions give it the small cycle's walk, the
+left scan's normal forms times the kept rows times a kernel basis.
 
 The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
 / rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
@@ -55,7 +57,10 @@ private `_commuting` builds the datum without forming it, at three
 sites, each with its argument in its docstring: `chart_extract` of a
 representation whose relations are known to hold with every I_q zero,
 `ideals.adhm_from_ideal` of an ideal built as one, and the join of
-commuting blocks in `ideals._fixed_cycle_ideal`.
+commuting blocks in `ideals._fixed_cycle_ideal`.  Likewise
+`build_nested_adhm` checks its inclusion, and the private `_nested`
+assembles the quotient without, for `correspondence.nested_to_rep`'s
+pairs of recorded ideals, whose one nesting check proves the rest.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ from .errors import (
 from .monomials import monomials_upto
 from .quiver import HirzRep, _keep_relations, _kept_relations
 from .ratmat import (
-    RationalMatrix, _free_rows, _json_shaped, invert, json_count, json_rat, kernel_basis, lincomb,
-    rank, rat, rat_str, rref,
+    RationalMatrix, _free_rows, _json_shaped, _reduce, invert, json_count, json_rat, kernel_basis,
+    lincomb, rank, rat, rat_str, rref,
 )
 
 
@@ -285,7 +290,8 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
 
 def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
     """The arrows (A1, A2, (C1..Cn)) of the pair (b1, b2) in the chart at
-    nu: A_nu = id, D_nu = b1 and the pencil powers C_q = A1^{q-1} A2^{n-q} b2."""
+    nu: A_nu = id, D_nu = b1 and the pencil powers C_q = A1^{q-1} A2^{n-q} b2,
+    C_1 = A2^{n-1} b2 with no identity factor."""
     c = b1.rows
     ident = RationalMatrix.identity(c)
     # nu_i / rho = u_i g / (u1^2 + u2^2) for nu = (u1, u2) / g
@@ -293,11 +299,12 @@ def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
     w1, w2, r = u1 * g, u2 * g, u1 * u1 + u2 * u2
     a1 = lincomb((w2, w1), (ident, b1), c, c, r)
     a2 = lincomb((w1, -w2), (ident, b1), c, c, r)
-    heads, tails = [ident], [b2]  # A1^k and A2^k b2 for k = 0 .. n-1
+    heads, tails = [a1], [b2]  # A1^k for k = 1 .. n-1 and A2^k b2 for k = 0 .. n-1
     for _ in range(n - 1):
-        heads.append(heads[-1] @ a1)
         tails.append(a2 @ tails[-1])
-    return a1, a2, tuple(heads[k] @ tails[n - 1 - k] for k in range(n))
+    for _ in range(n - 2):
+        heads.append(heads[-1] @ a1)
+    return a1, a2, (tails[n - 1], *(heads[k - 1] @ tails[n - 1 - k] for k in range(1, n)))
 
 
 def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
@@ -358,6 +365,36 @@ def transform_chart(a: AdhmData, from_nu: NuPoint, to_nu: NuPoint, n: int) -> Ad
     return chart_extract(chart_embed(a, from_nu, n), to_nu)
 
 
+def _walk(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix, d: int):
+    """The rows of monomial_rows(b1, b2, e, d), one at a time, each as its
+    integer numerators and their denominator: the row of (a, b) is that
+    of (a - 1, b) times b1, and (0, b) that of (0, b - 1) times b2, each
+    product brought to lowest terms, so that entries grow with the
+    normal forms, not with the powers of the denominators."""
+    steps = [(list(zip(*mat.num)), mat.den) for mat in (b1, b2)]  # columns, denominator
+    rows: dict = {}
+    for m in monomials_upto(d):
+        a, b = m
+        if m == (0, 0):
+            row, den = list(e.num[0]), e.den
+        else:
+            prev, den = rows[(a - 1, b)] if a else rows[(0, b - 1)]
+            cols, step = steps[0] if a else steps[1]
+            row, den = [sum(map(mul, prev, col)) for col in cols], den * step
+            g = gcd(den, *row) if den > 1 else 1
+            if g > 1:
+                row, den = [x // g for x in row], den // g
+        rows[m] = row, den
+        yield row, den
+
+
+def _stack(rows, cols: int) -> RationalMatrix:
+    """The matrix of rows given as (integer numerators, denominator),
+    brought to their common denominator."""
+    common = lcm(*(den for _, den in rows))
+    return RationalMatrix._wrap([[x * (common // den) for x in row] for row, den in rows], common, cols)
+
+
 def monomial_rows(
     b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix, d: int
 ) -> RationalMatrix:
@@ -368,25 +405,11 @@ def monomial_rows(
     row of m is e . m(b1, b2), so a polynomial f with coefficient vector v
     evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
 
-    The walk runs on the integer numerators of b1, b2 and e: every row
-    carries its numerators over its own denominator, and the rows are
-    brought to their common denominator at the end.
+    The walk (`_walk`) runs on the integer numerators of b1, b2 and e:
+    every row carries its numerators over its own denominator, and the
+    rows are brought to their common denominator at the end.
     """
-    c = e.cols
-    steps = [(list(zip(*mat.num)), mat.den) for mat in (b1, b2)]  # columns, denominator
-    rows: dict = {}
-    for m in monomials_upto(d):
-        a, b = m
-        if m == (0, 0):
-            rows[m] = e.num[0], e.den
-            continue
-        prev, den = rows[(a - 1, b)] if a else rows[(0, b - 1)]
-        cols, step = steps[0] if a else steps[1]
-        rows[m] = [sum(map(mul, prev, col)) for col in cols], den * step
-    common = lcm(*(den for _, den in rows.values()))
-    return RationalMatrix._wrap(
-        [[x * (common // den) for x in row] for row, den in rows.values()], common, c
-    )
+    return _stack(list(_walk(b1, b2, e, d)), e.cols)
 
 
 def scan_walk(walk: RationalMatrix, d: int):
@@ -405,11 +428,57 @@ def scan_walk(walk: RationalMatrix, d: int):
     return [mons[p] for p in pivots], nf
 
 
-def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix):
-    """Greedy scan of the covector closure: (monomials kept, normal forms),
-    scan_walk of monomial_rows up to total degree c."""
+class _Scan(tuple):
+    """A closure scan: the tuple (monomials kept, normal forms), which `==`
+    compares, and as `gauge` the walk's rows at the kept monomials, K,
+    None where K is the identity.  A datum that is not costable keeps
+    only the monomials: its normal forms and gauge are None."""
+
+    def __new__(cls, kept, nf, gauge):
+        scan = super().__new__(cls, (kept, nf))
+        scan.gauge = gauge
+        return scan
+
+
+def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _Scan:
+    """Greedy scan of the covector closure up to total degree c: the
+    monomials whose walk rows (`monomial_rows`) grow the span of the rows
+    before them, and the normal forms, row m of the walk in the kept rows
+    (`_Scan`): the result of scan_walk(monomial_rows(b1, b2, e, c), c).
+
+    The walk runs lazily, each row reduced against a fraction-free
+    echelon of the kept ones (`ratmat._reduce`), and stops at the c-th
+    kept row: c independent rows span k^c.  The kept rows form K, and
+    nf is the walk times K^-1.  Where K is the identity, as for a datum
+    read in the chart its canonical datum was embedded in, the walk runs
+    on to degree c and is its own normal forms.  Otherwise nf is the walk
+    of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1), for any pair,
+    since conjugation is multiplicative; e K^-1 is the unit covector, as
+    e is K's first row.  With fewer than c kept rows the walk runs to
+    degree c and only the kept monomials are read.
+    """
     c = b1.rows
-    return scan_walk(monomial_rows(b1, b2, e, c), c)
+    walk = _walk(b1, b2, e, c)
+    rows, kept, gauge, basis = [], [], [], []  # the walk so far; kept monomials, rows; echelon
+    for m, row in zip(monomials_upto(c), walk):
+        rows.append(row)
+        g = gcd(*row[0])
+        left = _reduce(basis, [x // g for x in row[0]]) if g else ()
+        col = next((j for j, x in enumerate(left) if x), None)
+        if col is not None:
+            basis.append((col, left))
+            kept.append(m)
+            gauge.append(row)
+            if len(kept) == c:
+                break
+    if len(kept) < c:
+        return _Scan(kept, None, None)
+    if all(row == [den * (i == j) for j in range(c)] for i, (row, den) in enumerate(gauge)):
+        return _Scan(kept, _stack(rows + list(walk), c), None)
+    k = _stack(gauge, c)
+    inv = invert(k)
+    unit = RationalMatrix._wrap([[int(j == 0) for j in range(c)]], 1, c)
+    return _Scan(kept, monomial_rows(k @ b1 @ inv, k @ b2 @ inv, unit, c), k)
 
 
 def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:
@@ -417,10 +486,9 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
 
     incl: k^{c'} -> k^c must be injective and satisfy
         big.b_i incl = incl small.b_i   and   big.e incl = small.e.
-    quot is the transposed kernel basis of incl^T, the identity at its
-    free columns, so the qb_i with qb_i quot = quot b_i are quot b_i at
-    those columns.  The checks on incl imply it all: rank c' gives c - c'
-    rows, quot incl = 0 makes qb_i exist, and quot onto gives [qb1, qb2] = 0.
+    The checks on incl imply what `_nested` assembles: rank c' gives
+    c - c' rows, quot incl = 0 makes qb_i exist, and quot onto gives
+    [qb1, qb2] = 0.
     """
     if incl.rows != big.c or incl.cols != small.c:
         raise ShapeMismatch("incl must be c x c'")
@@ -431,6 +499,17 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
             raise NotIntertwining("incl does not intertwine the b's")
     if not (big.e @ incl - small.e).is_zero():
         raise NotIntertwining("incl does not match the covectors")
+    return _nested(small, big, incl)
+
+
+def _nested(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:
+    """build_nested_adhm with no check on incl.  Only for an incl its
+    caller's construction proves injective, intertwining and matching the
+    covectors; each caller says why in its docstring.
+
+    quot is the transposed kernel basis of incl^T, the identity at its
+    free columns, so the qb_i with qb_i quot = quot b_i are quot b_i at
+    those columns."""
     k = kernel_basis(incl.transpose())
     quot = k.transpose()
     qb1, qb2 = ((quot @ b).submatrix(range(quot.rows), _free_rows(k)) for b in (big.b1, big.b2))

@@ -9,15 +9,16 @@ same reader, so a conversion whose chart is the verdict's reads the left
 part once.  The small cycle is the kernel subrepresentation cut out by
 F1, F2, the left part restricted to the kernel bases; its walk is the
 left walk times the kernel basis k1 of F1, so the small ideal is read off
-the same datum, with no kernel subrepresentation built.  What depends
+the same closure scan, with no second walk of the left datum and no
+kernel subrepresentation built.  What depends
 only on the representation is kept on it and read once across calls:
 the verdict and each chart reading (on the left part), the relation
 verdict and the small ideal at each chart, so `rep_to_nested(x, p)` then
 `same_orbit(x, y, p)` reads x once.  The reverse direction rebuilds
 the canonical gauge of both cycles and splices them along the inclusion
-of quotients; its output keeps the relation verdict its construction
-proves, as do its gauge images (`act`), so their residuals are never
-formed.
+of quotients, checking nesting once; its output keeps the relation
+verdict its construction proves, as do its gauge images (`act`), so
+their residuals are never formed.
 
 Both directions are deterministic: charts are tried in the fixed order
 [1,0], [0,1], [1,1], [1,2], ... and the first regular one wins, so a
@@ -31,7 +32,9 @@ from __future__ import annotations
 from .chart import (
     CHART_FIRST,
     CHART_SECOND,
+    AdhmData,
     NuPoint,
+    _nested,
     _pencil_arrows,
     build_nested_adhm,
     chart_embed,
@@ -39,8 +42,9 @@ from .chart import (
     monomial_rows,
     scan_walk,
 )
-from .errors import DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
+from .errors import BadPair, DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, _keep_closed, adhm_from_ideal
+from .monomials import count_upto, monomials_upto
 from .quiver import EnhRep, _keep_relations
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
@@ -75,24 +79,29 @@ def _require_relations(x: EnhRep) -> None:
 
 
 def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
-    """The small ideal of x, read off its left datum in the chart nu
-    (`_chart_reading`), and kept on x per chart (`EnhRep._kept`).
+    """The small ideal of x, read off its left datum's closure scan in the
+    chart nu (`_chart_reading`), and kept on x per chart (`EnhRep._kept`).
 
     The kernel subrepresentation is the left part restricted to the kernel
     bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
-    e k1 = e': its walk is the left walk times k1, one product and one
-    scan_walk.  Its datum needs no check.  The relations, checked first,
-    make the restriction well defined; k2 P' = P k1 makes its pencil P'
-    invertible where P is; [b1', b2'] lies in [b1, b2] k1 = 0; and the
-    left walk has rank c with k1 injective, so the product has rank c'.
-    The scan of a commuting datum's walk is an ideal, recorded so
-    (`ideals._keep_closed`).
+    e k1 = e': its walk to degree c' is the left walk times k1.  The left
+    walk is nf K (`chart._Scan`: the normal forms nf and the walk's kept
+    rows K), so the small walk is the first rows of nf times K k1, or
+    times k1 where K is the identity: the same matrix, with no second walk
+    of the left datum, and one scan_walk.  Its datum needs no check.  The
+    relations, checked first, make the restriction well defined;
+    k2 P' = P k1 makes its pencil P' invertible where P is;
+    [b1', b2'] lies in [b1, b2] k1 = 0; and the left walk has rank c with
+    k1 injective, so the product has rank c'.  The scan of a commuting
+    datum's walk is an ideal, recorded so (`ideals._keep_closed`).
     """
     small = x._kept.get(nu)
     if small is None:
         cp = x.cp
-        a, _ = _chart_reading(x.left, nu)
-        walk = monomial_rows(a.b1, a.b2, a.e, cp) @ kernel_basis(x.F1)
+        _, scan = _chart_reading(x.left, nu)
+        k1 = kernel_basis(x.F1)
+        nf = scan[1].submatrix(range(count_upto(cp)), range(x.c))
+        walk = nf @ (k1 if scan.gauge is None else scan.gauge @ k1)
         small = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
         small = x._kept[nu] = _keep_closed(small)
     return small
@@ -134,6 +143,35 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at))
 
 
+def _nesting(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> RationalMatrix:
+    """The inclusion of a nested pair of ideals recorded as ideals, given
+    their canonical data big = adhm_from_ideal(ideal) and small, with the
+    pair's one nesting check.  BadPair when the ideals are not nested.
+
+    incl is the small walk at the big standard monomials, walked to their
+    top degree: its row at m is m read in Q_small, so incl is the linear
+    map Q_big -> Q_small with m |-> m, the matrix `inclusion_matrix`
+    returns.  It is a module map, big.b_i incl = incl small.b_i for
+    i = 1, 2, exactly when the ideals are nested: row m of the two sides
+    are x_i m reduced mod big, then mod small, and x_i m mod small, which
+    differ by an element of big; and a module map with 1 |-> 1 sends each
+    f of big, zero in Q_big, to f in Q_small, so f lies in small.  That
+    intertwining is the one check.  The rest of `build_nested_adhm`'s
+    checks hold once it passes: nested ideals have std(small) inside
+    std(big), each small standard monomial reads as its own unit vector,
+    so incl holds an identity block and has rank c'; and incl's row at 1
+    is small.e, which is big.e incl, big.e being the unit covector at 1.
+    """
+    std = ideal.standard_monomials()
+    d = sum(std[-1])  # ascending order: the last is of top degree
+    index = {m: r for r, m in enumerate(monomials_upto(d))}
+    incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([index[m] for m in std], range(small.c))
+    for bb, sb in ((big.b1, small.b1), (big.b2, small.b2)):
+        if bb @ incl != incl @ sb:
+            raise BadPair("ideals are not nested")
+    return incl
+
+
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     """Theta-stable representation presenting a nested pair on the n-th surface.
 
@@ -152,8 +190,12 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     recorded as built as one (`monomial_ideal`, `ideal_from_adhm`,
     `rep_to_nested`) commutes by construction, and any other basis has its
     commutator formed, so one that is not an ideal raises NotCommuting.
-    `build_nested_adhm` checks injectivity and intertwining.  Dropping any
-    of these needs another proof first.
+    Nesting is checked once.  Where both ideals are recorded so, incl and
+    its one check come from `_nesting`, and the quotient is assembled
+    with no further check (`chart._nested`); for any other pair, incl is
+    `ideals._inclusion`, which checks big.basis against the small walk,
+    and `build_nested_adhm` checks injectivity and intertwining.  Dropping
+    any of these needs another proof first.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
@@ -162,8 +204,10 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
         raise DomainError("conversion needs 0 < c' < c")
     big = adhm_from_ideal(pair.big)
     small = adhm_from_ideal(pair.small)
-    incl = _inclusion(pair.big, small)
-    nested = build_nested_adhm(small, big, incl)
+    if pair.big._closed and pair.small._closed:
+        nested = _nested(small, big, _nesting(pair.big, big, small))
+    else:
+        nested = build_nested_adhm(small, big, _inclusion(pair.big, small))
     left = chart_embed(big, pair.nu, n)
     ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
     rep = EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)

@@ -24,10 +24,13 @@ Conventions frozen here:
   * every passage from a datum to its ideal goes through
     `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order.
     In the canonical gauge its row m is the normal form of m, so the
-    dictionary is `chart.closure_scan` (normal forms read off one
-    elimination of the walk), then `from_normal_forms`, and
-    `canonical_form` is the round trip through the ideal.  `contains` and
-    `inclusion_matrix` evaluate on the walk;
+    dictionary is `chart.closure_scan` (the walk scanned until c rows are
+    kept, then the normal forms read off the canonical datum's walk),
+    then `from_normal_forms`, and `canonical_form` is the round trip
+    through the ideal.  `contains` and `inclusion_matrix` evaluate on the
+    walk, and check the whole basis; `correspondence.nested_to_rep` checks
+    a pair of recorded ideals (below) once, by the intertwining of that
+    inclusion;
   * `support` reads a cycle's points and lengths off its datum's traces.
 
 `adhm_from_ideal`'s datum commutes when its basis is an ideal's, so it

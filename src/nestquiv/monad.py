@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from .chart import NuPoint, chart_blocks
-from .errors import ExcludedLocus, NotWellDefined, ShapeMismatch
+from .errors import ExcludedLocus, ShapeMismatch
 from .quiver import HirzRep
 from .ratmat import RationalMatrix, _common, rank, rat, rat_str
 
@@ -105,27 +105,6 @@ class CoxPoly:
         for _ in range(k):
             out = cox_mul(out, self)
         return out
-
-    def evaluate(self, pt) -> Fraction:
-        vals = _point(pt)
-        total = Fraction(0)
-        for m, c in self.terms:
-            prod = c
-            for e, v in zip(m, vals):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
-
-    def bidegree(self, n: int):
-        """Common bidegree of all terms under deg(y)=(0,1), deg(s_e)=(1,-n),
-        deg(s_inf)=(1,0); None for the zero polynomial."""
-        degs = {(e3 + e4, e1 + e2 - n * e3) for (e1, e2, e3, e4), _ in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise NotWellDefined(f"mixed bidegrees {sorted(degs)}")
-        return next(iter(degs))
 
     def __str__(self) -> str:
         if not self.terms:

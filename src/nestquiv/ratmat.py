@@ -22,7 +22,9 @@ pivots.  `_rref` back-substitutes its rows to the reduced form: kernels,
 inverses and solves read their canonical results off that,
 `chart.scan_walk` reads its kept monomials and normal forms off it, and
 `ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
-ideal by running `rref` on the column-reversed rows.
+ideal by running `rref` on the column-reversed rows.  `_reduce` takes the
+same step one row at a time, for `chart.closure_scan`, which stops its
+walk once enough rows are kept.
 
 `lincomb` forms sum_j (w_j / den) M_j in integers, with one reduction
 to lowest terms at the end; the chart's pencil combinations are each
@@ -371,6 +373,21 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[int, list[int]]:
         pivots.append(c)
         r += 1
     return prev, pivots
+
+
+def _reduce(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
+    """The integer row reduced by a fraction-free echelon basis of
+    (pivot column, row) pairs, in the order added: `_echelon`'s Bareiss
+    step once per basis row, so every division is exact, and the result
+    is nonzero exactly when the row is independent of the basis.  Its
+    own loop: a whole-row step in `_echelon` slows `rank` on small
+    matrices."""
+    prev = 1
+    for col, prow in basis:
+        piv, f = prow[col], row[col]
+        row = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    return row
 
 
 def _rref(a: list[list[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:

@@ -136,9 +136,12 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     per chart (`HirzRep._kept`).
 
     The one reader of a closure: the scan's kept monomials count it for
-    costability, and its normal forms are the big ideal, so the verdict
-    and the conversions share one extraction and one scan per chart.
-    Nothing is kept when the extraction raises (`chart_extract`).
+    costability, its normal forms are the big ideal, and with the walk's
+    kept rows (`chart._Scan.gauge`) they give the small walk, so the
+    verdict and the conversions share one extraction and one scan per
+    chart.  A verdict-only call pays for the scan up to its c-th kept row
+    and the canonical walk.  Nothing is kept when the extraction raises
+    (`chart_extract`).
     """
     reading = x._kept.get(nu)
     if reading is None:

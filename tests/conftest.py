@@ -14,8 +14,8 @@ from nestquiv import (
 )
 from nestquiv import chart, ideals
 from nestquiv.corpus import (
-    CHART_FIRST, CHART_MIXED, CHART_SECOND, _anchors_for, random_gauge, random_nested_pair,
-    random_points,
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, _anchors_for, ideal_of_points, random_fraction,
+    random_gauge, random_nested_pair, random_points,
 )
 from nestquiv.ratmat import block_diag, kernel_basis
 
@@ -201,17 +201,44 @@ def sub_partition(rng: random.Random, lam) -> tuple:
     return tuple(out)
 
 
-def random_fat_pair(rng: random.Random, c: int, chart: NuPoint = CHART_FIRST) -> NestedIdealPair:
+def line_points(rng: random.Random, k: int, chart: NuPoint, lines: int = 1) -> list:
+    """k distinct rational points on `lines` random lines y = a x + b, the
+    chart's anchors (`corpus._anchors_for`) first: their x = 0, 1 or -1
+    is kept and their y moved onto a line.  Every point has its own x, so
+    that the points stay distinct, and they are dealt to the lines in
+    turn."""
+    coeffs = [(random_fraction(rng), random_fraction(rng)) for _ in range(lines)]  # (a, b)
+    xs = [x for x, _ in _anchors_for(chart, rng)]
+    if len(xs) > k:
+        raise ValueError("more anchors than points")
+    while len(xs) < k:
+        x = random_fraction(rng)
+        if x not in xs:
+            xs.append(x)
+    return [(x, coeffs[i % lines][0] * x + coeffs[i % lines][1]) for i, x in enumerate(xs)]
+
+
+def line_pair(rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 1) -> NestedIdealPair:
+    """A nested pair of reduced cycles, c points on `lines` lines
+    (`line_points`) and c' of them, 0 < c' < c."""
+    points = line_points(rng, c, chart, lines)
+    sub = [points[i] for i in sorted(rng.sample(range(c), rng.randint(1, c - 1)))]
+    return NestedIdealPair(nu=chart, big=ideal_of_points(points), small=ideal_of_points(sub))
+
+
+def random_fat_pair(
+    rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 0
+) -> NestedIdealPair:
     """A nested pair of unions of fat points, of colengths 0 < c' < c: the
     big cycle puts a random partition at each of a few distinct rational
-    points (anchored for the chart as in `corpus`), and the small cycle a
-    random partition inside it at each, dropping the points where that is
-    empty."""
+    points (anchored for the chart as in `corpus`; on that many lines,
+    `line_points`, when lines > 0), and the small cycle a random partition
+    inside it at each, dropping the points where that is empty."""
     anchors = _anchors_for(chart, rng)
     k = rng.randint(max(1, len(anchors)), min(c, 3))
     cuts = sorted(rng.sample(range(1, c), k - 1))
     sizes = [b - a for a, b in zip([0, *cuts], [*cuts, c])]
-    points = random_points(rng, k, anchors)
+    points = line_points(rng, k, chart, lines) if lines else random_points(rng, k, anchors)
     lams = [rng.choice(partitions(size)) for size in sizes]
     while True:
         mus = [sub_partition(rng, lam) for lam in lams]

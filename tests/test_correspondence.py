@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nestquiv import (
+    BadPair,
     DomainError,
     NestedIdealPair,
     NestquivError,
@@ -20,17 +21,22 @@ from nestquiv import (
     SingularAnu,
     ZeroCycleIdeal,
     act,
+    adhm_from_ideal,
+    build_nested_adhm,
     contains,
     default_theta,
     enh_residuals,
+    enumerate_nested_monomial,
     ideal_from_adhm,
+    inclusion_matrix,
     monomial_ideal,
     nested_to_rep,
     rep_to_nested,
     same_orbit,
 )
-from nestquiv.chart import chart_extract, first_regular, pencil
+from nestquiv.chart import _nested, chart_extract, first_regular, pencil
 from nestquiv.cli import main
+from nestquiv.correspondence import _nesting
 from nestquiv.corpus import (
     CHART_FIRST,
     CHART_MIXED,
@@ -43,7 +49,7 @@ from nestquiv.corpus import (
 from nestquiv.ratmat import kernel_basis, rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import M, conversion_sample, nu, perturbed_rep
+from conftest import M, conversion_sample, nu, perturbed_rep, random_fat_pair
 
 
 def hand_pair() -> NestedIdealPair:
@@ -245,3 +251,64 @@ def test_kernel_readings_are_nested(seed, c, n):
     except NestquivError:
         assume(False)
     assert contains(big, small)
+
+
+# -- nesting, checked once -------------------------------------------
+
+
+def _unrecorded(i: ZeroCycleIdeal) -> ZeroCycleIdeal:
+    """An equal ideal that is not recorded as built as one."""
+    return ZeroCycleIdeal(c=i.c, d=i.d, basis=i.basis)
+
+
+def _assert_one_nesting_check_agrees(pair, n):
+    # the recorded path (_nesting, then _nested without checks) builds what
+    # the checked one does, and so does nested_to_rep of unrecorded copies
+    big, small = adhm_from_ideal(pair.big), adhm_from_ideal(pair.small)
+    checked = build_nested_adhm(small, big, inclusion_matrix(pair.big, pair.small))
+    assert _nested(small, big, _nesting(pair.big, big, small)) == checked
+    copy = NestedIdealPair(nu=pair.nu, big=_unrecorded(pair.big), small=_unrecorded(pair.small))
+    assert nested_to_rep(pair, n) == nested_to_rep(copy, n)
+
+
+def test_recorded_pairs_that_are_not_nested_are_refused():
+    # (x^3, y) does not lie in (x, y^2): y is in the first only
+    big, small = monomial_ideal((3,)), monomial_ideal((1, 1))
+    assert big._closed and small._closed and not contains(big, small)
+    for pair in (
+        NestedIdealPair(nu=nu(1, 0), big=big, small=small),
+        NestedIdealPair(nu=nu(1, 0), big=_unrecorded(big), small=_unrecorded(small)),
+        NestedIdealPair(nu=nu(1, 0), big=big, small=_unrecorded(small)),
+    ):
+        for n in (1, 2):
+            with pytest.raises(BadPair, match="ideals are not nested"):
+                nested_to_rep(pair, n)
+    with pytest.raises(BadPair, match="ideals are not nested"):
+        _nesting(big, adhm_from_ideal(big), adhm_from_ideal(small))
+
+
+def test_one_nesting_check_on_enumerated_pairs():
+    for n in (1, 2, 3):
+        for c in range(2, 5):
+            for cp in range(1, c):
+                for pair in enumerate_nested_monomial(cp, c, charts=2, n=n):
+                    _assert_one_nesting_check_agrees(pair, n)
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([CHART_FIRST, CHART_SECOND, CHART_MIXED]),
+    st.booleans(),
+)
+def test_one_nesting_check_on_scrambled_pairs(seed, c, n, chart, reduced):
+    # pairs read back off gauge-scrambled representations, of reduced
+    # cycles and of unions of fat points
+    rng = random.Random(seed)
+    pair = random_nested_pair(rng, c, rng.randint(1, c - 1), chart) if reduced else random_fat_pair(rng, c, chart)
+    x = act(random_gauge(rng, c, c - pair.small.c), nested_to_rep(pair, n))
+    back = rep_to_nested(x, default_theta(c, pair.small.c))
+    assert back == pair and back.big._closed and back.small._closed
+    _assert_one_nesting_check_agrees(back, n)

@@ -588,7 +588,7 @@ def test_only_proven_sites_skip_the_commutator():
     # ideals._keep_closed records an ideal as built as one; each is called
     # only where a construction proves it, and only the writer names the
     # record or builds a bare AdhmData
-    callers = {"_commuting": [], "_keep_closed": []}
+    callers = {"_commuting": [], "_keep_closed": [], "_nested": []}
     named = []
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -612,6 +612,9 @@ def test_only_proven_sites_skip_the_commutator():
         "correspondence._small_ideal", "correspondence.rep_to_nested",
         "ideals.ideal_from_adhm", "ideals.monomial_ideal",
     ]
+    # chart._nested assembles a nested datum without build_nested_adhm's
+    # checks, where nested_to_rep's one nesting check proves them
+    assert sorted(callers["_nested"]) == ["chart.build_nested_adhm", "correspondence.nested_to_rep"]
     assert named == ["chart._commuting", "ideals._keep_closed"]
 
 
