@@ -59,8 +59,9 @@ representation whose relations are known to hold with every I_q zero,
 `ideals.adhm_from_ideal` of an ideal built as one, and the join of
 commuting blocks in `ideals._fixed_cycle_ideal`.  Likewise
 `build_nested_adhm` checks its inclusion, and the private `_nested`
-assembles the quotient without, for `correspondence.nested_to_rep`'s
-pairs of recorded ideals, whose one nesting check proves the rest.
+assembles the quotient without, for `correspondence.nested_to_rep`,
+whose pairs `ideals.adhm_from_ideal` proves ideals and whose one
+nesting check (`ideals._inclusion`) proves the rest.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ only on the representation is kept on it and read once across calls:
 the verdict and each chart reading (on the left part), the relation
 verdict and the small ideal at each chart, so `rep_to_nested(x, p)` then
 `same_orbit(x, y, p)` reads x once.  The reverse direction rebuilds
-the canonical gauge of both cycles and splices them along the inclusion
-of quotients, checking nesting once; its output keeps the relation
-verdict its construction proves, as do its gauge images (`act`), so
-their residuals are never formed.
+the canonical gauge of both cycles (`adhm_from_ideal`, the gate that
+proves each basis an ideal's) and splices them along the inclusion of
+quotients, checking nesting once for every pair (`ideals._inclusion`);
+its output keeps the relation verdict its construction proves, as do
+its gauge images (`act`), so their residuals are never formed.
 
 Both directions are deterministic: charts are tried in the fixed order
 [1,0], [0,1], [1,1], [1,2], ... and the first regular one wins, so a
@@ -30,21 +31,11 @@ no enhancement to speak of and are rejected with DomainError.
 from __future__ import annotations
 
 from .chart import (
-    CHART_FIRST,
-    CHART_SECOND,
-    AdhmData,
-    NuPoint,
-    _nested,
-    _pencil_arrows,
-    build_nested_adhm,
-    chart_embed,
-    first_regular,
-    monomial_rows,
-    scan_walk,
+    CHART_FIRST, CHART_SECOND, NuPoint, _nested, _pencil_arrows, chart_embed, first_regular, scan_walk,
 )
-from .errors import BadPair, DomainError, NotCostable, NotStable, RelationsViolated, ShapeMismatch
-from .ideals import NestedIdealPair, ZeroCycleIdeal, _inclusion, _keep_closed, adhm_from_ideal
-from .monomials import count_upto, monomials_upto
+from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
+from .ideals import NestedIdealPair, ZeroCycleIdeal, _ideal_of_scan, _inclusion, adhm_from_ideal
+from .monomials import count_upto
 from .quiver import EnhRep, _keep_relations
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
@@ -93,7 +84,7 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
     k2 P' = P k1 makes its pencil P' invertible where P is;
     [b1', b2'] lies in [b1, b2] k1 = 0; and the left walk has rank c with
     k1 injective, so the product has rank c'.  The scan of a commuting
-    datum's walk is an ideal, recorded so (`ideals._keep_closed`).
+    datum's walk is an ideal (`ideals._ideal_of_scan`).
     """
     small = x._kept.get(nu)
     if small is None:
@@ -102,8 +93,7 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
         k1 = kernel_basis(x.F1)
         nf = scan[1].submatrix(range(count_upto(cp)), range(x.c))
         walk = nf @ (k1 if scan.gauge is None else scan.gauge @ k1)
-        small = ZeroCycleIdeal.from_normal_forms(*scan_walk(walk, cp), cp)
-        small = x._kept[nu] = _keep_closed(small)
+        small = x._kept[nu] = _ideal_of_scan(*scan_walk(walk, cp), cp)
     return small
 
 
@@ -127,8 +117,8 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.  The
     pair is nested without a check: big.basis annihilates the left walk,
     and the small walk is that walk times k1.  Both ideals are scans of a
-    commuting datum's walk, so both are recorded as ideals
-    (`ideals._keep_closed`), and `adhm_from_ideal` of either forms no
+    commuting datum's walk (`ideals._ideal_of_scan`), so both are
+    recorded as ideals, and `adhm_from_ideal` of either forms no
     commutator.
     """
     if x.cp == 0:
@@ -137,39 +127,7 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     _require_relations(x)
     at = nu or _conversion_chart(x.left.A1, x.left.A2, chart)
     _, (kept, nf) = _chart_reading(x.left, at)
-    if len(kept) != x.c:
-        raise NotCostable("datum is not costable")
-    big = _keep_closed(ZeroCycleIdeal.from_normal_forms(kept, nf, x.c))
-    return NestedIdealPair(nu=at, big=big, small=_small_ideal(x, at))
-
-
-def _nesting(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> RationalMatrix:
-    """The inclusion of a nested pair of ideals recorded as ideals, given
-    their canonical data big = adhm_from_ideal(ideal) and small, with the
-    pair's one nesting check.  BadPair when the ideals are not nested.
-
-    incl is the small walk at the big standard monomials, walked to their
-    top degree: its row at m is m read in Q_small, so incl is the linear
-    map Q_big -> Q_small with m |-> m, the matrix `inclusion_matrix`
-    returns.  It is a module map, big.b_i incl = incl small.b_i for
-    i = 1, 2, exactly when the ideals are nested: row m of the two sides
-    are x_i m reduced mod big, then mod small, and x_i m mod small, which
-    differ by an element of big; and a module map with 1 |-> 1 sends each
-    f of big, zero in Q_big, to f in Q_small, so f lies in small.  That
-    intertwining is the one check.  The rest of `build_nested_adhm`'s
-    checks hold once it passes: nested ideals have std(small) inside
-    std(big), each small standard monomial reads as its own unit vector,
-    so incl holds an identity block and has rank c'; and incl's row at 1
-    is small.e, which is big.e incl, big.e being the unit covector at 1.
-    """
-    std = ideal.standard_monomials()
-    d = sum(std[-1])  # ascending order: the last is of top degree
-    index = {m: r for r, m in enumerate(monomials_upto(d))}
-    incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([index[m] for m in std], range(small.c))
-    for bb, sb in ((big.b1, small.b1), (big.b2, small.b2)):
-        if bb @ incl != incl @ sb:
-            raise BadPair("ideals are not nested")
-    return incl
+    return NestedIdealPair(nu=at, big=_ideal_of_scan(kept, nf, x.c), small=_small_ideal(x, at))
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -185,17 +143,16 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     (`quiver._keep_relations`), so no later reader forms `enh_residuals`:
     C_q = A1^(q-1) A2^(n-q) b2, quot b_i = qb_i quot, and [qb1, qb2] quot =
     quot [b1, b2] = 0 with quot onto.  The verdict rests on the premises
-    that the two data commute and that incl intertwines them.  Commutation
-    is checked by `adhm_from_ideal` where the data can break it: an ideal
-    recorded as built as one (`monomial_ideal`, `ideal_from_adhm`,
-    `rep_to_nested`) commutes by construction, and any other basis has its
-    commutator formed, so one that is not an ideal raises NotCommuting.
-    Nesting is checked once.  Where both ideals are recorded so, incl and
-    its one check come from `_nesting`, and the quotient is assembled
-    with no further check (`chart._nested`); for any other pair, incl is
-    `ideals._inclusion`, which checks big.basis against the small walk,
-    and `build_nested_adhm` checks injectivity and intertwining.  Dropping
-    any of these needs another proof first.
+    that the two data commute and that incl intertwines them.  Both are
+    checked once, for every pair.  `adhm_from_ideal` proves each basis
+    an ideal's: a recorded one (`monomial_ideal`, `ideal_from_adhm`,
+    `rep_to_nested`) by its construction, any other by its commutator and
+    closure, so one that is not an ideal raises NotCommuting or
+    NotAnIdeal.  `ideals._inclusion` then reads incl and checks that it
+    intertwines the data, BadPair if not, which proves the rest of
+    `build_nested_adhm`'s checks, so the quotient is assembled with no
+    further check (`chart._nested`).  Dropping any of these needs another
+    proof first.
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
@@ -204,10 +161,7 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
         raise DomainError("conversion needs 0 < c' < c")
     big = adhm_from_ideal(pair.big)
     small = adhm_from_ideal(pair.small)
-    if pair.big._closed and pair.small._closed:
-        nested = _nested(small, big, _nesting(pair.big, big, small))
-    else:
-        nested = build_nested_adhm(small, big, _inclusion(pair.big, small))
+    nested = _nested(small, big, _inclusion(pair.big, big, small))
     left = chart_embed(big, pair.nu, n)
     ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
     rep = EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)

@@ -27,24 +27,25 @@ Conventions frozen here:
     dictionary is `chart.closure_scan` (the walk scanned until c rows are
     kept, then the normal forms read off the canonical datum's walk),
     then `from_normal_forms`, and `canonical_form` is the round trip
-    through the ideal.  `contains` and `inclusion_matrix` evaluate on the
-    walk, and check the whole basis; `correspondence.nested_to_rep` checks
-    a pair of recorded ideals (below) once, by the intertwining of that
-    inclusion;
+    through the ideal.  `contains` evaluates on the walk and checks the
+    whole basis; `inclusion_matrix` and `correspondence.nested_to_rep`
+    check a pair's nesting once, by the intertwining of the small walk at
+    the big standard monomials (`_inclusion`);
   * `support` reads a cycle's points and lengths off its datum's traces.
 
-`adhm_from_ideal`'s datum commutes when its basis is an ideal's, so it
-forms the commutator only where the data can break it.  An ideal built
-as one is recorded so by `_keep_closed`: the outputs
-of `monomial_ideal`, `ideal_from_adhm` and the conversions' readings
-(`correspondence.rep_to_nested`, big and small), each the staircase of a
-partition or the scan of a commuting datum's walk.  Its datum is built
-without the commutator (`chart._commuting`), and so is the join of
-commuting blocks in `_fixed_cycle_ideal`.  Every other ZeroCycleIdeal,
-built directly, `replace`d, read by `from_rows` or `from_json`, or made
-by a public `from_normal_forms` call, has its datum's commutator formed,
-so a basis that is not an ideal raises NotCommuting there.  The record
-is not a field: it changes no `==`, hash or JSON.
+`adhm_from_ideal` is the one gate that proves a basis is an ideal's, and
+every reader of a datum goes through it.  An ideal built as one is
+recorded so by `_keep_closed`: the outputs of `monomial_ideal` and of
+`_ideal_of_scan`, the staircase of a partition or the scan of a
+commuting datum's walk (`ideal_from_adhm` and the conversions'
+readings, big and small).  Its datum is built without the commutator
+(`chart._commuting`), and so is the join of commuting blocks in
+`_fixed_cycle_ideal`.  Every other ZeroCycleIdeal, built directly,
+`replace`d, read by `from_rows` or `from_json`, or made by a public
+`from_normal_forms` call, has its datum's commutator formed and then its
+closure checked (`validate`), so a basis that is not an ideal raises
+NotCommuting or NotAnIdeal there.  The record is not a field: it changes
+no `==`, hash or JSON.
 """
 
 from __future__ import annotations
@@ -252,16 +253,22 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     """Ideal of the cycle encoded by a costable datum.
 
     The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
-    left kernel of monomial_rows) is exactly the truncated ideal, written
-    out by from_normal_forms from closure_scan's normal forms; the datum
-    is costable exactly when the walk has rank c.  It is an ideal since
-    b1, b2 commute: e f(b1, b2) = 0 gives e (x f)(b1, b2) = e f(b1, b2) b1
-    = 0, and likewise for y; so it is recorded as one (`_keep_closed`).
+    left kernel of monomial_rows) is exactly the truncated ideal, read
+    off closure_scan (`_ideal_of_scan`); the datum is costable exactly
+    when the walk has rank c.
     """
-    std, nf = closure_scan(a.b1, a.b2, a.e)
-    if len(std) != a.c:
+    return _ideal_of_scan(*closure_scan(a.b1, a.b2, a.e), a.c)
+
+
+def _ideal_of_scan(kept, nf: RationalMatrix, c: int) -> ZeroCycleIdeal:
+    """The ideal of a commuting datum whose walk to degree c scans to
+    (kept, nf) (`chart.closure_scan`, `chart.scan_walk`); NotCostable
+    unless c are kept.  It is recorded as an ideal (`_keep_closed`): its
+    rows are the f with e f(b1, b2) = 0, and as b1, b2 commute that gives
+    e (x f)(b1, b2) = e f(b1, b2) b1 = 0, and likewise for y."""
+    if len(kept) != c:
         raise NotCostable("datum is not costable")
-    return _keep_closed(ZeroCycleIdeal.from_normal_forms(std, nf, a.c))
+    return _keep_closed(ZeroCycleIdeal.from_normal_forms(kept, nf, c))
 
 
 def _keep_closed(i: ZeroCycleIdeal) -> ZeroCycleIdeal:
@@ -281,11 +288,20 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     canonical gauge: composing with ideal_from_adhm is the identity, and
     the other composite is canonical_form.
 
-    When i is an ideal, b1 and b2 are the multiplications by x and y of
-    its quotient ring, which commute.  An ideal recorded as built as one
-    (`_keep_closed`) gets its datum without the commutator
-    (`chart._commuting`); any other i has it formed by `AdhmData`, which
-    raises NotCommuting for a basis that is not an ideal's.
+    This is the one gate that proves i an ideal's truncation.  A recorded
+    ideal (`_keep_closed`) gets its datum without the commutator
+    (`chart._commuting`).  Any other i has it formed by `AdhmData`
+    (NotCommuting), then its closure checked (`validate`, NotAnIdeal).
+    Together they prove that the basis spans I cap M_d, I the annihilator
+    of the datum's covector, an ideal as b1, b2 commute.  Closure makes
+    the staircase divisor-closed, so the walk is the unit vector at each
+    standard monomial: I has colength c, and as many dimensions in M_d as
+    the basis has rows.  A border row m - nf(m), m = x_i s for a standard
+    s, lies in I: the walk at m is row s of b_i, nf(m).  Any other pivot
+    is m = x_i q for a lower pivot q, and by closure x_i times the row of
+    q is the row of m plus lower rows: by induction every row lies in I.
+    The commutator alone does not suffice: y, x^2, xy, y^2 - x has the
+    commuting datum of (x^2, y).
     """
     cols, nf = i._reduced()
     mons = monomials_upto(i.d)
@@ -301,7 +317,9 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     e = RationalMatrix._wrap([[int(m == (0, 0)) for m in std]], 1, c)
     if i._closed:
         return _commuting(c, b1, b2, e)
-    return AdhmData(c=c, b1=b1, b2=b2, e=e)
+    a = AdhmData(c=c, b1=b1, b2=b2, e=e)
+    i.validate()
+    return a
 
 
 def canonical_form(a: AdhmData) -> AdhmData:
@@ -313,24 +331,41 @@ def canonical_form(a: AdhmData) -> AdhmData:
 
 def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatrix:
     """Inclusion of the small-cycle datum into the big-cycle datum, in the
-    canonical gauges of adhm_from_ideal, for a nested pair big <= small.
-
-    Row m of the evaluation matrix EV of small (see contains) is the
-    normal form of the monomial m in small's standard basis; the returned
-    matrix is the selection of those rows at big's standard monomials.
-    Raises BadPair when big.basis @ EV is nonzero, i.e. the ideals are
-    not nested.
+    canonical gauges of adhm_from_ideal, for a nested pair big <= small:
+    row m is the normal form in small's standard basis of the m-th
+    standard monomial of big (`_inclusion`).  Raises BadPair when the
+    ideals are not nested, and NotCommuting or NotAnIdeal when either
+    basis is not an ideal's, or its degree bound too small to read its
+    multiplication (`adhm_from_ideal`).
     """
-    return _inclusion(big, adhm_from_ideal(small))
+    return _inclusion(big, adhm_from_ideal(big), adhm_from_ideal(small))
 
 
-def _inclusion(big: ZeroCycleIdeal, small: AdhmData) -> RationalMatrix:
-    """inclusion_matrix, given the small cycle's datum adhm_from_ideal(small)."""
-    ev = monomial_rows(small.b1, small.b2, small.e, big.d)
-    if not (big.basis @ ev).is_zero():
+def _inclusion(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> RationalMatrix:
+    """The inclusion of a nested pair, given the canonical data
+    big = adhm_from_ideal(ideal) and small, with the pair's one nesting
+    check: BadPair when the ideals are not nested.
+
+    incl, the small walk at the big standard monomials, is the linear map
+    Q_big -> Q_small with m |-> m.  It is a module map,
+    big.b_i incl = incl small.b_i, exactly when the ideals are nested:
+    row m of the two sides are x_i m reduced mod big, then mod small, and
+    x_i m mod small, which differ by an element of big; and a module map
+    with 1 |-> 1 sends each f of big, zero in Q_big, to f in Q_small.
+    That is sound as `adhm_from_ideal` proved both bases ideals', and it
+    implies `chart.build_nested_adhm`'s checks: std(small) lies in
+    std(big), and incl's rows there form an identity, so it has rank c';
+    its row at 1 is small.e = big.e incl.  c' <= c is checked apart, for
+    c = 0, where Q_big has no 1.
+    """
+    std = ideal.standard_monomials()
+    d = max(map(sum, std), default=0)
+    index = {m: r for r, m in enumerate(monomials_upto(d))}
+    incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([index[m] for m in std], range(small.c))
+    pairs = ((big.b1, small.b1), (big.b2, small.b2))
+    if len(std) < small.c or any(bb @ incl != incl @ sb for bb, sb in pairs):
         raise BadPair("ideals are not nested")
-    index = {m: r for r, m in enumerate(monomials_upto(big.d))}
-    return ev.submatrix([index[m] for m in big.standard_monomials()], range(small.c))
+    return incl
 
 
 def partitions(k: int, max_part: int | None = None) -> list[tuple[int, ...]]:

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import settings
 
 from nestquiv import (
-    AdhmData, EnhRep, EnhThetaParam, HirzRep, NestedIdealPair, NuPoint, RationalMatrix, act,
-    adhm_from_ideal, ideal_from_adhm, monomial_ideal, nested_to_rep, partitions, regular_sample,
+    AdhmData, BadPair, EnhRep, EnhThetaParam, HirzRep, NestedIdealPair, NuPoint, RationalMatrix,
+    ZeroCycleIdeal, act, adhm_from_ideal, build_nested_adhm, chart_embed, ideal_from_adhm,
+    monomial_ideal, nested_to_rep, partitions, regular_sample,
 )
 from nestquiv import chart, ideals
+from nestquiv.chart import _pencil_arrows, monomial_rows
 from nestquiv.corpus import (
     CHART_FIRST, CHART_MIXED, CHART_SECOND, _anchors_for, ideal_of_points, random_fraction,
     random_gauge, random_nested_pair, random_points,
 )
+from nestquiv.monomials import monomials_upto
 from nestquiv.ratmat import block_diag, kernel_basis
 
 # exact arithmetic runs long on a slow host; no property test has a deadline
@@ -266,3 +269,29 @@ def trusted_commutators():
         for module in (chart, ideals):
             mp.setattr(module, "_commuting", checked)
         yield sites
+
+
+# -- the checked nesting construction: an oracle for the one check ----
+
+
+def basis_product_inclusion(big: ZeroCycleIdeal, small: AdhmData) -> RationalMatrix:
+    """The inclusion of small's datum into big's canonical gauge, checked
+    on big's whole basis: the small walk to big's degree bound, BadPair
+    unless big.basis annihilates it, read at big's standard monomials."""
+    ev = monomial_rows(small.b1, small.b2, small.e, big.d)
+    if not (big.basis @ ev).is_zero():
+        raise BadPair("ideals are not nested")
+    index = {m: r for r, m in enumerate(monomials_upto(big.d))}
+    return ev.submatrix([index[m] for m in big.standard_monomials()], range(small.c))
+
+
+def checked_nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
+    """nested_to_rep assembled with every check: the inclusion checked on
+    the whole basis (`basis_product_inclusion`) and the quotient built by
+    `build_nested_adhm`, which checks injectivity and intertwining."""
+    big, small = adhm_from_ideal(pair.big), adhm_from_ideal(pair.small)
+    nested = build_nested_adhm(small, big, basis_product_inclusion(pair.big, small))
+    ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
+    return EnhRep(
+        left=chart_embed(big, pair.nu, n), cp=small.c, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot
+    )

@@ -4,7 +4,8 @@
 whose construction proves the pair commutes; `trusted_commutators` checks
 each such datum.  Everything else keeps the check: a representation
 without a kept zero verdict or with a nonzero I_q, and an ideal not
-recorded as built as one.
+recorded as built as one, whose closure `adhm_from_ideal` then checks
+too, since border data can commute where the basis is not an ideal.
 """
 
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from nestquiv import (
     HirzRep,
+    NestedIdealPair,
     NotAnIdeal,
     NotCommuting,
     RelationsViolated,
@@ -25,13 +27,18 @@ from nestquiv import (
     chart_extract,
     default_theta,
     enumerate_nested_monomial,
+    inclusion_matrix,
     monomial_ideal,
     nested_to_rep,
+    partitions,
     rep_to_nested,
     same_orbit,
 )
 from nestquiv.chart import chart_blocks
-from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, random_gauge, random_nested_pair
+from nestquiv.corpus import (
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, ideal_of_points, random_gauge, random_nested_pair, random_points,
+)
+from nestquiv.monomials import monomials_upto
 from nestquiv.quiver import _keep_relations
 
 from conftest import M, injected_family, nu, random_fat_pair, trusted_commutators
@@ -135,3 +142,60 @@ def test_a_replaced_basis_that_is_not_an_ideal_is_refused():
         adhm_from_ideal(ZeroCycleIdeal.from_normal_forms(bad.standard_monomials(), bad.normal_forms(), 2))
     with pytest.raises(NotAnIdeal):
         ZeroCycleIdeal.from_json(bad.to_json())
+
+
+# Bases whose border data commute although they are not ideals: over
+# 1, x, y, x^2, xy, y^2, the rows y, x^2, xy, y^2 - x carry the datum of
+# (x^2, y), and x, y, x^2 - 5, xy, y^2 that of (x, y)
+BORDER_COMMUTES_C2 = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, -1, 0, 0, 0, 1]]
+BORDER_COMMUTES_C1 = [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [-5, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+                      [0, 0, 0, 0, 0, 1]]
+
+
+def _assert_refused(bad: ZeroCycleIdeal, pair: NestedIdealPair, errors) -> None:
+    """adhm_from_ideal(bad), the pair's inclusion_matrix and its
+    nested_to_rep (n = 1, 2) each raise one of errors."""
+    with pytest.raises(errors):
+        adhm_from_ideal(bad)
+    with pytest.raises(errors):
+        inclusion_matrix(pair.big, pair.small)
+    for n in (1, 2):
+        with pytest.raises(errors):
+            nested_to_rep(pair, n)
+
+
+def test_a_basis_whose_border_commutes_is_refused_unless_closed():
+    big = ZeroCycleIdeal(c=2, d=2, basis=M(BORDER_COMMUTES_C2))
+    with pytest.raises(NotAnIdeal):
+        big.validate()
+    _assert_refused(big, NestedIdealPair(nu=nu(1, 0), big=big, small=monomial_ideal((1,), d=1)), NotAnIdeal)
+    # at c = 1 every datum commutes; refused as the small ideal of a pair
+    small = ZeroCycleIdeal(c=1, d=2, basis=M(BORDER_COMMUTES_C1))
+    _assert_refused(small, NestedIdealPair(nu=nu(1, 0), big=monomial_ideal((2,)), small=small), NotAnIdeal)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=5), st.booleans())
+def test_a_perturbed_row_off_the_border_is_refused(seed, c, points):
+    # a pivot row whose pivot is no x or y times a standard monomial,
+    # perturbed at the standard columns below its pivot: the basis stays
+    # in echelon form and its border datum, which commutes, is unchanged,
+    # so only the closure check sees the row leave the ideal
+    rng = random.Random(seed)
+    if points:
+        pts = random_points(rng, c)
+        good, small = ideal_of_points(pts), ideal_of_points(pts[:1])
+    else:
+        good, small = monomial_ideal(rng.choice(partitions(c))), monomial_ideal((1,))
+    mons = monomials_upto(good.d)
+    std = [mons.index(m) for m in good.standard_monomials()]
+    border = {mons.index((a + da, b + db)) for a, b in good.standard_monomials() for da, db in ((1, 0), (0, 1))}
+    rows = [list(row) for row in good.basis.data]
+    pivot = lambda row: max(j for j, v in enumerate(row) if v)
+    row = rng.choice([row for row in rows if pivot(row) not in border])
+    below = [j for j in std if j < pivot(row)]  # 1 is always there
+    for j in below:
+        row[j] += rng.randint(-2, 2)
+    row[rng.choice(below)] += rng.choice([-3, 3])  # so that column moves, by 1 to 5
+    bad = ZeroCycleIdeal(c=good.c, d=good.d, basis=M(rows))
+    assert bad.standard_monomials() == good.standard_monomials()
+    _assert_refused(bad, NestedIdealPair(nu=CHART_FIRST, big=bad, small=small), NotAnIdeal)

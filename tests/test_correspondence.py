@@ -36,7 +36,7 @@ from nestquiv import (
 )
 from nestquiv.chart import _nested, chart_extract, first_regular, pencil
 from nestquiv.cli import main
-from nestquiv.correspondence import _nesting
+from nestquiv.ideals import _inclusion
 from nestquiv.corpus import (
     CHART_FIRST,
     CHART_MIXED,
@@ -49,7 +49,9 @@ from nestquiv.corpus import (
 from nestquiv.ratmat import kernel_basis, rank
 from nestquiv.stability import kernel_subrep
 
-from conftest import M, conversion_sample, nu, perturbed_rep, random_fat_pair
+from conftest import (
+    M, basis_product_inclusion, checked_nested_to_rep, conversion_sample, nu, perturbed_rep, random_fat_pair,
+)
 
 
 def hand_pair() -> NestedIdealPair:
@@ -262,29 +264,39 @@ def _unrecorded(i: ZeroCycleIdeal) -> ZeroCycleIdeal:
 
 
 def _assert_one_nesting_check_agrees(pair, n):
-    # the recorded path (_nesting, then _nested without checks) builds what
-    # the checked one does, and so does nested_to_rep of unrecorded copies
+    # the one path (_inclusion, then _nested without checks) builds what
+    # the checked construction does, the test-side oracle, for the pair and
+    # for its unrecorded copy read back from JSON
     big, small = adhm_from_ideal(pair.big), adhm_from_ideal(pair.small)
-    checked = build_nested_adhm(small, big, inclusion_matrix(pair.big, pair.small))
-    assert _nested(small, big, _nesting(pair.big, big, small)) == checked
-    copy = NestedIdealPair(nu=pair.nu, big=_unrecorded(pair.big), small=_unrecorded(pair.small))
-    assert nested_to_rep(pair, n) == nested_to_rep(copy, n)
+    checked = build_nested_adhm(small, big, basis_product_inclusion(pair.big, small))
+    assert _nested(small, big, _inclusion(pair.big, big, small)) == checked
+    copy = NestedIdealPair.from_json(pair.to_json())
+    assert not (copy.big._closed or copy.small._closed)
+    assert inclusion_matrix(copy.big, copy.small) == inclusion_matrix(pair.big, pair.small) == checked.incl
+    want = checked_nested_to_rep(pair, n).to_json()
+    assert nested_to_rep(pair, n).to_json() == nested_to_rep(copy, n).to_json() == want
 
 
 def test_recorded_pairs_that_are_not_nested_are_refused():
     # (x^3, y) does not lie in (x, y^2): y is in the first only
     big, small = monomial_ideal((3,)), monomial_ideal((1, 1))
     assert big._closed and small._closed and not contains(big, small)
+    recorded = NestedIdealPair(nu=nu(1, 0), big=big, small=small)
     for pair in (
-        NestedIdealPair(nu=nu(1, 0), big=big, small=small),
+        recorded,
         NestedIdealPair(nu=nu(1, 0), big=_unrecorded(big), small=_unrecorded(small)),
         NestedIdealPair(nu=nu(1, 0), big=big, small=_unrecorded(small)),
+        NestedIdealPair.from_json(recorded.to_json()),
     ):
         for n in (1, 2):
             with pytest.raises(BadPair, match="ideals are not nested"):
                 nested_to_rep(pair, n)
+            with pytest.raises(BadPair, match="ideals are not nested"):
+                checked_nested_to_rep(pair, n)
+        with pytest.raises(BadPair, match="ideals are not nested"):
+            inclusion_matrix(pair.big, pair.small)
     with pytest.raises(BadPair, match="ideals are not nested"):
-        _nesting(big, adhm_from_ideal(big), adhm_from_ideal(small))
+        _inclusion(big, adhm_from_ideal(big), adhm_from_ideal(small))
 
 
 def test_one_nesting_check_on_enumerated_pairs():

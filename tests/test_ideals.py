@@ -14,6 +14,7 @@ import nestquiv
 from nestquiv import ideals
 from nestquiv import (
     AdhmData,
+    BadPair,
     NestedIdealPair,
     NotAnIdeal,
     NotCostable,
@@ -289,6 +290,16 @@ def test_contains_needs_readable_multiplication():
         contains(monomial_ideal((2,)), short)
     with pytest.raises(NotAnIdeal):
         inclusion_matrix(monomial_ideal((3,)), short)
+
+
+def test_inclusion_matrix_of_the_empty_cycle():
+    # colength 0: the unit ideal has no 1 to send to 1, so it lies only in
+    # itself, with an empty inclusion
+    whole = monomial_ideal(())
+    assert inclusion_matrix(whole, whole) == RationalMatrix.zeros(0, 0)
+    for small in (monomial_ideal((1,)), monomial_ideal((2, 1))):
+        with pytest.raises(BadPair):
+            inclusion_matrix(whole, small)
 
 
 def test_from_rows_ignores_recombination():
@@ -586,10 +597,10 @@ def test_only_quiver_writes_a_relation_verdict():
 def test_only_proven_sites_skip_the_commutator():
     # chart._commuting builds a datum without forming [b1, b2], and
     # ideals._keep_closed records an ideal as built as one; each is called
-    # only where a construction proves it, and only the writer names the
-    # record or builds a bare AdhmData
-    callers = {"_commuting": [], "_keep_closed": [], "_nested": []}
-    named = []
+    # only where a construction proves it, only the writer names the
+    # record or builds a bare AdhmData, and only ideals reads the record
+    callers = {"_commuting": [], "_keep_closed": [], "_ideal_of_scan": [], "_nested": []}
+    named, read = [], []
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
@@ -599,6 +610,8 @@ def test_only_proven_sites_skip_the_commutator():
                         callers[node.func.id].append(f"{path.stem}.{fn.name}")
                     if isinstance(node, ast.Constant) and node.value == "_closed":
                         named.append(f"{path.stem}.{fn.name}")
+                    if isinstance(node, ast.Attribute) and node.attr == "_closed":
+                        read.append(f"{path.stem}.{fn.name}")
                     if (
                         isinstance(node, ast.Call)
                         and getattr(node.func, "attr", None) == "__new__"
@@ -608,14 +621,16 @@ def test_only_proven_sites_skip_the_commutator():
     assert sorted(callers["_commuting"]) == [
         "chart.chart_extract", "ideals._fixed_cycle_ideal", "ideals.adhm_from_ideal",
     ]
-    assert sorted(callers["_keep_closed"]) == [
-        "correspondence._small_ideal", "correspondence.rep_to_nested",
-        "ideals.ideal_from_adhm", "ideals.monomial_ideal",
+    assert sorted(callers["_keep_closed"]) == ["ideals._ideal_of_scan", "ideals.monomial_ideal"]
+    # the one record site for the scan of a commuting datum's walk
+    assert sorted(callers["_ideal_of_scan"]) == [
+        "correspondence._small_ideal", "correspondence.rep_to_nested", "ideals.ideal_from_adhm",
     ]
     # chart._nested assembles a nested datum without build_nested_adhm's
     # checks, where nested_to_rep's one nesting check proves them
     assert sorted(callers["_nested"]) == ["chart.build_nested_adhm", "correspondence.nested_to_rep"]
     assert named == ["chart._commuting", "ideals._keep_closed"]
+    assert read == ["ideals.adhm_from_ideal"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():

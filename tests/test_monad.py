@@ -20,6 +20,7 @@ from nestquiv import (
     cox_mul,
     fiber_ranks,
     hirz_residuals,
+    partitions,
     rank,
     support,
 )
@@ -40,7 +41,7 @@ from nestquiv.monad import SE, SINF, Y1, Y2, _point
 from nestquiv.quiver import HirzRep, act
 from nestquiv.ratmat import RationalMatrix
 
-from conftest import M, nu, point_rep, support_points
+from conftest import M, fat_point, nu, point_rep, support_points, union
 from test_frozen_outputs import _single_entry_mutant
 
 
@@ -323,6 +324,42 @@ def test_fiber_ranks_drop_by_the_socle_on_fat_points():
                 if off != (x, y):
                     assert fiber_ranks(m, (-off[0], 1, -off[1], 1)) == (c, c)
     assert checked == 33
+
+
+def _chart_point(at: NuPoint, x, y) -> tuple:
+    """The fiber point (y1, y2, s_e, s_inf) with y1_nu = -x, y2_nu = 1,
+    s_e = -y and s_inf = 1 in the chart at: there Q = b1^T - x and
+    P = b2^T - y, in the coordinates of a datum embedded at that chart."""
+    n1, n2, rho = at.nu1, at.nu2, at.rho
+    return (-n1 * x - n2) / rho, (-n2 * x + n1) / rho, -y, 1
+
+
+def test_fiber_ranks_drop_by_the_socle_on_unions_of_fat_points():
+    # a union of 2 or 3 fat points at distinct rational points, embedded
+    # in each of three charts and gauge-scrambled.  alpha's kernel is the
+    # common kernel of P and Q, the joint eigenvectors of (b1^T, b2^T) at
+    # the point, so at each support point it is that point's socle alone,
+    # of dimension s, the removable boxes of its partition; off the
+    # support nothing drops
+    rng = random.Random(29)
+    shapes = [lam for size in (1, 2, 3) for lam in partitions(size)]
+    checked = 0
+    for _ in range(10):
+        k = rng.randint(2, 3)
+        lams = [rng.choice(shapes) for _ in range(k)]
+        pts = random_points(rng, k)
+        a = union([fat_point(lam, *pt) for lam, pt in zip(lams, pts)])
+        c = a.c
+        for at in (nu(1, 0), nu(1, 1), nu(0, 1)):
+            for n in (1, 2, 3):
+                m = build_monad(act(random_gauge(rng, c), chart_embed(a, at, n)), at)
+                for lam, (x, y) in zip(lams, pts):
+                    assert fiber_ranks(m, _chart_point(at, x, y)) == (c - len(set(lam)), c)
+                    checked += 1
+                off = (random_fraction(rng), random_fraction(rng))
+                if off not in pts:
+                    assert fiber_ranks(m, _chart_point(at, *off)) == (c, c)
+    assert checked == 198
 
 
 def test_excluded_locus():
