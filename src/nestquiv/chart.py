@@ -33,10 +33,11 @@ terms), so no `Fraction` is built along the walk.  The covector closure
 and the whole ideal dictionary in `ideals` read their rows from it.
 `closure_scan` is the reader of a datum's own walk up to degree c: it
 keeps the (standard) monomials whose rows grow the span, stopping at the
-c-th, and returns every monomial's normal form, read off the walk of the
-canonical datum, or off the walk itself where the kept rows are the
-identity.  The number of monomials it keeps is the rank of the covector
-closure, so it is costability's one reader too.  `scan_walk` eliminates
+c-th.  The number it keeps is the rank of the covector closure, so it is
+costability's one reader too, and that count is all a scan costs until
+its normal forms are read (`_Scan`): then every monomial's normal form
+is built once, off the walk of the canonical datum, or off the walk
+itself where the kept rows are the identity.  `scan_walk` eliminates
 a whole walk once; the conversions give it the small cycle's walk, the
 left scan's normal forms times the kept rows times a kernel basis.
 
@@ -429,16 +430,56 @@ def scan_walk(walk: RationalMatrix, d: int):
     return [mons[p] for p in pivots], nf
 
 
-class _Scan(tuple):
-    """A closure scan: the tuple (monomials kept, normal forms), which `==`
-    compares, and as `gauge` the walk's rows at the kept monomials, K,
-    None where K is the identity.  A datum that is not costable keeps
-    only the monomials: its normal forms and gauge are None."""
+class _Scan:
+    """A closure scan: the pair (monomials kept, normal forms), which
+    unpacks, indexes and compares (`==`) as that tuple, and as `gauge`
+    the walk's rows at the kept monomials, K, None where K is the
+    identity.  A datum that is not costable keeps only the monomials: its
+    normal forms and gauge are None.
 
-    def __new__(cls, kept, nf, gauge):
-        scan = super().__new__(cls, (kept, nf))
-        scan.gauge = gauge
-        return scan
+    The kept monomials are the lazy pass's and are read as `kept` (or
+    `scan[0]`) at no further cost.  The normal forms are built on their
+    first read (`nf`, `scan[1]`, unpacking or `==`) and then kept: where
+    K is the identity, the rest of the walk to degree c; otherwise the
+    walk of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1).  Until
+    then `_rest` holds what that needs: the pair, the walk so far and the
+    suspended walk."""
+
+    __slots__ = ("kept", "gauge", "_nf", "_rest")
+
+    def __init__(self, kept, gauge, rest):
+        self.kept, self.gauge, self._nf, self._rest = kept, gauge, None, rest
+
+    @property
+    def nf(self) -> RationalMatrix | None:
+        rest = self._rest
+        if rest is not None:
+            b1, b2, rows, walk = rest
+            c = b1.rows
+            k = self.gauge
+            if k is None:
+                self._nf = _stack(rows + list(walk), c)
+            else:
+                inv = invert(k)
+                unit = RationalMatrix._wrap([[int(j == 0) for j in range(c)]], 1, c)
+                self._nf = monomial_rows(k @ b1 @ inv, k @ b2 @ inv, unit, c)
+            self._rest = None
+        return self._nf
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, i):
+        return (self.kept, self.nf)[i] if i else self.kept
+
+    def __iter__(self):
+        yield self.kept
+        yield self.nf
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Scan, tuple)) or len(other) != 2:
+            return NotImplemented
+        return self.kept == other[0] and self.nf == other[1]
 
 
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _Scan:
@@ -449,14 +490,16 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _
 
     The walk runs lazily, each row reduced against a fraction-free
     echelon of the kept ones (`ratmat._reduce`), and stops at the c-th
-    kept row: c independent rows span k^c.  The kept rows form K, and
-    nf is the walk times K^-1.  Where K is the identity, as for a datum
-    read in the chart its canonical datum was embedded in, the walk runs
-    on to degree c and is its own normal forms.  Otherwise nf is the walk
-    of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1), for any pair,
-    since conjugation is multiplicative; e K^-1 is the unit covector, as
-    e is K's first row.  With fewer than c kept rows the walk runs to
-    degree c and only the kept monomials are read.
+    kept row: c independent rows span k^c.  That pass is all a call
+    pays for; the number of monomials it keeps is costability.  The kept
+    rows form K, and nf is the walk times K^-1, built on its first read
+    (`_Scan.nf`).  Where K is the identity, as for a datum read in the
+    chart its canonical datum was embedded in, the walk runs on to degree
+    c and is its own normal forms.  Otherwise nf is the walk of the
+    canonical datum (K b1 K^-1, K b2 K^-1, e K^-1), for any pair, since
+    conjugation is multiplicative; e K^-1 is the unit covector, as e is
+    K's first row.  With fewer than c kept rows the walk runs to degree c
+    and only the kept monomials are read.
     """
     c = b1.rows
     walk = _walk(b1, b2, e, c)
@@ -475,11 +518,8 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _
     if len(kept) < c:
         return _Scan(kept, None, None)
     if all(row == [den * (i == j) for j in range(c)] for i, (row, den) in enumerate(gauge)):
-        return _Scan(kept, _stack(rows + list(walk), c), None)
-    k = _stack(gauge, c)
-    inv = invert(k)
-    unit = RationalMatrix._wrap([[int(j == 0) for j in range(c)]], 1, c)
-    return _Scan(kept, monomial_rows(k @ b1 @ inv, k @ b2 @ inv, unit, c), k)
+        return _Scan(kept, None, (b1, b2, rows, walk))
+    return _Scan(kept, _stack(gauge, c), (b1, b2, None, None))
 
 
 def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:

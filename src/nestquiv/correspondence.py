@@ -6,20 +6,24 @@ the dimension-c part and read off the big ideal.  The stability verdict
 reads its own chart through `stability._chart_reading`, one extraction
 and one closure scan, and the conversions read the big ideal off that
 same reader, so a conversion whose chart is the verdict's reads the left
-part once.  The small cycle is the kernel subrepresentation cut out by
-F1, F2, the left part restricted to the kernel bases; its walk is the
-left walk times the kernel basis k1 of F1, so the small ideal is read off
-the same closure scan, with no second walk of the left datum and no
-kernel subrepresentation built.  What depends
-only on the representation is kept on it and read once across calls:
-the verdict and each chart reading (on the left part), the relation
-verdict and the small ideal at each chart, so `rep_to_nested(x, p)` then
-`same_orbit(x, y, p)` reads x once.  The reverse direction rebuilds
-the canonical gauge of both cycles (`adhm_from_ideal`, the gate that
-proves each basis an ideal's) and splices them along the inclusion of
-quotients, checking nesting once for every pair (`ideals._inclusion`);
-its output keeps the relation verdict its construction proves, as do
-its gauge images (`act`), so their residuals are never formed.
+part once.  Only the conversions read a scan's normal forms, which are
+built on that read (`chart._Scan`): the verdict counts the kept rows,
+and `same_orbit` compares at the conversions' chart, so a chart that
+only a verdict reads is never read in full.  The small cycle is the
+kernel subrepresentation cut out by F1, F2, the left part restricted to
+the kernel bases; its walk is the left walk times the kernel basis k1
+of F1, so the small ideal is read off the same closure scan, with no
+second walk of the left datum and no kernel subrepresentation built.
+What depends only on the representation is kept on it and read once
+across calls: the verdict and each chart reading (on the left part),
+the relation verdict and the small ideal at each chart, so
+`rep_to_nested(x, p)` then `same_orbit(x, y, p)` reads x once.  The
+reverse direction rebuilds the canonical gauge of both cycles
+(`adhm_from_ideal`, the gate that proves each basis an ideal's) and
+splices them along the inclusion of quotients, checking nesting once
+for every pair (`ideals._inclusion`); its output keeps the relation
+verdict its construction proves, as do its gauge images (`act`), so
+their residuals are never formed.
 
 Both directions are deterministic: charts are tried in the fixed order
 [1,0], [0,1], [1,1], [1,2], ... and the first regular one wins, so a
@@ -79,19 +83,20 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
     walk is nf K (`chart._Scan`: the normal forms nf and the walk's kept
     rows K), so the small walk is the first rows of nf times K k1, or
     times k1 where K is the identity: the same matrix, with no second walk
-    of the left datum, and one scan_walk.  Its datum needs no check.  The
-    relations, checked first, make the restriction well defined;
-    k2 P' = P k1 makes its pencil P' invertible where P is;
-    [b1', b2'] lies in [b1, b2] k1 = 0; and the left walk has rank c with
-    k1 injective, so the product has rank c'.  The scan of a commuting
-    datum's walk is an ideal (`ideals._ideal_of_scan`).
+    of the left datum, and one scan_walk, which reads the scan's normal
+    forms (built then, if no conversion has read them at nu).  Its datum
+    needs no check.  The relations, checked first, make the restriction
+    well defined; k2 P' = P k1 makes its pencil P' invertible where P
+    is; [b1', b2'] lies in [b1, b2] k1 = 0; and the left walk has rank c
+    with k1 injective, so the product has rank c'.  The scan of a
+    commuting datum's walk is an ideal (`ideals._ideal_of_scan`).
     """
     small = x._kept.get(nu)
     if small is None:
         cp = x.cp
         _, scan = _chart_reading(x.left, nu)
         k1 = kernel_basis(x.F1)
-        nf = scan[1].submatrix(range(count_upto(cp)), range(x.c))
+        nf = scan.nf.submatrix(range(count_upto(cp)), range(x.c))
         walk = nf @ (k1 if scan.gauge is None else scan.gauge @ k1)
         small = x._kept[nu] = _ideal_of_scan(*scan_walk(walk, cp), cp)
     return small
@@ -110,16 +115,16 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     the verdict's is, else [0,1] when the left pencil is regular there,
     else the verdict's (`_conversion_chart`).  The big ideal is the closure
     scan of the chart reading there (`_chart_reading`, kept on x.left):
-    where the chart is the verdict's, the verdict already read it.  The
-    verdict, the chart readings, the relation verdict and the small ideal
-    are kept on x, so a later conversion or `same_orbit` of x does not
-    read them again.  Only the left pencil P is tested: the kernel's P'
-    has k2 P' = P k1 (kernel bases k1, k2), so it is regular with P.  The
-    pair is nested without a check: big.basis annihilates the left walk,
-    and the small walk is that walk times k1.  Both ideals are scans of a
-    commuting datum's walk (`ideals._ideal_of_scan`), so both are
-    recorded as ideals, and `adhm_from_ideal` of either forms no
-    commutator.
+    where the chart is the verdict's, the verdict already extracted and
+    counted it, and this builds its normal forms.  The verdict, the chart
+    readings, the relation verdict and the small ideal are kept on x, so
+    a later conversion or `same_orbit` of x does not read them again.
+    Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
+    (kernel bases k1, k2), so it is regular with P.  The pair is nested
+    without a check: big.basis annihilates the left walk, and the small
+    walk is that walk times k1.  Both ideals are scans of a commuting
+    datum's walk (`ideals._ideal_of_scan`), so both are recorded as
+    ideals, and `adhm_from_ideal` of either forms no commutator.
     """
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
@@ -173,19 +178,29 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
 
     Inputs on different surfaces raise ShapeMismatch; inputs with
     different c or c' return False before any stability check.  Stable
-    orbits are separated by their nested cycles, so the test compares the
-    pairs both stability verdicts read, each at its own chart: x's
-    verdict, then y's, then both inputs' relations.  Inputs whose verdicts
-    read different charts are on different orbits: the gauge group moves a
-    pencil's determinant only by a nonzero scalar, so the charts where it
-    is regular, and the first of them, are the same along an orbit.  In
-    one chart the closure scans that the verdicts read (`_chart_reading`)
-    are the big ideals (`ZeroCycleIdeal.from_normal_forms` is one to one),
-    and the small ideals are read off the same extractions only when the
-    scans agree.  Raises NotStable, then RelationsViolated, if either input
-    fails, x before y, before that answer.  Each input's readings are kept
-    on it, as in `rep_to_nested`: an input already converted is not read
-    again, and same_orbit(x, x, p) reads x once.
+    orbits are separated by their nested cycles: `rep_to_nested` is one
+    to one on stable orbits (the bijection of stable orbits with nested
+    pairs), so two stable inputs are on one orbit exactly when it gives
+    them the same pair, and the test compares the pairs it reads.  It
+    reads x's verdict, then y's, then both inputs' relations.  Inputs
+    whose verdicts read different charts are on different orbits: the
+    gauge group moves a pencil's determinant only by a nonzero scalar, so
+    the charts where it is regular, and the first of them, are the same
+    along an orbit.  For the same reason the conversions' chart
+    (`_conversion_chart`: the verdict's chart, or [0,1] where the pencil
+    is regular there) is the same along an orbit, and inputs whose
+    conversion charts differ are on different orbits.  In that chart the
+    closure scans (`_chart_reading`) are the big ideals
+    (`ZeroCycleIdeal.from_normal_forms` is one to one), and the small
+    ideals are read off the same extractions only when the scans agree:
+    the pairs `rep_to_nested` returns, compared part by part.  At c' = 0,
+    where `rep_to_nested` raises DomainError, the same comparison runs
+    with the empty small cycle.  Raises NotStable, then
+    RelationsViolated, if either input fails, x before y, before that
+    answer.  Each input's readings are kept on it, as in `rep_to_nested`:
+    after `rep_to_nested(x, p)`, x's reading and small ideal at the
+    pair's chart are not read again, and same_orbit(x, x, p) reads x
+    once.
     """
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
@@ -197,6 +212,9 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     _require_relations(y)
     if chart_x != chart_y:
         return False
-    if _chart_reading(x.left, chart_x)[1] != _chart_reading(y.left, chart_y)[1]:
+    at = _conversion_chart(x.left.A1, x.left.A2, chart_x)
+    if at != _conversion_chart(y.left.A1, y.left.A2, chart_y):
         return False
-    return _small_ideal(x, chart_x) == _small_ideal(y, chart_y)
+    if _chart_reading(x.left, at)[1] != _chart_reading(y.left, at)[1]:
+        return False
+    return _small_ideal(x, at) == _small_ideal(y, at)

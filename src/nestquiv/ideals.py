@@ -24,13 +24,14 @@ Conventions frozen here:
   * every passage from a datum to its ideal goes through
     `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order.
     In the canonical gauge its row m is the normal form of m, so the
-    dictionary is `chart.closure_scan` (the walk scanned until c rows are
-    kept, then the normal forms read off the canonical datum's walk),
-    then `from_normal_forms`, and `canonical_form` is the round trip
-    through the ideal.  `contains` evaluates on the walk and checks the
-    whole basis; `inclusion_matrix` and `correspondence.nested_to_rep`
-    check a pair's nesting once, by the intertwining of the small walk at
-    the big standard monomials (`_inclusion`);
+    dictionary is `chart.closure_scan` (the walk scanned until c rows
+    are kept, then the normal forms read off the canonical datum's walk,
+    built when `from_normal_forms` reads them), then
+    `from_normal_forms`, and `canonical_form` is the round trip through
+    the ideal.  `contains` evaluates on the walk and checks the whole
+    basis; `inclusion_matrix` and `correspondence.nested_to_rep` check a
+    pair's nesting once, by the intertwining of the small walk at the
+    big standard monomials (`_inclusion`);
   * `support` reads a cycle's points and lengths off its datum's traces.
 
 `adhm_from_ideal` is the one gate that proves a basis is an ideal's, and
@@ -129,6 +130,11 @@ class ZeroCycleIdeal:
         """Closure of the truncation under multiplication, where checkable:
         x*f and y*f must have zero normal form whenever they stay within
         degree d."""
+        self._closure(self.normal_forms())
+
+    def _closure(self, nf: RationalMatrix) -> None:
+        """`validate`, given the normal forms: the one closure check, for
+        `validate` and for `adhm_from_ideal`, which has read them."""
         mons = monomials_upto(self.d)
         index = {m: i for i, m in enumerate(mons)}
         shifted = []
@@ -143,7 +149,7 @@ class ZeroCycleIdeal:
                         out[index[(a + da, b + db)]] = v
                 shifted.append(out)
         if shifted and not (
-            RationalMatrix._wrap(shifted, self.basis.den, len(mons)) @ self.normal_forms()
+            RationalMatrix._wrap(shifted, self.basis.den, len(mons)) @ nf
         ).is_zero():
             raise NotAnIdeal("truncation is not closed under multiplication")
 
@@ -255,7 +261,8 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
     left kernel of monomial_rows) is exactly the truncated ideal, read
     off closure_scan (`_ideal_of_scan`); the datum is costable exactly
-    when the walk has rank c.
+    when the walk has rank c.  It reads the scan's normal forms, which
+    are built then (`chart._Scan`); a scan that is not costable has none.
     """
     return _ideal_of_scan(*closure_scan(a.b1, a.b2, a.e), a.c)
 
@@ -291,7 +298,8 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     This is the one gate that proves i an ideal's truncation.  A recorded
     ideal (`_keep_closed`) gets its datum without the commutator
     (`chart._commuting`).  Any other i has it formed by `AdhmData`
-    (NotCommuting), then its closure checked (`validate`, NotAnIdeal).
+    (NotCommuting), then its closure checked (`validate`'s check, on the
+    normal forms read here, NotAnIdeal).
     Together they prove that the basis spans I cap M_d, I the annihilator
     of the datum's covector, an ideal as b1, b2 commute.  Closure makes
     the staircase divisor-closed, so the walk is the unit vector at each
@@ -318,7 +326,7 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     if i._closed:
         return _commuting(c, b1, b2, e)
     a = AdhmData(c=c, b1=b1, b2=b2, e=e)
-    i.validate()
+    i._closure(nf)
     return a
 
 

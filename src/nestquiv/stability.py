@@ -14,9 +14,10 @@ and (C1) in front of it.  The cone checks compare cross-multiplied
 integer numerators and denominators of the parameters, so no Fraction
 is built for a verdict.  Costability is read off `_chart_reading`, the
 one reader of a chart: it extracts the datum at a chart and scans its
-covector closure once, and the size of the scan is the verdict, while
-its normal forms are the big ideal that the conversions in
-`correspondence` read at the same chart.  A representation is immutable,
+covector closure once, and the number of rows the scan keeps is the
+verdict.  The scan's normal forms are the big ideal, built only when a
+conversion in `correspondence` reads them at that chart, so a verdict
+pays for the lazy count alone.  A representation is immutable,
 so the verdict and each chart reading are kept on it and computed once,
 by whichever caller asks first (`HirzRep._kept`).  The oracle re-derives
 verdicts directly from the subrepresentation inequalities and is used by the
@@ -123,11 +124,12 @@ def _closure_witness(r: int, c: int) -> str | None:
 
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
     """Costability: the covector closure span{e b1^a b2^b} has full rank,
-    the number of monomials `closure_scan` keeps.  The inputs are read as
-    an `AdhmData`, which raises ShapeMismatch unless b1, b2 are c x c and
-    e is 1 x c, and NotCommuting unless [b1, b2] = 0."""
+    the number of monomials `closure_scan` keeps; its normal forms are
+    never built.  The inputs are read as an `AdhmData`, which raises
+    ShapeMismatch unless b1, b2 are c x c and e is 1 x c, and
+    NotCommuting unless [b1, b2] = 0."""
     a = AdhmData(c=b1.rows, b1=b1, b2=b2, e=e)
-    witness = _closure_witness(len(closure_scan(a.b1, a.b2, a.e)[0]), a.c)
+    witness = _closure_witness(len(closure_scan(a.b1, a.b2, a.e).kept), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness)
 
 
@@ -140,8 +142,10 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     kept rows (`chart._Scan.gauge`) they give the small walk, so the
     verdict and the conversions share one extraction and one scan per
     chart.  A verdict-only call pays for the scan up to its c-th kept row
-    and the canonical walk.  Nothing is kept when the extraction raises
-    (`chart_extract`).
+    and no more: the normal forms (K's inversion and the canonical walk,
+    or the rest of the walk where K is the identity) are built on their
+    first read, by a conversion, and kept on the scan.  Nothing is kept
+    when the extraction raises (`chart_extract`).
     """
     reading = x._kept.get(nu)
     if reading is None:
@@ -176,8 +180,8 @@ def _read_left(x: HirzRep) -> StabilityVerdict:
         nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
         return StabilityVerdict(stable=False, witness="irregular pencil")
-    a, (kept, _) = _chart_reading(x, nu)
-    witness = _closure_witness(len(kept), a.c)
+    a, scan = _chart_reading(x, nu)
+    witness = _closure_witness(len(scan.kept), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 

@@ -8,6 +8,7 @@ recorded as built as one, whose closure `adhm_from_ideal` then checks
 too, since border data can commute where the basis is not an ideal.
 """
 
+import contextlib
 import random
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nestquiv.ideals
 from nestquiv import (
     HirzRep,
     NestedIdealPair,
@@ -199,3 +201,18 @@ def test_a_perturbed_row_off_the_border_is_refused(seed, c, points):
     bad = ZeroCycleIdeal(c=good.c, d=good.d, basis=M(rows))
     assert bad.standard_monomials() == good.standard_monomials()
     _assert_refused(bad, NestedIdealPair(nu=CHART_FIRST, big=bad, small=small), NotAnIdeal)
+
+
+@pytest.mark.parametrize("rows", [None, NOT_AN_IDEAL, BORDER_COMMUTES_C2], ids=["ideal", "not commuting", "not closed"])
+def test_the_gate_reads_an_unrecorded_basis_once(monkeypatch, rows):
+    # adhm_from_ideal reads the pivots of an unrecorded basis once, for its
+    # datum and its closure check alike; validate alone reads them once
+    j = ZeroCycleIdeal(c=2, d=2, basis=monomial_ideal((2,)).basis if rows is None else M(rows))
+    reads = []
+    pivot_rows = nestquiv.ideals._pivot_rows
+    monkeypatch.setattr(nestquiv.ideals, "_pivot_rows", lambda basis: reads.append(1) or pivot_rows(basis))
+    for check in (adhm_from_ideal, ZeroCycleIdeal.validate):
+        reads.clear()
+        with contextlib.suppress(NotCommuting, NotAnIdeal):
+            check(j)
+        assert len(reads) == 1, check.__name__

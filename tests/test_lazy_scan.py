@@ -133,9 +133,10 @@ def _walked(monkeypatch):
 @pytest.mark.parametrize("kind", ["reduced", "fat", "one line", "two lines", "fat on a line"])
 def test_a_costable_scan_walks_the_datum_to_its_last_kept_row(monkeypatch, kind):
     # a scrambled datum is walked up to its c-th kept row, at most to its
-    # last kept degree; the rest of the walk is the canonical datum's.  A
-    # datum whose kept rows are the identity is its own normal forms, so
-    # it is walked to degree c and nothing else is
+    # last kept degree; the rest of the walk is the canonical datum's,
+    # drawn only once the normal forms are read.  A datum whose kept rows
+    # are the identity is its own normal forms, so reading them walks it
+    # on to degree c and nothing else
     rng = random.Random(17)
     for c in (3, 5, 7):
         a = cycle(rng, kind, c)
@@ -146,7 +147,9 @@ def test_a_costable_scan_walks_the_datum_to_its_last_kept_row(monkeypatch, kind)
         assert drawn.pop(id(b.b1)) == last + 1 <= count_upto(sum(kept[-1]))
         assert list(drawn.values()) == [count_upto(c)]
         drawn = _walked(monkeypatch)
-        closure_scan(a.b1, a.b2, a.e)
+        scan = closure_scan(a.b1, a.b2, a.e)
+        assert drawn == {id(a.b1): monomials_upto(c).index(scan.kept[-1]) + 1}
+        scan.nf
         assert drawn == {id(a.b1): count_upto(c)}
 
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+import nestquiv.chart
 import nestquiv.correspondence
 import nestquiv.quiver
 import nestquiv.stability
@@ -207,3 +208,36 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     assert residuals == [id(read)]
     assert len(closures) == len(set(closures)), closures
     assert {nu for z, nu in closures if z == id(x.left)} == {verdict_chart, pair.nu}
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))
+def test_same_orbit_after_both_conversions_reads_no_new_chart(monkeypatch, chart):
+    # same_orbit compares at the chart rep_to_nested read, so once both
+    # inputs are converted it extracts, scans and builds nothing new: their
+    # readings and small ideals there are kept
+    rng = random.Random(223)
+    for other in (False, True):
+        _, rep, x = scrambled(rng, 4, 2, 2, chart)
+        y = scrambled(rng, 4, 2, 2, chart)[2] if other else act(random_gauge(rng, 4, 2), rep)
+        p = default_theta(4, 2)
+        for z in (x, y):
+            rep_to_nested(z, p)
+        calls = []
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return orig(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(nestquiv.stability, "chart_extract")
+        counting(nestquiv.stability, "closure_scan")
+        counting(nestquiv.chart, "invert")
+        counting(nestquiv.correspondence, "scan_walk")
+        assert same_orbit(x, y, p) is (not other)
+        assert same_orbit(y, x, p) is (not other)
+        assert calls == []
+        monkeypatch.undo()

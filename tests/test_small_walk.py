@@ -52,7 +52,7 @@ def test_kernel_walk_is_the_left_walk_times_k1():
     "call, chart, verdict_chart, inversions",
     [
         ("rep_to_nested", CHART_FIRST, nu(1, 0), 2),
-        ("rep_to_nested", CHART_SECOND, nu(1, 1), 4),
+        ("rep_to_nested", CHART_SECOND, nu(1, 1), 3),
         ("rep_to_nested", CHART_MIXED, nu(1, 1), 2),
         ("same_orbit", CHART_FIRST, nu(1, 0), 3),
     ],
@@ -61,8 +61,10 @@ def test_kernel_walk_is_the_left_walk_times_k1():
 def test_conversions_never_build_the_kernel(monkeypatch, call, chart, verdict_chart, inversions):
     # one inversion of A_nu per left part where the verdict reads the
     # pair's chart; [0,1] pairs read the verdict at [1,1], the pair at [0,1].
-    # Each scan of a scrambled datum also inverts its walk's kept rows K;
-    # rep, read at its own chart, has K the identity
+    # Each scan of a scrambled datum whose normal forms are read also
+    # inverts its walk's kept rows K: only the pair's chart reads them, so
+    # the [1,1] verdict of a [0,1] pair does not; rep, read at its own
+    # chart, has K the identity
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
