@@ -10,7 +10,10 @@ datum in the chart at nu, gauge-normalized so that the pencil combination
 A_nu is the identity; `chart_blocks` reads any representation whose
 pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
 
-    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
+    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu,
+
+which is (D_nu, C_nu, I_nu), read with no inversion, where A_nu is the
+identity, as in the chart a representation was embedded in.
 
 A label `NuPoint` is read once, in integers: it keeps the primitive
 integer pair (u1, u2) with nu = (u1, u2) / g, which is its key for `==`
@@ -325,10 +328,17 @@ def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
 
 def chart_blocks(x: HirzRep, nu: NuPoint):
     """The blocks (b1, b2, I_nu) of x in the chart at nu.  Requires c0 = c1
-    and A_nu invertible; the relations are not assumed."""
+    and A_nu invertible; the relations are not assumed.
+
+    Where A_nu is exactly the identity, as in the chart a representation
+    was embedded in (`chart_embed`), the blocks are (D_nu, C_nu, I_nu),
+    with no inversion and no product: an exact comparison, like the
+    K = identity path of `closure_scan`."""
     if x.c0 != x.c1:
         raise ShapeMismatch("reading a chart needs c0 = c1")
     a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
+    if a_nu == RationalMatrix.identity(x.c0):
+        return d_nu, c_nu, i_nu
     try:
         a_inv = invert(a_nu)
     except Singular:

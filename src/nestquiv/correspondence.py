@@ -15,9 +15,10 @@ the kernel bases; its walk is the left walk times the kernel basis k1
 of F1, so the small ideal is read off the same closure scan, with no
 second walk of the left datum and no kernel subrepresentation built.
 What depends only on the representation is kept on it and read once
-across calls: the verdict and each chart reading (on the left part),
-the relation verdict and the small ideal at each chart, so
-`rep_to_nested(x, p)` then `same_orbit(x, y, p)` reads x once.  The
+across calls: the verdict, the conversions' chart and each chart
+reading (on the left part), the relation verdict, the answer to (C1)
+and the small ideal at each chart, so `rep_to_nested(x, p)` then
+`same_orbit(x, y, p)` reads x once and ranks no pencil again.  The
 reverse direction rebuilds the canonical gauge of both cycles
 (`adhm_from_ideal`, the gate that proves each basis an ideal's) and
 splices them along the inclusion of quotients, checking nesting once
@@ -54,6 +55,17 @@ def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) ->
     if chart == CHART_FIRST:
         return chart
     return first_regular([(a1, a2)], [CHART_SECOND]) or chart
+
+
+def _pair_chart(x: EnhRep, chart: NuPoint) -> NuPoint:
+    """The conversions' chart of x (`_conversion_chart`), given chart, the
+    one x's stable verdict read; kept on x.left beside that verdict
+    (`HirzRep._kept`), as both depend on the left part alone."""
+    kept = x.left._kept
+    at = kept.get("conversion")
+    if at is None:
+        at = kept["conversion"] = _conversion_chart(x.left.A1, x.left.A2, chart)
+    return at
 
 
 def _stable_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint:
@@ -113,12 +125,13 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     both.  That order is regular_sample(c), where the stable verdict read
     the first regular chart, with [0,1] second: so the chart is [1,0] when
     the verdict's is, else [0,1] when the left pencil is regular there,
-    else the verdict's (`_conversion_chart`).  The big ideal is the closure
+    else the verdict's (`_pair_chart`).  The big ideal is the closure
     scan of the chart reading there (`_chart_reading`, kept on x.left):
     where the chart is the verdict's, the verdict already extracted and
-    counted it, and this builds its normal forms.  The verdict, the chart
-    readings, the relation verdict and the small ideal are kept on x, so
-    a later conversion or `same_orbit` of x does not read them again.
+    counted it, and this builds its normal forms.  The verdict, the
+    conversions' chart, the chart readings, the relation verdict and the
+    small ideal are kept on x, so a later conversion or `same_orbit` of x
+    does not read them again.
     Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
     (kernel bases k1, k2), so it is regular with P.  The pair is nested
     without a check: big.basis annihilates the left walk, and the small
@@ -130,7 +143,7 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
     chart = _stable_chart(x, p)
     _require_relations(x)
-    at = nu or _conversion_chart(x.left.A1, x.left.A2, chart)
+    at = nu or _pair_chart(x, chart)
     _, (kept, nf) = _chart_reading(x.left, at)
     return NestedIdealPair(nu=at, big=_ideal_of_scan(kept, nf, x.c), small=_small_ideal(x, at))
 
@@ -187,7 +200,7 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     gauge group moves a pencil's determinant only by a nonzero scalar, so
     the charts where it is regular, and the first of them, are the same
     along an orbit.  For the same reason the conversions' chart
-    (`_conversion_chart`: the verdict's chart, or [0,1] where the pencil
+    (`_pair_chart`: the verdict's chart, or [0,1] where the pencil
     is regular there) is the same along an orbit, and inputs whose
     conversion charts differ are on different orbits.  In that chart the
     closure scans (`_chart_reading`) are the big ideals
@@ -212,8 +225,8 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     _require_relations(y)
     if chart_x != chart_y:
         return False
-    at = _conversion_chart(x.left.A1, x.left.A2, chart_x)
-    if at != _conversion_chart(y.left.A1, y.left.A2, chart_y):
+    at = _pair_chart(x, chart_x)
+    if at != _pair_chart(y, chart_y):
         return False
     if _chart_reading(x.left, at)[1] != _chart_reading(y.left, at)[1]:
         return False

@@ -47,13 +47,21 @@ readings, big and small).  Its datum is built without the commutator
 closure checked (`validate`), so a basis that is not an ideal raises
 NotCommuting or NotAnIdeal there.  The record is not a field: it changes
 no `==`, hash or JSON.
+
+An ideal is immutable, so the gate's proof is kept on it: once
+`adhm_from_ideal` passes, the canonical datum and its staircase stay on
+the object (`ZeroCycleIdeal._kept`, written by the gate alone), and a
+later call, or `_inclusion`'s reading of the big staircase, reads them
+there.  That is what `enumerate_nested_monomial`'s shared ideals need:
+one object for a small cycle under many big ones.  Errors are not kept,
+and a copy is another object, gated on its first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from operator import matmul, mul
 
@@ -92,7 +100,7 @@ class ZeroCycleIdeal:
     basis rows are coefficient vectors over monomials_upto(d) in ascending
     order, reduced against the descending order (see module docstring).
     `_closed` is True only on an ideal `_keep_closed` recorded as built
-    as one; it is not a field.
+    as one; it is not a field, and neither is `_kept`.
     """
 
     c: int
@@ -152,6 +160,14 @@ class ZeroCycleIdeal:
             RationalMatrix._wrap(shifted, self.basis.den, len(mons)) @ nf
         ).is_zero():
             raise NotAnIdeal("truncation is not closed under multiplication")
+
+    @cached_property
+    def _kept(self) -> dict:
+        """What `adhm_from_ideal`, its one writer, proved of this basis:
+        the canonical datum ("adhm") and its staircase ("std"), kept once
+        the gate passes, like `quiver.HirzRep._kept`.  The normal forms
+        are not kept."""
+        return {}
 
     def standard_monomials(self) -> list[tuple[int, int]]:
         """Divisor-closed staircase spanning the quotient, ascending order."""
@@ -310,7 +326,16 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     q is the row of m plus lower rows: by induction every row lies in I.
     The commutator alone does not suffice: y, x^2, xy, y^2 - x has the
     commuting datum of (x^2, y).
+
+    A basis is immutable, so the datum and its staircase are kept on i
+    (`ZeroCycleIdeal._kept`) once the gate passes, and a later call on
+    the same object returns the kept datum.  Errors are not kept: a basis
+    that is not an ideal's raises on every call.  A `replace`d or
+    JSON-read copy is another object and is gated on its first call.
     """
+    kept = i._kept
+    if kept:
+        return kept["adhm"]
     cols, nf = i._reduced()
     mons = monomials_upto(i.d)
     std = [mons[j] for j in cols]
@@ -324,9 +349,11 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
     e = RationalMatrix._wrap([[int(m == (0, 0)) for m in std]], 1, c)
     if i._closed:
-        return _commuting(c, b1, b2, e)
-    a = AdhmData(c=c, b1=b1, b2=b2, e=e)
-    i._closure(nf)
+        a = _commuting(c, b1, b2, e)
+    else:
+        a = AdhmData(c=c, b1=b1, b2=b2, e=e)
+        i._closure(nf)
+    kept["adhm"], kept["std"] = a, std
     return a
 
 
@@ -352,7 +379,8 @@ def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatr
 def _inclusion(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> RationalMatrix:
     """The inclusion of a nested pair, given the canonical data
     big = adhm_from_ideal(ideal) and small, with the pair's one nesting
-    check: BadPair when the ideals are not nested.
+    check: BadPair when the ideals are not nested.  The big staircase is
+    the one that gate kept on ideal (`ZeroCycleIdeal._kept`).
 
     incl, the small walk at the big standard monomials, is the linear map
     Q_big -> Q_small with m |-> m.  It is a module map,
@@ -366,7 +394,7 @@ def _inclusion(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> Rationa
     its row at 1 is small.e = big.e incl.  c' <= c is checked apart, for
     c = 0, where Q_big has no 1.
     """
-    std = ideal.standard_monomials()
+    std = ideal._kept["std"]
     d = max(map(sum, std), default=0)
     index = {m: r for r, m in enumerate(monomials_upto(d))}
     incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([index[m] for m in std], range(small.c))
@@ -428,13 +456,23 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
 
     Order: chart-1 colength descending, then partitions in generation order;
     charts=1 is the chart-1 colength c block of charts=2.
+
+    Within one call each cycle's ideal is built once per chart, and each
+    block (lam, home chart) is transported to [1, 1] once, as a block
+    recurs in many mixed cycles; both caches live for the call.  The
+    ideals are immutable, so the datum `adhm_from_ideal` proves of one is
+    kept on it, and a small ideal under many big ones is gated once.
     """
     if not 0 <= cp < c:
         raise ShapeMismatch("need 0 <= cp < c")
     if charts not in (1, 2):
         raise ShapeMismatch("charts must be 1 or 2")
-    # one ideal per cycle and chart: a small cycle recurs under many big ones
-    ideal_at = cache(lambda part1, part2, nu: _fixed_cycle_ideal(part1, part2, nu, n))
+    # one ideal per cycle and chart: a small cycle recurs under many big ones;
+    # one transport per block and home chart: a block recurs in many mixed cycles
+    moved = cache(
+        lambda lam, home: transform_chart(adhm_from_ideal(monomial_ideal(lam)), home, CHART_MIXED, n)
+    )
+    ideal_at = cache(lambda part1, part2, nu: _fixed_cycle_ideal(part1, part2, nu, moved))
     out = []
     for c1 in range(c, -1 if charts == 2 else c - 1, -1):
         c2 = c - c1
@@ -456,22 +494,19 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     return out
 
 
-def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, n: int) -> ZeroCycleIdeal:
+def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, moved) -> ZeroCycleIdeal:
     """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
     at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
     those two charts the other part is empty; in [1, 1] the nonempty parts
-    are transported there and summed.  The sum is built without its
-    commutator (`chart._commuting`): block_diag of commuting pairs
-    commutes block by block."""
+    are transported there, moved(lam, home) the datum of the staircase lam
+    at the origin of its home chart read in [1, 1], and summed.  The sum is
+    built without its commutator (`chart._commuting`): block_diag of
+    commuting pairs commutes block by block."""
     if nu == CHART_FIRST:
-        return monomial_ideal(lam1, d=sum(lam1))
+        return monomial_ideal(lam1)
     if nu == CHART_SECOND:
-        return monomial_ideal(lam2, d=sum(lam2))
-    parts = [
-        transform_chart(adhm_from_ideal(monomial_ideal(lam, d=sum(lam))), home, nu, n)
-        for lam, home in ((lam1, CHART_FIRST), (lam2, CHART_SECOND))
-        if lam
-    ]
+        return monomial_ideal(lam2)
+    parts = [moved(lam, home) for lam, home in ((lam1, CHART_FIRST), (lam2, CHART_SECOND)) if lam]
     joined = _commuting(
         sum(lam1) + sum(lam2),
         block_diag([t.b1 for t in parts]),
@@ -519,8 +554,14 @@ def support(a: AdhmData) -> tuple:
     points, exactly when g1(L) b1 - gx(L) and g1(L) b2 - gy(L) are
     nilpotent; a pair of points rules out at most one t, so one of the
     first c(c-1)/2 + 1 is kept.
+
+    A datum that is not costable has no cycle and raises NotCostable:
+    the lazy count of its covector closure (`chart.closure_scan`, which
+    builds no normal forms) must keep c rows.
     """
     c = a.c
+    if len(closure_scan(a.b1, a.b2, a.e).kept) < c:
+        raise NotCostable("datum is not costable, so it has no cycle")
     one = RationalMatrix.identity(c)
     for k in range(c * (c - 1) // 2 + 1):
         t = (-1) ** (k + 1) * ((k + 1) // 2)

@@ -87,7 +87,8 @@ class HirzRep:
     @cached_property
     def _kept(self) -> dict:
         """Readings of this object, filled in by the readers that compute
-        them: `stability` keeps the verdict and each chart reading here."""
+        them: `stability` keeps the verdict and each chart reading here,
+        and `correspondence` the conversions' chart."""
         return {}
 
     def to_json(self) -> dict:
@@ -177,8 +178,9 @@ class EnhRep:
     @cached_property
     def _kept(self) -> dict:
         """Readings of this object, filled in by the readers that compute
-        them: `correspondence._small_ideal` keeps one small ideal per chart.
-        The left part's reading is kept on `left`."""
+        them: `correspondence._small_ideal` keeps one small ideal per chart,
+        and `stability.is_theta_stable` the answer to (C1).  The left
+        part's readings are kept on `left`."""
         return {}
 
     def to_json(self) -> dict:

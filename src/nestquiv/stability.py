@@ -19,7 +19,8 @@ verdict.  The scan's normal forms are the big ideal, built only when a
 conversion in `correspondence` reads them at that chart, so a verdict
 pays for the lazy count alone.  A representation is immutable,
 so the verdict and each chart reading are kept on it and computed once,
-by whichever caller asks first (`HirzRep._kept`).  The oracle re-derives
+by whichever caller asks first (`HirzRep._kept`), and so is the answer
+to (C1) on the enhanced one (`EnhRep._kept`).  The oracle re-derives
 verdicts directly from the subrepresentation inequalities and is used by the
 test suite to cross-check the chain on torus-fixed inputs.
 """
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 from .chart import AdhmData, NuPoint, chart_extract, closure_scan, find_regular_nu
 from .errors import (
@@ -189,14 +189,17 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     """Two-condition stability test inside the enhanced cone: the cone
     check (ConeViolation outside it), then (C1), the first of F1, F2 that
     is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
-    kept on x.left), its witness prefixed.  The cone check, (C1) and the
-    prefix run on every call."""
+    kept on x.left), its witness prefixed.  (C1) depends on x alone, so its
+    answer, the failing map or None, is kept on x (`EnhRep._kept`); the
+    cone check depends on p and runs on every call, as does the prefix."""
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
-    s = x.c - x.cp
-    for name, f in (("F1", x.F1), ("F2", x.F2)):
-        if rank(f) != s:
-            return StabilityVerdict(stable=False, witness=f"(C1) {name}")
+    kept = x._kept
+    if "C1" not in kept:
+        s = x.c - x.cp
+        kept["C1"] = next((name for name, f in (("F1", x.F1), ("F2", x.F2)) if rank(f) != s), None)
+    if kept["C1"] is not None:
+        return StabilityVerdict(stable=False, witness=f"(C1) {kept['C1']}")
     verdict = is_gamma_stable(x.left)
     if not verdict.stable:
         verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
@@ -261,14 +264,22 @@ def _check_fixed_form(mats) -> None:
                 raise NotFixedForm("some column has more than one nonzero entry")
 
 
-def _maps_into(m: RationalMatrix, src: int, dst: int) -> bool:
-    """Does m send the coordinate subspace src into dst (bitmasks)?"""
-    for j in range(m.cols):
-        if src >> j & 1:
-            for i in range(m.rows):
-                if m.num[i][j] and not dst >> i & 1:
-                    return False
-    return True
+def _image_masks(mats, cols: int) -> list[int]:
+    """For each coordinate subspace src of k^cols (a bitmask), the
+    coordinates that the images of src under the maps mats touch: the
+    union of the supports of their columns in src.  The maps send src
+    into a coordinate subspace dst exactly when image[src] & ~dst == 0."""
+    column = [0] * cols
+    for m in mats:
+        for i in range(m.rows):
+            for j, v in enumerate(m.num[i]):
+                if v:
+                    column[j] |= 1 << i
+    image = [0] * (1 << cols)
+    for src in range(1, 1 << cols):
+        low = src & -src
+        image[src] = image[src ^ low] | column[low.bit_length() - 1]
+    return image
 
 
 def _support_mask(col: RationalMatrix) -> int:
@@ -310,24 +321,26 @@ def _oracle_hirz(x: HirzRep) -> bool:
     i_mask = 0
     for iq in l.I:
         i_mask |= _support_mask(iq)
-    for s0, s1 in product(range(1 << c0), range(1 << c1)):
-        if not all(_maps_into(a, s0, s1) for a in (l.A1, l.A2)):
-            continue
-        if not all(_maps_into(ct, s1, s0) for ct in l.C):
-            continue
-        d0, d1 = _popcount(s0), _popcount(s1)
-        if _maps_into(l.J, s0, 0):
-            # framing component zero: need dim S0 < dim S1 unless S = 0
-            if (s0 or s1) and not d0 < d1:
-                return False
-        if i_mask & ~s0 == 0:
-            # framing component full: need dim S0 <= dim S1
-            if not d0 <= d1:
-                return False
+    up, down, frame = _image_masks((l.A1, l.A2), c0), _image_masks(l.C, c1), _image_masks((l.J,), c0)
+    for s0 in range(1 << c0):
+        for s1 in range(1 << c1):
+            if up[s0] & ~s1 or down[s1] & ~s0:
+                continue
+            d0, d1 = _popcount(s0), _popcount(s1)
+            if not frame[s0]:
+                # framing component zero: need dim S0 < dim S1 unless S = 0
+                if (s0 or s1) and not d0 < d1:
+                    return False
+            if i_mask & ~s0 == 0:
+                # framing component full: need dim S0 <= dim S1
+                if not d0 <= d1:
+                    return False
     return True
 
 
 def _oracle_enh(x: EnhRep, p: EnhThetaParam) -> bool:
+    """The subspaces are walked vertex by vertex, each one constrained by
+    the arrows into it from those already chosen (`_image_masks`)."""
     l = x.left
     _check_fixed_form([l.A1, l.A2, *l.C, *l.I, l.J, x.Ap1, x.Ap2, *x.Cp, x.F1, x.F2])
     c = x.c
@@ -339,28 +352,30 @@ def _oracle_enh(x: EnhRep, p: EnhThetaParam) -> bool:
         p.theta1 * c + p.theta2 * c + p.theta3 * s + p.theta4 * s
     )
     full = ((1 << c) - 1, (1 << c) - 1, (1 << s) - 1, (1 << s) - 1)
-    for tup in product(range(1 << c), range(1 << c), range(1 << s), range(1 << s)):
-        s1, s2, s3, s4 = tup
-        if not all(_maps_into(a, s1, s2) for a in (l.A1, l.A2)):
-            continue
-        if not all(_maps_into(ct, s2, s1) for ct in l.C):
-            continue
-        if not _maps_into(x.F1, s1, s3) or not _maps_into(x.F2, s2, s4):
-            continue
-        if not all(_maps_into(a, s3, s4) for a in (x.Ap1, x.Ap2)):
-            continue
-        if not all(_maps_into(ct, s4, s3) for ct in x.Cp):
-            continue
-        weight = (
-            p.theta1 * _popcount(s1)
-            + p.theta2 * _popcount(s2)
-            + p.theta3 * _popcount(s3)
-            + p.theta4 * _popcount(s4)
-        )
-        if _maps_into(l.J, s1, 0):
-            if tup != (0, 0, 0, 0) and not weight < 0:
-                return False
-        if i_mask & ~s1 == 0:
-            if tup != full and not weight < total:
-                return False
+    up, down, frame = _image_masks((l.A1, l.A2), c), _image_masks(l.C, c), _image_masks((l.J,), c)
+    f1, f2 = _image_masks((x.F1,), c), _image_masks((x.F2,), c)
+    right_up, right_down = _image_masks((x.Ap1, x.Ap2), s), _image_masks(x.Cp, s)
+    for s1 in range(1 << c):
+        for s2 in range(1 << c):
+            if up[s1] & ~s2 or down[s2] & ~s1:
+                continue
+            for s3 in range(1 << s):
+                if f1[s1] & ~s3:
+                    continue
+                for s4 in range(1 << s):
+                    if f2[s2] & ~s4 or right_up[s3] & ~s4 or right_down[s4] & ~s3:
+                        continue
+                    tup = (s1, s2, s3, s4)
+                    weight = (
+                        p.theta1 * _popcount(s1)
+                        + p.theta2 * _popcount(s2)
+                        + p.theta3 * _popcount(s3)
+                        + p.theta4 * _popcount(s4)
+                    )
+                    if not frame[s1]:
+                        if tup != (0, 0, 0, 0) and not weight < 0:
+                            return False
+                    if i_mask & ~s1 == 0:
+                        if tup != full and not weight < total:
+                            return False
     return True

@@ -126,12 +126,16 @@ def test_replaced_and_json_read_ideals_are_checked():
         ZeroCycleIdeal.from_normal_forms(i.standard_monomials(), i.normal_forms(), i.d),
     )
     for j in copies:
-        # the record is not a field: equal, same hash, same JSON
+        # the record is not a field: equal, same hash, same JSON; each copy
+        # is another object, with no datum kept, so its commutator is formed
         assert j == i and hash(j) == hash(i) and j.to_json() == i.to_json()
         with trusted_commutators() as sites:
             assert adhm_from_ideal(j) == a
             assert sites == []
-            assert adhm_from_ideal(i) == a
+            # a fresh recorded ideal skips it; i returns the datum kept on it
+            assert adhm_from_ideal(monomial_ideal((2, 1))) == a
+            assert sites == ["adhm_from_ideal"]
+            assert adhm_from_ideal(i) is a
             assert sites == ["adhm_from_ideal"]
 
 

@@ -324,10 +324,10 @@ _WORK = {
     # (call, chart): pencil ranks, inversions, and closure scans: one scan
     # per chart read, at the verdict's chart and, where it differs, at the
     # pair's; ideal_from_adhm never scans again.  Each chart read inverts
-    # A_nu.  Reading a scan's normal forms inverts the walk's kept rows K
-    # unless K is the identity, as it is for the unscrambled input read at
-    # its own chart, and only the pair's chart reads them: a verdict only
-    # counts the kept rows.  same_orbit compares at the pair's chart, so it
+    # A_nu unless A_nu is the identity, as it is for the unscrambled input
+    # read at its own chart.  Reading a scan's normal forms inverts the
+    # walk's kept rows K unless K is the identity, as it is there too, and
+    # only the pair's chart reads them: a verdict only counts the kept rows.  same_orbit compares at the pair's chart, so it
     # ranks each input's pencil at [0,1] (`_conversion_chart`), and on a
     # [0,1] pair it counts both inputs at [1,1] and scans both at [0,1]
     ("is_theta_stable", CHART_FIRST): (1, 1, {"stability.closure_scan": 1}),
@@ -336,9 +336,9 @@ _WORK = {
     ("rep_to_nested", CHART_FIRST): (1, 2, {"stability.closure_scan": 1}),
     ("rep_to_nested", CHART_SECOND): (3, 3, {"stability.closure_scan": 2}),
     ("rep_to_nested", CHART_MIXED): (3, 2, {"stability.closure_scan": 1}),
-    ("same_orbit", CHART_FIRST): (2, 3, {"stability.closure_scan": 2}),
-    ("same_orbit", CHART_SECOND): (6, 5, {"stability.closure_scan": 4}),
-    ("same_orbit", CHART_MIXED): (6, 3, {"stability.closure_scan": 2}),
+    ("same_orbit", CHART_FIRST): (2, 2, {"stability.closure_scan": 2}),
+    ("same_orbit", CHART_SECOND): (6, 4, {"stability.closure_scan": 4}),
+    ("same_orbit", CHART_MIXED): (6, 2, {"stability.closure_scan": 2}),
 }
 
 

@@ -499,6 +499,19 @@ def test_support_of_a_monomial_ideal_is_the_origin():
             assert (f, g1, gx, gy) == ([0, 1], [c], [0], [0])
 
 
+def test_support_of_a_datum_that_is_not_costable_raises(monkeypatch):
+    # b1 = b2 = 0 with e = (1, 0) has no cycle: it read as one point of
+    # length 2 until the lazy count was asked first; it raises before any
+    # trace is taken
+    zero = M([[0, 0], [0, 0]])
+    bad = [AdhmData(c=2, b1=zero, b2=zero, e=M([[1, 0]]))]
+    bad.append(AdhmData(c=3, b1=M([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), b2=M([[0] * 3] * 3), e=M([[1, 0, 0]])))
+    monkeypatch.setattr(ideals, "_trace", None)
+    for a in bad:
+        with pytest.raises(NotCostable, match="not costable"):
+            support(a)
+
+
 def test_support_is_gauge_invariant():
     rng = random.Random(43)
     data = [adhm_from_ideal(ideal_of_points(random_points(rng, c))) for c in (3, 5, 7)]

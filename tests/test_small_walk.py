@@ -54,7 +54,7 @@ def test_kernel_walk_is_the_left_walk_times_k1():
         ("rep_to_nested", CHART_FIRST, nu(1, 0), 2),
         ("rep_to_nested", CHART_SECOND, nu(1, 1), 3),
         ("rep_to_nested", CHART_MIXED, nu(1, 1), 2),
-        ("same_orbit", CHART_FIRST, nu(1, 0), 3),
+        ("same_orbit", CHART_FIRST, nu(1, 0), 2),
     ],
     ids=["rep_to_nested-[1,0]", "rep_to_nested-[0,1]", "rep_to_nested-[1,1]", "same_orbit-[1,0]"],
 )
@@ -64,7 +64,7 @@ def test_conversions_never_build_the_kernel(monkeypatch, call, chart, verdict_ch
     # Each scan of a scrambled datum whose normal forms are read also
     # inverts its walk's kept rows K: only the pair's chart reads them, so
     # the [1,1] verdict of a [0,1] pair does not; rep, read at its own
-    # chart, has K the identity
+    # chart, has K and A_nu the identity and inverts neither
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
