@@ -337,7 +337,7 @@ def chart_blocks(x: HirzRep, nu: NuPoint):
     if x.c0 != x.c1:
         raise ShapeMismatch("reading a chart needs c0 = c1")
     a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
-    if a_nu == RationalMatrix.identity(x.c0):
+    if a_nu.is_identity():
         return d_nu, c_nu, i_nu
     try:
         a_inv = invert(a_nu)

@@ -29,7 +29,7 @@ from .corpus import random_gauge, random_nested_pair
 from .correspondence import nested_to_rep, rep_to_nested, same_orbit
 from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
-from .monad import build_monad, check_complex, fiber_ranks
+from .monad import build_monad, fiber_ranks
 from .quiver import EnhRep, HirzRep, act
 from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
@@ -100,17 +100,22 @@ def _rep_from_json(obj):
 
 
 def cmd_check(args) -> int:
+    """The relations, then the stability verdict.  The relation verdict is
+    read first and kept on x and its left part, so where every residual is
+    zero the stability verdict's chart extraction builds its pair without
+    forming the commutator (`chart.chart_extract`); elsewhere it forms it,
+    and a nonzero one exits 1 with `error: extracted pair does not commute`."""
     theta = _parse_theta(args.theta) if args.theta else None
     x = _read(args.input, _rep_from_json, "representation")
+    if isinstance(x, HirzRep) and x.c0 != x.c1:
+        raise DomainError("stability needs c0 = c1")
+    bad = list(x._nonzero_residuals)
     if isinstance(x, EnhRep):
         verdict = is_theta_stable(x, theta or default_theta(x.c, x.cp))
         report = {"kind": "enhanced", "n": x.n, "c": x.c, "cp": x.cp}
     else:
-        if x.c0 != x.c1:
-            raise DomainError("stability needs c0 = c1")
         verdict = is_gamma_stable(x)
         report = {"kind": "plain", "n": x.n, "c0": x.c0, "c1": x.c1}
-    bad = list(x._nonzero_residuals)
     report["relations"] = "zero" if not bad else "nonzero"
     report["nonzero_residuals"] = bad
     report["stability"] = verdict.to_json()
@@ -254,8 +259,7 @@ def cmd_monad_check(args) -> int:
         raise DomainError("monad needs c0 = c1")
     nu = nu or find_regular_nu(x.A1, x.A2)
     monad = build_monad(x, nu)
-    composite = check_complex(monad)
-    complex_zero = all(p.is_zero() for row in composite for p in row)
+    complex_zero = monad.composite.is_zero()
     points = [(y1, y2, se, si) for (se, si) in _MONAD_S for (y1, y2) in _MONAD_Y]
     ranks = [list(fiber_ranks(monad, pt)) for pt in points]
     full = all(ra == x.c0 and rb == x.c0 for ra, rb in ranks)

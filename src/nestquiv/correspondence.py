@@ -41,7 +41,7 @@ from .chart import (
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _ideal_of_scan, _inclusion, adhm_from_ideal
 from .monomials import count_upto
-from .quiver import EnhRep, _keep_relations
+from .quiver import EnhRep, _keep_relations, _require_enhanced
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
 
@@ -213,8 +213,10 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     answer.  Each input's readings are kept on it, as in `rep_to_nested`:
     after `rep_to_nested(x, p)`, x's reading and small ideal at the
     pair's chart are not read again, and same_orbit(x, x, p) reads x
-    once.
+    once.  Any input that is not an EnhRep raises ShapeMismatch.
     """
+    _require_enhanced(x, "same_orbit")
+    _require_enhanced(y, "same_orbit")
     if x.left.n != y.left.n:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:

@@ -18,12 +18,17 @@ with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
 `MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
 y2_nu^n s_e, s_inf off nu and n: `_forms` is their definition on the
 CoxPoly variables for the entries, and `check_complex` reads only the
-rotation y2_nu.  `fiber_ranks` reads one point in integers, so no
-Fraction arithmetic runs at a fiber, and keeps the verdict on its first
-block Q, which depends on the fiber base point (y1, y2) only, on the
-monad per base point.  For any data beta . alpha collapses to
+rotation y2_nu.  `fiber_ranks` reads one point in integers, its
+coordinates included, so no Fraction arithmetic runs at a fiber; it
+keeps the verdict on its first block Q, which depends on the fiber base
+point (y1, y2) only, on the monad per base point, and ranks neither Q
+where y2_nu = 0 nor P where s_inf = 0, where each is a multiple of the
+identity.  For any data beta . alpha collapses to
 s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
-= s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T.  The
+= s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T, and
+s_inf y2_nu is a nonzero polynomial in every chart, so the rational
+kernel `MonadComplex.composite` decides whether it vanishes, with no
+CoxPoly built; `check_complex` is that kernel as CoxPoly entries.  The
 quiver relations force this to vanish; the exact vanishing condition across all charts is the smaller
 list of combinations returned by `complex_residuals` (the relations imply
 it, not conversely).  Building the monad needs no relations, only A_nu
@@ -133,10 +138,20 @@ def cox_mul(f: CoxPoly, g: CoxPoly) -> CoxPoly:
     return CoxPoly.from_dict(d)
 
 
+def _ratio(v) -> tuple[int, int]:
+    """A coordinate v as integers (p, q), v = p / q in lowest terms: an int
+    as (v, 1), any other value read by `rat`, for its value or its error."""
+    if type(v) is int:
+        return v, 1
+    v = rat(v)
+    return v.numerator, v.denominator
+
+
 def _point(pt) -> tuple:
-    """The coordinates (y1, y2, s_e, s_inf) of a point as rationals; any
-    other number of coordinates raises ShapeMismatch."""
-    vals = tuple(rat(v) for v in pt)
+    """The coordinates (y1, y2, s_e, s_inf) of a point as integer pairs
+    (`_ratio`); any other number of coordinates raises ShapeMismatch once
+    they are read."""
+    vals = tuple(map(_ratio, pt))
     if len(vals) != 4:
         raise ShapeMismatch(f"a point has the four coordinates y1, y2, s_e, s_inf, got {len(vals)}")
     return vals
@@ -166,7 +181,8 @@ class MonadComplex:
     """The monad in the chart nu as its blocks b1, b2, I_nu (c x 1), J (1 x c);
     its forms (y1_nu, y2_nu, y2_nu^n s_e, s_inf) as CoxPoly are read from nu
     and n, and alpha and beta as CoxPoly matrices, (2c+1) x c and
-    c x (2c+1), are the derived `Amat` and `Bmat`."""
+    c x (2c+1), are the derived `Amat` and `Bmat`, and the rational kernel
+    of beta . alpha the derived `composite`."""
 
     n: int
     c: int
@@ -199,6 +215,13 @@ class MonadComplex:
 
     Amat = property(lambda self: self._alpha_beta[0])
     Bmat = property(lambda self: self._alpha_beta[1])
+
+    @cached_property
+    def composite(self) -> RationalMatrix:
+        """The rational kernel b2 b1 - b1 b2 - I_nu J of beta . alpha, which
+        is s_inf y2_nu times its transpose: zero exactly when the composite
+        is, since s_inf y2_nu is a nonzero polynomial in every chart."""
+        return self.b2 @ self.b1 - self.b1 @ self.b2 - self.i_nu @ self.J
 
     def to_json(self) -> dict:
         return {
@@ -244,8 +267,9 @@ def build_monad(x: HirzRep, nu: NuPoint) -> MonadComplex:
 def check_complex(m: MonadComplex):
     """beta . alpha as a c x c CoxPoly matrix, s_inf y2_nu times the
     transpose of b2 b1 - b1 b2 - I_nu J; all-zero iff the chart's
-    combination C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J vanishes."""
-    k = m.b2 @ m.b1 - m.b1 @ m.b2 - m.i_nu @ m.J
+    combination C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J vanishes
+    (`MonadComplex.composite`)."""
+    k = m.composite
     form = cox_mul(SINF, _rotation(m.nu, Y1, Y2)[1])
     return [[form.scale(k[j, i]) for j in range(m.c)] for i in range(m.c)]
 
@@ -280,22 +304,31 @@ def complex_residuals(x: HirzRep) -> list[RationalMatrix]:
     return out
 
 
+def _full(rows) -> bool:
+    """Whether a square block, as integer rows, is invertible."""
+    return rank(RationalMatrix._wrap(rows, 1, len(rows))) == len(rows)
+
+
 def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     """Exact ranks of (alpha, beta) at a point (y1, y2, s_e, s_inf).
 
     alpha = [P; Q; R] has c columns and holds the rows of Q, and
     beta = [Q | -P | J^T s_inf] has c rows and holds the columns of Q, so
     an invertible Q gives exactly (c, c); so does an invertible P.  The
-    c x c block Q is ranked first, then P where Q is singular, and alpha
-    and beta are built and ranked only where both are singular.  Q depends
-    on the fiber base point (y1, y2) only, so its verdict is kept on m per
-    base point (`MonadComplex._q_full`) and monad-check's 20 points rank it
-    once per base point.
+    c x c block Q is read first, then P where Q is singular, and alpha
+    and beta are built and ranked only where both are singular.  A block
+    whose off term vanishes is a multiple of the identity and is not
+    ranked: Q = y1_nu Id where y2_nu = 0, full since y1_nu != 0 there, and
+    P = y2_nu^n s_e Id where s_inf = 0, full exactly where that is nonzero.
+    Q depends on the fiber base point (y1, y2) only, so its verdict is kept
+    on m per base point (`MonadComplex._q_full`) and monad-check's 20
+    points read it once per base point.
 
     Everything is read in integers: the blocks over their denominator d,
-    the chart as nu = (u1, u2) / g and each coordinate as p / q.  The
-    rotated coordinates (y1_nu, y2_nu) are integers Y1, Y2 over
-    D = g q1 q2, and (y2_nu^n s_e, s_inf) are integers over D^n q_e q_inf.
+    the chart as nu = (u1, u2) / g and each coordinate as p / q, with no
+    Fraction built for an int (`_point`).  The rotated coordinates
+    (y1_nu, y2_nu) are integers Y1, Y2 over D = g q1 q2, and
+    (y2_nu^n s_e, s_inf) are integers over D^n q_e q_inf.
     Once the identity terms carry the d, Q and R are scaled by one nonzero
     integer and P and the J column of beta by another: a scaling of row
     blocks of alpha and of column blocks of beta, which keeps every rank.
@@ -307,7 +340,7 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     blocks, d = m._integer_blocks
     c = m.c
     (u1, u2), g = m.nu._num, m.nu._den
-    (p1, q1), (p2, q2), (pe, qe), (pi, qi) = ((v.numerator, v.denominator) for v in _point(pt))
+    (p1, q1), (p2, q2), (pe, qe), (pi, qi) = _point(pt)
     if p1 == 0 and p2 == 0:
         raise ExcludedLocus("y1 = y2 = 0 is not on the surface")
     if pe == 0 and pi == 0:
@@ -317,12 +350,12 @@ def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     base = (p1, q1, p2, q2)
     q_full = m._q_full.get(base)
     if q_full is None:
-        q = RationalMatrix._wrap(_shifted(blocks[0], d * y1n, y2n), 1, c)
-        q_full = m._q_full[base] = rank(q) == c
+        q_full = m._q_full[base] = y2n == 0 or _full(_shifted(blocks[0], d * y1n, y2n))
     if q_full:
         return c, c
     lead, sinf = y2n**m.n * pe * qi, pi * (g * q1 * q2) ** m.n * qe
-    if rank(RationalMatrix._wrap(_shifted(blocks[1], d * lead, sinf), 1, c)) == c:
+    p_full = lead != 0 if sinf == 0 else _full(_shifted(blocks[1], d * lead, sinf))
+    if p_full:
         return c, c
     alpha, beta = _assemble(blocks, (d * y1n, y2n, d * lead, sinf))
     return rank(RationalMatrix._wrap(alpha, 1, c)), rank(RationalMatrix._wrap(beta, 1, 2 * c + 1))

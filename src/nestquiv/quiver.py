@@ -10,8 +10,9 @@ Relation residuals are returned as matrices, in a frozen documented order,
 so "all relations hold" is exactly "every residual is zero".
 
 Both classes are immutable, so what is read off one object is kept on it,
-computed on first use: its relation verdict (`_nonzero_residuals`) and, in
-`_kept`, the readings that `stability` and `correspondence` fill in.
+computed on first use: its relation verdict (`_nonzero_residuals`; an
+enhanced one extends its left part's, kept on `left`) and, in `_kept`, the
+readings that `stability` and `correspondence` fill in.
 
 The relation verdict is also recorded, by `_keep_relations`, where a
 construction proves it, and then never computed: `chart.chart_embed` and
@@ -19,7 +20,8 @@ construction proves it, and then never computed: `chart.chart_embed` and
 `act` carries a verdict known on x to g.x, since each residual moves by
 conjugation and so keeps its index and whether it is zero.  Directly
 built, JSON-read and `dataclasses.replace`d objects compute their verdict
-on first use, so `cli check` on a file always computes it.
+on first use, so `cli check` on a file always computes it, before the
+stability verdict reads a chart.
 `_kept_relations` reads a kept verdict without computing one:
 `chart.chart_extract` trusts the commutator of a pair read off a
 representation whose kept verdict is zero.
@@ -172,8 +174,12 @@ class EnhRep:
 
     @cached_property
     def _nonzero_residuals(self) -> tuple[int, ...]:
-        """The relation verdict: the indices of the nonzero enh_residuals."""
-        return tuple(i for i, r in enumerate(enh_residuals(self)) if not r.is_zero())
+        """The relation verdict: the indices of the nonzero enh_residuals,
+        the left part's verdict (kept on `left`, where `chart_extract`
+        reads it) and then the right part's, offset by the left count."""
+        left = self.left._nonzero_residuals
+        k = 1 if self.n == 1 else 2 * (self.n - 1)
+        return left + tuple(k + i for i, r in enumerate(_right_residuals(self)) if not r.is_zero())
 
     @cached_property
     def _kept(self) -> dict:
@@ -270,13 +276,24 @@ def enh_residuals(x: EnhRep) -> list[RationalMatrix]:
         F2 A_p - Ap_p F1 (p = 1, 2),
         F1 C_t - Cp_t F2 (t = 1..n).
     """
+    return hirz_residuals(x.left) + _right_residuals(x)
+
+
+def _right_residuals(x: EnhRep) -> list[RationalMatrix]:
+    """The enh_residuals after the left part's, in the frozen order."""
     l = x.left
-    out = hirz_residuals(l) + _pencil_residuals(x.Ap1, x.Ap2, x.Cp)
+    out = _pencil_residuals(x.Ap1, x.Ap2, x.Cp)
     out += [x.F1 @ iq for iq in l.I]
     out.append(x.F2 @ l.A1 - x.Ap1 @ x.F1)
     out.append(x.F2 @ l.A2 - x.Ap2 @ x.F1)
     out += [x.F1 @ ct - cpt @ x.F2 for ct, cpt in zip(l.C, x.Cp)]
     return out
+
+
+def _require_enhanced(x, reader: str) -> None:
+    """ShapeMismatch, naming reader, unless x is an EnhRep."""
+    if not isinstance(x, EnhRep):
+        raise ShapeMismatch(f"{reader} needs an EnhRep, got {type(x).__name__}")
 
 
 def _keep_relations(x: HirzRep | EnhRep, bad: tuple[int, ...] | None):

@@ -195,6 +195,14 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
+    def is_identity(self) -> bool:
+        """Whether this equals `identity(rows)`, read off the integer rows
+        with no identity built."""
+        n = self.rows
+        if self.den != 1 or self.cols != n:
+            return False
+        return all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.num))
+
     def transpose(self) -> "RationalMatrix":
         # transpose of 0xN is Nx0: N empty rows
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols

@@ -38,7 +38,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .quiver import EnhRep, HirzRep
+from .quiver import EnhRep, HirzRep, _require_enhanced
 from .ratmat import RationalMatrix, _free_rows, kernel_basis, rank, rat
 
 
@@ -191,7 +191,9 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
     kept on x.left), its witness prefixed.  (C1) depends on x alone, so its
     answer, the failing map or None, is kept on x (`EnhRep._kept`); the
-    cone check depends on p and runs on every call, as does the prefix."""
+    cone check depends on p and runs on every call, as does the prefix.
+    Any x that is not an EnhRep raises ShapeMismatch."""
+    _require_enhanced(x, "is_theta_stable")
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
     kept = x._kept

@@ -1,4 +1,4 @@
-"""Byte-level identity of the enumeration, the conversions and monad-check.
+"""Byte-level identity of the enumeration, the conversions, monad-check and check.
 
 Each test hashes the sorted-key JSON of many outputs, so any change to a
 canonical basis, a chart choice or a serialized byte shows as a new digest.
@@ -27,6 +27,7 @@ from nestquiv.corpus import (
     ideal_of_points,
     random_gauge,
     random_hirz_stable,
+    random_nested_pair,
 )
 from nestquiv.ratmat import RationalMatrix
 from nestquiv.stability import kernel_subrep
@@ -102,3 +103,35 @@ def test_monad_check_digest(tmp_path, capsys):
             h.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert len(reps) == 27
     assert h.hexdigest() == "66a7dfea94aad198397bfd2cd3325bde998239cbf13b8484bc5f68499d1791b4"
+
+
+def test_check_digest(tmp_path, capsys):
+    """Exit code, stdout and stderr of check on seeded plain stable
+    representations and single-entry mutants of them, and on
+    gauge-scrambled enhanced representations of random nested pairs, with
+    a single-entry mutant of the left part and with F1 = F2 = 0, in each
+    of the three charts for n = 1..3.  The mutants whose relations fail
+    exit 1 with a report or with `error: extracted pair does not commute`.
+    The digest was computed while check still read the stability verdict
+    before the relations, so it pins that reading them first changes no
+    byte."""
+    rng = random.Random(12)
+    reps = []
+    for n in range(1, 4):
+        for c in range(2, 5):
+            for chart in (CHART_FIRST, CHART_SECOND, CHART_MIXED):
+                x = random_hirz_stable(rng, c, n, chart)
+                cp = rng.randint(1, c - 1)
+                y = act(random_gauge(rng, c, c - cp), nested_to_rep(random_nested_pair(rng, c, cp, chart), n))
+                zero = RationalMatrix.zeros(c - cp, c)
+                reps += [x, _single_entry_mutant(rng, x), y]
+                reps += [replace(y, left=_single_entry_mutant(rng, y.left)), replace(y, F1=zero, F2=zero)]
+    h = hashlib.sha256()
+    path = tmp_path / "rep.json"
+    for x in reps:
+        path.write_text(json.dumps(x.to_json()))
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        h.update(f"{code}\n{out}\n{err}".encode())
+    assert len(reps) == 135
+    assert h.hexdigest() == "32b997bdf3a8b95914b7b9e997592583ec894e5036d4d39b146756d31676ee7c"

@@ -53,6 +53,25 @@ def test_constructors_and_indexing():
         RationalMatrix.from_rows([[1, 2], [3]])
 
 
+def test_is_identity_is_equality_with_the_identity():
+    # the identity test reads the integer rows: the same answer as
+    # comparing with a built identity, on the identity of each size and on
+    # matrices one entry, one denominator or one shape away from it
+    ident = RationalMatrix.identity
+    cases = [ident(k) for k in range(5)] + [RationalMatrix.zeros(k, k) for k in range(4)]
+    cases += [ident(3).scale(2), ident(3).scale(Fraction(1, 2)), M([[1, 0, 0], [0, 1, 0]]), M([], cols=2)]
+    cases += [M([[0, 1], [1, 0]]), M([[1, 0], [1, 1]]), M([[1, 0], [0, -1]]), M([[1, Fraction(1, 3)], [0, 1]])]
+    for k in range(1, 4):
+        for i in range(k):
+            for j in range(k):
+                for v in (-1, 1, Fraction(1, 2)):
+                    rows = [[int(a == b) for b in range(k)] for a in range(k)]
+                    rows[i][j] += v
+                    cases.append(M(rows))
+    for m in cases:
+        assert m.is_identity() is (m == ident(m.rows)), m
+
+
 def test_arithmetic():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])

@@ -165,7 +165,8 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     # nested_to_rep records, and x the one act carries), and no (input,
     # chart) closure is read twice: x's closure is read only at the
     # verdict's chart and the pair's.  A JSON-read copy of x keeps nothing,
-    # so its relations are read, once.
+    # so its relations are read, once: its left part's residuals, kept on
+    # the left part, and then the right part's.
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
@@ -191,8 +192,9 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
         if hasattr(module, "chart_extract"):
             recording(module, "chart_extract", extracted, lambda z, nu: (id(z), nu))
     for module in (nestquiv.quiver, nestquiv.correspondence):
-        if hasattr(module, "enh_residuals"):
-            recording(module, "enh_residuals", residuals, id)
+        for name in ("enh_residuals", "hirz_residuals", "_right_residuals"):
+            if hasattr(module, name):
+                recording(module, name, residuals, id)
     # every reader of a closure, counted by the input and chart of its datum
     for module in (nestquiv.stability, nestquiv.ideals, nestquiv.correspondence):
         for name in ("closure_scan", "closure_rank"):
@@ -205,7 +207,7 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
     read = EnhRep.from_json(x.to_json())
     assert rep_to_nested(read, p) == pair
     assert same_orbit(read, rep, p)
-    assert residuals == [id(read)]
+    assert residuals == [id(read.left), id(read)]
     assert len(closures) == len(set(closures)), closures
     assert {nu for z, nu in closures if z == id(x.left)} == {verdict_chart, pair.nu}
 
