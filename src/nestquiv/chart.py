@@ -40,9 +40,12 @@ c-th.  The number it keeps is the rank of the covector closure, so it is
 costability's one reader too, and that count is all a scan costs until
 its normal forms are read (`_Scan`): then every monomial's normal form
 is built once, off the walk of the canonical datum, or off the walk
-itself where the kept rows are the identity.  `scan_walk` eliminates
-a whole walk once; the conversions give it the small cycle's walk, the
-left scan's normal forms times the kept rows times a kernel basis.
+itself where the kept rows are the identity.  The one pass that keeps
+rows is `_span_pass`, which reduces each integer row against the rows
+kept before it and stops at a target count: `closure_scan` runs it on
+the lazy walk, and `_Scan.restrict` reads the small cycle of the
+conversions off it, run on the c rows of K k1, the scan's kept rows
+times a kernel basis.
 
 The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
 / rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
@@ -85,11 +88,11 @@ from .errors import (
     Singular,
     SingularAnu,
 )
-from .monomials import monomials_upto
+from .monomials import count_upto, monomials_upto
 from .quiver import HirzRep, _keep_relations, _kept_relations
 from .ratmat import (
     RationalMatrix, _free_rows, _json_shaped, _reduce, invert, json_count, json_rat, kernel_basis,
-    lincomb, rank, rat, rat_str, rref,
+    lincomb, rank, rat, rat_str,
 )
 
 
@@ -424,20 +427,23 @@ def monomial_rows(
     return _stack(list(_walk(b1, b2, e, d)), e.cols)
 
 
-def scan_walk(walk: RationalMatrix, d: int):
-    """Greedy scan of a walk, the rows of monomials_upto(d) in order:
-    (monomials kept, normal forms).
-
-    The kept monomials, whose rows grow the span of the rows before them,
-    are the pivots of the reduced echelon form of its transpose.  Its
-    nonzero rows, transposed, hold in row m the coordinates of row m of the
-    walk in the kept rows: for the walk of a datum in the canonical gauge,
-    the normal form of m.
-    """
-    red, pivots = rref(walk.transpose())
-    mons = monomials_upto(d)
-    nf = red.submatrix(range(len(pivots)), range(red.cols)).transpose()
-    return [mons[p] for p in pivots], nf
+def _span_pass(rows, target: int) -> list[int]:
+    """The indices of the integer rows that grow the span of the rows
+    before them, in order, stopping at the target-th.  Each row, divided
+    by its content, is reduced against a fraction-free echelon of the
+    kept ones (`ratmat._reduce`), and no row is drawn past the target-th
+    kept one, so a lazy walk stops there."""
+    kept, basis = [], []  # indices kept; echelon of their rows
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        left = _reduce(basis, [x // g for x in row]) if g else ()
+        col = next((j for j, x in enumerate(left) if x), None)
+        if col is not None:
+            basis.append((col, left))
+            kept.append(i)
+            if len(kept) == target:
+                break
+    return kept
 
 
 class _Scan:
@@ -476,6 +482,27 @@ class _Scan:
             self._rest = None
         return self._nf
 
+    def restrict(self, k1: RationalMatrix, cp: int):
+        """The scan (monomials kept, normal forms) of the walk times k1 to
+        degree cp, for a costable scan and a c x cp matrix k1 of rank cp.
+
+        The walk is nf K (K the identity where `gauge` is None), so that
+        product is the first count_upto(cp) rows of nf times M = K k1.
+        Row m of nf is the unit row at the j-th kept monomial where m is
+        that monomial, and else combines the unit rows of kept monomials
+        before m.  So the rows of the product that grow its span are among
+        the rows of M, in order: `_span_pass` runs on M's c rows alone and
+        stops at its cp-th kept row.  The kept monomials are the scan's at
+        the kept indices, K_s is M at those rows, and the normal forms are
+        the product times K_s^-1, nf's first rows times M K_s^-1, with no
+        inversion where K_s is the identity.  The normal forms of the
+        scan are read (built then, if nothing has read them)."""
+        m = k1 if self.gauge is None else self.gauge @ k1
+        found = _span_pass(m.num, cp)
+        ks = m.submatrix(found, range(cp))
+        head = self.nf.submatrix(range(count_upto(cp)), range(m.rows))
+        return [self.kept[j] for j in found], head @ (m if ks.is_identity() else m @ invert(ks))
+
     def __len__(self):
         return 2
 
@@ -496,10 +523,10 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _
     """Greedy scan of the covector closure up to total degree c: the
     monomials whose walk rows (`monomial_rows`) grow the span of the rows
     before them, and the normal forms, row m of the walk in the kept rows
-    (`_Scan`): the result of scan_walk(monomial_rows(b1, b2, e, c), c).
+    (`_Scan`): the pivots of the reduced echelon form of the transposed
+    walk, and its nonzero rows, transposed.
 
-    The walk runs lazily, each row reduced against a fraction-free
-    echelon of the kept ones (`ratmat._reduce`), and stops at the c-th
+    The walk runs lazily through `_span_pass`, which stops at the c-th
     kept row: c independent rows span k^c.  That pass is all a call
     pays for; the number of monomials it keeps is costability.  The kept
     rows form K, and nf is the walk times K^-1, built on its first read
@@ -513,20 +540,19 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _
     """
     c = b1.rows
     walk = _walk(b1, b2, e, c)
-    rows, kept, gauge, basis = [], [], [], []  # the walk so far; kept monomials, rows; echelon
-    for m, row in zip(monomials_upto(c), walk):
-        rows.append(row)
-        g = gcd(*row[0])
-        left = _reduce(basis, [x // g for x in row[0]]) if g else ()
-        col = next((j for j, x in enumerate(left) if x), None)
-        if col is not None:
-            basis.append((col, left))
-            kept.append(m)
-            gauge.append(row)
-            if len(kept) == c:
-                break
+    rows = []  # the walk so far, each row with its denominator
+
+    def drawn():
+        for row in walk:
+            rows.append(row)
+            yield row[0]
+
+    found = _span_pass(drawn(), c)
+    mons = monomials_upto(c)
+    kept = [mons[i] for i in found]
     if len(kept) < c:
         return _Scan(kept, None, None)
+    gauge = [rows[i] for i in found]
     if all(row == [den * (i == j) for j in range(c)] for i, (row, den) in enumerate(gauge)):
         return _Scan(kept, None, (b1, b2, rows, walk))
     return _Scan(kept, _stack(gauge, c), (b1, b2, None, None))

@@ -12,8 +12,10 @@ and `same_orbit` compares at the conversions' chart, so a chart that
 only a verdict reads is never read in full.  The small cycle is the
 kernel subrepresentation cut out by F1, F2, the left part restricted to
 the kernel bases; its walk is the left walk times the kernel basis k1
-of F1, so the small ideal is read off the same closure scan, with no
-second walk of the left datum and no kernel subrepresentation built.
+of F1, so the small ideal is read off the same closure scan by the same
+lazy pass (`chart._span_pass`), run on the c rows of K k1, the scan's
+kept rows times k1, with no second walk of the left datum and no kernel
+subrepresentation built.
 What depends only on the representation is kept on it and read once
 across calls: the verdict, the conversions' chart and each chart
 reading (on the left part), the relation verdict, the answer to (C1)
@@ -36,11 +38,10 @@ no enhancement to speak of and are rejected with DomainError.
 from __future__ import annotations
 
 from .chart import (
-    CHART_FIRST, CHART_SECOND, NuPoint, _nested, _pencil_arrows, chart_embed, first_regular, scan_walk,
+    CHART_FIRST, CHART_SECOND, NuPoint, _nested, _pencil_arrows, chart_embed, first_regular,
 )
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _ideal_of_scan, _inclusion, adhm_from_ideal
-from .monomials import count_upto
 from .quiver import EnhRep, _keep_relations, _require_enhanced
 from .ratmat import RationalMatrix, kernel_basis
 from .stability import EnhThetaParam, _chart_reading, is_theta_stable
@@ -91,26 +92,21 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
 
     The kernel subrepresentation is the left part restricted to the kernel
     bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
-    e k1 = e': its walk to degree c' is the left walk times k1.  The left
-    walk is nf K (`chart._Scan`: the normal forms nf and the walk's kept
-    rows K), so the small walk is the first rows of nf times K k1, or
-    times k1 where K is the identity: the same matrix, with no second walk
-    of the left datum, and one scan_walk, which reads the scan's normal
-    forms (built then, if no conversion has read them at nu).  Its datum
-    needs no check.  The relations, checked first, make the restriction
-    well defined; k2 P' = P k1 makes its pencil P' invertible where P
-    is; [b1', b2'] lies in [b1, b2] k1 = 0; and the left walk has rank c
-    with k1 injective, so the product has rank c'.  The scan of a
-    commuting datum's walk is an ideal (`ideals._ideal_of_scan`).
+    e k1 = e': its walk to degree c' is the left walk times k1, which the
+    scan restricts to (`chart._Scan.restrict`: one lazy pass over the c
+    rows of K k1, K the left walk's kept rows), with no second walk of the
+    left datum.  It reads the scan's normal forms (built then, if no
+    conversion has read them at nu).  Its datum needs no check.  The
+    relations, checked first, make the restriction well defined;
+    k2 P' = P k1 makes its pencil P' invertible where P is; [b1', b2']
+    lies in [b1, b2] k1 = 0; and the left walk has rank c with k1
+    injective, so the product has rank c'.  The scan of a commuting
+    datum's walk is an ideal (`ideals._ideal_of_scan`).
     """
     small = x._kept.get(nu)
     if small is None:
-        cp = x.cp
         _, scan = _chart_reading(x.left, nu)
-        k1 = kernel_basis(x.F1)
-        nf = scan.nf.submatrix(range(count_upto(cp)), range(x.c))
-        walk = nf @ (k1 if scan.gauge is None else scan.gauge @ k1)
-        small = x._kept[nu] = _ideal_of_scan(*scan_walk(walk, cp), cp)
+        small = x._kept[nu] = _ideal_of_scan(*scan.restrict(kernel_basis(x.F1), x.cp), x.cp)
     return small
 
 
@@ -135,10 +131,14 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
     (kernel bases k1, k2), so it is regular with P.  The pair is nested
     without a check: big.basis annihilates the left walk, and the small
-    walk is that walk times k1.  Both ideals are scans of a commuting
-    datum's walk (`ideals._ideal_of_scan`), so both are recorded as
-    ideals, and `adhm_from_ideal` of either forms no commutator.
+    walk is that walk times k1.  Both ideals are read by one lazy pass
+    (`chart._span_pass`): the big one over the left walk, the small one
+    over the c rows of K k1 (`chart._Scan.restrict`).  Both are scans of
+    a commuting datum's walk (`ideals._ideal_of_scan`), so both are
+    recorded as ideals, and `adhm_from_ideal` of either forms no
+    commutator.  Any x that is not an EnhRep raises ShapeMismatch.
     """
+    _require_enhanced(x, "rep_to_nested")
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
     chart = _stable_chart(x, p)

@@ -285,7 +285,7 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
 
 def _ideal_of_scan(kept, nf: RationalMatrix, c: int) -> ZeroCycleIdeal:
     """The ideal of a commuting datum whose walk to degree c scans to
-    (kept, nf) (`chart.closure_scan`, `chart.scan_walk`); NotCostable
+    (kept, nf) (`chart.closure_scan`, `chart._Scan.restrict`); NotCostable
     unless c are kept.  It is recorded as an ideal (`_keep_closed`): its
     rows are the f with e f(b1, b2) = 0, and as b1, b2 commute that gives
     e (x f)(b1, b2) = e f(b1, b2) b1 = 0, and likewise for y."""

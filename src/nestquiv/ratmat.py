@@ -19,12 +19,11 @@ Fraction; only other forms go through `json_rat`.
 `_echelon`, a Bareiss forward pass on the numerators, is the package's
 one elimination.  `rank`, the pencil, fiber and closure test, counts its
 pivots.  `_rref` back-substitutes its rows to the reduced form: kernels,
-inverses and solves read their canonical results off that,
-`chart.scan_walk` reads its kept monomials and normal forms off it, and
+inverses and solves read their canonical results off that, and
 `ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
 ideal by running `rref` on the column-reversed rows.  `_reduce` takes the
-same step one row at a time, for `chart.closure_scan`, which stops its
-walk once enough rows are kept.
+same step one row at a time, for `chart._span_pass`, the lazy pass that
+reads both ideals of a nested pair and stops once enough rows are kept.
 
 `lincomb` forms sum_j (w_j / den) M_j in integers, with one reduction
 to lowest terms at the end; the chart's pencil combinations are each

@@ -138,13 +138,13 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     per chart (`HirzRep._kept`).
 
     The one reader of a closure: the scan's kept monomials count it for
-    costability, its normal forms are the big ideal, and with the walk's
-    kept rows (`chart._Scan.gauge`) they give the small walk, so the
-    verdict and the conversions share one extraction and one scan per
-    chart.  A verdict-only call pays for the scan up to its c-th kept row
-    and no more: the normal forms (K's inversion and the canonical walk,
-    or the rest of the walk where K is the identity) are built on their
-    first read, by a conversion, and kept on the scan.  Nothing is kept
+    costability, its normal forms are the big ideal, and it restricts to
+    the small walk (`chart._Scan.restrict`), so the verdict and the
+    conversions share one extraction and one scan per chart.  A
+    verdict-only call pays for the scan up to its c-th kept row and no
+    more: the normal forms (K's inversion and the canonical walk, or the
+    rest of the walk where K is the identity) are built on their first
+    read, by a conversion, and kept on the scan.  Nothing is kept
     when the extraction raises (`chart_extract`).
     """
     reading = x._kept.get(nu)
@@ -222,7 +222,9 @@ def kernel_subrep(x: EnhRep) -> HirzRep:
     output is deterministic.  A kernel basis K is the identity at its free
     rows, so the only X with K X = M is M at those rows: each arrow is read
     there, and one product K X == M per arrow checks that it is a solution.
+    Any x that is not an EnhRep raises ShapeMismatch.
     """
+    _require_enhanced(x, "kernel_subrep")
     k1 = kernel_basis(x.F1)
     k2 = kernel_basis(x.F2)
     free1, free2 = _free_rows(k1), _free_rows(k2)

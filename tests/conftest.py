@@ -20,7 +20,7 @@ from nestquiv.corpus import (
     random_gauge, random_nested_pair, random_points,
 )
 from nestquiv.monomials import monomials_upto
-from nestquiv.ratmat import block_diag, kernel_basis
+from nestquiv.ratmat import block_diag, kernel_basis, rref
 
 # exact arithmetic runs long on a slow host; no property test has a deadline
 settings.register_profile("nestquiv", deadline=None)
@@ -221,22 +221,25 @@ def line_points(rng: random.Random, k: int, chart: NuPoint, lines: int = 1) -> l
     return [(x, coeffs[i % lines][0] * x + coeffs[i % lines][1]) for i, x in enumerate(xs)]
 
 
-def line_pair(rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 1) -> NestedIdealPair:
+def line_pair(
+    rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 1, cp: int | None = None
+) -> NestedIdealPair:
     """A nested pair of reduced cycles, c points on `lines` lines
-    (`line_points`) and c' of them, 0 < c' < c."""
+    (`line_points`) and c' of them: cp if given, else random, 0 < c' < c."""
     points = line_points(rng, c, chart, lines)
-    sub = [points[i] for i in sorted(rng.sample(range(c), rng.randint(1, c - 1)))]
+    sub = [points[i] for i in sorted(rng.sample(range(c), cp or rng.randint(1, c - 1)))]
     return NestedIdealPair(nu=chart, big=ideal_of_points(points), small=ideal_of_points(sub))
 
 
 def random_fat_pair(
-    rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 0
+    rng: random.Random, c: int, chart: NuPoint = CHART_FIRST, lines: int = 0, cp: int | None = None
 ) -> NestedIdealPair:
-    """A nested pair of unions of fat points, of colengths 0 < c' < c: the
-    big cycle puts a random partition at each of a few distinct rational
-    points (anchored for the chart as in `corpus`; on that many lines,
-    `line_points`, when lines > 0), and the small cycle a random partition
-    inside it at each, dropping the points where that is empty."""
+    """A nested pair of unions of fat points, of colengths 0 < c' < c
+    (c' = cp if given): the big cycle puts a random partition at each of a
+    few distinct rational points (anchored for the chart as in `corpus`;
+    on that many lines, `line_points`, when lines > 0), and the small
+    cycle a random partition inside it at each, drawn again until its
+    colength fits, dropping the points where that is empty."""
     anchors = _anchors_for(chart, rng)
     k = rng.randint(max(1, len(anchors)), min(c, 3))
     cuts = sorted(rng.sample(range(1, c), k - 1))
@@ -245,11 +248,23 @@ def random_fat_pair(
     lams = [rng.choice(partitions(size)) for size in sizes]
     while True:
         mus = [sub_partition(rng, lam) for lam in lams]
-        if 0 < sum(map(sum, mus)) < c:
+        total = sum(map(sum, mus))
+        if total == cp if cp else 0 < total < c:
             break
     big = union([fat_point(lam, *pt) for lam, pt in zip(lams, points)])
     small = union([fat_point(mu, *pt) for mu, pt in zip(mus, points) if mu])
     return NestedIdealPair(nu=chart, big=ideal_from_adhm(big), small=ideal_from_adhm(small))
+
+
+def oracle_scan(walk: RationalMatrix, d: int):
+    """The whole-walk scan of a walk whose rows are those of
+    monomials_upto(d), in order: (kept monomials, normal forms) off one
+    reduced echelon form of its transpose, whose pivots are the monomials
+    whose rows grow the span of the rows before them, and whose nonzero
+    rows, transposed, hold each row's coordinates in the kept rows."""
+    red, pivots = rref(walk.transpose())
+    mons = monomials_upto(d)
+    return [mons[p] for p in pivots], red.submatrix(range(len(pivots)), range(red.cols)).transpose()
 
 
 @contextmanager

@@ -290,7 +290,7 @@ def test_same_orbit_is_false_across_stability_charts():
 
 @pytest.mark.parametrize(
     "call, chart, ranks, inversions",
-    [("rep_to_nested", CHART_FIRST, 1, 2), ("rep_to_nested", CHART_MIXED, 3, 2), ("same_orbit", CHART_FIRST, 2, 4)],
+    [("rep_to_nested", CHART_FIRST, 1, 3), ("rep_to_nested", CHART_MIXED, 3, 3), ("same_orbit", CHART_FIRST, 2, 4)],
 )
 def test_each_left_part_is_read_once(monkeypatch, call, chart, ranks, inversions):
     # the composition above ranks 3, 6 and 6 pencils and inverts 3, 3
@@ -327,18 +327,21 @@ _WORK = {
     # A_nu unless A_nu is the identity, as it is for the unscrambled input
     # read at its own chart.  Reading a scan's normal forms inverts the
     # walk's kept rows K unless K is the identity, as it is there too, and
-    # only the pair's chart reads them: a verdict only counts the kept rows.  same_orbit compares at the pair's chart, so it
+    # only the pair's chart reads them: a verdict only counts the kept rows.
+    # Each small ideal inverts the kept rows K_s of its pass (`_Scan.restrict`)
+    # unless K_s is the identity, which it is not on these inputs, the
+    # unscrambled one included.  same_orbit compares at the pair's chart, so it
     # ranks each input's pencil at [0,1] (`_conversion_chart`), and on a
     # [0,1] pair it counts both inputs at [1,1] and scans both at [0,1]
     ("is_theta_stable", CHART_FIRST): (1, 1, {"stability.closure_scan": 1}),
     ("is_theta_stable", CHART_SECOND): (2, 1, {"stability.closure_scan": 1}),
     ("is_theta_stable", CHART_MIXED): (2, 1, {"stability.closure_scan": 1}),
-    ("rep_to_nested", CHART_FIRST): (1, 2, {"stability.closure_scan": 1}),
-    ("rep_to_nested", CHART_SECOND): (3, 3, {"stability.closure_scan": 2}),
-    ("rep_to_nested", CHART_MIXED): (3, 2, {"stability.closure_scan": 1}),
-    ("same_orbit", CHART_FIRST): (2, 2, {"stability.closure_scan": 2}),
-    ("same_orbit", CHART_SECOND): (6, 4, {"stability.closure_scan": 4}),
-    ("same_orbit", CHART_MIXED): (6, 2, {"stability.closure_scan": 2}),
+    ("rep_to_nested", CHART_FIRST): (1, 3, {"stability.closure_scan": 1}),
+    ("rep_to_nested", CHART_SECOND): (3, 4, {"stability.closure_scan": 2}),
+    ("rep_to_nested", CHART_MIXED): (3, 3, {"stability.closure_scan": 1}),
+    ("same_orbit", CHART_FIRST): (2, 4, {"stability.closure_scan": 2}),
+    ("same_orbit", CHART_SECOND): (6, 6, {"stability.closure_scan": 4}),
+    ("same_orbit", CHART_MIXED): (6, 4, {"stability.closure_scan": 2}),
 }
 
 

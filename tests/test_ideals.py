@@ -612,10 +612,15 @@ def test_only_proven_sites_skip_the_commutator():
     # ideals._keep_closed records an ideal as built as one; each is called
     # only where a construction proves it, only the writer names the
     # record or builds a bare AdhmData, and only ideals reads the record
-    callers = {"_commuting": [], "_keep_closed": [], "_ideal_of_scan": [], "_nested": []}
-    named, read = [], []
+    callers = {"_commuting": [], "_keep_closed": [], "_ideal_of_scan": [], "_nested": [], "_reduce": []}
+    named, read, walk_scans = [], [], []
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "scan_walk":
+                walk_scans.append(path.stem)
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "scan_walk" for alias in node.names):
+                walk_scans.append(path.stem)
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
@@ -642,6 +647,10 @@ def test_only_proven_sites_skip_the_commutator():
     # chart._nested assembles a nested datum without build_nested_adhm's
     # checks, where nested_to_rep's one nesting check proves them
     assert sorted(callers["_nested"]) == ["chart.build_nested_adhm", "correspondence.nested_to_rep"]
+    # both ideals of a nested pair are read by one lazy pass, the only
+    # row-at-a-time reduction; the whole-walk scan is the tests' oracle
+    assert callers["_reduce"] == ["chart._span_pass"]
+    assert walk_scans == []
     assert named == ["chart._commuting", "ideals._keep_closed"]
     assert read == ["ideals.adhm_from_ideal"]
 

@@ -2,9 +2,9 @@
 
 `chart.closure_scan` walks the covector closure in the frozen order, stops
 at the c-th kept row and reads the normal forms off the canonical datum.
-The oracle here is the scan it replaced: the reduced echelon form of the
-transposed walk to degree c, whose pivots are the kept monomials and
-whose rows, transposed, are the normal forms.  The data include the
+The oracle here is the scan it replaced (`conftest.oracle_scan`): the
+reduced echelon form of the transposed walk to degree c, whose pivots are
+the kept monomials and whose rows, transposed, are the normal forms.  The data include the
 scan's worst case, supports on a line, where the staircase reaches
 degree c - 1.
 """
@@ -30,20 +30,11 @@ from nestquiv import (
 from nestquiv.chart import closure_scan, monomial_rows
 from nestquiv.corpus import CHART_FIRST, CHART_MIXED, CHART_SECOND, ideal_of_points, random_gauge, random_points
 from nestquiv.monomials import count_upto, monomials_upto
-from nestquiv.ratmat import block_diag, rref
+from nestquiv.ratmat import block_diag
 
-from conftest import fat_point, line_pair, line_points, random_fat_pair, support_points, union
+from conftest import fat_point, line_pair, line_points, oracle_scan, random_fat_pair, support_points, union
 
 CHARTS = (CHART_FIRST, CHART_SECOND, CHART_MIXED)
-
-
-def oracle_scan(b1, b2, e):
-    """(kept monomials, normal forms) off one reduced echelon form of the
-    transposed walk to degree c."""
-    c = b1.rows
-    red, pivots = rref(monomial_rows(b1, b2, e, c).transpose())
-    mons = monomials_upto(c)
-    return [mons[p] for p in pivots], red.submatrix(range(len(pivots)), range(red.cols)).transpose()
 
 
 def scrambled(rng, a: AdhmData) -> AdhmData:
@@ -75,7 +66,7 @@ def test_the_lazy_scan_is_the_whole_walk_scan(seed, kind, c, scramble):
     if scramble:
         a = scrambled(rng, a)
     got = closure_scan(a.b1, a.b2, a.e)
-    kept, nf = oracle_scan(a.b1, a.b2, a.e)
+    kept, nf = oracle_scan(monomial_rows(a.b1, a.b2, a.e, c), c)
     assert got == (kept, nf) and len(kept) == c
     assert (got[1].num, got[1].den) == (nf.num, nf.den)
     # the gauge is the walk's rows at the kept monomials, None where it is
@@ -111,7 +102,7 @@ def test_a_scan_that_is_not_costable_keeps_what_the_whole_walk_keeps(seed, kind,
         if how == "scrambled unreachable block":
             bad = scrambled(rng, bad)
     got = closure_scan(bad.b1, bad.b2, bad.e)
-    assert got[0] == oracle_scan(bad.b1, bad.b2, bad.e)[0]
+    assert got[0] == oracle_scan(monomial_rows(bad.b1, bad.b2, bad.e, bad.c), bad.c)[0]
     assert len(got[0]) < bad.c and got[1] is None and got.gauge is None
 
 

@@ -238,7 +238,7 @@ def test_same_orbit_after_both_conversions_reads_no_new_chart(monkeypatch, chart
         counting(nestquiv.stability, "chart_extract")
         counting(nestquiv.stability, "closure_scan")
         counting(nestquiv.chart, "invert")
-        counting(nestquiv.correspondence, "scan_walk")
+        counting(nestquiv.chart, "_span_pass")
         assert same_orbit(x, y, p) is (not other)
         assert same_orbit(y, x, p) is (not other)
         assert calls == []

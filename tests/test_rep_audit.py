@@ -35,8 +35,10 @@ from nestquiv import (
     find_regular_nu,
     hirz_residuals,
     is_theta_stable,
+    kernel_subrep,
     nested_to_rep,
     rank,
+    rep_to_nested,
     same_orbit,
 )
 from nestquiv.cli import main
@@ -268,6 +270,10 @@ def test_stability_and_orbits_need_an_enhanced_representation():
     p = default_theta(3, 1)
     with pytest.raises(ShapeMismatch, match=r"^is_theta_stable needs an EnhRep, got HirzRep$"):
         is_theta_stable(x.left, p)
+    with pytest.raises(ShapeMismatch, match=r"^rep_to_nested needs an EnhRep, got HirzRep$"):
+        rep_to_nested(x.left, p)
+    with pytest.raises(ShapeMismatch, match=r"^kernel_subrep needs an EnhRep, got HirzRep$"):
+        kernel_subrep(x.left)
     for a, b in ((x.left, x), (x, x.left), (x.left, x.left)):
         with pytest.raises(ShapeMismatch, match=r"^same_orbit needs an EnhRep, got HirzRep$"):
             same_orbit(a, b, p)
