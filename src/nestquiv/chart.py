@@ -40,12 +40,15 @@ c-th.  The number it keeps is the rank of the covector closure, so it is
 costability's one reader too, and that count is all a scan costs until
 its normal forms are read (`_Scan`): then every monomial's normal form
 is built once, off the walk of the canonical datum, or off the walk
-itself where the kept rows are the identity.  The one pass that keeps
-rows is `_span_pass`, which reduces each integer row against the rows
-kept before it and stops at a target count: `closure_scan` runs it on
-the lazy walk, and `_Scan.restrict` reads the small cycle of the
-conversions off it, run on the c rows of K k1, the scan's kept rows
-times a kernel basis.
+itself where the kept rows are the identity.  The pass that keeps rows
+is `_span_pass`, which reduces each integer row against the rows kept
+before it and stops at a target count, so that `closure_scan` draws the
+lazy walk no further than its c-th kept row.  The small cycle of the
+conversions needs no walk and no pass: `_Scan.restrict` reads it off the
+c rows of K k1, the scan's kept rows times a kernel basis, with one
+reduced echelon form of (K k1)^T (`ratmat._rref`), whose pivots and
+reduced rows are the small scan's kept rows and, transposed, the
+product they are inverted into.
 
 The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
 / rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
@@ -91,7 +94,7 @@ from .errors import (
 from .monomials import count_upto, monomials_upto
 from .quiver import HirzRep, _keep_relations, _kept_relations
 from .ratmat import (
-    RationalMatrix, _free_rows, _json_shaped, _reduce, invert, json_count, json_rat, kernel_basis,
+    RationalMatrix, _free_rows, _json_shaped, _reduce, _rref, invert, json_count, json_rat, kernel_basis,
     lincomb, rank, rat, rat_str,
 )
 
@@ -296,6 +299,17 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
     return nu
 
 
+def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
+    """The first regular chart of the conversions' order [1,0], [0,1],
+    [1,1], ..., [1,c], given chart, the first regular point of
+    regular_sample(c).  That order is the sample with [0,1] second, so the
+    answer is [1,0] when chart is, else [0,1] when the pencil is regular
+    there, else chart."""
+    if chart == CHART_FIRST:
+        return chart
+    return first_regular([(a1, a2)], [CHART_SECOND]) or chart
+
+
 def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
     """The arrows (A1, A2, (C1..Cn)) of the pair (b1, b2) in the chart at
     nu: A_nu = id, D_nu = b1 and the pencil powers C_q = A1^{q-1} A2^{n-q} b2,
@@ -358,13 +372,18 @@ def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
     the one relation; for n >= 2 it is -I_nu J once the relations hold.
     So when x keeps a zero relation verdict (`quiver._kept_relations`,
     recorded by its construction or computed) and every I_q is zero, the
-    pair commutes and is built without forming it (`_commuting`).  Every
-    other x has its commutator formed, and a nonzero one raises
+    pair commutes and is built without forming it (`_commuting`); and
+    when x keeps a nonzero one and n = 1, the one residual is nonzero, so
+    the commutator is too, and RelationsViolated is raised without forming
+    it.  Every other x has its commutator formed, and a nonzero one raises
     RelationsViolated.
     """
     b1, b2, _ = chart_blocks(x, nu)
-    if _kept_relations(x) == () and all(iq.is_zero() for iq in x.I):
+    bad = _kept_relations(x)
+    if bad == () and all(iq.is_zero() for iq in x.I):
         return _commuting(x.c0, b1, b2, x.J)
+    if bad and x.n == 1:
+        raise RelationsViolated("extracted pair does not commute")
     try:
         return AdhmData(c=x.c0, b1=b1, b2=b2, e=x.J)
     except NotCommuting:
@@ -491,17 +510,18 @@ class _Scan:
         Row m of nf is the unit row at the j-th kept monomial where m is
         that monomial, and else combines the unit rows of kept monomials
         before m.  So the rows of the product that grow its span are among
-        the rows of M, in order: `_span_pass` runs on M's c rows alone and
-        stops at its cp-th kept row.  The kept monomials are the scan's at
-        the kept indices, K_s is M at those rows, and the normal forms are
-        the product times K_s^-1, nf's first rows times M K_s^-1, with no
-        inversion where K_s is the identity.  The normal forms of the
-        scan are read (built then, if nothing has read them)."""
+        the rows of M, in order: the first independent rows of M, which
+        are the pivots of the reduced echelon form of M^T (`ratmat._rref`),
+        one elimination of a cp x c matrix.  The kept monomials are the
+        scan's at those pivots.  With K_s the rows of M there, the reduced
+        form is K_s^-T M^T, so its rows, transposed, are M K_s^-1, and the
+        normal forms, the product times K_s^-1, are nf's first rows times
+        them.  The normal forms of the scan are read (built then, if
+        nothing has read them)."""
         m = k1 if self.gauge is None else self.gauge @ k1
-        found = _span_pass(m.num, cp)
-        ks = m.submatrix(found, range(cp))
+        red, den, found = _rref([list(col) for col in zip(*m.num)], m.rows)
         head = self.nf.submatrix(range(count_upto(cp)), range(m.rows))
-        return [self.kept[j] for j in found], head @ (m if ks.is_identity() else m @ invert(ks))
+        return [self.kept[j] for j in found], head @ RationalMatrix._wrap(red, den, m.rows).transpose()
 
     def __len__(self):
         return 2
@@ -526,11 +546,11 @@ def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _
     (`_Scan`): the pivots of the reduced echelon form of the transposed
     walk, and its nonzero rows, transposed.
 
-    The walk runs lazily through `_span_pass`, which stops at the c-th
-    kept row: c independent rows span k^c.  That pass is all a call
-    pays for; the number of monomials it keeps is costability.  The kept
-    rows form K, and nf is the walk times K^-1, built on its first read
-    (`_Scan.nf`).  Where K is the identity, as for a datum read in the
+    The walk runs lazily through `_span_pass`, whose one caller this is,
+    and which stops at the c-th kept row: c independent rows span k^c.
+    That pass is all a call pays for; the number of monomials it keeps
+    is costability.  The kept rows form K, and nf is the walk times K^-1,
+    built on its first read (`_Scan.nf`).  Where K is the identity, as for a datum read in the
     chart its canonical datum was embedded in, the walk runs on to degree
     c and is its own normal forms.  Otherwise nf is the walk of the
     canonical datum (K b1 K^-1, K b2 K^-1, e K^-1), for any pair, since

@@ -104,7 +104,8 @@ def cmd_check(args) -> int:
     read first and kept on x and its left part, so where every residual is
     zero the stability verdict's chart extraction builds its pair without
     forming the commutator (`chart.chart_extract`); elsewhere it forms it,
-    and a nonzero one exits 1 with `error: extracted pair does not commute`."""
+    and a nonzero one exits 1 with `error: extracted pair does not commute`,
+    as does, with no commutator formed, a nonzero verdict for n = 1."""
     theta = _parse_theta(args.theta) if args.theta else None
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, HirzRep) and x.c0 != x.c1:

@@ -2,20 +2,24 @@
 
 The bridge runs through a chart: restrict the representation to a patch
 where the pencil A_nu is invertible, extract the commuting ADHM datum of
-the dimension-c part and read off the big ideal.  The stability verdict
-reads its own chart through `stability._chart_reading`, one extraction
-and one closure scan, and the conversions read the big ideal off that
-same reader, so a conversion whose chart is the verdict's reads the left
-part once.  Only the conversions read a scan's normal forms, which are
-built on that read (`chart._Scan`): the verdict counts the kept rows,
-and `same_orbit` compares at the conversions' chart, so a chart that
-only a verdict reads is never read in full.  The small cycle is the
-kernel subrepresentation cut out by F1, F2, the left part restricted to
-the kernel bases; its walk is the left walk times the kernel basis k1
-of F1, so the small ideal is read off the same closure scan by the same
-lazy pass (`chart._span_pass`), run on the c rows of K k1, the scan's
-kept rows times k1, with no second walk of the left datum and no kernel
-subrepresentation built.
+the dimension-c part and read off the big ideal.  Every chart is read
+through `stability._chart_reading`, one extraction and one closure scan,
+and the conversions read the big ideal off that same reader.  The
+verdict reports the first regular chart; a conversion of an x whose left
+part keeps a zero relation verdict counts its costability in the
+conversions' chart (`stability._read_left`), where the count is the
+same, so the conversion reads the left part in one chart.  Other inputs
+are counted at the verdict's chart, which a conversion whose chart is
+the verdict's reads once too.  Only the conversions read a scan's
+normal forms, which are built on that read (`chart._Scan`): the verdict
+counts the kept rows, and `same_orbit` compares at the conversions'
+chart, so a chart that only a verdict reads is never read in full.  The
+small cycle is the kernel subrepresentation cut out by F1, F2, the left
+part restricted to the kernel bases; its walk is the left walk times
+the kernel basis k1 of F1, so the small ideal is read off the same
+closure scan with one elimination of the c rows of K k1, the scan's
+kept rows times k1 (`chart._Scan.restrict`), with no second walk of
+the left datum, no inversion and no kernel subrepresentation built.
 What depends only on the representation is kept on it and read once
 across calls: the verdict, the conversions' chart and each chart
 reading (on the left part), the relation verdict, the answer to (C1)
@@ -37,42 +41,20 @@ no enhancement to speak of and are rejected with DomainError.
 
 from __future__ import annotations
 
-from .chart import (
-    CHART_FIRST, CHART_SECOND, NuPoint, _nested, _pencil_arrows, chart_embed, first_regular,
-)
+from .chart import NuPoint, _nested, _pencil_arrows, chart_embed
 from .errors import DomainError, NotStable, RelationsViolated, ShapeMismatch
 from .ideals import NestedIdealPair, ZeroCycleIdeal, _ideal_of_scan, _inclusion, adhm_from_ideal
 from .quiver import EnhRep, _keep_relations, _require_enhanced
-from .ratmat import RationalMatrix, kernel_basis
-from .stability import EnhThetaParam, _chart_reading, is_theta_stable
+from .ratmat import kernel_basis
+from .stability import EnhThetaParam, _chart_reading, _pair_chart, is_theta_stable
 
 
-def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
-    """The first regular chart of the conversions' order [1,0], [0,1],
-    [1,1], ..., [1,c], given chart, the first regular point of
-    regular_sample(c).  That order is the sample with [0,1] second, so the
-    answer is [1,0] when chart is, else [0,1] when the pencil is regular
-    there, else chart."""
-    if chart == CHART_FIRST:
-        return chart
-    return first_regular([(a1, a2)], [CHART_SECOND]) or chart
-
-
-def _pair_chart(x: EnhRep, chart: NuPoint) -> NuPoint:
-    """The conversions' chart of x (`_conversion_chart`), given chart, the
-    one x's stable verdict read; kept on x.left beside that verdict
-    (`HirzRep._kept`), as both depend on the left part alone."""
-    kept = x.left._kept
-    at = kept.get("conversion")
-    if at is None:
-        at = kept["conversion"] = _conversion_chart(x.left.A1, x.left.A2, chart)
-    return at
-
-
-def _stable_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint:
-    """The chart x's stability verdict read (`is_theta_stable`).
-    NotStable unless x is stable."""
-    verdict = is_theta_stable(x, p)
+def _stable_chart(x: EnhRep, p: EnhThetaParam, conversion: bool) -> NuPoint:
+    """The chart of x's stability verdict (`is_theta_stable`), the first
+    regular one, read with `_conversion` set where conversion is, which
+    counts costability in the conversions' chart where that premise
+    holds (`stability._read_left`).  NotStable unless x is stable."""
+    verdict = is_theta_stable(x, p, _conversion=conversion)
     if not verdict.stable:
         raise NotStable(f"representation is not stable: {verdict.witness}")
     return verdict.nu
@@ -93,10 +75,10 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
     The kernel subrepresentation is the left part restricted to the kernel
     bases k1 of F1 and k2 of F2, so in any chart b_i k1 = k1 b_i' and
     e k1 = e': its walk to degree c' is the left walk times k1, which the
-    scan restricts to (`chart._Scan.restrict`: one lazy pass over the c
-    rows of K k1, K the left walk's kept rows), with no second walk of the
-    left datum.  It reads the scan's normal forms (built then, if no
-    conversion has read them at nu).  Its datum needs no check.  The
+    scan restricts to (`chart._Scan.restrict`: one reduced echelon form of
+    (K k1)^T, K the left walk's kept rows), with no second walk of the
+    left datum and no inversion.  It reads the scan's normal forms (built
+    then, if no conversion has read them at nu).  Its datum needs no check.  The
     relations, checked first, make the restriction well defined;
     k2 P' = P k1 makes its pencil P' invertible where P is; [b1', b2']
     lies in [b1, b2] k1 = 0; and the left walk has rank c with k1
@@ -121,29 +103,32 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     both.  That order is regular_sample(c), where the stable verdict read
     the first regular chart, with [0,1] second: so the chart is [1,0] when
     the verdict's is, else [0,1] when the left pencil is regular there,
-    else the verdict's (`_pair_chart`).  The big ideal is the closure
-    scan of the chart reading there (`_chart_reading`, kept on x.left):
-    where the chart is the verdict's, the verdict already extracted and
-    counted it, and this builds its normal forms.  The verdict, the
-    conversions' chart, the chart readings, the relation verdict and the
-    small ideal are kept on x, so a later conversion or `same_orbit` of x
-    does not read them again.
+    else the verdict's (`stability._pair_chart`).  The big ideal is the
+    closure scan of the chart reading there (`_chart_reading`, kept on
+    x.left).  When nu is not given and x.left keeps a zero relation
+    verdict, the verdict, read here first, counts costability in that
+    chart (`stability._read_left`), so x is extracted and scanned in that
+    chart alone, and this builds the scan's normal forms.  Otherwise the
+    verdict counts in its own chart, and a pair's chart that differs is
+    read once more.  The verdict, the conversions' chart, the chart
+    readings, the relation verdict and the small ideal are kept on x, so
+    a later conversion or `same_orbit` of x does not read them again.
     Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
     (kernel bases k1, k2), so it is regular with P.  The pair is nested
     without a check: big.basis annihilates the left walk, and the small
-    walk is that walk times k1.  Both ideals are read by one lazy pass
-    (`chart._span_pass`): the big one over the left walk, the small one
-    over the c rows of K k1 (`chart._Scan.restrict`).  Both are scans of
-    a commuting datum's walk (`ideals._ideal_of_scan`), so both are
-    recorded as ideals, and `adhm_from_ideal` of either forms no
+    walk is that walk times k1.  Both ideals are read off one closure
+    scan: the big one is its lazy pass over the left walk, the small one
+    one elimination of the c rows of K k1 (`chart._Scan.restrict`).  Both
+    are scans of a commuting datum's walk (`ideals._ideal_of_scan`), so
+    both are recorded as ideals, and `adhm_from_ideal` of either forms no
     commutator.  Any x that is not an EnhRep raises ShapeMismatch.
     """
     _require_enhanced(x, "rep_to_nested")
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-    chart = _stable_chart(x, p)
+    chart = _stable_chart(x, p, nu is None)
     _require_relations(x)
-    at = nu or _pair_chart(x, chart)
+    at = nu or _pair_chart(x.left, chart)
     _, (kept, nf) = _chart_reading(x.left, at)
     return NestedIdealPair(nu=at, big=_ideal_of_scan(kept, nf, x.c), small=_small_ideal(x, at))
 
@@ -200,9 +185,12 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     gauge group moves a pencil's determinant only by a nonzero scalar, so
     the charts where it is regular, and the first of them, are the same
     along an orbit.  For the same reason the conversions' chart
-    (`_pair_chart`: the verdict's chart, or [0,1] where the pencil
-    is regular there) is the same along an orbit, and inputs whose
-    conversion charts differ are on different orbits.  In that chart the
+    (`stability._pair_chart`: the verdict's chart, or [0,1] where the
+    pencil is regular there) is the same along an orbit, and inputs whose
+    conversion charts differ are on different orbits.  Each verdict is
+    read as a conversion's (`rep_to_nested`): an input whose left part
+    keeps a zero relation verdict is counted in the conversions' chart,
+    the one chart it is then read in.  In that chart the
     closure scans (`_chart_reading`) are the big ideals
     (`ZeroCycleIdeal.from_normal_forms` is one to one), and the small
     ideals are read off the same extractions only when the scans agree:
@@ -221,14 +209,14 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    chart_x = _stable_chart(x, p)
-    chart_y = _stable_chart(y, p)
+    chart_x = _stable_chart(x, p, True)
+    chart_y = _stable_chart(y, p, True)
     _require_relations(x)
     _require_relations(y)
     if chart_x != chart_y:
         return False
-    at = _pair_chart(x, chart_x)
-    if at != _pair_chart(y, chart_y):
+    at = _pair_chart(x.left, chart_x)
+    if at != _pair_chart(y.left, chart_y):
         return False
     if _chart_reading(x.left, at)[1] != _chart_reading(y.left, at)[1]:
         return False

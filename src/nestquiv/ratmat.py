@@ -21,9 +21,11 @@ one elimination.  `rank`, the pencil, fiber and closure test, counts its
 pivots.  `_rref` back-substitutes its rows to the reduced form: kernels,
 inverses and solves read their canonical results off that, and
 `ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
-ideal by running `rref` on the column-reversed rows.  `_reduce` takes the
-same step one row at a time, for `chart._span_pass`, the lazy pass that
-reads both ideals of a nested pair and stops once enough rows are kept.
+ideal by running `rref` on the column-reversed rows, and
+`chart._Scan.restrict` reads the small ideal of a nested pair off one
+`_rref` of a transposed product.  `_reduce` takes the same step one row
+at a time, for `chart._span_pass`, the lazy pass that reads the big
+ideal's walk and stops once enough rows are kept.
 
 `lincomb` forms sum_j (w_j / den) M_j in integers, with one reduction
 to lowest terms at the end; the chart's pencil combinations are each

@@ -17,7 +17,10 @@ one reader of a chart: it extracts the datum at a chart and scans its
 covector closure once, and the number of rows the scan keeps is the
 verdict.  The scan's normal forms are the big ideal, built only when a
 conversion in `correspondence` reads them at that chart, so a verdict
-pays for the lazy count alone.  A representation is immutable,
+pays for the lazy count alone.  The verdict's chart is the first regular
+one; a conversion's verdict of a representation that keeps a zero
+relation verdict counts in the conversions' chart instead, where the
+count is the same (`_read_left`).  A representation is immutable,
 so the verdict and each chart reading are kept on it and computed once,
 by whichever caller asks first (`HirzRep._kept`), and so is the answer
 to (C1) on the enhanced one (`EnhRep._kept`).  The oracle re-derives
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chart import AdhmData, NuPoint, chart_extract, closure_scan, find_regular_nu
+from .chart import AdhmData, NuPoint, _conversion_chart, chart_extract, closure_scan, find_regular_nu
 from .errors import (
     ConeViolation,
     IrregularPencil,
@@ -38,7 +41,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .quiver import EnhRep, HirzRep, _require_enhanced
+from .quiver import EnhRep, HirzRep, _kept_relations, _require_enhanced
 from .ratmat import RationalMatrix, _free_rows, kernel_basis, rank, rat
 
 
@@ -139,12 +142,12 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
 
     The one reader of a closure: the scan's kept monomials count it for
     costability, its normal forms are the big ideal, and it restricts to
-    the small walk (`chart._Scan.restrict`), so the verdict and the
-    conversions share one extraction and one scan per chart.  A
-    verdict-only call pays for the scan up to its c-th kept row and no
-    more: the normal forms (K's inversion and the canonical walk, or the
-    rest of the walk where K is the identity) are built on their first
-    read, by a conversion, and kept on the scan.  Nothing is kept
+    the small walk (`chart._Scan.restrict`), so a verdict and the
+    conversions that read the same chart share one extraction and one
+    scan.  A verdict-only call pays for the scan up to its c-th kept row
+    and no more: the normal forms (K's inversion and the canonical walk,
+    or the rest of the walk where K is the identity) are built on their
+    first read, by a conversion, and kept on the scan.  Nothing is kept
     when the extraction raises (`chart_extract`).
     """
     reading = x._kept.get(nu)
@@ -154,45 +157,78 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     return reading
 
 
-def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
+def _pair_chart(x: HirzRep, chart: NuPoint) -> NuPoint:
+    """The conversions' chart of x (`chart._conversion_chart`), given
+    chart, the first regular chart of its pencil; kept on x beside the
+    verdict that carries chart (`HirzRep._kept`), so no pencil is ranked
+    twice."""
+    kept = x._kept
+    at = kept.get("conversion")
+    if at is None:
+        at = kept["conversion"] = _conversion_chart(x.A1, x.A2, chart)
+    return at
+
+
+def is_gamma_stable(x: HirzRep, *, _conversion: bool = False) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1, kept
     on x (`HirzRep._kept`).  The verdict carries the chart used.
 
     The checks in verdict order: nonzero I (n >= 2), pencil regularity
     (`find_regular_nu`), then costability of the datum read at that chart
     (`_chart_reading`; `chart_extract` raises RelationsViolated unless it
-    commutes).  Errors are
-    not kept: an input that raises raises again on every call.
+    commutes).  A conversion reads its verdict with `_conversion` set,
+    which may count costability in the conversions' chart instead
+    (`_read_left`); the verdict is the same.  Errors are not kept: an
+    input that raises raises again on every call.
     """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
     verdict = x._kept.get("left")
     if verdict is None:
-        verdict = x._kept["left"] = _read_left(x)
+        verdict = x._kept["left"] = _read_left(x, _conversion)
     return verdict
 
 
-def _read_left(x: HirzRep) -> StabilityVerdict:
-    """`is_gamma_stable`'s first reading of x."""
+def _read_left(x: HirzRep, conversion: bool) -> StabilityVerdict:
+    """`is_gamma_stable`'s first reading of x.  Its chart is the first
+    regular one, nu; costability is counted there, or, for a conversion
+    of an x that keeps a zero relation verdict (`quiver._kept_relations`),
+    in the conversions' chart (`_pair_chart`), which the conversion reads
+    anyway, so it extracts and scans one chart, not two.
+
+    The count is the same in both.  Once every I_q is zero and the
+    relations hold, the gauge g2 = A_nu^-1 makes A_nu the identity, so
+    A1 = (nu2 + nu1 b1) / rho and A2 = (nu1 - nu2 b1) / rho lie in k[b1],
+    and the relations C_q A1 = C_(q+1) A2 give C_q = b2 A1^(q-1) A2^(n-q):
+    x is the embedding of its datum at nu (`chart.chart_embed`).  Read in
+    another regular chart mu, `chart_blocks` gives A_mu = P(b1) and
+    D_mu = Q(b1) for P = mu2 A1 + mu1 A2 and Q = mu1 A1 - mu2 A2, linear
+    in b1, so b1' = P(b1)^-1 Q(b1), a Moebius function of b1, and, as the
+    weights of C_mu are the binomial ones of P^(n-1),
+    b2' = C_mu A_mu = b2 P(b1)^n; e = J in both.  P(b1) is invertible,
+    so its inverse is a polynomial in b1: b1', b2' generate the algebra
+    b1, b2 do, and the closures of J under the two are one space."""
     if any(not iq.is_zero() for iq in x.I):
         return StabilityVerdict(stable=False, witness="nonzero I")
     try:
         nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
         return StabilityVerdict(stable=False, witness="irregular pencil")
-    a, scan = _chart_reading(x, nu)
+    at = _pair_chart(x, nu) if conversion and _kept_relations(x) == () else nu
+    a, scan = _chart_reading(x, at)
     witness = _closure_witness(len(scan.kept), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
-def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
+def is_theta_stable(x: EnhRep, p: EnhThetaParam, *, _conversion: bool = False) -> StabilityVerdict:
     """Two-condition stability test inside the enhanced cone: the cone
     check (ConeViolation outside it), then (C1), the first of F1, F2 that
     is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
-    kept on x.left), its witness prefixed.  (C1) depends on x alone, so its
-    answer, the failing map or None, is kept on x (`EnhRep._kept`); the
-    cone check depends on p and runs on every call, as does the prefix.
-    Any x that is not an EnhRep raises ShapeMismatch."""
+    kept on x.left, with `_conversion` passed on), its witness prefixed.
+    (C1) depends on x alone, so its answer, the failing map or None, is
+    kept on x (`EnhRep._kept`); the cone check depends on p and runs on
+    every call, as does the prefix.  Any x that is not an EnhRep raises
+    ShapeMismatch."""
     _require_enhanced(x, "is_theta_stable")
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
@@ -202,7 +238,7 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
         kept["C1"] = next((name for name, f in (("F1", x.F1), ("F2", x.F2)) if rank(f) != s), None)
     if kept["C1"] is not None:
         return StabilityVerdict(stable=False, witness=f"(C1) {kept['C1']}")
-    verdict = is_gamma_stable(x.left)
+    verdict = is_gamma_stable(x.left, _conversion=_conversion)
     if not verdict.stable:
         verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
     return verdict

@@ -87,3 +87,41 @@ def test_the_oracle_agrees_with_the_verdict_inside_the_cone(t0, u, v, w):
         if oracle_semistable_fixed(x, p) != is_theta_stable(x, p).stable:
             disagreements.append((x.n, x.c, x.cp, x.to_json()))
     assert not disagreements, disagreements[:2]
+
+
+def _origin_reps():
+    """The reps of every pair of charts=1, c <= 4, n = 1..3: both cycles
+    at the origin of the chart [1,0], all of fixed form."""
+    return [
+        nested_to_rep(pair, n)
+        for n in (1, 2, 3)
+        for c in range(2, 5)
+        for cp in range(1, c)
+        for pair in enumerate_nested_monomial(cp, c, charts=1, n=n)
+    ]
+
+
+def test_the_oracle_flips_just_past_three_walls():
+    # from the cone's centre in (u, v, w), step 1e-6 past one wall: u < 0
+    # is past theta2 = -theta1, v > 1 past theta4 = 0, w > 1 past the sum
+    # wall theta1 + theta2 + (theta3 + theta4)(c - c') = 0.  The first two
+    # are walls for every rep, the sum one exactly where c - c' = 1
+    half = Fraction(1, 2)
+    steps = {
+        "theta2 = -theta1": (-EPS, half, half),
+        "theta4 = 0": (half, 1 + EPS, half),
+        "sum": (half, half, 1 + EPS),
+    }
+    reps = _origin_reps()
+    assert len(reps) == 87
+    flipped = {wall: [] for wall in steps}
+    for x in reps:
+        assert oracle_semistable_fixed(x, _theta(x.c, x.cp, Fraction(1), half, half, half))
+        for wall, (u, v, w) in steps.items():
+            p = _theta(x.c, x.cp, Fraction(1), u, v, w)
+            assert not in_enh_cone(p, x.c, x.cp)
+            if not oracle_semistable_fixed(x, p):
+                flipped[wall].append(x)
+    assert flipped["theta2 = -theta1"] == flipped["theta4 = 0"] == reps
+    assert flipped["sum"] == [x for x in reps if x.c - x.cp == 1]
+    assert len(flipped["sum"]) == 39

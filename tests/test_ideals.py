@@ -655,6 +655,36 @@ def test_only_proven_sites_skip_the_commutator():
     assert read == ["ideals.adhm_from_ideal"]
 
 
+def _callers(name: str) -> list[str]:
+    """The src functions that call name, as module.Class.function, once
+    per call site."""
+    out = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, [*scope, child.name])
+                    continue
+                if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)
+                ):
+                    out.append(".".join([path.stem, *scope]))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sorted(out)
+
+
+def test_only_the_chart_readers_and_the_gauge_invert():
+    # A_nu where it is not the identity, a scan's kept rows K for its
+    # normal forms, and a gauge element's blocks: the small ideal reads
+    # M K_s^-1 off one elimination of (K k1)^T and inverts nothing, and
+    # the row-at-a-time pass runs on the lazy walk alone
+    assert _callers("invert") == ["chart._Scan.nf", "chart.chart_blocks", "quiver.GaugeElement.__post_init__"]
+    assert _callers("_span_pass") == ["chart.closure_scan"]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # each deletion of a caller can strand an import; no linter runs here
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):

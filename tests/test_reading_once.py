@@ -160,13 +160,15 @@ def test_failing_inputs_raise_again_on_every_call():
 
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))
 def test_a_converted_input_is_not_read_again(monkeypatch, chart):
-    # rep_to_nested(x) then same_orbit(x, rep): x's verdict chart is
-    # extracted once, no input's relations are read (rep keeps the verdict
-    # nested_to_rep records, and x the one act carries), and no (input,
-    # chart) closure is read twice: x's closure is read only at the
-    # verdict's chart and the pair's.  A JSON-read copy of x keeps nothing,
+    # rep_to_nested(x) then same_orbit(x, rep): no input's relations are
+    # read (rep keeps the verdict nested_to_rep records, and x the one act
+    # carries), so x's verdict is counted at the pair's chart, and x's left
+    # part is extracted and its closure read there alone, once; no (input,
+    # chart) closure is read twice.  A JSON-read copy of x keeps nothing,
     # so its relations are read, once: its left part's residuals, kept on
-    # the left part, and then the right part's.
+    # the left part, and then the right part's; they are read after its
+    # verdict, which reads at the verdict's chart, and its pair at the
+    # pair's.
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
@@ -202,14 +204,15 @@ def test_a_converted_input_is_not_read_again(monkeypatch, chart):
                 recording(module, name, closures, lambda b1, b2, e: datums[id(b1)][:2])
     assert rep_to_nested(x, p) == pair
     assert same_orbit(x, rep, p)
-    assert extracted.count((id(x.left), verdict_chart)) == 1
+    assert [nu for z, nu in extracted if z == id(x.left)] == [pair.nu]
     assert residuals == []
     read = EnhRep.from_json(x.to_json())
     assert rep_to_nested(read, p) == pair
     assert same_orbit(read, rep, p)
     assert residuals == [id(read.left), id(read)]
     assert len(closures) == len(set(closures)), closures
-    assert {nu for z, nu in closures if z == id(x.left)} == {verdict_chart, pair.nu}
+    assert {nu for z, nu in closures if z == id(x.left)} == {pair.nu}
+    assert {nu for z, nu in closures if z == id(read.left)} == {verdict_chart, pair.nu}
 
 
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))

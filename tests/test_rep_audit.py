@@ -265,6 +265,67 @@ def test_check_reads_the_relations_before_the_chart(tmp_path, capsys, monkeypatc
                 assert built == pairs
 
 
+def test_check_of_a_broken_n1_file_forms_no_commutator(tmp_path, capsys, monkeypatch):
+    # for n = 1 the commutator of a chart pair is rho A_nu^-1 times the one
+    # residual, so once check has read a nonzero relation verdict the
+    # verdict's extraction raises after its chart blocks, with no product
+    # of its own; the commutator it skips is nonzero on every such file
+    count = [0]
+    matmul = RationalMatrix.__matmul__
+
+    def counting(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    blocks, extract = nestquiv.chart.chart_blocks, nestquiv.stability.chart_extract
+    spent, in_blocks, pairs = [], [], []
+
+    def reading_blocks(x, at):
+        start = count[0]
+        out = blocks(x, at)
+        in_blocks.append(count[0] - start)
+        pairs.append(out[:2])
+        return out
+
+    def extracting(x, at):
+        start = count[0]
+        in_blocks.clear()
+        try:
+            return extract(x, at)
+        finally:
+            spent.append(count[0] - start - sum(in_blocks))
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+    monkeypatch.setattr(nestquiv.chart, "chart_blocks", reading_blocks)
+    monkeypatch.setattr(nestquiv.stability, "chart_extract", extracting)
+    rng = random.Random(46)
+    path = tmp_path / "rep.json"
+    files = 0
+    for chart in CHARTS:
+        for c in (2, 3, 4):
+            x = random_hirz_stable(rng, c, 1, chart)
+            y = act(random_gauge(rng, c, 1), nested_to_rep(random_nested_pair(rng, c, c - 1, chart), 1))
+            mutants = [moved(x, f, q, rng) for f, q in plain_slots(x)]
+            mutants += [replace(y, left=moved(y.left, f, q, rng)) for f, q in plain_slots(y.left)]
+            for z in mutants:
+                left = z.left if isinstance(z, EnhRep) else z
+                if not HirzRep.from_json(left.to_json())._nonzero_residuals:
+                    continue  # the left part's relations hold: its pair commutes
+                path.write_text(json.dumps(z.to_json()))
+                spent.clear()
+                pairs.clear()
+                assert main(["check", str(path)]) == 1
+                err = capsys.readouterr().err
+                if not spent:
+                    continue  # the verdict stopped before a chart: an irregular pencil
+                assert spent == [0]
+                assert err.strip() == "error: extracted pair does not commute"
+                [(b1, b2)] = pairs
+                assert not (matmul(b1, b2) - matmul(b2, b1)).is_zero()
+                files += 1
+    assert files >= 20
+
+
 def test_stability_and_orbits_need_an_enhanced_representation():
     x = nested_to_rep(random_nested_pair(random.Random(45), 3, 1, CHART_FIRST), 2)
     p = default_theta(3, 1)

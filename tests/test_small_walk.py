@@ -5,8 +5,8 @@ kernel bases k1 of F1 and k2 of F2, so in any regular chart b_i k1 = k1 b_i'
 and e k1 = e': the kernel datum's walk is the left walk times k1.
 `rep_to_nested` and `same_orbit` read the small ideal from that product
 and never build `kernel_subrep`, which stays as the oracle here.  They
-read it with the big scan's lazy pass, run on the c rows of K k1
-(`chart._Scan.restrict`); the whole-walk scan of the product
+read it off the big scan's kept rows, with one elimination of the c rows
+of K k1 (`chart._Scan.restrict`); the whole-walk scan of the product
 (`conftest.oracle_scan`) is the oracle for that.
 """
 
@@ -59,22 +59,22 @@ def test_kernel_walk_is_the_left_walk_times_k1():
 @pytest.mark.parametrize(
     "call, chart, verdict_chart, inversions",
     [
-        ("rep_to_nested", CHART_FIRST, nu(1, 0), 3),
-        ("rep_to_nested", CHART_SECOND, nu(1, 1), 4),
-        ("rep_to_nested", CHART_MIXED, nu(1, 1), 3),
-        ("same_orbit", CHART_FIRST, nu(1, 0), 4),
+        ("rep_to_nested", CHART_FIRST, nu(1, 0), 2),
+        ("rep_to_nested", CHART_SECOND, nu(1, 1), 3),
+        ("rep_to_nested", CHART_MIXED, nu(1, 1), 2),
+        ("same_orbit", CHART_FIRST, nu(1, 0), 2),
     ],
     ids=["rep_to_nested-[1,0]", "rep_to_nested-[0,1]", "rep_to_nested-[1,1]", "same_orbit-[1,0]"],
 )
 def test_conversions_never_build_the_kernel(monkeypatch, call, chart, verdict_chart, inversions):
-    # one inversion of A_nu per left part where the verdict reads the
-    # pair's chart; [0,1] pairs read the verdict at [1,1], the pair at [0,1].
-    # Each scan of a scrambled datum whose normal forms are read also
-    # inverts its walk's kept rows K: only the pair's chart reads them, so
-    # the [1,1] verdict of a [0,1] pair does not; rep, read at its own
-    # chart, has K and A_nu the identity and inverts neither.  Each small
-    # ideal inverts the kept rows K_s of its pass (`_Scan.restrict`), which
-    # are not the identity here, for rep too
+    # one inversion of A_nu per chart read: the fresh copy of x keeps no
+    # relation verdict, so its verdict reads the verdict's chart, and a
+    # [0,1] pair is read at [1,1] and at [0,1]; rep keeps the verdict
+    # nested_to_rep records, so same_orbit reads it at the pair's chart
+    # alone.  Each scan of a scrambled datum whose normal forms are read
+    # also inverts its walk's kept rows K; rep, read at its own chart, has
+    # K and A_nu the identity and inverts neither.  Each small ideal is one
+    # elimination of (K k1)^T and inverts nothing (`_Scan.restrict`)
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
@@ -150,38 +150,29 @@ def test_the_small_scan_is_the_whole_walk_scan(seed, kind, c, which, chart, n, s
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda v: "[{},{}]".format(*v.to_json()))
 @pytest.mark.parametrize("scramble", [False, True], ids=["plain", "scrambled"])
 def test_the_small_scan_reads_only_the_big_kept_rows(monkeypatch, chart, scramble):
-    # once the big scan's normal forms are built, the small ideal feeds the
-    # shared pass the c rows of K k1 at most, stops at its c'-th kept row,
-    # and walks nothing
+    # once the big scan's normal forms are built, the small ideal is one
+    # elimination of the c rows of K k1, as the c' x c matrix (K k1)^T: it
+    # walks nothing, runs no row-at-a-time pass and inverts nothing
     rng = random.Random(61)
     for c in (4, 6, 8):
         for cp in (1, c // 2, c - 1):
             pair, x = _converted(rng, "nested", c, cp, chart, 2, scramble)
             _chart_reading(x.left, pair.nu)[1].nf
-            passes = []
-            span_pass = nestquiv.chart._span_pass
+            eliminations = []
+            rref = nestquiv.chart._rref
 
-            def counting(rows, target):
-                drawn = []
-
-                def feed():
-                    for row in rows:
-                        drawn.append(row)
-                        yield row
-
-                found = span_pass(feed(), target)
-                passes.append((len(drawn), target, found))
-                return found
+            def counting(rows, ncols):
+                eliminations.append((len(rows), ncols))
+                return rref(rows, ncols)
 
             def walking(*args):
-                raise AssertionError("the small scan walks a datum")
+                raise AssertionError("the small scan walks a datum or inverts")
 
-            monkeypatch.setattr(nestquiv.chart, "_span_pass", counting)
-            monkeypatch.setattr(nestquiv.chart, "_walk", walking)
+            monkeypatch.setattr(nestquiv.chart, "_rref", counting)
+            for name in ("_walk", "_span_pass", "invert"):
+                monkeypatch.setattr(nestquiv.chart, name, walking)
             for module in (nestquiv.chart, nestquiv.ideals):
                 monkeypatch.setattr(module, "monomial_rows", walking)
             assert _small_ideal(x, pair.nu) == pair.small
             monkeypatch.undo()
-            [(drawn, target, found)] = passes
-            assert target == cp == len(found)
-            assert drawn == found[-1] + 1 <= c
+            assert eliminations == [(cp, c)]
