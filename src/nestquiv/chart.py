@@ -466,19 +466,17 @@ def _span_pass(rows, target: int) -> list[int]:
 
 
 class _Scan:
-    """A closure scan: the pair (monomials kept, normal forms), which
-    unpacks, indexes and compares (`==`) as that tuple, and as `gauge`
-    the walk's rows at the kept monomials, K, None where K is the
-    identity.  A datum that is not costable keeps only the monomials: its
-    normal forms and gauge are None.
+    """A closure scan: the monomials kept (`kept`), the normal forms
+    (`nf`), and as `gauge` the walk's rows at the kept monomials, K, None
+    where K is the identity.  A datum that is not costable keeps only the
+    monomials: its normal forms and gauge are None.
 
-    The kept monomials are the lazy pass's and are read as `kept` (or
-    `scan[0]`) at no further cost.  The normal forms are built on their
-    first read (`nf`, `scan[1]`, unpacking or `==`) and then kept: where
-    K is the identity, the rest of the walk to degree c; otherwise the
-    walk of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1).  Until
-    then `_rest` holds what that needs: the pair, the walk so far and the
-    suspended walk."""
+    The kept monomials are the lazy pass's and are read at no further
+    cost.  The normal forms are built on their first read and then kept:
+    where K is the identity, the rest of the walk to degree c; otherwise
+    the walk of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1).
+    Until then `_rest` holds what that needs: the pair, the walk so far
+    and the suspended walk."""
 
     __slots__ = ("kept", "gauge", "_nf", "_rest")
 
@@ -522,21 +520,6 @@ class _Scan:
         red, den, found = _rref([list(col) for col in zip(*m.num)], m.rows)
         head = self.nf.submatrix(range(count_upto(cp)), range(m.rows))
         return [self.kept[j] for j in found], head @ RationalMatrix._wrap(red, den, m.rows).transpose()
-
-    def __len__(self):
-        return 2
-
-    def __getitem__(self, i):
-        return (self.kept, self.nf)[i] if i else self.kept
-
-    def __iter__(self):
-        yield self.kept
-        yield self.nf
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Scan, tuple)) or len(other) != 2:
-            return NotImplemented
-        return self.kept == other[0] and self.nf == other[1]
 
 
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _Scan:

@@ -102,10 +102,12 @@ def _rep_from_json(obj):
 def cmd_check(args) -> int:
     """The relations, then the stability verdict.  The relation verdict is
     read first and kept on x and its left part, so where every residual is
-    zero the stability verdict's chart extraction builds its pair without
-    forming the commutator (`chart.chart_extract`); elsewhere it forms it,
-    and a nonzero one exits 1 with `error: extracted pair does not commute`,
-    as does, with no commutator formed, a nonzero verdict for n = 1."""
+    zero the stability verdict counts costability in the conversions'
+    chart, as a conversion does, and its chart extraction builds the pair
+    without forming the commutator (`chart.chart_extract`); elsewhere it
+    forms it, and a nonzero one exits 1 with
+    `error: extracted pair does not commute`, as does, with no commutator
+    formed, a nonzero verdict for n = 1."""
     theta = _parse_theta(args.theta) if args.theta else None
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, HirzRep) and x.c0 != x.c1:

@@ -4,22 +4,20 @@ The bridge runs through a chart: restrict the representation to a patch
 where the pencil A_nu is invertible, extract the commuting ADHM datum of
 the dimension-c part and read off the big ideal.  Every chart is read
 through `stability._chart_reading`, one extraction and one closure scan,
-and the conversions read the big ideal off that same reader.  The
-verdict reports the first regular chart; a conversion of an x whose left
-part keeps a zero relation verdict counts its costability in the
-conversions' chart (`stability._read_left`), where the count is the
-same, so the conversion reads the left part in one chart.  Other inputs
-are counted at the verdict's chart, which a conversion whose chart is
-the verdict's reads once too.  Only the conversions read a scan's
-normal forms, which are built on that read (`chart._Scan`): the verdict
-counts the kept rows, and `same_orbit` compares at the conversions'
-chart, so a chart that only a verdict reads is never read in full.  The
-small cycle is the kernel subrepresentation cut out by F1, F2, the left
-part restricted to the kernel bases; its walk is the left walk times
-the kernel basis k1 of F1, so the small ideal is read off the same
-closure scan with one elimination of the c rows of K k1, the scan's
-kept rows times k1 (`chart._Scan.restrict`), with no second walk of
-the left datum, no inversion and no kernel subrepresentation built.
+and the conversions read the big ideal off that same reader.  A
+conversion reads x's left relations before its verdict, so the verdict
+counts costability in the conversions' chart (`stability._read_left`)
+wherever they hold, and the conversion reads the left part in one
+chart.  Only the conversions read a scan's normal forms, which are built
+on that read (`chart._Scan`): the verdict counts the kept rows, and
+`same_orbit` compares at the conversions' chart, so a chart that only a
+verdict reads is never read in full.  The small cycle is the kernel
+subrepresentation cut out by F1, F2, the left part restricted to the
+kernel bases; its walk is the left walk times the kernel basis k1 of
+F1, so the small ideal is read off the same closure scan with one
+elimination of the c rows of K k1, the scan's kept rows times k1
+(`chart._Scan.restrict`), with no second walk of the left datum, no
+inversion and no kernel subrepresentation built.
 What depends only on the representation is kept on it and read once
 across calls: the verdict, the conversions' chart and each chart
 reading (on the left part), the relation verdict, the answer to (C1)
@@ -49,12 +47,16 @@ from .ratmat import kernel_basis
 from .stability import EnhThetaParam, _chart_reading, _pair_chart, is_theta_stable
 
 
-def _stable_chart(x: EnhRep, p: EnhThetaParam, conversion: bool) -> NuPoint:
+def _stable_chart(x: EnhRep, p: EnhThetaParam) -> NuPoint:
     """The chart of x's stability verdict (`is_theta_stable`), the first
-    regular one, read with `_conversion` set where conversion is, which
-    counts costability in the conversions' chart where that premise
-    holds (`stability._read_left`).  NotStable unless x is stable."""
-    verdict = is_theta_stable(x, p, _conversion=conversion)
+    regular one.  NotStable unless x is stable.  It computes the left
+    part's relation verdict first, without raising on it
+    (`_require_relations` does), so a left part whose relations hold has
+    its costability counted in the conversions' chart
+    (`stability._read_left`); the right part's residuals, which the
+    verdict does not read, wait for `_require_relations`."""
+    x.left._nonzero_residuals
+    verdict = is_theta_stable(x, p)
     if not verdict.stable:
         raise NotStable(f"representation is not stable: {verdict.witness}")
     return verdict.nu
@@ -87,7 +89,7 @@ def _small_ideal(x: EnhRep, nu: NuPoint) -> ZeroCycleIdeal:
     """
     small = x._kept.get(nu)
     if small is None:
-        _, scan = _chart_reading(x.left, nu)
+        scan = _chart_reading(x.left, nu)
         small = x._kept[nu] = _ideal_of_scan(*scan.restrict(kernel_basis(x.F1), x.cp), x.cp)
     return small
 
@@ -105,32 +107,30 @@ def rep_to_nested(x: EnhRep, p: EnhThetaParam, nu: NuPoint | None = None) -> Nes
     the verdict's is, else [0,1] when the left pencil is regular there,
     else the verdict's (`stability._pair_chart`).  The big ideal is the
     closure scan of the chart reading there (`_chart_reading`, kept on
-    x.left).  When nu is not given and x.left keeps a zero relation
-    verdict, the verdict, read here first, counts costability in that
-    chart (`stability._read_left`), so x is extracted and scanned in that
-    chart alone, and this builds the scan's normal forms.  Otherwise the
-    verdict counts in its own chart, and a pair's chart that differs is
-    read once more.  The verdict, the conversions' chart, the chart
-    readings, the relation verdict and the small ideal are kept on x, so
-    a later conversion or `same_orbit` of x does not read them again.
-    Only the left pencil P is tested: the kernel's P' has k2 P' = P k1
-    (kernel bases k1, k2), so it is regular with P.  The pair is nested
-    without a check: big.basis annihilates the left walk, and the small
-    walk is that walk times k1.  Both ideals are read off one closure
-    scan: the big one is its lazy pass over the left walk, the small one
-    one elimination of the c rows of K k1 (`chart._Scan.restrict`).  Both
-    are scans of a commuting datum's walk (`ideals._ideal_of_scan`), so
-    both are recorded as ideals, and `adhm_from_ideal` of either forms no
-    commutator.  Any x that is not an EnhRep raises ShapeMismatch.
+    x.left).  Where the left relations hold, the verdict counts
+    costability in that chart too (`_stable_chart`), so with no nu given
+    x is extracted and scanned there alone.  The verdict, the
+    conversions' chart, the chart readings, the relation verdict and the
+    small ideal are kept on x, so a later conversion or `same_orbit` of x
+    does not read them again.  Only the left pencil P is tested: the
+    kernel's P' has k2 P' = P k1 (kernel bases k1, k2), so it is regular
+    with P.  The pair is nested without a check: big.basis annihilates
+    the left walk, and the small walk is that walk times k1.  Both ideals
+    are read off one closure scan: the big one is its lazy pass over the
+    left walk, the small one one elimination of the c rows of K k1
+    (`chart._Scan.restrict`).  Both are scans of a commuting datum's walk
+    (`ideals._ideal_of_scan`), so both are recorded as ideals, and
+    `adhm_from_ideal` of either forms no commutator.  Any x that is not
+    an EnhRep raises ShapeMismatch.
     """
     _require_enhanced(x, "rep_to_nested")
     if x.cp == 0:
         raise DomainError("c' = 0 has no nested structure; use the chart dictionary directly")
-    chart = _stable_chart(x, p, nu is None)
+    chart = _stable_chart(x, p)
     _require_relations(x)
     at = nu or _pair_chart(x.left, chart)
-    _, (kept, nf) = _chart_reading(x.left, at)
-    return NestedIdealPair(nu=at, big=_ideal_of_scan(kept, nf, x.c), small=_small_ideal(x, at))
+    scan = _chart_reading(x.left, at)
+    return NestedIdealPair(nu=at, big=_ideal_of_scan(scan.kept, scan.nf, x.c), small=_small_ideal(x, at))
 
 
 def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
@@ -187,11 +187,10 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     along an orbit.  For the same reason the conversions' chart
     (`stability._pair_chart`: the verdict's chart, or [0,1] where the
     pencil is regular there) is the same along an orbit, and inputs whose
-    conversion charts differ are on different orbits.  Each verdict is
-    read as a conversion's (`rep_to_nested`): an input whose left part
-    keeps a zero relation verdict is counted in the conversions' chart,
-    the one chart it is then read in.  In that chart the
-    closure scans (`_chart_reading`) are the big ideals
+    conversion charts differ are on different orbits.  As in
+    `rep_to_nested`, an input whose left relations hold is read in the
+    conversions' chart alone.  In that chart the closure scans
+    (`_chart_reading`) are the big ideals
     (`ZeroCycleIdeal.from_normal_forms` is one to one), and the small
     ideals are read off the same extractions only when the scans agree:
     the pairs `rep_to_nested` returns, compared part by part.  At c' = 0,
@@ -209,8 +208,8 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
         raise ShapeMismatch("representations live on different surfaces")
     if x.left.c1 != y.left.c1 or x.cp != y.cp:
         return False
-    chart_x = _stable_chart(x, p, True)
-    chart_y = _stable_chart(y, p, True)
+    chart_x = _stable_chart(x, p)
+    chart_y = _stable_chart(y, p)
     _require_relations(x)
     _require_relations(y)
     if chart_x != chart_y:
@@ -218,6 +217,7 @@ def same_orbit(x: EnhRep, y: EnhRep, p: EnhThetaParam) -> bool:
     at = _pair_chart(x.left, chart_x)
     if at != _pair_chart(y.left, chart_y):
         return False
-    if _chart_reading(x.left, at)[1] != _chart_reading(y.left, at)[1]:
+    sx, sy = _chart_reading(x.left, at), _chart_reading(y.left, at)
+    if sx.kept != sy.kept or sx.nf != sy.nf:
         return False
     return _small_ideal(x, at) == _small_ideal(y, at)

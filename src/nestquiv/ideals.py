@@ -280,7 +280,8 @@ def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
     when the walk has rank c.  It reads the scan's normal forms, which
     are built then (`chart._Scan`); a scan that is not costable has none.
     """
-    return _ideal_of_scan(*closure_scan(a.b1, a.b2, a.e), a.c)
+    scan = closure_scan(a.b1, a.b2, a.e)
+    return _ideal_of_scan(scan.kept, scan.nf, a.c)
 
 
 def _ideal_of_scan(kept, nf: RationalMatrix, c: int) -> ZeroCycleIdeal:

@@ -25,8 +25,8 @@ stability verdict reads a chart.
 `_kept_relations` reads a kept verdict without computing one:
 `chart.chart_extract` trusts the commutator of a pair read off a
 representation whose kept verdict is zero, and for n = 1 refuses the
-pair of one whose kept verdict is not, and `stability` counts a
-conversion's costability in the conversions' chart where it is zero.
+pair of one whose kept verdict is not, and `stability` counts
+costability in the conversions' chart where it is zero.
 
 Sign convention, frozen package-wide: the mixed relation reads
 

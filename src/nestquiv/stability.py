@@ -18,14 +18,14 @@ covector closure once, and the number of rows the scan keeps is the
 verdict.  The scan's normal forms are the big ideal, built only when a
 conversion in `correspondence` reads them at that chart, so a verdict
 pays for the lazy count alone.  The verdict's chart is the first regular
-one; a conversion's verdict of a representation that keeps a zero
-relation verdict counts in the conversions' chart instead, where the
-count is the same (`_read_left`).  A representation is immutable,
-so the verdict and each chart reading are kept on it and computed once,
-by whichever caller asks first (`HirzRep._kept`), and so is the answer
-to (C1) on the enhanced one (`EnhRep._kept`).  The oracle re-derives
-verdicts directly from the subrepresentation inequalities and is used by the
-test suite to cross-check the chain on torus-fixed inputs.
+one; the count is read in the conversions' chart wherever the relations
+are known to hold, where it is the same (`_read_left`).  A
+representation is immutable, so the verdict and each chart reading are
+kept on it and computed once, by whichever caller asks first
+(`HirzRep._kept`), and so is the answer to (C1) on the enhanced one
+(`EnhRep._kept`).  The oracle re-derives verdicts directly from the
+subrepresentation inequalities and is used by the test suite to
+cross-check the chain on torus-fixed inputs.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> St
 
 
 def _chart_reading(x: HirzRep, nu: NuPoint):
-    """(the datum of x in the chart at nu, its closure scan), kept on x
-    per chart (`HirzRep._kept`).
+    """The closure scan of x's datum in the chart at nu, kept on x per
+    chart (`HirzRep._kept`).
 
     The one reader of a closure: the scan's kept monomials count it for
     costability, its normal forms are the big ideal, and it restricts to
@@ -150,11 +150,11 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
     first read, by a conversion, and kept on the scan.  Nothing is kept
     when the extraction raises (`chart_extract`).
     """
-    reading = x._kept.get(nu)
-    if reading is None:
+    scan = x._kept.get(nu)
+    if scan is None:
         a = chart_extract(x, nu)
-        reading = x._kept[nu] = a, closure_scan(a.b1, a.b2, a.e)
-    return reading
+        scan = x._kept[nu] = closure_scan(a.b1, a.b2, a.e)
+    return scan
 
 
 def _pair_chart(x: HirzRep, chart: NuPoint) -> NuPoint:
@@ -169,32 +169,29 @@ def _pair_chart(x: HirzRep, chart: NuPoint) -> NuPoint:
     return at
 
 
-def is_gamma_stable(x: HirzRep, *, _conversion: bool = False) -> StabilityVerdict:
+def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
     """Base-cone stability of a plain representation with c0 = c1, kept
-    on x (`HirzRep._kept`).  The verdict carries the chart used.
+    on x (`HirzRep._kept`).  The verdict carries the first regular chart.
 
     The checks in verdict order: nonzero I (n >= 2), pencil regularity
-    (`find_regular_nu`), then costability of the datum read at that chart
-    (`_chart_reading`; `chart_extract` raises RelationsViolated unless it
-    commutes).  A conversion reads its verdict with `_conversion` set,
-    which may count costability in the conversions' chart instead
-    (`_read_left`); the verdict is the same.  Errors are not kept: an
-    input that raises raises again on every call.
+    (`find_regular_nu`), then costability of the datum (`_read_left`;
+    `chart_extract` raises RelationsViolated unless it commutes).  Errors
+    are not kept: an input that raises raises again on every call.
     """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
     verdict = x._kept.get("left")
     if verdict is None:
-        verdict = x._kept["left"] = _read_left(x, _conversion)
+        verdict = x._kept["left"] = _read_left(x)
     return verdict
 
 
-def _read_left(x: HirzRep, conversion: bool) -> StabilityVerdict:
+def _read_left(x: HirzRep) -> StabilityVerdict:
     """`is_gamma_stable`'s first reading of x.  Its chart is the first
-    regular one, nu; costability is counted there, or, for a conversion
-    of an x that keeps a zero relation verdict (`quiver._kept_relations`),
-    in the conversions' chart (`_pair_chart`), which the conversion reads
-    anyway, so it extracts and scans one chart, not two.
+    regular one, nu.  Costability is counted in the conversions' chart
+    (`_pair_chart`) where x keeps a zero relation verdict
+    (`quiver._kept_relations`), so a conversion, which reads that chart
+    anyway, extracts and scans one chart; elsewhere it is counted at nu.
 
     The count is the same in both.  Once every I_q is zero and the
     relations hold, the gauge g2 = A_nu^-1 makes A_nu the identity, so
@@ -214,21 +211,19 @@ def _read_left(x: HirzRep, conversion: bool) -> StabilityVerdict:
         nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
         return StabilityVerdict(stable=False, witness="irregular pencil")
-    at = _pair_chart(x, nu) if conversion and _kept_relations(x) == () else nu
-    a, scan = _chart_reading(x, at)
-    witness = _closure_witness(len(scan.kept), a.c)
+    at = _pair_chart(x, nu) if _kept_relations(x) == () else nu
+    witness = _closure_witness(len(_chart_reading(x, at).kept), x.c0)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
-def is_theta_stable(x: EnhRep, p: EnhThetaParam, *, _conversion: bool = False) -> StabilityVerdict:
+def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
     """Two-condition stability test inside the enhanced cone: the cone
     check (ConeViolation outside it), then (C1), the first of F1, F2 that
     is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
-    kept on x.left, with `_conversion` passed on), its witness prefixed.
-    (C1) depends on x alone, so its answer, the failing map or None, is
-    kept on x (`EnhRep._kept`); the cone check depends on p and runs on
-    every call, as does the prefix.  Any x that is not an EnhRep raises
-    ShapeMismatch."""
+    kept on x.left), its witness prefixed.  (C1) depends on x alone, so its
+    answer, the failing map or None, is kept on x (`EnhRep._kept`); the
+    cone check depends on p and runs on every call, as does the prefix.
+    Any x that is not an EnhRep raises ShapeMismatch."""
     _require_enhanced(x, "is_theta_stable")
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
@@ -238,7 +233,7 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam, *, _conversion: bool = False) -
         kept["C1"] = next((name for name, f in (("F1", x.F1), ("F2", x.F2)) if rank(f) != s), None)
     if kept["C1"] is not None:
         return StabilityVerdict(stable=False, witness=f"(C1) {kept['C1']}")
-    verdict = is_gamma_stable(x.left, _conversion=_conversion)
+    verdict = is_gamma_stable(x.left)
     if not verdict.stable:
         verdict = replace(verdict, witness=f"(C2) {verdict.witness}")
     return verdict

@@ -290,11 +290,11 @@ def test_closure_rank():
     # the closure's rank is the number of monomials closure_scan keeps,
     # which is_costable reads
     a = e2_datum()
-    assert len(closure_scan(a.b1, a.b2, a.e)[0]) == 2
+    assert len(closure_scan(a.b1, a.b2, a.e).kept) == 2
     assert is_costable(a.b1, a.b2, a.e).stable
     # e a joint eigenvector: closure stops at rank 1
     b1 = M([[1, 1], [0, 2]])
-    assert len(closure_scan(b1, b1 @ b1, M([[0, 1]]))[0]) == 1
+    assert len(closure_scan(b1, b1 @ b1, M([[0, 1]])).kept) == 1
     assert is_costable(b1, b1 @ b1, M([[0, 1]])).witness == "costability closure rank 1 < 2"
 
 
@@ -313,7 +313,8 @@ def test_closure_scan_keeps_rank_growth():
         rows = monomial_rows(b1, b2, e, d)
         prefix_ranks = [rank(rows.submatrix(range(k), range(a.c))) for k in range(rows.rows + 1)]
         grows = [m for k, m in enumerate(monomials_upto(d)) if prefix_ranks[k + 1] > prefix_ranks[k]]
-        kept, nf = closure_scan(b1, b2, e)
+        scan = closure_scan(b1, b2, e)
+        kept, nf = scan.kept, scan.nf
         assert kept == grows == ideal.standard_monomials()
         walk = monomial_rows(b1, b2, e, a.c)
         at_kept = [monomials_upto(a.c).index(m) for m in kept]

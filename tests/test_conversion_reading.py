@@ -323,21 +323,19 @@ def test_each_left_part_is_read_once(monkeypatch, call, chart, ranks, inversions
 
 _WORK = {
     # (call, chart): pencil ranks, inversions, and closure scans: one scan
-    # per chart read; ideal_from_adhm never scans again.  A verdict-only
-    # call reads the first regular chart; a conversion of these inputs,
-    # which keep a zero relation verdict, counts its verdict at the pair's
-    # chart, so it reads that chart alone, and a [0,1] pair's verdict is
-    # not read at [1,1].  Each chart read inverts A_nu unless A_nu is the
-    # identity, as it is for the unscrambled input read at its own chart.
-    # Reading a scan's normal forms inverts the walk's kept rows K unless K
-    # is the identity, as it is there too.  Each small ideal is one
-    # elimination of (K k1)^T and inverts nothing (`_Scan.restrict`).
-    # same_orbit compares at the pair's chart, so it ranks each input's
-    # pencil at [0,1] (`chart._conversion_chart`) where its first regular
-    # chart is not [1,0]
+    # per chart read; ideal_from_adhm never scans again.  These inputs keep
+    # a zero relation verdict, so every verdict, a verdict-only one too,
+    # counts at the pair's chart: each call reads that chart alone, and
+    # ranks the pencil at [0,1] (`chart._conversion_chart`) where its first
+    # regular chart is not [1,0].  Each chart read inverts A_nu unless
+    # A_nu is the identity, as it is for the unscrambled input read at its
+    # own chart.  Reading a scan's normal forms inverts the walk's kept
+    # rows K unless K is the identity, as it is there too.  Each small
+    # ideal is one elimination of (K k1)^T and inverts nothing
+    # (`_Scan.restrict`)
     ("is_theta_stable", CHART_FIRST): (1, 1, {"stability.closure_scan": 1}),
-    ("is_theta_stable", CHART_SECOND): (2, 1, {"stability.closure_scan": 1}),
-    ("is_theta_stable", CHART_MIXED): (2, 1, {"stability.closure_scan": 1}),
+    ("is_theta_stable", CHART_SECOND): (3, 1, {"stability.closure_scan": 1}),
+    ("is_theta_stable", CHART_MIXED): (3, 1, {"stability.closure_scan": 1}),
     ("rep_to_nested", CHART_FIRST): (1, 2, {"stability.closure_scan": 1}),
     ("rep_to_nested", CHART_SECOND): (3, 2, {"stability.closure_scan": 1}),
     ("rep_to_nested", CHART_MIXED): (3, 2, {"stability.closure_scan": 1}),

@@ -112,18 +112,15 @@ def test_a_verdict_inverts_only_a_nu_and_reads_no_normal_forms(monkeypatch, char
     work = Work(monkeypatch)
     assert is_theta_stable(x, p).stable
     assert work.counts() == {"invert": 1, "walks": 0, "nf": 0, "extracted": 1, "scanned": 1}
-    nu = is_theta_stable(x, p).nu
-    reading = x.left._kept[nu]
-    # a later conversion completes the kept reading where its chart is the
-    # verdict's: no second extraction and no second lazy pass there
+    # x keeps the relation verdict act carries, so its verdict counted at
+    # the pair's chart, and a later conversion completes that reading: no
+    # second extraction and no second lazy pass
+    reading = x.left._kept[pair.nu]
     work = Work(monkeypatch)
     assert rep_to_nested(x, p) == pair
-    assert x.left._kept[nu] is reading
+    assert x.left._kept[pair.nu] is reading
     assert work.nf >= 1
-    if pair.nu == nu:
-        assert work.extracted == [] and work.scanned == []
-    else:
-        assert work.extracted == [(id(x.left), pair.nu)] and len(work.scanned) == 1
+    assert work.extracted == [] and work.scanned == []
 
 
 def test_cli_check_reads_only_the_count(monkeypatch, tmp_path, capsys):
@@ -193,10 +190,12 @@ def test_same_orbit_is_the_comparison_of_the_converted_pairs(seed, kind, other_k
 
 
 def test_same_orbit_is_false_across_conversion_charts(monkeypatch):
-    # a [0,1] pair and a [1,1] pair whose verdicts both read [1,1] (a
+    # a [0,1] pair and a [1,1] pair whose verdicts both report [1,1] (a
     # [0,1] pair with a point on the fiber over [1,1] is read further on);
-    # the first is converted at [0,1], the second at [1,1], and the pair
-    # charts answer with no chart read beyond the verdicts'
+    # the first is converted at [0,1], the second at [1,1].  same_orbit
+    # reads each input's relations before its verdict, so each verdict
+    # counts at its input's pair chart, and the pair charts answer with no
+    # other chart read and no normal forms built
     rng = random.Random(138)
     tried = 0
     for c in (3, 4, 5):
@@ -209,11 +208,12 @@ def test_same_orbit_is_false_across_conversion_charts(monkeypatch):
                 continue
             assert is_theta_stable(y, p).nu == CHART_MIXED
             assert (rep_to_nested(x, p).nu, rep_to_nested(y, p).nu) == (CHART_SECOND, CHART_MIXED)
-            for a, b in ((x, y), (y, x)):
+            read_x, read_y = (x, CHART_SECOND), (y, CHART_MIXED)
+            for (a, at), (b, bt) in ((read_x, read_y), (read_y, read_x)):
                 a, b = fresh(a), fresh(b)
                 work = Work(monkeypatch)
                 assert same_orbit(a, b, p) is False
-                assert work.extracted == [(id(a.left), CHART_MIXED), (id(b.left), CHART_MIXED)]
+                assert work.extracted == [(id(a.left), at), (id(b.left), bt)]
                 assert work.nf == 0
             tried += 1
     assert tried >= 6

@@ -138,7 +138,7 @@ def test_ideal_from_adhm_matches_kernel_construction():
         e_zero = AdhmData(c=a.c, b1=a.b1, b2=a.b2, e=RationalMatrix.zeros(1, a.c))
         for bad, r in ((unreachable, a.c), (e_zero, 0), (_scrambled(rng, unreachable), a.c)):
             walk = monomial_rows(bad.b1, bad.b2, bad.e, bad.c - 1)
-            assert rank(walk) == len(closure_scan(bad.b1, bad.b2, bad.e)[0]) == r
+            assert rank(walk) == len(closure_scan(bad.b1, bad.b2, bad.e).kept) == r
             for build in (ideal_from_adhm, _kernel_ideal):
                 with pytest.raises(NotCostable, match="datum is not costable"):
                     build(bad)
@@ -683,6 +683,22 @@ def test_only_the_chart_readers_and_the_gauge_invert():
     # the row-at-a-time pass runs on the lazy walk alone
     assert _callers("invert") == ["chart._Scan.nf", "chart.chart_blocks", "quiver.GaugeElement.__post_init__"]
     assert _callers("_span_pass") == ["chart.closure_scan"]
+
+
+def test_a_kept_relation_verdict_is_read_by_one_rule():
+    # the verdict counts in the conversions' chart exactly where the
+    # relations are known to hold, whoever asks: the kept verdict is read
+    # only where a pair is trusted, where it is carried, and there, and no
+    # caller selects a mode of the verdict
+    assert _callers("_kept_relations") == ["chart.chart_extract", "quiver.act", "stability._read_left"]
+    modes = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                args = fn.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                modes += [f"{path.stem}.{fn.name}" for name in names if name == "_conversion"]
+    assert modes == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

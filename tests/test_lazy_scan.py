@@ -67,8 +67,8 @@ def test_the_lazy_scan_is_the_whole_walk_scan(seed, kind, c, scramble):
         a = scrambled(rng, a)
     got = closure_scan(a.b1, a.b2, a.e)
     kept, nf = oracle_scan(monomial_rows(a.b1, a.b2, a.e, c), c)
-    assert got == (kept, nf) and len(kept) == c
-    assert (got[1].num, got[1].den) == (nf.num, nf.den)
+    assert got.kept == kept and got.nf == nf and len(kept) == c
+    assert (got.nf.num, got.nf.den) == (nf.num, nf.den)
     # the gauge is the walk's rows at the kept monomials, None where it is
     # the identity, as on a canonical datum
     walk = monomial_rows(a.b1, a.b2, a.e, c)
@@ -102,8 +102,8 @@ def test_a_scan_that_is_not_costable_keeps_what_the_whole_walk_keeps(seed, kind,
         if how == "scrambled unreachable block":
             bad = scrambled(rng, bad)
     got = closure_scan(bad.b1, bad.b2, bad.e)
-    assert got[0] == oracle_scan(monomial_rows(bad.b1, bad.b2, bad.e, bad.c), bad.c)[0]
-    assert len(got[0]) < bad.c and got[1] is None and got.gauge is None
+    assert got.kept == oracle_scan(monomial_rows(bad.b1, bad.b2, bad.e, bad.c), bad.c)[0]
+    assert len(got.kept) < bad.c and got.nf is None and got.gauge is None
 
 
 def _walked(monkeypatch):
@@ -133,7 +133,8 @@ def test_a_costable_scan_walks_the_datum_to_its_last_kept_row(monkeypatch, kind)
         a = cycle(rng, kind, c)
         b = scrambled(rng, a)
         drawn = _walked(monkeypatch)
-        kept, _ = closure_scan(b.b1, b.b2, b.e)
+        scan = closure_scan(b.b1, b.b2, b.e)
+        kept, _ = scan.kept, scan.nf
         last = monomials_upto(c).index(kept[-1])
         assert drawn.pop(id(b.b1)) == last + 1 <= count_upto(sum(kept[-1]))
         assert list(drawn.values()) == [count_upto(c)]

@@ -60,7 +60,7 @@ def test_kernel_walk_is_the_left_walk_times_k1():
     "call, chart, verdict_chart, inversions",
     [
         ("rep_to_nested", CHART_FIRST, nu(1, 0), 2),
-        ("rep_to_nested", CHART_SECOND, nu(1, 1), 3),
+        ("rep_to_nested", CHART_SECOND, nu(1, 1), 2),
         ("rep_to_nested", CHART_MIXED, nu(1, 1), 2),
         ("same_orbit", CHART_FIRST, nu(1, 0), 2),
     ],
@@ -68,13 +68,14 @@ def test_kernel_walk_is_the_left_walk_times_k1():
 )
 def test_conversions_never_build_the_kernel(monkeypatch, call, chart, verdict_chart, inversions):
     # one inversion of A_nu per chart read: the fresh copy of x keeps no
-    # relation verdict, so its verdict reads the verdict's chart, and a
-    # [0,1] pair is read at [1,1] and at [0,1]; rep keeps the verdict
-    # nested_to_rep records, so same_orbit reads it at the pair's chart
-    # alone.  Each scan of a scrambled datum whose normal forms are read
-    # also inverts its walk's kept rows K; rep, read at its own chart, has
-    # K and A_nu the identity and inverts neither.  Each small ideal is one
-    # elimination of (K k1)^T and inverts nothing (`_Scan.restrict`)
+    # relation verdict, so rep_to_nested computes it before the verdict,
+    # which then counts at the pair's chart, and a [0,1] pair is read at
+    # [0,1] alone; rep keeps the verdict nested_to_rep records, so
+    # same_orbit reads it at the pair's chart alone too.  Each scan of a
+    # scrambled datum whose normal forms are read also inverts its walk's
+    # kept rows K; rep, read at its own chart, has K and A_nu the identity
+    # and inverts neither.  Each small ideal is one elimination of
+    # (K k1)^T and inverts nothing (`_Scan.restrict`)
     rng = random.Random(3)
     pair = random_nested_pair(rng, 4, 2, chart)
     rep = nested_to_rep(pair, 2)
@@ -132,13 +133,13 @@ def _converted(rng, kind, c, cp, chart, n, scramble):
     st.booleans(),
 )
 def test_the_small_scan_is_the_whole_walk_scan(seed, kind, c, which, chart, n, scramble):
-    # the lazy pass over the rows of K k1 keeps the monomials and reads the
-    # normal forms, bit for bit, of the reduced echelon form of the whole
+    # one elimination of (K k1)^T keeps the monomials and reads the normal
+    # forms, bit for bit, of the reduced echelon form of the whole
     # transposed small walk, monomial_rows(b1, b2, e, c') @ k1
     rng = random.Random(seed)
     cp = {"1": 1, "c//2": c // 2, "c-1": c - 1}[which]
     pair, x = _converted(rng, kind, c, cp, chart, n, scramble)
-    a, scan = _chart_reading(x.left, pair.nu)
+    a, scan = chart_extract(x.left, pair.nu), _chart_reading(x.left, pair.nu)
     k1 = kernel_basis(x.F1)
     kept, nf = oracle_scan(monomial_rows(a.b1, a.b2, a.e, cp) @ k1, cp)
     got_kept, got_nf = scan.restrict(k1, cp)
@@ -157,7 +158,7 @@ def test_the_small_scan_reads_only_the_big_kept_rows(monkeypatch, chart, scrambl
     for c in (4, 6, 8):
         for cp in (1, c // 2, c - 1):
             pair, x = _converted(rng, "nested", c, cp, chart, 2, scramble)
-            _chart_reading(x.left, pair.nu)[1].nf
+            _chart_reading(x.left, pair.nu).nf
             eliminations = []
             rref = nestquiv.chart._rref
 

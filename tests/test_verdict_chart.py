@@ -1,15 +1,17 @@
 """Costability is read in one chart per conversion.
 
-A conversion of a representation whose relations are known to hold
-counts costability in the conversions' chart, where it reads the pair
+The verdict of a representation whose relations are known to hold counts
+costability in the conversions' chart, where a conversion reads the pair
 anyway, and not in the verdict's chart, the first regular one
-(`stability._read_left`).  The premise: once every I_q is zero and the
-relations hold, the data in any two regular charts generate one algebra
-acting on e = J, so the covector closure has one rank in every regular
-chart.  Here that count is compared chart by chart, the verdict a
-conversion keeps against `is_theta_stable` of a fresh JSON copy, which
-keeps no relation verdict and so reads the verdict's own chart, and the
-`NotStable` message of a non-costable input against the copy's.
+(`stability._read_left`), whoever asks for it.  The premise: once every
+I_q is zero and the relations hold, the data in any two regular charts
+generate one algebra acting on e = J, so the covector closure has one
+rank in every regular chart.  Here that count is compared chart by
+chart; the verdict against `is_gamma_stable` and `is_theta_stable` of a
+fresh JSON copy, which keeps no relation verdict and so counts at the
+verdict's own chart; the `NotStable` message of a non-costable input
+against the copy's; and the verdict and readings of one input read
+first by a verdict and first by a conversion.
 """
 
 import random
@@ -86,11 +88,15 @@ def test_the_closure_count_is_the_same_in_every_regular_chart():
                     want = len(closure_scan(a.b1, a.b2, a.e).kept)
                     assert {_closure_count(x, at) for at in charts} == {want}
                     counts["costable" if want == c else "not costable"] += 1
-                    # the verdict a conversion reads is the verdict-only one
-                    verdict = is_gamma_stable(x, _conversion=True)
-                    assert verdict == is_gamma_stable(_fresh(x))
+                    # x keeps the verdict chart_embed records, so it counts
+                    # at the pair's chart; the copy counts at nu alone
+                    verdict = is_gamma_stable(x)
+                    copy = _fresh(x)
+                    assert verdict == is_gamma_stable(copy)
                     assert verdict.nu == find_regular_nu(x.A1, x.A2)
+                    assert [at for at in copy._kept if at != "left"] == [verdict.nu]
                     pair_chart = x._kept["conversion"]
+                    assert pair_chart in x._kept
                     if pair_chart != verdict.nu:
                         assert verdict.nu not in x._kept
                         moved += 1
@@ -160,5 +166,40 @@ def test_a_conversion_keeps_the_verdict_a_fresh_copy_reads():
         assert (kept.stable, kept.witness, kept.nu) == (want.stable, want.witness, want.nu)
         if x.left._kept["conversion"] != want.nu:
             assert want.nu not in x.left._kept
+            seen["moved"] += 1
+    assert seen["stable"] >= 80 and seen["not stable"] >= 100 and seen["moved"] >= 60
+
+
+def _readings(x: EnhRep) -> set:
+    """The charts x's left part has been read in."""
+    return {at for at in x.left._kept if at not in ("left", "conversion")}
+
+
+def test_the_verdict_and_its_readings_do_not_depend_on_who_reads_first():
+    # two copies of one input that keep its relation verdict, computed
+    # here, one read first by is_theta_stable, the other first by rep_to_nested, then by
+    # the other call: the same verdict and outcome, and the same charts
+    # read after the first call and after both
+    rng = random.Random(343)
+    seen = {"stable": 0, "not stable": 0, "moved": 0}
+    for x in _enhanced_inputs(rng):
+        p = default_theta(x.c, x.cp)
+        first, second = _fresh(x), _fresh(x)
+        for z in (first, second):
+            assert z._nonzero_residuals == ()
+        verdict = is_theta_stable(first, p)
+        try:
+            pair = rep_to_nested(second, p)
+        except NotStable as exc:
+            pair = str(exc)
+        assert _readings(first) == _readings(second)
+        assert is_theta_stable(second, p) == verdict
+        try:
+            assert rep_to_nested(first, p) == pair
+        except NotStable as exc:
+            assert str(exc) == pair
+        assert _readings(first) == _readings(second)
+        seen["stable" if verdict.stable else "not stable"] += 1
+        if verdict.nu not in _readings(first):
             seen["moved"] += 1
     assert seen["stable"] >= 80 and seen["not stable"] >= 100 and seen["moved"] >= 60
