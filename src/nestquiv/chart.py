@@ -94,8 +94,8 @@ from .errors import (
 from .monomials import count_upto, monomials_upto
 from .quiver import HirzRep, _keep_relations, _kept_relations
 from .ratmat import (
-    RationalMatrix, _free_rows, _json_shaped, _reduce, _rref, invert, json_count, json_rat, kernel_basis,
-    lincomb, rank, rat, rat_str,
+    RationalMatrix, _free_rows, _json_shaped, _reduce, _rref, invert, json_count, json_field, json_rat,
+    kernel_basis, lincomb, rank, rat, rat_str,
 )
 
 
@@ -188,12 +188,12 @@ class AdhmData:
     def from_json(obj) -> "AdhmData":
         """Each matrix's declared shape is checked against c before the
         matrix is built."""
-        c = json_count(obj["c"])
+        c = json_count(json_field(obj, "c"))
         return AdhmData(
             c=c,
-            b1=_json_shaped(obj["b1"], c, c, "b1"),
-            b2=_json_shaped(obj["b2"], c, c, "b2"),
-            e=_json_shaped(obj["e"], 1, c, "e"),
+            b1=_json_shaped(obj, "b1", c, c),
+            b2=_json_shaped(obj, "b2", c, c),
+            e=_json_shaped(obj, "e", 1, c),
         )
 
 

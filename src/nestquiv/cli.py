@@ -2,16 +2,16 @@
 
 Subcommands: check, convert, roundtrip, count-fixed, monad-check.  All
 reports are JSON with sorted keys, so a fixed --seed reproduces identical
-bytes.  Exit codes: 0 success, 1 verification failure, 2 unreadable or
-malformed input (a file that cannot be read, JSON nested too deep, an
---out that cannot be written, a --theta or --nu that does not parse), 3
-precondition violation (bad parameter, singular chart, unsupported
-colength).  The --theta and --nu values are parsed before the input is
-read, so a malformed one exits 2 whatever the input; a well-formed one
-that does not apply to the input is ignored.  Every failure is a package
-error carrying its code as `exit_code`: main prints it as the one stderr
-line `error: <message>`, prints nothing on stdout, and returns the code,
-so no error reaches the user as a traceback.
+bytes.  Exit codes: 0 success, 1 verification failure, 2 MalformedInput
+(a file that cannot be read, is not JSON, or that a library reader refuses
+with any package error, an --out that cannot be written, a --theta or --nu
+that does not parse), 3 precondition violation (bad parameter, singular
+chart, unsupported colength).  The --theta and --nu values are parsed before the
+input is read, so a malformed one exits 2 whatever the input; a
+well-formed one that does not apply to the input is ignored.  Every
+failure is a package error carrying its code as `exit_code`: main prints
+it as the one stderr line `error: <message>`, prints nothing on stdout,
+and returns the code, so no error reaches the user as a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .chart import CHART_FIRST, CHART_MIXED, CHART_SECOND, NuPoint, find_regular_nu, transform_chart
 from .corpus import random_gauge, random_nested_pair
 from .correspondence import nested_to_rep, rep_to_nested, same_orbit
-from .errors import DomainError, NestquivError, NotAnIdeal, ShapeMismatch
+from .errors import DomainError, MalformedInput, NestquivError
 from .ideals import NestedIdealPair, adhm_from_ideal, enumerate_nested_monomial, ideal_from_adhm
 from .monad import build_monad, fiber_ranks
 from .quiver import EnhRep, HirzRep, act
@@ -35,25 +35,20 @@ from .ratmat import rat
 from .stability import EnhThetaParam, default_theta, is_gamma_stable, is_theta_stable
 
 
-class _CliFailure(NestquivError):
-    """Malformed command-line input, or a file that cannot be read or written."""
-    exit_code = 2
-
-
 def _read(path: str, parse, what: str):
     """parse applied to the JSON in the file at path; every way the file
-    fails to give a `what` is a _CliFailure."""
+    fails to give a `what` is MalformedInput."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as e:
-        raise _CliFailure(f"cannot read {path}: {e}") from None
+        raise MalformedInput(f"cannot read {path}: {e}") from None
     except (ValueError, RecursionError) as e:  # bad JSON, a 4301-digit integer, deep nesting
-        raise _CliFailure(f"{path} is not valid JSON: {e}") from None
+        raise MalformedInput(f"{path} is not valid JSON: {e}") from None
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError, ShapeMismatch, NotAnIdeal) as e:
-        raise _CliFailure(f"malformed {what} JSON: {e}") from None
+    except NestquivError as e:
+        raise MalformedInput(f"malformed {what} JSON: {e}") from None
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -65,23 +60,23 @@ def _emit(report: dict, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise _CliFailure(f"cannot write {out}: {e}") from None
+        raise MalformedInput(f"cannot write {out}: {e}") from None
 
 
 def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
-        raise _CliFailure(f"{what} needs {count} comma-separated rationals, got {text!r}")
+        raise MalformedInput(f"{what} needs {count} comma-separated rationals, got {text!r}")
     try:
         return [rat(p) for p in parts]
-    except ValueError as e:
-        raise _CliFailure(f"bad rational in {what}: {e}") from None
+    except MalformedInput as e:
+        raise MalformedInput(f"bad rational in {what}: {e}") from None
 
 
 def _parse_nu(text: str) -> NuPoint:
     v = _parse_rationals(text, 2, "--nu")
     if v[0] == 0 and v[1] == 0:
-        raise _CliFailure("--nu must be a nonzero direction")
+        raise MalformedInput("--nu must be a nonzero direction")
     return NuPoint(v[0], v[1])
 
 
@@ -95,8 +90,8 @@ def _parse_theta(text: str) -> EnhThetaParam:
 
 
 def _rep_from_json(obj):
-    """EnhRep when the JSON carries cp, plain HirzRep otherwise."""
-    return EnhRep.from_json(obj) if "cp" in obj else HirzRep.from_json(obj)
+    """EnhRep when the JSON object carries cp, plain HirzRep otherwise."""
+    return EnhRep.from_json(obj) if isinstance(obj, dict) and "cp" in obj else HirzRep.from_json(obj)
 
 
 def cmd_check(args) -> int:
@@ -134,7 +129,7 @@ def cmd_convert(args) -> int:
     if args.direction == "rep-to-cycle":
         x = _read(args.input, _rep_from_json, "representation")
         if not isinstance(x, EnhRep):
-            raise _CliFailure("rep-to-cycle needs an enhanced representation (cp field)")
+            raise MalformedInput("rep-to-cycle needs an enhanced representation (cp field)")
         pair = rep_to_nested(x, theta or default_theta(x.c, x.cp), nu=nu)
         _emit(pair.to_json(), args.out)
         return 0
@@ -176,7 +171,7 @@ def cmd_roundtrip(args) -> int:
         try:
             names = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
         except OSError as e:
-            raise _CliFailure(f"cannot list {args.corpus}: {e}") from None
+            raise MalformedInput(f"cannot list {args.corpus}: {e}") from None
         for name in names:
             pair = _read(os.path.join(args.corpus, name), NestedIdealPair.from_json, "pair")
             cases.append((name, pair))

@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 
 from .chart import CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, chart_embed
+from .errors import DomainError
 from .ideals import NestedIdealPair, ZeroCycleIdeal, adhm_from_ideal, ideal_from_adhm
 from .quiver import GaugeElement, act
 from .ratmat import RationalMatrix, rank
@@ -41,7 +42,7 @@ def random_points(rng: random.Random, c: int, anchors=()) -> list[tuple[Fraction
     """c distinct rational points, the given ones first."""
     pts = list(anchors)
     if len(pts) > c:
-        raise ValueError("more anchors than points")
+        raise DomainError("more anchors than points")
     while len(pts) < c:
         cand = (random_fraction(rng), random_fraction(rng))
         if cand not in pts:
@@ -69,7 +70,7 @@ def random_nested_pair(
 ) -> NestedIdealPair:
     """Nested pair of reduced cycles (cp of the c points), in the chart."""
     if not 0 < cp < c:
-        raise ValueError("need 0 < cp < c")
+        raise DomainError("need 0 < cp < c")
     points = random_points(rng, c, _anchors_for(chart, rng))
     sub = [points[i] for i in sorted(rng.sample(range(c), cp))]
     return NestedIdealPair(nu=chart, big=ideal_of_points(points), small=ideal_of_points(sub))

@@ -2,7 +2,8 @@
 
 Every error raised by a public operation is one of these, so callers can
 distinguish bad input (shape, domain) from genuine mathematical failure
-(singularity, broken relations) without string matching.
+(singularity, broken relations) without string matching; the one other is
+`ratmat.rat`'s TypeError for a Python value that no JSON value reaches.
 """
 
 
@@ -13,6 +14,11 @@ class NestquivError(Exception):
     verification failed, 2 malformed input, 3 a precondition violation.
     """
     exit_code = 1
+
+
+class MalformedInput(NestquivError, ValueError):
+    """Input that does not parse, or a file that cannot be read or written; also a ValueError."""
+    exit_code = 2
 
 
 class ShapeMismatch(NestquivError):

@@ -71,7 +71,7 @@ from .chart import (
 )
 from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, monomials_upto
-from .ratmat import RationalMatrix, block_diag, json_count, kernel_basis, rank, rref
+from .ratmat import RationalMatrix, block_diag, json_count, json_field, kernel_basis, rank, rref
 
 
 def _pivot_rows(basis: RationalMatrix) -> dict:
@@ -220,12 +220,15 @@ class ZeroCycleIdeal:
 
     @staticmethod
     def from_json(obj) -> "ZeroCycleIdeal":
-        """The basis's declared width is checked before it is built, since
-        an entry-less basis is sized by its declared counts alone."""
-        c, d = json_count(obj["c"]), json_count(obj["d"])
-        if json_count(obj["basis"]["cols"]) != _width(d):
+        """The declared width, which sizes an entry-less basis, and the gate's
+        c <= count_upto(d - 1) are checked before the basis is built."""
+        c, d = json_count(json_field(obj, "c")), json_count(json_field(obj, "d"))
+        basis = json_field(obj, "basis")
+        if json_count(json_field(basis, "cols")) != _width(d):
             raise ShapeMismatch("basis width must match the monomial count")
-        return ZeroCycleIdeal.from_rows(RationalMatrix.from_json(obj["basis"]), c=c, d=d)
+        if c > count_upto(d - 1):
+            raise NotAnIdeal("degree bound too small to read off multiplication")
+        return ZeroCycleIdeal.from_rows(RationalMatrix.from_json(basis), c=c, d=d)
 
 
 @dataclass(frozen=True)
@@ -250,9 +253,9 @@ class NestedIdealPair:
     @staticmethod
     def from_json(obj) -> "NestedIdealPair":
         return NestedIdealPair(
-            nu=NuPoint.from_json(obj["nu"]),
-            big=ZeroCycleIdeal.from_json(obj["big"]),
-            small=ZeroCycleIdeal.from_json(obj["small"]),
+            nu=NuPoint.from_json(json_field(obj, "nu")),
+            big=ZeroCycleIdeal.from_json(json_field(obj, "big")),
+            small=ZeroCycleIdeal.from_json(json_field(obj, "small")),
         )
 
 

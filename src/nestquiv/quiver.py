@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ShapeMismatch, Singular
-from .ratmat import RationalMatrix, _json_shaped, invert, json_count
+from .ratmat import RationalMatrix, _json_shaped, invert, json_count, json_field
 
 
 def _expect_shape(m: RationalMatrix, rows: int, cols: int, name: str):
@@ -112,22 +112,18 @@ class HirzRep:
         the matrix is built.  The entries of J bound c0 and those of A1
         bound c1 given c0 >= 1, but with c0 = 0 no entry bounds c1, so
         c0 = 0 < c1 is refused before anything is built."""
-        n, c0, c1 = (json_count(obj[k]) for k in ("n", "c0", "c1"))
+        n, c0, c1 = (json_count(json_field(obj, k)) for k in ("n", "c0", "c1"))
         if c0 == 0 < c1:
             raise ShapeMismatch(f"c0 = 0 needs c1 = 0, got c1 = {c1}")
-
-        def read(key: str, rows: int, cols: int) -> RationalMatrix:
-            return _json_shaped(obj[key], rows, cols, key)
-
         return HirzRep(
             n=n,
             c0=c0,
             c1=c1,
-            A1=read("A1", c1, c0),
-            A2=read("A2", c1, c0),
-            C=tuple(read(f"C{t}", c0, c1) for t in range(1, n + 1)),
-            I=tuple(read(f"I{q}", c0, 1) for q in range(1, n)),
-            J=read("J", 1, c0),
+            A1=_json_shaped(obj, "A1", c1, c0),
+            A2=_json_shaped(obj, "A2", c1, c0),
+            C=tuple(_json_shaped(obj, f"C{t}", c0, c1) for t in range(1, n + 1)),
+            I=tuple(_json_shaped(obj, f"I{q}", c0, 1) for q in range(1, n)),
+            J=_json_shaped(obj, "J", 1, c0),
         )
 
 
@@ -204,22 +200,18 @@ class EnhRep:
     @staticmethod
     def from_json(obj: dict) -> "EnhRep":
         """Like HirzRep.from_json, each declared shape is checked first."""
-        c = json_count(obj["c"])
+        c = json_count(json_field(obj, "c"))
         left = HirzRep.from_json({**obj, "c0": c, "c1": c})
-        cp = json_count(obj["cp"])
+        cp = json_count(json_field(obj, "cp"))
         s = _right_dim(c, cp)
-
-        def read(key: str, cols: int) -> RationalMatrix:
-            return _json_shaped(obj[key], s, cols, key)
-
         return EnhRep(
             left=left,
             cp=cp,
-            Ap1=read("Ap1", s),
-            Ap2=read("Ap2", s),
-            Cp=tuple(read(f"Cp{t}", s) for t in range(1, left.n + 1)),
-            F1=read("F1", c),
-            F2=read("F2", c),
+            Ap1=_json_shaped(obj, "Ap1", s, s),
+            Ap2=_json_shaped(obj, "Ap2", s, s),
+            Cp=tuple(_json_shaped(obj, f"Cp{t}", s, s) for t in range(1, left.n + 1)),
+            F1=_json_shaped(obj, "F1", s, c),
+            F2=_json_shaped(obj, "F2", s, c),
         )
 
 

@@ -45,23 +45,23 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, Singular
+from .errors import MalformedInput, ShapeMismatch, Singular
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4' or '0.25', and Fractions to Fraction;
-    a string that is not a rational, zero denominator included, raises
-    ValueError.  So does exponent notation: '1e999999' is nine characters
-    for an integer of a million digits."""
+    """Coerce ints, strings like '3/4' or '0.25', and Fractions to Fraction.
+    Other strings, a zero denominator and exponent notation ('1e999999' is
+    nine characters for a million digits) included, raise MalformedInput;
+    other values, a caller's bug that `json_rat` never sends, TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         if "e" in x or "E" in x:
-            raise ValueError(f"exponent notation is not accepted: {x!r}")
+            raise MalformedInput(f"exponent notation is not accepted: {x!r}")
         try:
             return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        except (ValueError, ZeroDivisionError):  # a bad literal, a zero denominator, int's digit limit
+            raise MalformedInput(f"not a rational: {x!r:.60}") from None
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -69,10 +69,17 @@ def rat(x) -> Fraction:
 
 def json_count(v) -> int:
     """A count read from JSON: an integer that is not a boolean.  Floats,
-    booleans, null and strings raise ValueError."""
+    booleans, null and strings raise MalformedInput."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ValueError(f"not a JSON integer: {v!r}")
+    raise MalformedInput(f"not a JSON integer: {v!r}")
+
+
+def json_field(obj, key: str):
+    """obj[key] of a JSON object obj that has the key; MalformedInput otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInput(f"no key {key!r} in a JSON {type(obj).__name__}")
+    return obj[key]
 
 
 def json_rat(v) -> Fraction:
@@ -272,10 +279,13 @@ class RationalMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "RationalMatrix":
-        r, c = json_count(obj["rows"]), json_count(obj["cols"])
+        r, c = json_count(json_field(obj, "rows")), json_count(json_field(obj, "cols"))
         if r < 0 or c < 0:
-            raise ValueError(f"matrix counts must be non-negative, got rows {r}, cols {c}")
-        entries = [_json_ratio(e) for e in obj["entries"]]
+            raise MalformedInput(f"matrix counts must be non-negative, got rows {r}, cols {c}")
+        entries = json_field(obj, "entries")
+        if not isinstance(entries, list):
+            raise MalformedInput(f"matrix entries must be a JSON list, got {type(entries).__name__}")
+        entries = [_json_ratio(e) for e in entries]
         if len(entries) != r * c:
             raise ShapeMismatch("entry count does not match rows*cols")
         if r == 0 or c == 0:
@@ -285,14 +295,15 @@ class RationalMatrix:
         return RationalMatrix._wrap([flat[i * c : (i + 1) * c] for i in range(r)], den, c)
 
 
-def _json_shaped(obj: dict, rows: int, cols: int, name: str) -> RationalMatrix:
-    """RationalMatrix.from_json(obj), once obj declares the shape rows x cols
-    (ShapeMismatch otherwise).  A matrix without entries is built from its
-    declared counts alone, so the caller's counts must bound them."""
-    r, c = json_count(obj["rows"]), json_count(obj["cols"])
+def _json_shaped(obj: dict, key: str, rows: int, cols: int) -> RationalMatrix:
+    """RationalMatrix.from_json(obj[key]), once it declares the shape rows x
+    cols (ShapeMismatch otherwise).  A matrix without entries is built from
+    its declared counts alone, so the caller's counts must bound them."""
+    m = json_field(obj, key)
+    r, c = json_count(json_field(m, "rows")), json_count(json_field(m, "cols"))
     if (r, c) != (rows, cols):
-        raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {r}x{c}")
-    return RationalMatrix.from_json(obj)
+        raise ShapeMismatch(f"{key} must be {rows}x{cols}, got {r}x{c}")
+    return RationalMatrix.from_json(m)
 
 
 def _common(mats: Sequence[RationalMatrix]):

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -7,6 +8,7 @@ from functools import reduce
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from nestquiv import (
     AdhmData, BadPair, EnhRep, EnhThetaParam, HirzRep, NestedIdealPair, NuPoint, RationalMatrix,
@@ -310,3 +312,32 @@ def checked_nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     return EnhRep(
         left=chart_embed(big, pair.nu, n), cp=small.c, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot
     )
+
+
+# -- mutation fuzz of JSON documents -----------------------------------
+
+# Replacement values stay small, because a mutated count sizes the work
+# a reader does.
+_FUZZ_VALUES = (
+    0, 1, -1, 2, 7, "0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e5", 0.5, True, None,
+    [], {}, ["1"], {"rows": 1, "cols": 1, "entries": ["1"]},
+)
+
+
+def _mutate(obj, data):
+    """Walk from the root to a drawn node and change it in place."""
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = node[key]
+    if parent is None:
+        return
+    action = data.draw(st.sampled_from(("replace", "drop", "repeat")))
+    if action == "replace":
+        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_VALUES))))
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(parent[key])

@@ -18,6 +18,7 @@ from nestquiv import (
     DomainError,
     ExcludedLocus,
     IrregularPencil,
+    MalformedInput,
     NestedIdealPair,
     NestquivError,
     NotAnIdeal,
@@ -38,8 +39,9 @@ from nestquiv import (
 from nestquiv import cli
 from nestquiv.cli import main
 from nestquiv.corpus import CHART_SECOND, random_nested_pair
+from nestquiv.monomials import count_upto
 
-from conftest import nu
+from conftest import _mutate, nu
 
 
 @pytest.fixture()
@@ -243,7 +245,7 @@ DOCUMENTED_EXIT = {
     RelationsViolated: 1,
     Singular: 1,
     ShapeMismatch: 2,
-    cli._CliFailure: 2,
+    MalformedInput: 2,
     ConeViolation: 3,
     DomainError: 3,
     ExcludedLocus: 3,
@@ -429,6 +431,14 @@ def test_entryless_matrices_are_sized_by_the_counts(tmp_path):
         p = tmp_path / f"pair{k}.json"
         p.write_text(json.dumps({**pair.to_json(), "small": {"c": 1, "d": d, "basis": huge}}))
         runs.append(["convert", "cycle-to-rep", str(p)])
+    # an empty basis of the right width declares c = count_upto(d), more
+    # standard monomials than there are of degree < d: refused by its
+    # degree bound before a count_upto(d) x c normal-form table is built
+    n = count_upto(10**9)
+    empty = {"c": n, "d": 10**9, "basis": {"rows": 0, "cols": n, "entries": []}}
+    p = tmp_path / "empty_basis.json"
+    p.write_text(json.dumps({**pair.to_json(), "big": empty}))
+    runs.append(["convert", "cycle-to-rep", str(p)])
     for argv in runs:
         done = _run_capped("from nestquiv.cli import main\nsys.exit(main(sys.argv[1:]))", *argv)
         assert done.returncode == 2, (argv, done.stderr)
@@ -464,18 +474,11 @@ def test_surface_index_zero_is_a_precondition(argv, tmp_path, capsys):
     assert "surface index" in captured.err
 
 
-# Mutation fuzz of the JSON readers: seeded valid files with a few values
-# replaced, keys or items dropped, or items repeated, through every command
-# that reads a file.  Whatever the input, the CLI ends with a documented
-# exit code, prints no traceback, and prints nothing or one sorted-key JSON
-# line.  Replacement values stay small, because a mutated count sizes the
-# work the command does.
-_FUZZ_VALUES = (
-    0, 1, -1, 2, 7, "0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "1e5", 0.5, True, None,
-    [], {}, ["1"], {"rows": 1, "cols": 1, "entries": ["1"]},
-)
-
-
+# Mutation fuzz of the JSON readers (`conftest._mutate`): seeded valid files
+# with a few values replaced, keys or items dropped, or items repeated,
+# through every command that reads a file.  Whatever the input, the CLI
+# ends with a documented exit code, prints no traceback, and prints nothing
+# or one sorted-key JSON line.
 def _fuzz_bases():
     pair = random_nested_pair(random.Random(11), 3, 1)
     rep = nested_to_rep(pair, 2)
@@ -489,25 +492,6 @@ _FUZZ_COMMANDS = {
     "rep": _REP_COMMANDS,
     "plain": _REP_COMMANDS,
 }
-
-
-def _mutate(obj, data):
-    """Walk from the root to a drawn node and change it in place."""
-    parent, key = None, None
-    node = obj
-    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        parent, key = node, data.draw(st.sampled_from(list(keys)))
-        node = node[key]
-    if parent is None:
-        return
-    action = data.draw(st.sampled_from(("replace", "drop", "repeat")))
-    if action == "replace":
-        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_VALUES))))
-    elif action == "drop":
-        del parent[key]
-    elif isinstance(parent, list):
-        parent.append(parent[key])
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
