@@ -10,68 +10,23 @@ datum in the chart at nu, gauge-normalized so that the pencil combination
 A_nu is the identity; `chart_blocks` reads any representation whose
 pencil is regular at nu, for `chart_extract` (with e = J) and the monad:
 
-    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu,
+    b1 = A_nu^{-1} D_nu,   b2 = C_nu A_nu,   I_nu.
 
-which is (D_nu, C_nu, I_nu), read with no inversion, where A_nu is the
-identity, as in the chart a representation was embedded in.
+The direction of the b2 product matters: C_nu A_nu is the one that
+transforms by conjugation under gauge, with e transforming as e g^{-1}.
+The pencil arrows of a commuting pair (`_pencil_arrows`) are polynomials
+in b1, and the binomial theorem gives C_nu = A_nu^{n-1} b2 = b2, which is
+why extract(embed(a, nu), nu) = a at every rational chart.
 
-A label `NuPoint` is read once, in integers: it keeps the primitive
-integer pair (u1, u2) with nu = (u1, u2) / g, which is its key for `==`
-and `hash`, and rho.  Each nu-combination (`pencil`, `pencil_combos`, and
-the pencil arrows of `_pencil_arrows`) is one `ratmat.lincomb` over
-integer weights and one denominator read off that pair: one integer pass
-over its terms, with no Fraction weight.  The direction of the b2
-product matters: C_nu A_nu is the one that transforms by conjugation
-under gauge, with e transforming as e g^{-1}.  `first_regular` finds
-charts among candidates: `find_regular_nu` walks the frozen pencil order
-`_regular_order` one label at a time, and `regular_sample` is its list.
-The conversions' frozen order is that list with [0,1] second: [1,0],
-[0,1], [1,1], [1,2], ...
+`monomial_rows` is the one walk over monomials, the rows e . b1^a b2^b in
+the frozen monomial order, and `closure_scan` the one reader of a
+datum's covector closure: the number of rows it keeps is costability,
+and its normal forms (`_Scan`) are the ideal that `ideals` reads.
 
-The one walk over monomials is `monomial_rows`: the rows e . b1^a b2^b
-for (a, b) in the frozen monomial order, each one factor beyond an
-earlier row.  It multiplies the integer numerators that
-`RationalMatrix` stores (integer rows over one denominator, in lowest
-terms), so no `Fraction` is built along the walk.  The covector closure
-and the whole ideal dictionary in `ideals` read their rows from it.
-`closure_scan` is the reader of a datum's own walk up to degree c: it
-keeps the (standard) monomials whose rows grow the span, stopping at the
-c-th.  The number it keeps is the rank of the covector closure, so it is
-costability's one reader too, and that count is all a scan costs until
-its normal forms are read (`_Scan`): then every monomial's normal form
-is built once, off the walk of the canonical datum, or off the walk
-itself where the kept rows are the identity.  The pass that keeps rows
-is `_span_pass`, which reduces each integer row against the rows kept
-before it and stops at a target count, so that `closure_scan` draws the
-lazy walk no further than its c-th kept row.  The small cycle of the
-conversions needs no walk and no pass: `_Scan.restrict` reads it off the
-c rows of K k1, the scan's kept rows times a kernel basis, with one
-reduced echelon form of (K k1)^T (`ratmat._rref`), whose pivots and
-reduced rows are the small scan's kept rows and, transposed, the
-product they are inverted into.
-
-The pencil arrows of a commuting pair (`_pencil_arrows`), A1 = (nu2 + nu1 b1)
-/ rho and A2 = (nu1 - nu2 b1) / rho with rho = nu1^2 + nu2^2, are
-polynomials in b1, so they commute with each other and with b2, and its
-return arrows are the pencil powers C_q = A1^{q-1} A2^{n-q} b2.  The
-binomial theorem then gives C_nu = (nu2 A1 + nu1 A2)^{n-1} b2 = A_nu^{n-1} b2
-= b2, which is why extract(embed(a, nu), nu) = a at every rational chart.
-`chart_embed` adds I_q = 0 and J = e; an unframed right copy is the arrows.
-Since the arrows commute and I_q J = 0, every relation of the embedded
-representation holds, and `chart_embed` records that verdict on it.
-
-`AdhmData` checks its commutator where data can break it: the public
-constructor, `AdhmData.from_json` and `stability.is_costable` form
-[b1, b2].  Where a construction proves that the pair commutes, the
-private `_commuting` builds the datum without forming it, at three
-sites, each with its argument in its docstring: `chart_extract` of a
-representation whose relations are known to hold with every I_q zero,
-`ideals.adhm_from_ideal` of an ideal built as one, and the join of
-commuting blocks in `ideals._fixed_cycle_ideal`.  Likewise
-`build_nested_adhm` checks its inclusion, and the private `_nested`
-assembles the quotient without, for `correspondence.nested_to_rep`,
-whose pairs `ideals.adhm_from_ideal` proves ideals and whose one
-nesting check (`ideals._inclusion`) proves the rest.
+Three shortcuts skip a check, each naming where its premise is proved:
+`_commuting` builds a datum without its commutator, `_nested` a nested
+datum without `build_nested_adhm`'s checks, and `_Scan.restrict` reads
+the small ideal of a nested pair off the big scan.
 """
 
 from __future__ import annotations
@@ -92,7 +47,7 @@ from .errors import (
     SingularAnu,
 )
 from .monomials import count_upto, monomials_upto
-from .quiver import HirzRep, _keep_relations, _kept_relations
+from .quiver import HirzRep, _keep_relations
 from .ratmat import (
     RationalMatrix, _free_rows, _json_shaped, _reduce, _rref, invert, json_count, json_field, json_rat,
     kernel_basis, lincomb, rank, rat, rat_str,
@@ -102,13 +57,9 @@ from .ratmat import (
 @dataclass(frozen=True, eq=False)
 class NuPoint:
     """Point of P^1 as a chart label, normalized so the first nonzero
-    coordinate is 1.
-
-    The label is read once, in integers: `_num` is the primitive integer
-    pair (u1, u2) on the line through (nu1, nu2) whose first nonzero entry
-    g = `_den` is positive, so (nu1, nu2) = (u1, u2) / g.  `_num` is the
-    key of `==` and `hash`, and rho = nu1^2 + nu2^2 = (u1^2 + u2^2) / g^2
-    is kept as a Fraction."""
+    coordinate is 1.  `_num` is the primitive integer pair (u1, u2) with
+    (nu1, nu2) = (u1, u2) / `_den`, the key of `==` and `hash`; rho is
+    nu1^2 + nu2^2."""
 
     nu1: Fraction
     nu2: Fraction
@@ -161,10 +112,8 @@ CHART_MIXED = NuPoint(Fraction(1), Fraction(1))
 class AdhmData:
     """Commuting pair plus covector.
 
-    The constructor checks the shapes (ShapeMismatch) and the commutator
-    (NotCommuting), so a directly built, JSON-read or `replace`d datum is
-    always checked.  Only `_commuting` skips the commutator, for a pair
-    its caller's construction proves commutes (module docstring)."""
+    The constructor checks the shapes (ShapeMismatch), then the commutator
+    (NotCommuting); only `_commuting` skips the commutator."""
 
     c: int
     b1: RationalMatrix
@@ -207,8 +156,15 @@ def _check_shapes(a: AdhmData) -> None:
 
 def _commuting(c: int, b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> AdhmData:
     """AdhmData(c, b1, b2, e) with its shapes checked but [b1, b2] not
-    formed.  Only for a pair its caller's construction proves commutes;
-    each caller says why in its docstring."""
+    formed, at the three sites whose construction proves the pair commutes:
+
+    - `chart_extract` of x whose relations hold with every I_q zero: its
+      commutator A_nu^-1 (D_nu C_nu A_nu - A_nu C_nu D_nu) is rho A_nu^-1
+      times the one residual for n = 1, and -I_nu J for n >= 2;
+    - `ideals.adhm_from_ideal` of an ideal recorded as built as one
+      (`ideals._keep_closed`): multiplications by x and by y commute;
+    - `ideals._fixed_cycle_ideal`: block_diag of commuting pairs commutes
+      block by block."""
     a = object.__new__(AdhmData)
     for name, value in (("c", c), ("b1", b1), ("b2", b2), ("e", e)):
         object.__setattr__(a, name, value)
@@ -249,9 +205,7 @@ def pencil_combos(x: HirzRep, nu: NuPoint):
     C_nu = sum_q binom(n-1, q-1) nu1^{n-q} nu2^{q-1} C_q,
     I_nu = (nu1^2+nu2^2) sum_q binom(n-2, q-1) nu1^{n-q-1} nu2^{q-1} I_q
     (a zero column for n = 1, where there is no I_q), each one `lincomb`
-    over the integer weights of nu (`_binomial_weights`); rho = nu1^2 + nu2^2
-    is (u1^2 + u2^2) / g^2, so I_nu's weights are u1^2 + u2^2 times those
-    of degree n - 2 over g^n.
+    over the integer weights of nu (`_binomial_weights`).
     """
     (u1, u2), g = nu._num, nu._den
     n = x.n
@@ -302,9 +256,8 @@ def find_regular_nu(a1: RationalMatrix, a2: RationalMatrix) -> NuPoint:
 def _conversion_chart(a1: RationalMatrix, a2: RationalMatrix, chart: NuPoint) -> NuPoint:
     """The first regular chart of the conversions' order [1,0], [0,1],
     [1,1], ..., [1,c], given chart, the first regular point of
-    regular_sample(c).  That order is the sample with [0,1] second, so the
-    answer is [1,0] when chart is, else [0,1] when the pencil is regular
-    there, else chart."""
+    regular_sample(c): [1,0] when chart is, else [0,1] when the pencil is
+    regular there, else chart."""
     if chart == CHART_FIRST:
         return chart
     return first_regular([(a1, a2)], [CHART_SECOND]) or chart
@@ -331,26 +284,18 @@ def _pencil_arrows(b1: RationalMatrix, b2: RationalMatrix, nu: NuPoint, n: int):
 
 def chart_embed(a: AdhmData, nu: NuPoint, n: int) -> HirzRep:
     """Representation of the cycle (b1, b2, e) placed in the chart at nu:
-    the pencil arrows of (b1, b2) (`_pencil_arrows`), I_q = 0 and J = e.
-
-    Its relations hold with no check, and it keeps that verdict
-    (`quiver._keep_relations`): A1, A2 and the pencil powers
-    C_q = A1^(q-1) A2^(n-q) b2 are polynomials in b1 and b2, which commute
-    (`AdhmData` checks that, or `_commuting`'s caller proves it), so each
-    unframed relation is an identity of polynomials, and I_q J = 0."""
+    the pencil arrows of (b1, b2) (`_pencil_arrows`), I_q = 0 and J = e,
+    recorded as satisfying its relations (`quiver._keep_relations`)."""
     a1, a2, cs = _pencil_arrows(a.b1, a.b2, nu, n)
     i_cols = tuple(RationalMatrix.zeros(a.c, 1) for _ in range(n - 1))
     return _keep_relations(HirzRep(n=n, c0=a.c, c1=a.c, A1=a1, A2=a2, C=cs, I=i_cols, J=a.e), ())
 
 
 def chart_blocks(x: HirzRep, nu: NuPoint):
-    """The blocks (b1, b2, I_nu) of x in the chart at nu.  Requires c0 = c1
-    and A_nu invertible; the relations are not assumed.
-
-    Where A_nu is exactly the identity, as in the chart a representation
-    was embedded in (`chart_embed`), the blocks are (D_nu, C_nu, I_nu),
-    with no inversion and no product: an exact comparison, like the
-    K = identity path of `closure_scan`."""
+    """The blocks (b1, b2, I_nu) of x in the chart at nu: ShapeMismatch
+    unless c0 = c1, then SingularAnu unless A_nu is invertible.  The
+    relations are not assumed.  Where A_nu is exactly the identity, as in
+    the chart of an embedding, the blocks are (D_nu, C_nu, I_nu)."""
     if x.c0 != x.c1:
         raise ShapeMismatch("reading a chart needs c0 = c1")
     a_nu, d_nu, c_nu, i_nu = pencil_combos(x, nu)
@@ -364,22 +309,17 @@ def chart_blocks(x: HirzRep, nu: NuPoint):
 
 
 def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
-    """Read the ADHM datum of x in the chart at nu.
+    """The ADHM datum of x in the chart at nu, with e = J.
 
-    Requires c0 = c1 and A_nu invertible.  The commutator of the pair is
-    [b1, b2] = A_nu^-1 (D_nu C_nu A_nu - A_nu C_nu D_nu).  For n = 1 that
-    is rho A_nu^-1 (A1 C1 A2 - A2 C1 A1), rho times A_nu^-1 the residual of
-    the one relation; for n >= 2 it is -I_nu J once the relations hold.
-    So when x keeps a zero relation verdict (`quiver._kept_relations`,
-    recorded by its construction or computed) and every I_q is zero, the
-    pair commutes and is built without forming it (`_commuting`); and
-    when x keeps a nonzero one and n = 1, the one residual is nonzero, so
-    the commutator is too, and RelationsViolated is raised without forming
-    it.  Every other x has its commutator formed, and a nonzero one raises
-    RelationsViolated.
+    Errors in order: those of `chart_blocks`, then RelationsViolated unless
+    the pair commutes.  It reads x's relation verdict (computed on first
+    read and kept on x): where the relations hold with every I_q zero the
+    pair is trusted (`_commuting`); for n = 1 a nonzero verdict raises with
+    no commutator formed, as the commutator is rho A_nu^-1 times the one
+    residual; elsewhere the commutator is formed.
     """
     b1, b2, _ = chart_blocks(x, nu)
-    bad = _kept_relations(x)
+    bad = x._nonzero_residuals
     if bad == () and all(iq.is_zero() for iq in x.I):
         return _commuting(x.c0, b1, b2, x.J)
     if bad and x.n == 1:
@@ -391,20 +331,17 @@ def chart_extract(x: HirzRep, nu: NuPoint) -> AdhmData:
 
 
 def transform_chart(a: AdhmData, from_nu: NuPoint, to_nu: NuPoint, n: int) -> AdhmData:
-    """Express a chart datum in another chart of the same surface.
-
-    The transition map of the surface is exactly embed-then-extract; raises
-    SingularAnu when the cycle meets the fiber removed by to_nu.
-    """
+    """Express a chart datum in another chart of the same surface:
+    embed, then extract.  SingularAnu when the cycle meets the fiber removed
+    by to_nu."""
     return chart_extract(chart_embed(a, from_nu, n), to_nu)
 
 
 def _walk(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix, d: int):
     """The rows of monomial_rows(b1, b2, e, d), one at a time, each as its
-    integer numerators and their denominator: the row of (a, b) is that
-    of (a - 1, b) times b1, and (0, b) that of (0, b - 1) times b2, each
-    product brought to lowest terms, so that entries grow with the
-    normal forms, not with the powers of the denominators."""
+    integer numerators over its denominator, brought to lowest terms, so
+    that entries grow with the normal forms, not with the powers of the
+    denominators."""
     steps = [(list(zip(*mat.num)), mat.den) for mat in (b1, b2)]  # columns, denominator
     rows: dict = {}
     for m in monomials_upto(d):
@@ -434,24 +371,19 @@ def monomial_rows(
 ) -> RationalMatrix:
     """The rows e . b1^a b2^b for (a, b) in monomials_upto(d), in that order.
 
-    Each row extends an earlier one by one factor: (a, b) is (a - 1, b)
-    times b1, and (0, b) is (0, b - 1) times b2.  For a commuting pair the
-    row of m is e . m(b1, b2), so a polynomial f with coefficient vector v
-    evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
-
-    The walk (`_walk`) runs on the integer numerators of b1, b2 and e:
-    every row carries its numerators over its own denominator, and the
-    rows are brought to their common denominator at the end.
+    Each row extends an earlier one by one factor (`_walk`): (a, b) is
+    (a - 1, b) times b1, and (0, b) is (0, b - 1) times b2.  For a commuting
+    pair the row of m is e . m(b1, b2), so a polynomial f with coefficient
+    vector v evaluates to e . f(b1, b2) = v @ monomial_rows(b1, b2, e, deg f).
     """
     return _stack(list(_walk(b1, b2, e, d)), e.cols)
 
 
 def _span_pass(rows, target: int) -> list[int]:
     """The indices of the integer rows that grow the span of the rows
-    before them, in order, stopping at the target-th.  Each row, divided
-    by its content, is reduced against a fraction-free echelon of the
-    kept ones (`ratmat._reduce`), and no row is drawn past the target-th
-    kept one, so a lazy walk stops there."""
+    before them, in order, stopping at the target-th, so a lazy walk is
+    drawn no further.  Each row, divided by its content, is reduced against
+    a fraction-free echelon of the kept ones (`ratmat._reduce`)."""
     kept, basis = [], []  # indices kept; echelon of their rows
     for i, row in enumerate(rows):
         g = gcd(*row)
@@ -468,15 +400,10 @@ def _span_pass(rows, target: int) -> list[int]:
 class _Scan:
     """A closure scan: the monomials kept (`kept`), the normal forms
     (`nf`), and as `gauge` the walk's rows at the kept monomials, K, None
-    where K is the identity.  A datum that is not costable keeps only the
-    monomials: its normal forms and gauge are None.
-
-    The kept monomials are the lazy pass's and are read at no further
-    cost.  The normal forms are built on their first read and then kept:
-    where K is the identity, the rest of the walk to degree c; otherwise
-    the walk of the canonical datum (K b1 K^-1, K b2 K^-1, e K^-1).
-    Until then `_rest` holds what that needs: the pair, the walk so far
-    and the suspended walk."""
+    where K is the identity.  A scan that is not costable has only `kept`.
+    The normal forms are built on their first read and kept: where K is the
+    identity, the rest of the walk to degree c; otherwise the walk of the
+    canonical datum (K b1 K^-1, K b2 K^-1, e K^-1)."""
 
     __slots__ = ("kept", "gauge", "_nf", "_rest")
 
@@ -509,13 +436,11 @@ class _Scan:
         that monomial, and else combines the unit rows of kept monomials
         before m.  So the rows of the product that grow its span are among
         the rows of M, in order: the first independent rows of M, which
-        are the pivots of the reduced echelon form of M^T (`ratmat._rref`),
-        one elimination of a cp x c matrix.  The kept monomials are the
-        scan's at those pivots.  With K_s the rows of M there, the reduced
-        form is K_s^-T M^T, so its rows, transposed, are M K_s^-1, and the
-        normal forms, the product times K_s^-1, are nf's first rows times
-        them.  The normal forms of the scan are read (built then, if
-        nothing has read them)."""
+        are the pivots of the reduced echelon form of M^T (`ratmat._rref`).
+        The kept monomials are the scan's at those pivots.  With K_s the rows
+        of M there, the reduced form is K_s^-T M^T, so its rows, transposed,
+        are M K_s^-1, and the normal forms, the product times K_s^-1, are
+        nf's first rows times them."""
         m = k1 if self.gauge is None else self.gauge @ k1
         red, den, found = _rref([list(col) for col in zip(*m.num)], m.rows)
         head = self.nf.submatrix(range(count_upto(cp)), range(m.rows))
@@ -525,22 +450,11 @@ class _Scan:
 def closure_scan(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> _Scan:
     """Greedy scan of the covector closure up to total degree c: the
     monomials whose walk rows (`monomial_rows`) grow the span of the rows
-    before them, and the normal forms, row m of the walk in the kept rows
-    (`_Scan`): the pivots of the reduced echelon form of the transposed
-    walk, and its nonzero rows, transposed.
-
-    The walk runs lazily through `_span_pass`, whose one caller this is,
-    and which stops at the c-th kept row: c independent rows span k^c.
-    That pass is all a call pays for; the number of monomials it keeps
-    is costability.  The kept rows form K, and nf is the walk times K^-1,
-    built on its first read (`_Scan.nf`).  Where K is the identity, as for a datum read in the
-    chart its canonical datum was embedded in, the walk runs on to degree
-    c and is its own normal forms.  Otherwise nf is the walk of the
-    canonical datum (K b1 K^-1, K b2 K^-1, e K^-1), for any pair, since
-    conjugation is multiplicative; e K^-1 is the unit covector, as e is
-    K's first row.  With fewer than c kept rows the walk runs to degree c
-    and only the kept monomials are read.
-    """
+    before them, kept by the lazy `_span_pass` up to the c-th, and the
+    normal forms, row m of the walk in the kept rows K (`_Scan`).  The
+    number kept is costability.  Where K is not the identity the normal
+    forms are the walk of the canonical datum, as conjugation is
+    multiplicative and e K^-1 is the unit covector (e is K's first row)."""
     c = b1.rows
     walk = _walk(b1, b2, e, c)
     rows = []  # the walk so far, each row with its denominator
@@ -583,13 +497,11 @@ def build_nested_adhm(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> N
 
 
 def _nested(small: AdhmData, big: AdhmData, incl: RationalMatrix) -> NestedAdhmData:
-    """build_nested_adhm with no check on incl.  Only for an incl its
-    caller's construction proves injective, intertwining and matching the
-    covectors; each caller says why in its docstring.
-
-    quot is the transposed kernel basis of incl^T, the identity at its
-    free columns, so the qb_i with qb_i quot = quot b_i are quot b_i at
-    those columns."""
+    """build_nested_adhm with no check on incl, for
+    `correspondence.nested_to_rep`, whose nesting check `ideals._inclusion`
+    proves them.  quot is the transposed kernel basis of incl^T, the
+    identity at its free columns, so the qb_i with qb_i quot = quot b_i are
+    quot b_i at those columns."""
     k = kernel_basis(incl.transpose())
     quot = k.transpose()
     qb1, qb2 = ((quot @ b).submatrix(range(quot.rows), _free_rows(k)) for b in (big.b1, big.b2))

@@ -3,11 +3,10 @@
 Subcommands: check, convert, roundtrip, count-fixed, monad-check.  All
 reports are JSON with sorted keys, so a fixed --seed reproduces identical
 bytes.  Exit codes: 0 success, 1 verification failure, 2 MalformedInput
-(a file that cannot be read, is not JSON, or that a library reader refuses
-with any package error, an --out that cannot be written, a --theta or --nu
-that does not parse), 3 precondition violation (bad parameter, singular
-chart, unsupported colength).  The --theta and --nu values are parsed before the
-input is read, so a malformed one exits 2 whatever the input; a
+(an input that cannot be read or parsed, or that a library reader
+refuses, an --out that cannot be written, a malformed --theta or --nu),
+3 precondition violation (bad parameter, singular chart, unsupported
+colength).  --theta and --nu are parsed before the input is read; a
 well-formed one that does not apply to the input is ignored.  Every
 failure is a package error carrying its code as `exit_code`: main prints
 it as the one stderr line `error: <message>`, prints nothing on stdout,
@@ -95,14 +94,9 @@ def _rep_from_json(obj):
 
 
 def cmd_check(args) -> int:
-    """The relations, then the stability verdict.  The relation verdict is
-    read first and kept on x and its left part, so where every residual is
-    zero the stability verdict counts costability in the conversions'
-    chart, as a conversion does, and its chart extraction builds the pair
-    without forming the commutator (`chart.chart_extract`); elsewhere it
-    forms it, and a nonzero one exits 1 with
-    `error: extracted pair does not commute`, as does, with no commutator
-    formed, a nonzero verdict for n = 1."""
+    """The relations, then the stability verdict: exit 0 when both hold,
+    else 1.  A chart pair that does not commute exits 1 with
+    `error: extracted pair does not commute` (`chart.chart_extract`)."""
     theta = _parse_theta(args.theta) if args.theta else None
     x = _read(args.input, _rep_from_json, "representation")
     if isinstance(x, HirzRep) and x.c0 != x.c1:

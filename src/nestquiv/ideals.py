@@ -10,51 +10,18 @@ Conventions frozen here:
   * monomials are ordered by the key (a + b, b) (degree, then y-exponent);
   * echelon bases are reduced against the DESCENDING monomial order, so the
     pivot of each row is its largest monomial and the non-pivot monomials
-    form the divisor-closed staircase of standard monomials.
-    `ZeroCycleIdeal.from_rows` computes that basis as `ratmat.rref` of the
-    rows with their columns reversed; only `ZeroCycleIdeal` reads that layout;
-  * a polynomial is its coefficient row over `monomials_upto(d)`;
-    `ZeroCycleIdeal.normal_forms` reads the normal form of every monomial
-    off the reduced basis, with no elimination, so a row v reduces to
-    v @ normal_forms(), and `from_normal_forms` is its inverse.
-    `adhm_from_ideal` and `validate` are row selections or products of
-    the normal forms;
+    form the divisor-closed staircase of standard monomials;
+  * a polynomial is its coefficient row over `monomials_upto(d)`, and a
+    row v reduces to v @ normal_forms();
   * multiplication matrices act on the standard-monomial basis in ascending
     order, and the ADHM matrices are their transposes: the canonical gauge;
-  * every passage from a datum to its ideal goes through
-    `chart.monomial_rows`, the rows e . b1^a b2^b in the monomial order.
-    In the canonical gauge its row m is the normal form of m, so the
-    dictionary is `chart.closure_scan` (the walk scanned until c rows
-    are kept, then the normal forms read off the canonical datum's walk,
-    built when `from_normal_forms` reads them), then
-    `from_normal_forms`, and `canonical_form` is the round trip through
-    the ideal.  `contains` evaluates on the walk and checks the whole
-    basis; `inclusion_matrix` and `correspondence.nested_to_rep` check a
-    pair's nesting once, by the intertwining of the small walk at the
-    big standard monomials (`_inclusion`);
-  * `support` reads a cycle's points and lengths off its datum's traces.
+  * a datum's ideal is read off its walk (`chart.monomial_rows`) by
+    `chart.closure_scan`.
 
-`adhm_from_ideal` is the one gate that proves a basis is an ideal's, and
-every reader of a datum goes through it.  An ideal built as one is
-recorded so by `_keep_closed`: the outputs of `monomial_ideal` and of
-`_ideal_of_scan`, the staircase of a partition or the scan of a
-commuting datum's walk (`ideal_from_adhm` and the conversions'
-readings, big and small).  Its datum is built without the commutator
-(`chart._commuting`), and so is the join of commuting blocks in
-`_fixed_cycle_ideal`.  Every other ZeroCycleIdeal, built directly,
-`replace`d, read by `from_rows` or `from_json`, or made by a public
-`from_normal_forms` call, has its datum's commutator formed and then its
-closure checked (`validate`), so a basis that is not an ideal raises
-NotCommuting or NotAnIdeal there.  The record is not a field: it changes
-no `==`, hash or JSON.
-
-An ideal is immutable, so the gate's proof is kept on it: once
-`adhm_from_ideal` passes, the canonical datum and its staircase stay on
-the object (`ZeroCycleIdeal._kept`, written by the gate alone), and a
-later call, or `_inclusion`'s reading of the big staircase, reads them
-there.  That is what `enumerate_nested_monomial`'s shared ideals need:
-one object for a small cycle under many big ones.  Errors are not kept,
-and a copy is another object, gated on its first use.
+`adhm_from_ideal` is the one gate that proves a basis an ideal's, and
+every reader of a datum goes through it; an ideal built as one is
+recorded so (`_keep_closed`).  An ideal is immutable, so the datum the
+gate proves and its staircase are kept on it (`ZeroCycleIdeal._kept`).
 """
 
 from __future__ import annotations
@@ -69,7 +36,7 @@ from .chart import (
     CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, _commuting, closure_scan,
     monomial_rows, transform_chart,
 )
-from .errors import BadPair, NotAnIdeal, NotCostable, ShapeMismatch
+from .errors import BadPair, DomainError, NotAnIdeal, NotCostable, ShapeMismatch
 from .monomials import count_upto, monomials_upto
 from .ratmat import RationalMatrix, block_diag, json_count, json_field, kernel_basis, rank, rref
 
@@ -99,8 +66,8 @@ class ZeroCycleIdeal:
 
     basis rows are coefficient vectors over monomials_upto(d) in ascending
     order, reduced against the descending order (see module docstring).
-    `_closed` is True only on an ideal `_keep_closed` recorded as built
-    as one; it is not a field, and neither is `_kept`.
+    ShapeMismatch for d < 0 or c < 0, or a basis of the wrong shape.
+    `_closed` (`_keep_closed`) and `_kept` are not fields.
     """
 
     c: int
@@ -110,6 +77,8 @@ class ZeroCycleIdeal:
 
     def __post_init__(self):
         nmon = _width(self.d)
+        if self.c < 0:
+            raise ShapeMismatch(f"colength must be non-negative, got {self.c}")
         if self.basis.cols != nmon:
             raise ShapeMismatch("basis width must match the monomial count")
         if self.basis.rows != nmon - self.c:
@@ -118,11 +87,8 @@ class ZeroCycleIdeal:
     @staticmethod
     def from_rows(rows, c: int, d: int) -> "ZeroCycleIdeal":
         """Canonicalize spanning rows, a row list or a RationalMatrix whose
-        width must be the monomial count; verifies colength and closure
-        under multiplication within the degree bound.
-
-        The descending echelon basis is the reduced echelon form of the
-        rows with their columns reversed, reversed back."""
+        width must be the monomial count, to the reduced echelon form of the
+        rows with their columns reversed, reversed back; then `validate`."""
         nmon = count_upto(d)
         m = rows if isinstance(rows, RationalMatrix) else RationalMatrix.from_rows(rows, cols=nmon)
         if m.cols != nmon:
@@ -163,10 +129,8 @@ class ZeroCycleIdeal:
 
     @cached_property
     def _kept(self) -> dict:
-        """What `adhm_from_ideal`, its one writer, proved of this basis:
-        the canonical datum ("adhm") and its staircase ("std"), kept once
-        the gate passes, like `quiver.HirzRep._kept`.  The normal forms
-        are not kept."""
+        """What `adhm_from_ideal`, its one writer, proved of this basis: the
+        canonical datum ("adhm") and its staircase ("std")."""
         return {}
 
     def standard_monomials(self) -> list[tuple[int, int]]:
@@ -178,9 +142,8 @@ class ZeroCycleIdeal:
         """Normal form of each monomial of degree <= d in the standard basis.
 
         One row per monomial of monomials_upto(d), one column per standard
-        monomial, read off the reduced basis: a standard monomial's row is
-        its unit vector, and a pivot monomial's row is minus its basis row
-        at the standard columns.  A coefficient vector v reduces to v @ NF.
+        monomial: a standard monomial's row is its unit vector, and a pivot
+        monomial's row is minus its basis row at the standard columns.
         """
         return self._reduced()[1]
 
@@ -260,14 +223,9 @@ class NestedIdealPair:
 
 
 def contains(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> bool:
-    """Whether i is contained in j.
-
-    j is the annihilator of the cyclic covector of its datum (b1, b2, e),
-    so f lies in j exactly when e . f(b1, b2) = 0.  Applied to the basis
-    of i, that is the single product i.basis @ EV, with EV the
-    monomial_rows of adhm_from_ideal(j) over i's monomials; i is contained
-    in j when it vanishes.  Raises NotAnIdeal when j's degree bound is too
-    small to read its multiplication.  Note the argument order:
+    """Whether i is contained in j: i's basis vanishes on the walk of
+    adhm_from_ideal(j), as j is the annihilator of its datum's covector.
+    Raises as `adhm_from_ideal` does for j.  Note the argument order:
     contains(big, small) is the nesting of a pair of cycles Z' subset Z.
     """
     a = adhm_from_ideal(j)
@@ -275,33 +233,35 @@ def contains(i: ZeroCycleIdeal, j: ZeroCycleIdeal) -> bool:
 
 
 def ideal_from_adhm(a: AdhmData) -> ZeroCycleIdeal:
-    """Ideal of the cycle encoded by a costable datum.
-
-    The kernel of f |-> e f(b1, b2) on polynomials of degree <= c (the
-    left kernel of monomial_rows) is exactly the truncated ideal, read
-    off closure_scan (`_ideal_of_scan`); the datum is costable exactly
-    when the walk has rank c.  It reads the scan's normal forms, which
-    are built then (`chart._Scan`); a scan that is not costable has none.
-    """
+    """Ideal of the cycle encoded by a costable datum: the kernel of
+    f |-> e f(b1, b2) on polynomials of degree <= c, read off
+    `chart.closure_scan` (`_ideal_of_scan`).  NotCostable otherwise."""
     scan = closure_scan(a.b1, a.b2, a.e)
     return _ideal_of_scan(scan.kept, scan.nf, a.c)
 
 
 def _ideal_of_scan(kept, nf: RationalMatrix, c: int) -> ZeroCycleIdeal:
     """The ideal of a commuting datum whose walk to degree c scans to
-    (kept, nf) (`chart.closure_scan`, `chart._Scan.restrict`); NotCostable
-    unless c are kept.  It is recorded as an ideal (`_keep_closed`): its
-    rows are the f with e f(b1, b2) = 0, and as b1, b2 commute that gives
-    e (x f)(b1, b2) = e f(b1, b2) b1 = 0, and likewise for y."""
+    (kept, nf) (`chart.closure_scan`, `chart._Scan.restrict`), recorded as
+    an ideal (`_keep_closed`); NotCostable unless c are kept."""
     if len(kept) != c:
         raise NotCostable("datum is not costable")
     return _keep_closed(ZeroCycleIdeal.from_normal_forms(kept, nf, c))
 
 
 def _keep_closed(i: ZeroCycleIdeal) -> ZeroCycleIdeal:
-    """i, recorded as closed under multiplication (`ZeroCycleIdeal._closed`).
-    The one writer of that record: its callers pass only what their
-    construction proves is an ideal."""
+    """i, recorded as closed under multiplication (`ZeroCycleIdeal._closed`),
+    which changes no `==`, hash or JSON.  The one writer of that record, at
+    the sites whose construction proves it:
+
+    - `monomial_ideal`: lam is weakly decreasing, so a monomial of the
+      ideal stays in it times x or y;
+    - `_ideal_of_scan`: its rows are the f with e f(b1, b2) = 0 for a
+      commuting pair, so e (x f)(b1, b2) = e f(b1, b2) b1 = 0, and likewise
+      for y.
+
+    `adhm_from_ideal` then builds the datum without its commutator
+    (`chart._commuting`) or closure check."""
     object.__setattr__(i, "_closed", True)
     return i
 
@@ -310,16 +270,15 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     """Multiplication action on the standard-monomial basis, transposed.
 
     Row k of b1 (of b2) is the normal form of x (of y) times the k-th
-    standard monomial: two row selections of i.normal_forms(), read with
-    the staircase off one read of the pivots.  Returns the datum in the
-    canonical gauge: composing with ideal_from_adhm is the identity, and
-    the other composite is canonical_form.
+    standard monomial.  Returns the datum in the canonical gauge: composing
+    with ideal_from_adhm is the identity, and the other composite is
+    canonical_form.
 
-    This is the one gate that proves i an ideal's truncation.  A recorded
-    ideal (`_keep_closed`) gets its datum without the commutator
-    (`chart._commuting`).  Any other i has it formed by `AdhmData`
-    (NotCommuting), then its closure checked (`validate`'s check, on the
-    normal forms read here, NotAnIdeal).
+    This is the one gate that proves i an ideal's truncation.  NotAnIdeal
+    where the staircase size is not c or d is too small to read the
+    multiplication.  A recorded ideal (`_keep_closed`) is then trusted; any
+    other i has its commutator formed by `AdhmData` (NotCommuting), then its
+    closure checked (`ZeroCycleIdeal.validate`, NotAnIdeal).
     Together they prove that the basis spans I cap M_d, I the annihilator
     of the datum's covector, an ideal as b1, b2 commute.  Closure makes
     the staircase divisor-closed, so the walk is the unit vector at each
@@ -331,11 +290,8 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     The commutator alone does not suffice: y, x^2, xy, y^2 - x has the
     commuting datum of (x^2, y).
 
-    A basis is immutable, so the datum and its staircase are kept on i
-    (`ZeroCycleIdeal._kept`) once the gate passes, and a later call on
-    the same object returns the kept datum.  Errors are not kept: a basis
-    that is not an ideal's raises on every call.  A `replace`d or
-    JSON-read copy is another object and is gated on its first call.
+    The datum and its staircase are kept on i (`ZeroCycleIdeal._kept`)
+    once the gate passes; errors are not kept.
     """
     kept = i._kept
     if kept:
@@ -370,12 +326,9 @@ def canonical_form(a: AdhmData) -> AdhmData:
 
 def inclusion_matrix(big: ZeroCycleIdeal, small: ZeroCycleIdeal) -> RationalMatrix:
     """Inclusion of the small-cycle datum into the big-cycle datum, in the
-    canonical gauges of adhm_from_ideal, for a nested pair big <= small:
-    row m is the normal form in small's standard basis of the m-th
-    standard monomial of big (`_inclusion`).  Raises BadPair when the
-    ideals are not nested, and NotCommuting or NotAnIdeal when either
-    basis is not an ideal's, or its degree bound too small to read its
-    multiplication (`adhm_from_ideal`).
+    canonical gauges of adhm_from_ideal, for a nested pair big <= small.
+    Raises as `adhm_from_ideal` does, big first, then BadPair when the
+    ideals are not nested (`_inclusion`).
     """
     return _inclusion(big, adhm_from_ideal(big), adhm_from_ideal(small))
 
@@ -384,7 +337,7 @@ def _inclusion(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> Rationa
     """The inclusion of a nested pair, given the canonical data
     big = adhm_from_ideal(ideal) and small, with the pair's one nesting
     check: BadPair when the ideals are not nested.  The big staircase is
-    the one that gate kept on ideal (`ZeroCycleIdeal._kept`).
+    the one that gate kept on ideal.
 
     incl, the small walk at the big standard monomials, is the linear map
     Q_big -> Q_small with m |-> m.  It is a module map,
@@ -430,11 +383,8 @@ def _partition_contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
 def monomial_ideal(lam: tuple[int, ...], d: int | None = None) -> ZeroCycleIdeal:
     """Ideal whose staircase is the Young diagram of the partition:
     x^a y^b lies in the ideal iff a >= lam[b] (rows beyond the diagram have
-    width zero).  The diagram's cells are the standard monomials, each its
-    own normal form, and every other monomial reduces to zero.  A lam that
-    is not a partition raises ShapeMismatch.  The output is recorded as an
-    ideal (`_keep_closed`): lam is weakly decreasing, so a monomial of the
-    ideal stays in it times x or y."""
+    width zero).  ShapeMismatch when lam is not a partition or d is too
+    small for it.  The output is recorded as an ideal (`_keep_closed`)."""
     if any(not isinstance(p, int) or p < 1 for p in lam) or any(p < q for p, q in zip(lam, lam[1:])):
         raise ShapeMismatch(f"{lam} is not a partition: parts must be positive and weakly decreasing")
     c = sum(lam)
@@ -459,18 +409,16 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     surface degree n enters only through that transport.
 
     Order: chart-1 colength descending, then partitions in generation order;
-    charts=1 is the chart-1 colength c block of charts=2.
-
-    Within one call each cycle's ideal is built once per chart, and each
-    block (lam, home chart) is transported to [1, 1] once, as a block
-    recurs in many mixed cycles; both caches live for the call.  The
-    ideals are immutable, so the datum `adhm_from_ideal` proves of one is
-    kept on it, and a small ideal under many big ones is gated once.
+    charts=1 is the chart-1 colength c block of charts=2.  ShapeMismatch
+    unless 0 <= cp < c and charts is 1 or 2, then DomainError unless n >= 1.
+    Pairs share their ideal objects, built once per cycle and chart.
     """
     if not 0 <= cp < c:
         raise ShapeMismatch("need 0 <= cp < c")
     if charts not in (1, 2):
         raise ShapeMismatch("charts must be 1 or 2")
+    if n < 1:
+        raise DomainError("the surface index n must be a positive integer")
     # one ideal per cycle and chart: a small cycle recurs under many big ones;
     # one transport per block and home chart: a block recurs in many mixed cycles
     moved = cache(
@@ -500,12 +448,10 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
 
 def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, moved) -> ZeroCycleIdeal:
     """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
-    at the origin of [1, 0] and lam2 at the origin of [0, 1].  In either of
-    those two charts the other part is empty; in [1, 1] the nonempty parts
-    are transported there, moved(lam, home) the datum of the staircase lam
-    at the origin of its home chart read in [1, 1], and summed.  The sum is
-    built without its commutator (`chart._commuting`): block_diag of
-    commuting pairs commutes block by block."""
+    at the origin of [1, 0] and lam2 at the origin of [0, 1].  In [1, 1]
+    the nonempty parts are transported there, moved(lam, home) the datum of
+    lam at the origin of its home chart read in [1, 1], and summed without
+    a commutator (`chart._commuting`)."""
     if nu == CHART_FIRST:
         return monomial_ideal(lam1)
     if nu == CHART_SECOND:
@@ -559,9 +505,8 @@ def support(a: AdhmData) -> tuple:
     nilpotent; a pair of points rules out at most one t, so one of the
     first c(c-1)/2 + 1 is kept.
 
-    A datum that is not costable has no cycle and raises NotCostable:
-    the lazy count of its covector closure (`chart.closure_scan`, which
-    builds no normal forms) must keep c rows.
+    A datum that is not costable (`chart.closure_scan`) has no cycle and
+    raises NotCostable.
     """
     c = a.c
     if len(closure_scan(a.b1, a.b2, a.e).kept) < c:

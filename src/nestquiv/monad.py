@@ -14,25 +14,15 @@ the complex is
 
     P = y2_nu^n s_e Id + b2^T s_inf,   Q = y1_nu Id + b1^T y2_nu,   R = -I_nu^T y2_nu,
 
-with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J, so a
-`MonadComplex` holds the blocks and reads the four forms y1_nu, y2_nu,
-y2_nu^n s_e, s_inf off nu and n: `_forms` is their definition on the
-CoxPoly variables for the entries, and `check_complex` reads only the
-rotation y2_nu.  `fiber_ranks` reads one point in integers, its
-coordinates included, so no Fraction arithmetic runs at a fiber; it
-keeps the verdict on its first block Q, which depends on the fiber base
-point (y1, y2) only, on the monad per base point, and ranks neither Q
-where y2_nu = 0 nor P where s_inf = 0, where each is a multiple of the
-identity.  For any data beta . alpha collapses to
-s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T
-= s_inf y2_nu (C_nu D_nu - A_nu^{-1} D_nu C_nu A_nu - I_nu J)^T, and
-s_inf y2_nu is a nonzero polynomial in every chart, so the rational
-kernel `MonadComplex.composite` decides whether it vanishes, with no
-CoxPoly built; `check_complex` is that kernel as CoxPoly entries.  The
-quiver relations force this to vanish; the exact vanishing condition across all charts is the smaller
-list of combinations returned by `complex_residuals` (the relations imply
-it, not conversely).  Building the monad needs no relations, only A_nu
-invertible, which is what makes it usable as a detector for broken data.
+with rational blocks b1 = A_nu^{-1} D_nu, b2 = C_nu A_nu, I_nu and J.  For
+any data beta . alpha collapses to s_inf y2_nu (b2 b1 - b1 b2 - I_nu J)^T,
+and s_inf y2_nu is a nonzero polynomial in every chart, so the rational
+kernel `MonadComplex.composite` decides whether it vanishes.  The quiver
+relations force this to vanish; the exact vanishing condition across all
+charts is the smaller list of combinations returned by `complex_residuals`
+(the relations imply it, not conversely).  Building the monad needs no
+relations, only A_nu invertible, which is what makes it usable as a
+detector for broken data.
 """
 
 from __future__ import annotations
@@ -312,30 +302,25 @@ def _full(rows) -> bool:
 def fiber_ranks(m: MonadComplex, pt) -> tuple[int, int]:
     """Exact ranks of (alpha, beta) at a point (y1, y2, s_e, s_inf).
 
+    Errors in order: those of `_point`, then ExcludedLocus for y1 = y2 = 0
+    or s_e = s_inf = 0, which lie outside the surface.
+
     alpha = [P; Q; R] has c columns and holds the rows of Q, and
     beta = [Q | -P | J^T s_inf] has c rows and holds the columns of Q, so
-    an invertible Q gives exactly (c, c); so does an invertible P.  The
-    c x c block Q is read first, then P where Q is singular, and alpha
-    and beta are built and ranked only where both are singular.  A block
-    whose off term vanishes is a multiple of the identity and is not
-    ranked: Q = y1_nu Id where y2_nu = 0, full since y1_nu != 0 there, and
-    P = y2_nu^n s_e Id where s_inf = 0, full exactly where that is nonzero.
-    Q depends on the fiber base point (y1, y2) only, so its verdict is kept
-    on m per base point (`MonadComplex._q_full`) and monad-check's 20
-    points read it once per base point.
+    an invertible Q gives exactly (c, c); so does an invertible P.  Q is
+    read first, then P, and alpha and beta are ranked only where both are
+    singular.  A block whose off term vanishes is a multiple of the identity
+    and is not ranked: Q = y1_nu Id where y2_nu = 0, full since y1_nu != 0
+    there, and P = y2_nu^n s_e Id where s_inf = 0, full exactly where that
+    is nonzero.  Q depends on the base point (y1, y2) only, so its verdict
+    is kept on m per base point (`MonadComplex._q_full`).
 
-    Everything is read in integers: the blocks over their denominator d,
-    the chart as nu = (u1, u2) / g and each coordinate as p / q, with no
-    Fraction built for an int (`_point`).  The rotated coordinates
-    (y1_nu, y2_nu) are integers Y1, Y2 over D = g q1 q2, and
-    (y2_nu^n s_e, s_inf) are integers over D^n q_e q_inf.
-    Once the identity terms carry the d, Q and R are scaled by one nonzero
+    Everything is read in integers: with nu = (u1, u2) / g and each
+    coordinate p / q, (y1_nu, y2_nu) are integers over D = g q1 q2, and
+    (y2_nu^n s_e, s_inf) integers over D^n q_e q_inf.  Once the identity
+    terms carry the blocks' denominator d, Q and R are scaled by one nonzero
     integer and P and the J column of beta by another: a scaling of row
     blocks of alpha and of column blocks of beta, which keeps every rank.
-
-    A point that is not four coordinates raises ShapeMismatch.  Points with
-    y1 = y2 = 0 or s_e = s_inf = 0 lie outside the surface and raise
-    ExcludedLocus.
     """
     blocks, d = m._integer_blocks
     c = m.c

@@ -7,26 +7,9 @@ An `EnhRep` glues a c-dimensional left copy to a (c - c')-dimensional right
 copy through surjections F1, F2; the right copy has no framing, so no I_q J.
 
 Relation residuals are returned as matrices, in a frozen documented order,
-so "all relations hold" is exactly "every residual is zero".
-
-Both classes are immutable, so what is read off one object is kept on it,
-computed on first use: its relation verdict (`_nonzero_residuals`; an
-enhanced one extends its left part's, kept on `left`) and, in `_kept`, the
-readings that `stability` and `correspondence` fill in.
-
-The relation verdict is also recorded, by `_keep_relations`, where a
-construction proves it, and then never computed: `chart.chart_embed` and
-`correspondence.nested_to_rep` record that every residual is zero, and
-`act` carries a verdict known on x to g.x, since each residual moves by
-conjugation and so keeps its index and whether it is zero.  Directly
-built, JSON-read and `dataclasses.replace`d objects compute their verdict
-on first use, so `cli check` on a file always computes it, before the
-stability verdict reads a chart.
-`_kept_relations` reads a kept verdict without computing one:
-`chart.chart_extract` trusts the commutator of a pair read off a
-representation whose kept verdict is zero, and for n = 1 refuses the
-pair of one whose kept verdict is not, and `stability` counts
-costability in the conversions' chart where it is zero.
+so "all relations hold" is exactly "every residual is zero".  Both classes
+are immutable, so the relation verdict `_nonzero_residuals` is computed on
+first read and kept, unless a construction recorded it (`_keep_relations`).
 
 Sign convention, frozen package-wide: the mixed relation reads
 
@@ -90,9 +73,8 @@ class HirzRep:
 
     @cached_property
     def _kept(self) -> dict:
-        """Readings of this object, filled in by the readers that compute
-        them: `stability` keeps the verdict and each chart reading here,
-        and `correspondence` the conversions' chart."""
+        """The readings `stability` keeps on this object: the verdict, the
+        conversions' chart and each chart reading."""
         return {}
 
     def to_json(self) -> dict:
@@ -108,10 +90,9 @@ class HirzRep:
 
     @staticmethod
     def from_json(obj: dict) -> "HirzRep":
-        """Each matrix's declared shape is checked against the counts before
-        the matrix is built.  The entries of J bound c0 and those of A1
-        bound c1 given c0 >= 1, but with c0 = 0 no entry bounds c1, so
-        c0 = 0 < c1 is refused before anything is built."""
+        """Each matrix's declared shape is checked against the counts
+        before the matrix is built; c0 = 0 < c1, where no entry bounds c1,
+        is refused."""
         n, c0, c1 = (json_count(json_field(obj, k)) for k in ("n", "c0", "c1"))
         if c0 == 0 < c1:
             raise ShapeMismatch(f"c0 = 0 needs c1 = 0, got c1 = {c1}")
@@ -172,19 +153,17 @@ class EnhRep:
 
     @cached_property
     def _nonzero_residuals(self) -> tuple[int, ...]:
-        """The relation verdict: the indices of the nonzero enh_residuals,
-        the left part's verdict (kept on `left`, where `chart_extract`
-        reads it) and then the right part's, offset by the left count."""
+        """The relation verdict: the left part's (kept on `left`), then the
+        indices of the right part's nonzero enh_residuals."""
         left = self.left._nonzero_residuals
         k = 1 if self.n == 1 else 2 * (self.n - 1)
         return left + tuple(k + i for i, r in enumerate(_right_residuals(self)) if not r.is_zero())
 
     @cached_property
     def _kept(self) -> dict:
-        """Readings of this object, filled in by the readers that compute
-        them: `correspondence._small_ideal` keeps one small ideal per chart,
-        and `stability.is_theta_stable` the answer to (C1).  The left
-        part's readings are kept on `left`."""
+        """The readings kept on this object: the answer to (C1)
+        (`stability.is_theta_stable`) and the small ideal per chart
+        (`correspondence._small_ideal`).  The left part's are on `left`."""
         return {}
 
     def to_json(self) -> dict:
@@ -292,27 +271,31 @@ def _require_enhanced(x, reader: str) -> None:
 
 def _keep_relations(x: HirzRep | EnhRep, bad: tuple[int, ...] | None):
     """x, with bad kept as its relation verdict `_nonzero_residuals`; None
-    keeps nothing.  The one writer of a verdict x did not compute: its
-    callers pass only what x's construction proves."""
+    keeps nothing.  The one writer of a verdict x did not compute, at the
+    sites whose construction proves it:
+
+    - `chart.chart_embed` records (): its arrows are polynomials in a
+      commuting pair, so each unframed relation is an identity of
+      polynomials, and every I_q is zero;
+    - `correspondence.nested_to_rep` records () on a left part so embedded
+      and a right part of the quotient pair's pencil arrows: quot b_i =
+      qb_i quot with quot onto carries each identity to the quotient, and
+      gives [qb1, qb2] = 0.  It rests on the nesting check
+      `ideals._inclusion`;
+    - `act` carries the verdict kept on x to g.x: each residual moves by
+      conjugation, R -> g_i R g_j^-1, so keeps its index and whether it is
+      zero."""
     if bad is not None:
         x.__dict__["_nonzero_residuals"] = bad
     return x
-
-
-def _kept_relations(x: HirzRep | EnhRep) -> tuple[int, ...] | None:
-    """The relation verdict kept on x, recorded or computed; None when x
-    keeps none.  Never computes one."""
-    return x.__dict__.get("_nonzero_residuals")
 
 
 def act(g: GaugeElement, x: HirzRep | EnhRep):
     """Base-change action.  On the left part (g1 on V0, g2 on V1):
     A -> g2 A g1^-1, C -> g1 C g2^-1, I -> g1 I, J -> J g1^-1; on the right
     part (g3, g4) likewise, and F1 -> g3 F1 g1^-1, F2 -> g4 F2 g2^-1.
-
-    Each residual transforms by conjugation, R -> g_i R g_j^-1, so the
-    nonzero ones keep their indices: a relation verdict already known on x
-    is kept on g.x (`_keep_relations`); none is computed here.
+    ShapeMismatch where g does not fit x.  A relation verdict kept on x is
+    kept on g.x (`_keep_relations`).
     """
     if isinstance(x, HirzRep):
         if g.g1.rows != x.c0 or g.g2.rows != x.c1:
@@ -341,4 +324,4 @@ def act(g: GaugeElement, x: HirzRep | EnhRep):
             F1=g.g3 @ x.F1 @ g.inv1,
             F2=g.g4 @ x.F2 @ g.inv2,
         )
-    return _keep_relations(y, _kept_relations(x))
+    return _keep_relations(y, x.__dict__.get("_nonzero_residuals"))

@@ -1,40 +1,21 @@
 """Exact rational linear algebra.
 
-Scalars are `fractions.Fraction`: the stdlib type
-already keeps lowest terms and a positive denominator, which is exactly the
-normalization we need, so we do not reimplement it.
-
-A matrix is stored as integer rows `num` over one positive denominator
-`den`, kept in lowest terms: the gcd of `den` and every numerator is 1.
-That pair is canonical, so equality and hashing compare it directly, and
-every operation works on it with Python integers: sums bring both
-operands to the lcm of their denominators, and products take integer
-dot products over the product of the denominators.  `.data` (rows of
-Fraction) and `m[i, j]` are views built from the integers on each read.
-`from_json` reads integers too: an entry 'p' or 'p/q' goes straight to
-the integers p and q (`_json_ratio`), the rows go over the lcm of the q's
-and `_wrap` brings the pair to lowest terms, so no entry becomes a
-Fraction; only other forms go through `json_rat`.
+Scalars are `fractions.Fraction`.  A matrix is stored as integer rows
+`num` over one positive denominator `den`, kept in lowest terms: the gcd
+of `den` and every numerator is 1.  That pair is canonical, so equality
+and hashing compare it directly, and every operation works on it with
+Python integers.  `.data` (rows of Fraction) and `m[i, j]` are views
+built on each read.  `from_json` reads 'p' and 'p/q' entries straight to
+integers (`_json_ratio`).
 
 `_echelon`, a Bareiss forward pass on the numerators, is the package's
-one elimination.  `rank`, the pencil, fiber and closure test, counts its
-pivots.  `_rref` back-substitutes its rows to the reduced form: kernels,
-inverses and solves read their canonical results off that, and
-`ideals.ZeroCycleIdeal.from_rows` gets the descending echelon basis of an
-ideal by running `rref` on the column-reversed rows, and
-`chart._Scan.restrict` reads the small ideal of a nested pair off one
-`_rref` of a transposed product.  `_reduce` takes the same step one row
-at a time, for `chart._span_pass`, the lazy pass that reads the big
-ideal's walk and stops once enough rows are kept.
+one elimination: `rank` counts its pivots, `_rref` back-substitutes its
+rows to the reduced form that kernels, inverses, solves and `rref` read,
+and `_reduce` takes its step one row at a time.
 
-`lincomb` forms sum_j (w_j / den) M_j in integers, with one reduction
-to lowest terms at the end; the chart's pencil combinations are each
-one call, with integer weights over one denominator.
-
-A `kernel_basis` K is the identity at its free rows (`_free_rows`), the
-last nonzero row of each column, so the only X with K X = M is M at those
-rows; `kernel_subrep` and `build_nested_adhm` read kernels there.
-`solve_right` stays, uncalled in the package, as the tests' reference.
+A `kernel_basis` K is the identity at its free rows (`_free_rows`), so
+the only X with K X = M is M at those rows.  `solve_right` stays,
+uncalled in the package, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -320,14 +301,12 @@ def lincomb(
 ) -> RationalMatrix:
     """sum_j (w_j / den) M_j over integer or Fraction weights w_j and a
     positive integer den, each M_j rows x cols (the zero matrix when there
-    are no terms or every weight is zero).
+    are no terms or every weight is zero); ShapeMismatch otherwise.
 
     Term j is p_j N_j / (q_j d_j den) for w_j = p_j / q_j and M_j = N_j / d_j,
     so over den times the lcm L of the q_j d_j the numerators are
-    sum_j p_j (L / (q_j d_j)) N_j: integer products and sums only, and one
-    `_wrap` at the end, where a scale-then-add chain reduces every
-    intermediate sum.  The chart passes integer weights over one
-    denominator, so no weight is a Fraction.
+    sum_j p_j (L / (q_j d_j)) N_j: integer products and sums, brought to
+    lowest terms once.
     """
     if len(weights) != len(mats):
         raise ShapeMismatch(f"{len(weights)} weights for {len(mats)} matrices")
@@ -399,9 +378,7 @@ def _reduce(basis: list[tuple[int, list[int]]], row: list[int]) -> list[int]:
     """The integer row reduced by a fraction-free echelon basis of
     (pivot column, row) pairs, in the order added: `_echelon`'s Bareiss
     step once per basis row, so every division is exact, and the result
-    is nonzero exactly when the row is independent of the basis.  Its
-    own loop: a whole-row step in `_echelon` slows `rank` on small
-    matrices."""
+    is nonzero exactly when the row is independent of the basis."""
     prev = 1
     for col, prow in basis:
         piv, f = prow[col], row[col]

@@ -8,22 +8,10 @@ inside the parameter cone, an enhanced representation is stable iff
     (C2) the left part is stable for the base cone,
 
 and (C2) in turn reduces to: all I_q vanish (n >= 2), some sampled chart is
-regular, and the extracted ADHM datum is costable.  `is_gamma_stable` runs
-that chain for the base cone, and `is_theta_stable` puts the cone check
-and (C1) in front of it.  The cone checks compare cross-multiplied
-integer numerators and denominators of the parameters, so no Fraction
-is built for a verdict.  Costability is read off `_chart_reading`, the
-one reader of a chart: it extracts the datum at a chart and scans its
-covector closure once, and the number of rows the scan keeps is the
-verdict.  The scan's normal forms are the big ideal, built only when a
-conversion in `correspondence` reads them at that chart, so a verdict
-pays for the lazy count alone.  The verdict's chart is the first regular
-one; the count is read in the conversions' chart wherever the relations
-are known to hold, where it is the same (`_read_left`).  A
-representation is immutable, so the verdict and each chart reading are
-kept on it and computed once, by whichever caller asks first
-(`HirzRep._kept`), and so is the answer to (C1) on the enhanced one
-(`EnhRep._kept`).  The oracle re-derives verdicts directly from the
+regular, and the extracted ADHM datum is costable (`is_gamma_stable`).
+The cone checks compare cross-multiplied integers.  Costability is the
+count of `_chart_reading`, the one reader of a chart, in the chart that
+`_read_left` chooses.  The oracle re-derives verdicts directly from the
 subrepresentation inequalities and is used by the test suite to
 cross-check the chain on torus-fixed inputs.
 """
@@ -41,7 +29,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .quiver import EnhRep, HirzRep, _kept_relations, _require_enhanced
+from .quiver import EnhRep, HirzRep, _require_enhanced
 from .ratmat import RationalMatrix, _free_rows, kernel_basis, rank, rat
 
 
@@ -103,8 +91,7 @@ def default_theta(c: int, cp: int) -> EnhThetaParam:
     (ShapeMismatch otherwise).
 
     theta2 is the midpoint of the base interval; theta3 = theta4 =
-    -1/(8c(c-cp)) keeps the sum condition at 1/(4c) > 0.  (The naive
-    -1/(4(c-cp)) fails the sum condition for every c.)
+    -1/(8c(c-cp)) keeps the sum condition at 1/(4c) > 0.
     """
     if not 0 <= cp < c:
         raise ShapeMismatch("need 0 <= cp < c")
@@ -127,10 +114,9 @@ def _closure_witness(r: int, c: int) -> str | None:
 
 def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> StabilityVerdict:
     """Costability: the covector closure span{e b1^a b2^b} has full rank,
-    the number of monomials `closure_scan` keeps; its normal forms are
-    never built.  The inputs are read as an `AdhmData`, which raises
-    ShapeMismatch unless b1, b2 are c x c and e is 1 x c, and
-    NotCommuting unless [b1, b2] = 0."""
+    the number of monomials `chart.closure_scan` keeps.  The inputs are read
+    as an `AdhmData`: ShapeMismatch unless b1, b2 are c x c and e is 1 x c,
+    then NotCommuting unless [b1, b2] = 0."""
     a = AdhmData(c=b1.rows, b1=b1, b2=b2, e=e)
     witness = _closure_witness(len(closure_scan(a.b1, a.b2, a.e).kept), a.c)
     return StabilityVerdict(stable=witness is None, witness=witness)
@@ -138,17 +124,10 @@ def is_costable(b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix) -> St
 
 def _chart_reading(x: HirzRep, nu: NuPoint):
     """The closure scan of x's datum in the chart at nu, kept on x per
-    chart (`HirzRep._kept`).
-
-    The one reader of a closure: the scan's kept monomials count it for
-    costability, its normal forms are the big ideal, and it restricts to
-    the small walk (`chart._Scan.restrict`), so a verdict and the
-    conversions that read the same chart share one extraction and one
-    scan.  A verdict-only call pays for the scan up to its c-th kept row
-    and no more: the normal forms (K's inversion and the canonical walk,
-    or the rest of the walk where K is the identity) are built on their
-    first read, by a conversion, and kept on the scan.  Nothing is kept
-    when the extraction raises (`chart_extract`).
+    chart (`quiver.HirzRep._kept`); nothing is kept when `chart.chart_extract`
+    raises.  The one reader of a chart: its count is costability, its normal
+    forms are the big ideal, and it restricts to the small one
+    (`chart._Scan.restrict`).
     """
     scan = x._kept.get(nu)
     if scan is None:
@@ -159,9 +138,8 @@ def _chart_reading(x: HirzRep, nu: NuPoint):
 
 def _pair_chart(x: HirzRep, chart: NuPoint) -> NuPoint:
     """The conversions' chart of x (`chart._conversion_chart`), given
-    chart, the first regular chart of its pencil; kept on x beside the
-    verdict that carries chart (`HirzRep._kept`), so no pencil is ranked
-    twice."""
+    chart, the first regular chart of its pencil; kept on x
+    (`quiver.HirzRep._kept`)."""
     kept = x._kept
     at = kept.get("conversion")
     if at is None:
@@ -170,13 +148,13 @@ def _pair_chart(x: HirzRep, chart: NuPoint) -> NuPoint:
 
 
 def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
-    """Base-cone stability of a plain representation with c0 = c1, kept
-    on x (`HirzRep._kept`).  The verdict carries the first regular chart.
+    """Base-cone stability of a plain representation with c0 = c1
+    (ShapeMismatch otherwise), reporting the first regular chart.
 
     The checks in verdict order: nonzero I (n >= 2), pencil regularity
     (`find_regular_nu`), then costability of the datum (`_read_left`;
-    `chart_extract` raises RelationsViolated unless it commutes).  Errors
-    are not kept: an input that raises raises again on every call.
+    `chart.chart_extract` raises RelationsViolated unless it commutes).
+    The verdict is kept on x (`quiver.HirzRep._kept`); errors are not kept.
     """
     if x.c0 != x.c1:
         raise ShapeMismatch("stability needs c0 = c1")
@@ -187,18 +165,18 @@ def is_gamma_stable(x: HirzRep) -> StabilityVerdict:
 
 
 def _read_left(x: HirzRep) -> StabilityVerdict:
-    """`is_gamma_stable`'s first reading of x.  Its chart is the first
-    regular one, nu.  Costability is counted in the conversions' chart
-    (`_pair_chart`) where x keeps a zero relation verdict
-    (`quiver._kept_relations`), so a conversion, which reads that chart
-    anyway, extracts and scans one chart; elsewhere it is counted at nu.
+    """`is_gamma_stable`'s reading of x, which reports the first regular
+    chart nu.  Costability is counted in the conversions' chart
+    (`_pair_chart`) where x's relations hold, its verdict
+    `quiver.HirzRep._nonzero_residuals` computed on first read, so a
+    conversion, which reads that chart, reads one chart; elsewhere at nu.
 
     The count is the same in both.  Once every I_q is zero and the
     relations hold, the gauge g2 = A_nu^-1 makes A_nu the identity, so
     A1 = (nu2 + nu1 b1) / rho and A2 = (nu1 - nu2 b1) / rho lie in k[b1],
     and the relations C_q A1 = C_(q+1) A2 give C_q = b2 A1^(q-1) A2^(n-q):
     x is the embedding of its datum at nu (`chart.chart_embed`).  Read in
-    another regular chart mu, `chart_blocks` gives A_mu = P(b1) and
+    another regular chart mu, `chart.chart_blocks` gives A_mu = P(b1) and
     D_mu = Q(b1) for P = mu2 A1 + mu1 A2 and Q = mu1 A1 - mu2 A2, linear
     in b1, so b1' = P(b1)^-1 Q(b1), a Moebius function of b1, and, as the
     weights of C_mu are the binomial ones of P^(n-1),
@@ -211,19 +189,19 @@ def _read_left(x: HirzRep) -> StabilityVerdict:
         nu = find_regular_nu(x.A1, x.A2)
     except IrregularPencil:
         return StabilityVerdict(stable=False, witness="irregular pencil")
-    at = _pair_chart(x, nu) if _kept_relations(x) == () else nu
+    at = _pair_chart(x, nu) if x._nonzero_residuals == () else nu
     witness = _closure_witness(len(_chart_reading(x, at).kept), x.c0)
     return StabilityVerdict(stable=witness is None, witness=witness, nu=nu)
 
 
 def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
-    """Two-condition stability test inside the enhanced cone: the cone
-    check (ConeViolation outside it), then (C1), the first of F1, F2 that
-    is not surjective, then (C2), the left part's verdict (`is_gamma_stable`,
-    kept on x.left), its witness prefixed.  (C1) depends on x alone, so its
-    answer, the failing map or None, is kept on x (`EnhRep._kept`); the
-    cone check depends on p and runs on every call, as does the prefix.
-    Any x that is not an EnhRep raises ShapeMismatch."""
+    """Two-condition stability test inside the enhanced cone.
+
+    Errors in order: ShapeMismatch unless x is an EnhRep, then ConeViolation
+    outside the cone.  The verdict: (C1), the first of F1, F2 that is not
+    surjective, then (C2), the left part's verdict (`is_gamma_stable`), its
+    witness prefixed.  The answer to (C1) is kept on x
+    (`quiver.EnhRep._kept`)."""
     _require_enhanced(x, "is_theta_stable")
     if not in_enh_cone(p, x.c, x.cp):
         raise ConeViolation("parameter outside the enhanced cone")
@@ -240,20 +218,16 @@ def is_theta_stable(x: EnhRep, p: EnhThetaParam) -> StabilityVerdict:
 
 
 def kernel_subrep(x: EnhRep) -> HirzRep:
-    """Restriction of the left part to (ker F1, ker F2).
-
-    The conversions do not call it: they read the small cycle off the
-    left walk times kernel_basis(F1), which is this datum's walk in any
-    regular chart.  It stays public, and as the tests' oracle for that
-    reading.
+    """Restriction of the left part to (ker F1, ker F2), the tests' oracle
+    for the small ideal of `correspondence._small_ideal`.
 
     Well-defined because A_i(ker F1) <= ker F2, C_t(ker F2) <= ker F1 and
     Im I_q <= ker F1 whenever the intertwining relations hold; violations
-    raise NotWellDefined.  Bases are the canonical kernel bases, so the
-    output is deterministic.  A kernel basis K is the identity at its free
-    rows, so the only X with K X = M is M at those rows: each arrow is read
-    there, and one product K X == M per arrow checks that it is a solution.
-    Any x that is not an EnhRep raises ShapeMismatch.
+    raise NotWellDefined, and any x that is not an EnhRep ShapeMismatch.
+    Bases are the canonical kernel bases, so the output is deterministic.
+    A kernel basis K is the identity at its free rows, so the only X with
+    K X = M is M at those rows: each arrow is read there and checked by one
+    product.
     """
     _require_enhanced(x, "kernel_subrep")
     k1 = kernel_basis(x.F1)

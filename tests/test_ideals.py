@@ -15,6 +15,7 @@ from nestquiv import ideals
 from nestquiv import (
     AdhmData,
     BadPair,
+    DomainError,
     NestedIdealPair,
     NotAnIdeal,
     NotCostable,
@@ -383,6 +384,23 @@ def test_enumerate_refuses_equal_colengths_before_any_work(monkeypatch):
                 enumerate_nested_monomial(c, c, charts=charts)
 
 
+def test_enumerate_refuses_a_surface_index_below_one_before_any_work(monkeypatch):
+    # the index enters only through the mixed transport, so it was once
+    # checked only where a mixed split occurred
+    def no_ideal(*args):
+        raise AssertionError("built an ideal")
+
+    monkeypatch.setattr(ideals, "_fixed_cycle_ideal", no_ideal)
+    for cp, c, charts, n in ((1, 2, 1, -5), (0, 1, 2, 0), (1, 2, 2, 0)):
+        with pytest.raises(DomainError, match="the surface index n must be a positive integer"):
+            enumerate_nested_monomial(cp, c, charts=charts, n=n)
+
+
+def test_a_negative_colength_is_refused():
+    with pytest.raises(ShapeMismatch, match="colength"):
+        ZeroCycleIdeal(c=-1, d=1, basis=RationalMatrix.zeros(4, 3))
+
+
 def _partitions_by_hand(k, largest=None):
     # partitions of k into parts <= largest, built independently of the package
     largest = k if largest is None else largest
@@ -687,10 +705,20 @@ def test_only_the_chart_readers_and_the_gauge_invert():
 
 def test_a_kept_relation_verdict_is_read_by_one_rule():
     # the verdict counts in the conversions' chart exactly where the
-    # relations are known to hold, whoever asks: the kept verdict is read
-    # only where a pair is trusted, where it is carried, and there, and no
-    # caller selects a mode of the verdict
-    assert _callers("_kept_relations") == ["chart.chart_extract", "quiver.act", "stability._read_left"]
+    # relations hold, whoever asks: every reader computes the verdict it
+    # branches on, a verdict kept without being computed is read only
+    # where act carries it, and no caller selects a mode of the verdict
+    peeks = []
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                peeks += [
+                    f"{path.stem}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "get"
+                    and getattr(node.value, "attr", None) == "__dict__"
+                ]
+    assert peeks == ["quiver.act"]
     modes = []
     for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -22,6 +22,7 @@ import nestquiv
 from nestquiv import (
     CoxPoly,
     IrregularPencil,
+    NotStable,
     ShapeMismatch,
     SingularAnu,
     act,
@@ -324,6 +325,40 @@ def test_check_of_a_broken_n1_file_forms_no_commutator(tmp_path, capsys, monkeyp
                 assert not (matmul(b1, b2) - matmul(b2, b1)).is_zero()
                 files += 1
     assert files >= 20
+
+
+def test_a_conversion_rejected_before_the_rule_reads_no_relations(monkeypatch):
+    # rep_to_nested of a JSON-read input that fails (C1) or has a nonzero
+    # I_q rejects before the verdict's chart is chosen, so it forms no
+    # residual; with J = 0 the costability count reads the rule, which
+    # computes the left relation verdict
+    calls = []
+    residuals = nestquiv.quiver.hirz_residuals
+
+    def counting(x):
+        calls.append(None)
+        return residuals(x)
+
+    monkeypatch.setattr(nestquiv.quiver, "hirz_residuals", counting)
+    rng = random.Random(47)
+    counts = {"F1=F2=0": [], "I": [], "J=0": []}
+    for n in (2, 3):
+        for c in (2, 3, 4, 5):
+            cp = rng.randint(1, c - 1)
+            pair = random_nested_pair(rng, c, cp, rng.choice(CHARTS))
+            x = act(random_gauge(rng, c, c - cp), nested_to_rep(pair, n))
+            zero = RationalMatrix.zeros(c - cp, c)
+            for label, z in (
+                ("F1=F2=0", replace(x, F1=zero, F2=zero)),
+                ("I", replace(x, left=moved(x.left, "I", 0, rng))),
+                ("J=0", replace(x, left=replace(x.left, J=RationalMatrix.zeros(1, c)))),
+            ):
+                z = EnhRep.from_json(z.to_json())
+                calls.clear()
+                with pytest.raises(NotStable):
+                    rep_to_nested(z, default_theta(c, cp))
+                counts[label].append(len(calls))
+    assert counts == {"F1=F2=0": [0] * 8, "I": [0] * 8, "J=0": [1] * 8}
 
 
 def test_stability_and_orbits_need_an_enhanced_representation():

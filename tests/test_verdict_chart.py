@@ -1,6 +1,6 @@
 """Costability is read in one chart per conversion.
 
-The verdict of a representation whose relations are known to hold counts
+The verdict of a representation whose relations hold counts
 costability in the conversions' chart, where a conversion reads the pair
 anyway, and not in the verdict's chart, the first regular one
 (`stability._read_left`), whoever asks for it.  The premise: once every
@@ -8,8 +8,8 @@ I_q is zero and the relations hold, the data in any two regular charts
 generate one algebra acting on e = J, so the covector closure has one
 rank in every regular chart.  Here that count is compared chart by
 chart; the verdict against `is_gamma_stable` and `is_theta_stable` of a
-fresh JSON copy, which keeps no relation verdict and so counts at the
-verdict's own chart; the `NotStable` message of a non-costable input
+fresh JSON copy, which computes its relation verdict and so counts in
+the same chart; the `NotStable` message of a non-costable input
 against the copy's; and the verdict and readings of one input read
 first by a verdict and first by a conversion.
 """
@@ -88,13 +88,13 @@ def test_the_closure_count_is_the_same_in_every_regular_chart():
                     want = len(closure_scan(a.b1, a.b2, a.e).kept)
                     assert {_closure_count(x, at) for at in charts} == {want}
                     counts["costable" if want == c else "not costable"] += 1
-                    # x keeps the verdict chart_embed records, so it counts
-                    # at the pair's chart; the copy counts at nu alone
+                    # the relations of x and of its copy hold, so both
+                    # count at the pair's chart
                     verdict = is_gamma_stable(x)
                     copy = _fresh(x)
                     assert verdict == is_gamma_stable(copy)
                     assert verdict.nu == find_regular_nu(x.A1, x.A2)
-                    assert [at for at in copy._kept if at != "left"] == [verdict.nu]
+                    assert list(copy._kept) == list(x._kept)
                     pair_chart = x._kept["conversion"]
                     assert pair_chart in x._kept
                     if pair_chart != verdict.nu:
@@ -168,6 +168,22 @@ def test_a_conversion_keeps_the_verdict_a_fresh_copy_reads():
             assert want.nu not in x.left._kept
             seen["moved"] += 1
     assert seen["stable"] >= 80 and seen["not stable"] >= 100 and seen["moved"] >= 60
+
+
+def test_a_fresh_copy_reads_the_charts_its_recorded_original_reads():
+    # no reader branches on what an earlier call kept: the verdict of a
+    # JSON copy, which computes its relation verdict, leaves the readings
+    # that the verdict of its original, whose verdict was recorded, leaves
+    rng = random.Random(344)
+    moved = 0
+    for x in _enhanced_inputs(rng):
+        p = default_theta(x.c, x.cp)
+        copy = _fresh(x)
+        verdict = is_theta_stable(x, p)
+        assert is_theta_stable(copy, p) == verdict
+        assert list(copy.left._kept) == list(x.left._kept)
+        moved += x.left._kept["conversion"] != verdict.nu
+    assert moved >= 30
 
 
 def _readings(x: EnhRep) -> set:
