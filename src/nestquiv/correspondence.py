@@ -98,6 +98,12 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     the pair verbatim whenever that chart is the first regular candidate
     (always true for pairs this package produces).  It is recorded as
     satisfying its relations (`quiver._keep_relations`).
+
+    The left part, the big datum embedded at the pair's chart, depends on
+    the big ideal, chart and n alone, so it is kept on the big ideal under
+    (nu, n) (`ideals.ZeroCycleIdeal._kept`), written once the nesting check
+    has passed, and reused: pairs that share a big ideal object share one
+    left part, and the readings kept on it (`quiver.HirzRep._kept`).
     """
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
@@ -107,7 +113,10 @@ def nested_to_rep(pair: NestedIdealPair, n: int) -> EnhRep:
     big = adhm_from_ideal(pair.big)
     small = adhm_from_ideal(pair.small)
     nested = _nested(small, big, _inclusion(pair.big, big, small))
-    left = chart_embed(big, pair.nu, n)
+    kept = pair.big._kept
+    left = kept.get((pair.nu, n))
+    if left is None:
+        left = kept[pair.nu, n] = chart_embed(big, pair.nu, n)
     ap1, ap2, cps = _pencil_arrows(nested.qb1, nested.qb2, pair.nu, n)
     rep = EnhRep(left=left, cp=cp, Ap1=ap1, Ap2=ap2, Cp=cps, F1=nested.quot, F2=nested.quot)
     return _keep_relations(rep, ())

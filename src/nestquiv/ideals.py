@@ -21,7 +21,10 @@ Conventions frozen here:
 `adhm_from_ideal` is the one gate that proves a basis an ideal's, and
 every reader of a datum goes through it; an ideal built as one is
 recorded so (`_keep_closed`).  An ideal is immutable, so the datum the
-gate proves and its staircase are kept on it (`ZeroCycleIdeal._kept`).
+gate proves and its staircase are kept on it (`ZeroCycleIdeal._kept`),
+and so is the left part `correspondence.nested_to_rep` embeds for it as
+a pair's big cycle.  A stored basis that already is the canonical form
+is read as it is (`ZeroCycleIdeal.from_rows`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,19 @@ def _pivot_rows(basis: RationalMatrix) -> dict:
         if p is not None:
             out[p] = row
     return out
+
+
+def _is_reduced(m: RationalMatrix) -> bool:
+    """Whether m's rows are the descending reduced echelon form: each
+    row's pivot is 1 (its numerator is den), the pivots strictly fall,
+    and every pivot column is zero in the other rows."""
+    piv = _pivot_rows(m)
+    cols = list(piv)
+    return (
+        len(cols) == m.rows
+        and cols == sorted(cols, reverse=True)
+        and all(row[p] == m.den and not any(row[q] for q in cols if q < p) for p, row in piv.items())
+    )
 
 
 def _width(d: int) -> int:
@@ -88,14 +104,19 @@ class ZeroCycleIdeal:
     def from_rows(rows, c: int, d: int) -> "ZeroCycleIdeal":
         """Canonicalize spanning rows, a row list or a RationalMatrix whose
         width must be the monomial count, to the reduced echelon form of the
-        rows with their columns reversed, reversed back; then `validate`."""
+        rows with their columns reversed, reversed back; then `validate`.
+        Rows already in that form (`_is_reduced`), as this package writes
+        them, are the basis as given: the form is unique."""
         nmon = count_upto(d)
         m = rows if isinstance(rows, RationalMatrix) else RationalMatrix.from_rows(rows, cols=nmon)
         if m.cols != nmon:
             raise ShapeMismatch("basis width must match the monomial count")
-        desc = range(nmon - 1, -1, -1)
-        red, pivots = rref(m.submatrix(range(m.rows), desc))
-        basis = red.submatrix(range(len(pivots)), desc)
+        if _is_reduced(m):
+            basis = m
+        else:
+            desc = range(nmon - 1, -1, -1)
+            red, pivots = rref(m.submatrix(range(m.rows), desc))
+            basis = red.submatrix(range(len(pivots)), desc)
         ideal = ZeroCycleIdeal(c=c, d=d, basis=basis)
         ideal.validate()
         return ideal
@@ -129,8 +150,12 @@ class ZeroCycleIdeal:
 
     @cached_property
     def _kept(self) -> dict:
-        """What `adhm_from_ideal`, its one writer, proved of this basis: the
-        canonical datum ("adhm") and its staircase ("std")."""
+        """What is read once of this basis, by two writers.
+        `adhm_from_ideal` keeps the canonical datum it proves ("adhm") and
+        its staircase ("std"); `correspondence.nested_to_rep` keeps the
+        left part it embeds for this big cycle at each chart and n
+        ((nu, n)), only once the gate and the nesting check passed.  The
+        gate reads "adhm" alone, so no other entry passes for a proof."""
         return {}
 
     def standard_monomials(self) -> list[tuple[int, int]]:
@@ -294,7 +319,7 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
     once the gate passes; errors are not kept.
     """
     kept = i._kept
-    if kept:
+    if "adhm" in kept:
         return kept["adhm"]
     cols, nf = i._reduced()
     mons = monomials_upto(i.d)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nestquiv
-from nestquiv import ideals
+from nestquiv import cli, ideals, ratmat
 from nestquiv import (
     AdhmData,
     BadPair,
@@ -35,9 +35,11 @@ from nestquiv import (
     transform_chart,
 )
 from nestquiv.chart import closure_scan, monomial_rows
-from nestquiv.corpus import ideal_of_points, random_fraction, random_gauge, random_invertible, random_points
+from nestquiv.corpus import (
+    ideal_of_points, random_fraction, random_gauge, random_invertible, random_nested_pair, random_points,
+)
 from nestquiv.monomials import count_upto, monomials_upto
-from nestquiv.ratmat import block_diag, invert, kernel_basis, rank
+from nestquiv.ratmat import block_diag, invert, kernel_basis, rank, rref
 
 from conftest import M, nu, poly_value, support_points
 
@@ -310,6 +312,63 @@ def test_from_rows_ignores_recombination():
         i = ideal_of_points(random_points(rng, c))
         g = random_invertible(rng, i.basis.rows)
         assert ZeroCycleIdeal.from_rows((g @ i.basis).data, c=i.c, d=i.d) == i
+
+
+def _rref_basis(m: RationalMatrix) -> RationalMatrix:
+    """The reduced echelon form of m's rows with their columns reversed,
+    reversed back, zero rows dropped: from_rows' elimination."""
+    desc = range(m.cols - 1, -1, -1)
+    red, pivots = rref(m.submatrix(range(m.rows), desc))
+    return red.submatrix(range(len(pivots)), desc)
+
+
+@given(scrambled_cycles(), st.data())
+def test_from_rows_takes_reduced_rows_as_they_are(cycle, data):
+    # the canonical rows and their mixings by a unitriangular integer
+    # matrix, lower or upper, or with a row scaled or two rows swapped:
+    # from_rows gives the elimination's basis, and eliminates exactly when
+    # the rows are not that basis already
+    points, a = cycle
+    ideal = data.draw(st.sampled_from([ideal_of_points(points), ideal_from_adhm(a)]))
+    basis, r = ideal.basis, ideal.basis.rows
+    entries = st.integers(min_value=-2, max_value=2)
+    kind = data.draw(st.sampled_from(["none", "lower", "upper", "scale", "swap"]))
+    mix = [[int(i == j) for j in range(r)] for i in range(r)]
+    for i in range(r):
+        for j in range(r):
+            if (kind == "lower" and j < i) or (kind == "upper" and j > i):
+                mix[i][j] = data.draw(entries)
+    if kind == "scale":
+        k = data.draw(st.integers(0, r - 1))
+        mix[k][k] = data.draw(st.sampled_from([-1, 2, 3]))
+    if kind == "swap" and r > 1:
+        k = data.draw(st.integers(0, r - 2))
+        mix[k], mix[k + 1] = mix[k + 1], mix[k]
+    rows = RationalMatrix(mix) @ basis
+    with pytest.MonkeyPatch.context() as patch:
+        calls = []
+        echelon = ratmat._echelon
+        patch.setattr(ratmat, "_echelon", lambda a, ncols: calls.append(ncols) or echelon(a, ncols))
+        got = ZeroCycleIdeal.from_rows(rows, c=ideal.c, d=ideal.d)
+    assert got.basis == _rref_basis(rows) == basis and got == ideal
+    assert (calls == []) == (rows == basis)
+
+
+def test_reading_a_canonical_pair_file_eliminates_nothing(monkeypatch, tmp_path):
+    # what the package writes is the reduced form, so reading it back runs
+    # the closure check alone
+    rng = random.Random(67)
+    pairs = enumerate_nested_monomial(2, 4, charts=2, n=2)
+    pairs += [random_nested_pair(rng, c, c // 2, at) for c in (4, 6, 8) for at in (nu(1, 0), nu(1, 1))]
+    path = tmp_path / "pair.json"
+    calls = []
+    echelon = ratmat._echelon
+    monkeypatch.setattr(ratmat, "_echelon", lambda a, ncols: calls.append(ncols) or echelon(a, ncols))
+    for pair in pairs:
+        path.write_text(json.dumps(pair.to_json()))
+        got = cli._read(str(path), NestedIdealPair.from_json, "pair")
+        assert got == pair and got.to_json() == pair.to_json()
+    assert calls == []
 
 
 def _value_at(mons, row, pt) -> Fraction:
@@ -623,6 +682,70 @@ def test_only_quiver_writes_a_relation_verdict():
             assert not (isinstance(node, ast.Attribute) and node.attr == "__dict__"), path.name
             assert not (isinstance(node, ast.Constant) and node.value == "_nonzero_residuals"), path.name
     assert sorted(callers) == ["chart.chart_embed", "correspondence.nested_to_rep", "quiver.act"]
+
+
+# the object a field of an annotated parameter is, for the kept-slot owners
+_FIELD_TYPES = {("NestedIdealPair", "big"): "ZeroCycleIdeal", ("NestedIdealPair", "small"): "ZeroCycleIdeal",
+                ("EnhRep", "left"): "HirzRep"}
+
+
+def _kept_writers() -> set[tuple[str, str]]:
+    """(module.function, the annotated type of the object) for each store
+    into an object's `_kept`, direct or through a local alias of it."""
+
+    def owner_type(node, params):
+        if isinstance(node, ast.Name):
+            return params.get(node.id, "?")
+        if isinstance(node, ast.Attribute):
+            return _FIELD_TYPES.get((owner_type(node.value, params), node.attr), "?")
+        return "?"
+
+    out = set()
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg: ast.unparse(a.annotation) for a in fn.args.args if a.annotation}
+            aliases = {
+                target.id: node.value.value
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "_kept"
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    # no dict method writes a slot
+                    held = node.func.value
+                    if getattr(held, "attr", None) == "_kept" or getattr(held, "id", None) in aliases:
+                        assert node.func.attr == "get", f"{path.stem}.{fn.name}"
+                if not isinstance(node, ast.Assign):
+                    continue
+                for target in node.targets:
+                    for store in target.elts if isinstance(target, ast.Tuple) else [target]:
+                        if not isinstance(store, ast.Subscript):
+                            continue
+                        held = store.value
+                        if getattr(held, "attr", None) == "_kept":
+                            out.add((f"{path.stem}.{fn.name}", owner_type(held.value, params)))
+                        elif getattr(held, "id", None) in aliases:
+                            out.add((f"{path.stem}.{fn.name}", owner_type(aliases[held.id], params)))
+    return out
+
+
+def test_only_the_gate_and_the_embedding_write_an_ideals_kept():
+    # an ideal's kept slots are the datum its gate proved, its staircase
+    # and the left part nested_to_rep embedded after its nesting check; no
+    # other function writes them, so nothing unproven passes for a datum
+    writers = _kept_writers()
+    assert all(kind in ("ZeroCycleIdeal", "HirzRep", "EnhRep") for _, kind in writers), writers
+    assert sorted(f for f, kind in writers if kind == "ZeroCycleIdeal") == [
+        "correspondence.nested_to_rep", "ideals.adhm_from_ideal",
+    ]
+    # and none sets or reaches the slot by name
+    for path in sorted(Path(nestquiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            assert not (isinstance(node, ast.Constant) and node.value == "_kept"), path.name
 
 
 def test_only_proven_sites_skip_the_commutator():

@@ -145,6 +145,27 @@ def test_a_basis_that_is_not_an_ideal_raises_on_every_call():
                 adhm_from_ideal(replace(good, basis=M(rows)))
 
 
+def test_a_kept_left_part_alone_proves_nothing(monkeypatch):
+    # nested_to_rep keeps its left part on the big ideal beside the datum;
+    # an ideal that carries such an entry and no datum is gated as any
+    # other: a basis that is not an ideal's raises on every call, and an
+    # unrecorded one has its closure checked once
+    left = chart_embed(adhm_from_ideal(monomial_ideal((2,))), nu(1, 0), 2)
+    closures = _counting(monkeypatch, ZeroCycleIdeal, "_closure")
+    for rows, error in ((NOT_COMMUTING, NotCommuting), (NOT_CLOSED, NotAnIdeal)):
+        bad = ZeroCycleIdeal(c=2, d=2, basis=M(rows))
+        bad._kept[nu(1, 0), 2] = left
+        for _ in range(2):
+            with pytest.raises(error):
+                adhm_from_ideal(bad)
+        assert list(bad._kept) == [(nu(1, 0), 2)]
+    good = ZeroCycleIdeal.from_json(monomial_ideal((2,)).to_json())
+    good._kept[nu(1, 0), 2] = left
+    closures.clear()
+    assert adhm_from_ideal(good) == adhm_from_ideal(monomial_ideal((2,)))
+    assert len(closures) == 1 and list(good._kept) == [(nu(1, 0), 2), "adhm", "std"]
+
+
 # -- one transport per block ---------------------------------------------
 
 
