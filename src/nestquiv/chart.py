@@ -164,7 +164,8 @@ def _commuting(c: int, b1: RationalMatrix, b2: RationalMatrix, e: RationalMatrix
     - `ideals.adhm_from_ideal` of an ideal recorded as built as one
       (`ideals._keep_closed`): multiplications by x and by y commute;
     - `ideals._fixed_cycle_ideal`: block_diag of commuting pairs commutes
-      block by block."""
+      block by block, and a shift a I + b1 commutes with b2 whenever b1
+      does."""
     a = object.__new__(AdhmData)
     for name, value in (("c", c), ("b1", b1), ("b2", b2), ("e", e)):
         object.__setattr__(a, name, value)

@@ -25,6 +25,12 @@ gate proves and its staircase are kept on it (`ZeroCycleIdeal._kept`),
 and so is the left part `correspondence.nested_to_rep` embeds for it as
 a pair's big cycle.  A stored basis that already is the canonical form
 is read as it is (`ZeroCycleIdeal.from_rows`).
+
+A monomial's basis column is `monomials.position`, a closed form.  The
+torus-fixed cycles of `enumerate_nested_monomial` are built from their
+staircases: a cycle at the origin of a chart is a `monomial_ideal`, and
+one split between the two fixed points is the join of two such blocks,
+each shifted to its point of [1, 1] (`_fixed_cycle_ideal`).
 """
 
 from __future__ import annotations
@@ -36,11 +42,10 @@ from itertools import accumulate
 from operator import matmul, mul
 
 from .chart import (
-    CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, _commuting, closure_scan,
-    monomial_rows, transform_chart,
+    CHART_FIRST, CHART_MIXED, CHART_SECOND, AdhmData, NuPoint, _commuting, closure_scan, monomial_rows,
 )
 from .errors import BadPair, DomainError, NotAnIdeal, NotCostable, ShapeMismatch
-from .monomials import count_upto, monomials_upto
+from .monomials import count_upto, monomials_upto, position
 from .ratmat import RationalMatrix, block_diag, json_count, json_field, kernel_basis, rank, rref
 
 
@@ -131,7 +136,6 @@ class ZeroCycleIdeal:
         """`validate`, given the normal forms: the one closure check, for
         `validate` and for `adhm_from_ideal`, which has read them."""
         mons = monomials_upto(self.d)
-        index = {m: i for i, m in enumerate(mons)}
         shifted = []
         for row in self.basis.num:
             deg = max((a + b for (a, b), v in zip(mons, row) if v != 0), default=-1)
@@ -141,7 +145,7 @@ class ZeroCycleIdeal:
                 out = [0] * len(mons)
                 for (a, b), v in zip(mons, row):
                     if v != 0:
-                        out[index[(a + da, b + db)]] = v
+                        out[position(a + da, b + db)] = v
                 shifted.append(out)
         if shifted and not (
             RationalMatrix._wrap(shifted, self.basis.den, len(mons)) @ nf
@@ -189,19 +193,20 @@ class ZeroCycleIdeal:
         """The inverse of normal_forms(), given the staircase std: the basis
         row of each monomial f outside std is f minus its normal form, the
         rows listed by f descending."""
-        mons = monomials_upto(d)
-        if nf.rows != len(mons) or nf.cols != len(std):
+        nmon = count_upto(d)
+        if nf.rows != nmon or nf.cols != len(std):
             raise ShapeMismatch("normal forms need one row per monomial, one column per standard one")
-        cols = [mons.index(m) for m in std]
+        cols = [position(a, b) for a, b in std]
+        standard = set(cols)
         rows = []
-        for f in reversed(range(len(mons))):
-            if f not in cols:
-                row = [0] * len(mons)
+        for f in range(nmon - 1, -1, -1):
+            if f not in standard:
+                row = [0] * nmon
                 row[f] = nf.den
                 for k, x in zip(cols, nf.num[f]):
                     row[k] = -x
                 rows.append(row)
-        return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix._wrap(rows, nf.den, len(mons)))
+        return ZeroCycleIdeal(c=len(std), d=d, basis=RationalMatrix._wrap(rows, nf.den, nmon))
 
     def to_json(self) -> dict:
         return {"c": self.c, "d": self.d, "basis": self.basis.to_json()}
@@ -329,9 +334,8 @@ def adhm_from_ideal(i: ZeroCycleIdeal) -> AdhmData:
         raise NotAnIdeal(f"staircase size {c} != recorded colength {i.c}")
     if any(a + b >= i.d for a, b in std) and c > 0:
         raise NotAnIdeal("degree bound too small to read off multiplication")
-    index = {m: j for j, m in enumerate(mons)}
-    b1 = nf.submatrix([index[(a + 1, b)] for a, b in std], range(c))
-    b2 = nf.submatrix([index[(a, b + 1)] for a, b in std], range(c))
+    b1 = nf.submatrix([position(a + 1, b) for a, b in std], range(c))
+    b2 = nf.submatrix([position(a, b + 1) for a, b in std], range(c))
     e = RationalMatrix._wrap([[int(m == (0, 0)) for m in std]], 1, c)
     if i._closed:
         a = _commuting(c, b1, b2, e)
@@ -378,8 +382,7 @@ def _inclusion(ideal: ZeroCycleIdeal, big: AdhmData, small: AdhmData) -> Rationa
     """
     std = ideal._kept["std"]
     d = max(map(sum, std), default=0)
-    index = {m: r for r, m in enumerate(monomials_upto(d))}
-    incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([index[m] for m in std], range(small.c))
+    incl = monomial_rows(small.b1, small.b2, small.e, d).submatrix([position(*m) for m in std], range(small.c))
     pairs = ((big.b1, small.b1), (big.b2, small.b2))
     if len(std) < small.c or any(bb @ incl != incl @ sb for bb, sb in pairs):
         raise BadPair("ideals are not nested")
@@ -429,14 +432,17 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     charts=1: both cycles at the origin of the chart [1, 0]; one pair per
     nested partition pair mu <= lam.  charts=2: cycles split between the two
     torus-fixed points of the base; pure splits keep their own chart label,
-    genuinely mixed splits are assembled by transporting both blocks to the
-    chart [1, 1] (where both fixed fibers are visible) and summing.  The
-    surface degree n enters only through that transport.
+    genuinely mixed splits are read in the chart [1, 1], where both fixed
+    fibers are visible (`_fixed_cycle_ideal`).  The pairs do not depend on
+    the surface degree n: a cycle at the fixed points depends only on the
+    local rings there.
 
     Order: chart-1 colength descending, then partitions in generation order;
     charts=1 is the chart-1 colength c block of charts=2.  ShapeMismatch
     unless 0 <= cp < c and charts is 1 or 2, then DomainError unless n >= 1.
-    Pairs share their ideal objects, built once per cycle and chart.
+    Pairs share their ideal objects: one monomial ideal per partition
+    serves both pure charts and the blocks of the mixed cycles, and each
+    mixed cycle is built once.
     """
     if not 0 <= cp < c:
         raise ShapeMismatch("need 0 <= cp < c")
@@ -444,12 +450,10 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
         raise ShapeMismatch("charts must be 1 or 2")
     if n < 1:
         raise DomainError("the surface index n must be a positive integer")
-    # one ideal per cycle and chart: a small cycle recurs under many big ones;
-    # one transport per block and home chart: a block recurs in many mixed cycles
-    moved = cache(
-        lambda lam, home: transform_chart(adhm_from_ideal(monomial_ideal(lam)), home, CHART_MIXED, n)
-    )
-    ideal_at = cache(lambda part1, part2, nu: _fixed_cycle_ideal(part1, part2, nu, moved))
+    # one ideal per partition and one per mixed cycle: a small cycle recurs
+    # under many big ones, and a block in many mixed cycles
+    mono = cache(monomial_ideal)
+    ideal_at = cache(lambda part1, part2, nu: _fixed_cycle_ideal(part1, part2, nu, mono))
     out = []
     for c1 in range(c, -1 if charts == 2 else c - 1, -1):
         c2 = c - c1
@@ -471,22 +475,35 @@ def enumerate_nested_monomial(cp: int, c: int, charts: int = 1, n: int = 1) -> l
     return out
 
 
-def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, moved) -> ZeroCycleIdeal:
+def _fixed_cycle_ideal(lam1, lam2, nu: NuPoint, mono) -> ZeroCycleIdeal:
     """Ideal, in the chart nu, of the torus-fixed cycle with staircase lam1
-    at the origin of [1, 0] and lam2 at the origin of [0, 1].  In [1, 1]
-    the nonempty parts are transported there, moved(lam, home) the datum of
-    lam at the origin of its home chart read in [1, 1], and summed without
-    a commutator (`chart._commuting`)."""
+    at the origin of [1, 0] and lam2 at the origin of [0, 1], mono(lam)
+    being monomial_ideal(lam).  In [1, 1] the first point is (-1, 0) and
+    the second (1, 0): each nonempty block is the gate's datum of
+    mono(lam) with b1 shifted by a = -1 and a = +1, and the blocks are
+    joined by block_diag without a commutator (`chart._commuting`).
+
+    The shift is the transport to [1, 1] (`chart.transform_chart`).  The
+    datum (b1, b2, e) of the monomial ideal I at its home chart has
+    nilpotent b1, and its transport is (b1', b2', e) with b1' - a =
+    b1 U(b1) and b2' = b2 V(b1), U and V units of k[b1] (at home [1, 0],
+    U = 2 (1 + b1)^-1 and V = (1 + b1)^n).  Every x^i y^j of I annihilates
+    e times anything, as I is an ideal, so e (b1' - a)^i b2'^j =
+    e b1^i b2^j U^i V^j = 0: (x - a)^i y^j lies in the transported ideal.
+    Those generate the shifted block's ideal, I moved to (a, 0), and both
+    have colength c, so they are equal.  The joined datum's covector is
+    (e1, e2), so its ideal is the intersection of the two blocks' ideals.
+    """
     if nu == CHART_FIRST:
-        return monomial_ideal(lam1)
+        return mono(lam1)
     if nu == CHART_SECOND:
-        return monomial_ideal(lam2)
-    parts = [moved(lam, home) for lam, home in ((lam1, CHART_FIRST), (lam2, CHART_SECOND)) if lam]
+        return mono(lam2)
+    parts = [(adhm_from_ideal(mono(lam)), a) for lam, a in ((lam1, -1), (lam2, 1)) if lam]
     joined = _commuting(
         sum(lam1) + sum(lam2),
-        block_diag([t.b1 for t in parts]),
-        block_diag([t.b2 for t in parts]),
-        reduce(RationalMatrix.hstack, (t.e for t in parts), RationalMatrix.zeros(1, 0)),
+        block_diag([t.b1 + RationalMatrix.identity(t.c).scale(a) for t, a in parts]),
+        block_diag([t.b2 for t, _ in parts]),
+        reduce(RationalMatrix.hstack, (t.e for t, _ in parts), RationalMatrix.zeros(1, 0)),
     )
     return ideal_from_adhm(joined)
 

@@ -20,3 +20,9 @@ def monomials_upto(d: int) -> list[tuple[int, int]]:
 
 def count_upto(d: int) -> int:
     return (d + 1) * (d + 2) // 2
+
+
+def position(a: int, b: int) -> int:
+    """The index of x^a y^b in the frozen order: count_upto(a + b - 1)
+    monomials of lower degree come first, then b before it in its degree."""
+    return (a + b) * (a + b + 1) // 2 + b

@@ -260,9 +260,15 @@ class RationalMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "RationalMatrix":
+        """MalformedInput for a negative count, and for an r x 0 matrix
+        with r > 1: the one shape whose storage grows with a count that no
+        entry backs.  This package writes none: its only matrices without
+        columns are the 1 x 0 covectors e and J of a length-0 cycle."""
         r, c = json_count(json_field(obj, "rows")), json_count(json_field(obj, "cols"))
         if r < 0 or c < 0:
             raise MalformedInput(f"matrix counts must be non-negative, got rows {r}, cols {c}")
+        if c == 0 and r > 1:
+            raise MalformedInput(f"a matrix without columns has at most one row, got rows {r}")
         entries = json_field(obj, "entries")
         if not isinstance(entries, list):
             raise MalformedInput(f"matrix entries must be a JSON list, got {type(entries).__name__}")

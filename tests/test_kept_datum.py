@@ -1,13 +1,14 @@
 """What depends only on an object is read once: a chart whose pencil is the
-identity, the datum an ideal's gate proves, a block's transport, and a
-representation's conversion chart and (C1).
+identity, the datum an ideal's gate proves, a partition's monomial ideal,
+and a representation's conversion chart and (C1).
 
 `chart_blocks` reads a representation at the chart it was embedded in,
 where A_nu is exactly the identity, with no inversion; `adhm_from_ideal`
 keeps the datum and staircase it proves on the ideal, and `_inclusion`
-reads that staircase; `enumerate_nested_monomial` transports each block
-(lam, home chart) to [1, 1] once per call; the conversions' chart is
-kept on the left part and the answer to (C1) on the representation.
+reads that staircase; `enumerate_nested_monomial` builds each partition's
+monomial ideal once per call and transports nothing; the conversions'
+chart is kept on the left part and the answer to (C1) on the
+representation.
 Each is compared here with the path it shortens.
 """
 
@@ -166,29 +167,31 @@ def test_a_kept_left_part_alone_proves_nothing(monkeypatch):
     assert len(closures) == 1 and list(good._kept) == [(nu(1, 0), 2), "adhm", "std"]
 
 
-# -- one transport per block ---------------------------------------------
+# -- torus-fixed cycles from their staircases ---------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_each_block_is_transported_once_per_enumeration(monkeypatch, n):
-    # the enumeration with no cache at all transports a block once per
-    # mixed cycle it lies in; the enumeration transports the same blocks,
-    # each once per call, and returns the same pairs
-    moved = _counting(monkeypatch, nestquiv.ideals, "transform_chart")
+def test_an_enumeration_builds_its_cycles_from_staircases(monkeypatch, n):
+    # no chart transport: no embedding, extraction or A_nu inversion; one
+    # monomial_ideal per distinct partition, and at most one inversion per
+    # mixed cycle, its closure scan's gauge; the same pairs as with no cache
+    chart_calls = [_counting(monkeypatch, nestquiv.chart, name)
+                   for name in ("transform_chart", "chart_embed", "chart_extract", "chart_blocks")]
+    inversions = _counting(monkeypatch, nestquiv.chart, "invert")
+    built = _counting(monkeypatch, nestquiv.ideals, "monomial_ideal")
     for cp, c in ((0, 3), (1, 3), (2, 4), (3, 4), (2, 5)):
-        moved.clear()
+        inversions.clear()
+        built.clear()
         pairs = enumerate_nested_monomial(cp, c, charts=2, n=n)
-        once = list(moved)
-        moved.clear()
-        assert enumerate_nested_monomial(cp, c, charts=2, n=n) == pairs and moved == once
+        assert chart_calls == [[], [], [], []]
+        assert len(built) == len(set(built)) == len({lam for (lam,) in built}) > 0
+        mixed = {id(i): i for pair in pairs if pair.nu == nu(1, 1) for i in (pair.big, pair.small) if i.c}
+        assert 0 < len(inversions) <= len(mixed)
         with monkeypatch.context() as uncached:
             uncached.setattr(nestquiv.ideals, "cache", lambda f: f)
-            moved.clear()
+            built.clear()
             assert enumerate_nested_monomial(cp, c, charts=2, n=n) == pairs
-        blocks = {(a, home) for a, home, *_ in moved}
-        assert len(once) == len(blocks) == len({(a, home) for a, home, *_ in once}) > 0
-        assert {(a, home) for a, home, *_ in once} == blocks
-        assert len(moved) > len(once)
+            assert len(built) > len(set(built))
 
 
 # -- what a conversion keeps on the representation ------------------------

@@ -31,6 +31,8 @@ PROBES = {
     "entries dict": lambda: RationalMatrix.from_json(
         {"rows": 2, "cols": 2, "entries": {"1": 0, "2": 0, "3": 0, "4": 0}}
     ),
+    # no entry backs the rows of an r x 0 matrix: refused before it is built
+    "rows 10**18 of no columns": lambda: RationalMatrix.from_json({"rows": 10**18, "cols": 0, "entries": []}),
     "datum {}": lambda: AdhmData.from_json({}),
     "basis []": lambda: ZeroCycleIdeal.from_json({"c": 1, "d": 1, "basis": []}),
     "pair {}": lambda: NestedIdealPair.from_json({}),

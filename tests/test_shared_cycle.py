@@ -57,15 +57,17 @@ def _readings(x, p, other):
 
 def _run(pairs, n, scramble=None):
     """The readings of each pair's representation, compared with the one
-    before it, and the big ideal's kept keys; scramble(x) is read instead
-    of x when given."""
+    before it, and the big ideal's kept keys for the pair's own chart (a
+    monomial ideal serves both pure charts of an enumeration); scramble(x)
+    is read instead of x when given."""
     out, other = [], None
     for pair in pairs:
         x = nested_to_rep(pair, n)
         if scramble:
             x = scramble(x)
         p = default_theta(pair.big.c, pair.small.c)
-        out.append((_readings(x, p, x if other is None else other), list(pair.big._kept)))
+        keys = [k for k in pair.big._kept if not isinstance(k, tuple) or k[0] == pair.nu]
+        out.append((_readings(x, p, x if other is None else other), keys))
         other = x
     return out
 
